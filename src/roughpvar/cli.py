@@ -19,13 +19,12 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .fbm import FbmSpec, path_to_csv, sample_fbm
 from .harness import (
     ExperimentConfig,
     rate_fit,
+    replica_rng,
     rows_to_csv,
     run_regime_check,
     scaling_exponent_check,
@@ -33,46 +32,18 @@ from .harness import (
     validate_p_range,
 )
 from .hermite import TruncationSpec, asymptotic_variance, gaussian_abs_moment
-from .processes import PROCESS_TAGS
+from .processes import PROCESS_TAGS, default_fine_factor
 
 _PROCESS_KEYS = ("process", "ell", "y0", "drift_coeffs", "field_coeffs")
+_PVAR_KEYS = ("hurst", "p", "n", "seed", "t", "fine_factor", "quadrature", "force", "id")
+_CHECK_KEYS = _PVAR_KEYS + ("replicas", "ks_threshold", "median_tol")
 
 SUBCOMMAND_KEYS = {
     "simulate": ("hurst", "n", "seed", "replicas", "method"),
     "constants": ("p", "hurst", "hermite_terms", "lag_cutoff"),
-    "pvar": ("hurst", "p", "n", "seed", "t", "fine_factor", "quadrature", "force", "id")
-    + _PROCESS_KEYS,
-    "limit-check": (
-        "hurst",
-        "p",
-        "n",
-        "seed",
-        "t",
-        "fine_factor",
-        "quadrature",
-        "force",
-        "id",
-        "replicas",
-        "ks_threshold",
-        "median_tol",
-    )
-    + _PROCESS_KEYS,
-    "rate-fit": (
-        "hurst",
-        "p",
-        "n",
-        "seed",
-        "t",
-        "fine_factor",
-        "quadrature",
-        "force",
-        "id",
-        "replicas",
-        "ks_threshold",
-        "median_tol",
-        "tol",
-    )
-    + _PROCESS_KEYS,
+    "pvar": _PVAR_KEYS + _PROCESS_KEYS,
+    "limit-check": _CHECK_KEYS + _PROCESS_KEYS,
+    "rate-fit": _CHECK_KEYS + ("tol",) + _PROCESS_KEYS,
     "scaling-check": ("hurst", "n", "seed", "replicas", "rank", "delta", "start")
     + _PROCESS_KEYS,
 }
@@ -147,7 +118,7 @@ _DEFAULTS = {
         "ell": 6,
     },
 }
-_DEFAULTS["rate-fit"] = {**_DEFAULTS["limit-check"], "tol": 0.1, "replicas": 200,
+_DEFAULTS["rate-fit"] = {**_DEFAULTS["limit-check"], "tol": 0.1,
                          "n": [256, 512, 1024, 2048]}
 
 _REQUIRED = {
@@ -295,7 +266,7 @@ def _materialize(subcommand: str, cfg: dict) -> dict:
     if "process" in cfg and cfg["process"] not in PROCESS_TAGS:
         raise UsageError(f"unknown process {cfg['process']!r}; known: {PROCESS_TAGS}")
     if cfg.get("fine_factor") == "auto":
-        cfg["fine_factor"] = 1 if cfg.get("process") == "fbm" else 16
+        cfg["fine_factor"] = default_fine_factor(cfg.get("process"))
     if cfg.get("ks_threshold") == "auto":
         cfg["ks_threshold"] = None
     if cfg.get("process") == "custom-rde":
@@ -310,12 +281,16 @@ def _materialize(subcommand: str, cfg: dict) -> dict:
     return cfg
 
 
-def _experiment_config(cfg: dict, grid: bool) -> ExperimentConfig:
+def _process_params(cfg: dict) -> dict:
     params = {"ell": cfg.get("ell", 6)}
     for key in ("y0", "drift_coeffs", "field_coeffs"):
         if cfg.get(key) is not None:
             value = cfg[key]
             params[key] = tuple(value) if isinstance(value, list) else value
+    return params
+
+
+def _experiment_config(cfg: dict, grid: bool) -> ExperimentConfig:
     n_grid = tuple(cfg["n"]) if grid else (cfg["n"],)
     econfig = ExperimentConfig(
         hurst=cfg["hurst"],
@@ -328,7 +303,7 @@ def _experiment_config(cfg: dict, grid: bool) -> ExperimentConfig:
         fine_factor=cfg["fine_factor"],
         quadrature=cfg["quadrature"],
         force=cfg["force"],
-        process_params=params,
+        process_params=_process_params(cfg),
         ks_threshold=cfg.get("ks_threshold"),
         median_tol=cfg.get("median_tol", 0.08),
         experiment_id=cfg.get("id", ""),
@@ -340,10 +315,6 @@ def _experiment_config(cfg: dict, grid: bool) -> ExperimentConfig:
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _ks_for_manifest(econfig: ExperimentConfig) -> float:
-    return econfig.resolved_ks_threshold
 
 
 def _write_manifest(
@@ -377,10 +348,9 @@ def _run_simulate(args: argparse.Namespace) -> int:
     _write_manifest(out, "simulate", cfg, ["manifest.json"] + names)
     n = cfg["n"]
     for replica, name in enumerate(names):
-        seq = np.random.SeedSequence(cfg["seed"], spawn_key=(int(n), int(replica)))
-        rng = np.random.Generator(np.random.Philox(seq))
-        spec = FbmSpec(hurst=cfg["hurst"], n=n, seed=cfg["seed"], method=cfg["method"])
-        (out / name).write_text(path_to_csv(sample_fbm(spec, rng)))
+        spec = FbmSpec(hurst=cfg["hurst"], n=n, method=cfg["method"])
+        path = sample_fbm(spec, replica_rng(cfg["seed"], n, replica))
+        (out / name).write_text(path_to_csv(path))
     print(f"simulate: wrote {cfg['replicas']} path(s) at n={n} to {out}")
     return 0
 
@@ -425,7 +395,7 @@ def _run_limit_check(args: argparse.Namespace) -> int:
     cfg = resolve_config("limit-check", args)
     econfig = _experiment_config(cfg, grid=True)
     cfg["id"] = econfig.resolved_id()
-    cfg["ks_threshold"] = _ks_for_manifest(econfig)
+    cfg["ks_threshold"] = econfig.resolved_ks_threshold
     out = _out_dir(args, "limit-check")
     outputs = ["manifest.json", "results.csv", "summary.csv", "plot_data.csv"]
     _write_manifest(out, "limit-check", cfg, outputs)
@@ -445,7 +415,7 @@ def _run_rate_fit(args: argparse.Namespace) -> int:
     cfg = resolve_config("rate-fit", args)
     econfig = _experiment_config(cfg, grid=True)
     cfg["id"] = econfig.resolved_id()
-    cfg["ks_threshold"] = _ks_for_manifest(econfig)
+    cfg["ks_threshold"] = econfig.resolved_ks_threshold
     out = _out_dir(args, "rate-fit")
     outputs = ["manifest.json", "rate_fit.csv", "rate_summary.csv"]
     _write_manifest(out, "rate-fit", cfg, outputs)
@@ -497,11 +467,6 @@ def _run_scaling_check(args: argparse.Namespace) -> int:
     out = _out_dir(args, "scaling-check")
     outputs = ["manifest.json", "scaling.csv", "scaling_summary.csv"]
     _write_manifest(out, "scaling-check", cfg, outputs)
-    params = {"ell": cfg.get("ell", 6)}
-    for key in ("y0", "drift_coeffs", "field_coeffs"):
-        if cfg.get(key) is not None:
-            value = cfg[key]
-            params[key] = tuple(value) if isinstance(value, list) else value
     econfig = ExperimentConfig(
         hurst=cfg["hurst"],
         p=2.0,
@@ -509,7 +474,7 @@ def _run_scaling_check(args: argparse.Namespace) -> int:
         n_grid=tuple(cfg["n"]),
         replicas=cfg["replicas"],
         master_seed=cfg["seed"],
-        process_params=params,
+        process_params=_process_params(cfg),
     )
     result = scaling_exponent_check(
         econfig, cfg["rank"], cfg["delta"], start=cfg["start"], workers=args.workers
@@ -523,10 +488,10 @@ def _run_scaling_check(args: argparse.Namespace) -> int:
         and abs(result.delta_exponent - window_target) <= tol
     )
     lines = [
-        "rank,hurst,n_exponent,delta_exponent,n_se,delta_se,target,pass",
+        "rank,hurst,n_exponent,delta_exponent,n_se,delta_se,target,window_target,pass",
         f"{cfg['rank']},{_fmt(cfg['hurst'])},{_fmt(result.n_exponent)},"
         f"{_fmt(result.delta_exponent)},{_fmt(result.n_se)},{_fmt(result.delta_se)},"
-        f"{_fmt(target)},{int(passed)}",
+        f"{_fmt(target)},{_fmt(window_target)},{int(passed)}",
     ]
     (out / "scaling_summary.csv").write_text("\n".join(lines) + "\n")
     verdict = "pass" if passed else "FAIL"
@@ -578,9 +543,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _RUNNERS[args.subcommand](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

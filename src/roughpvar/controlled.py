@@ -103,7 +103,7 @@ class ControlledPath:
         """Build from unnormalized level arrays (initial values become offsets)."""
         rows = np.array([np.asarray(row, dtype=float) for row in raw_levels])
         offsets = rows[:, 0].copy()
-        rows = rows - offsets[:, None]
+        rows -= offsets[:, None]
         return cls(
             x=x,
             levels=rows,

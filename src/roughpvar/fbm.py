@@ -2,8 +2,12 @@
 
 Sampling goes through a circulant embedding of the stationary increment
 sequence, which reproduces the target covariance exactly (no spectral
-truncation), with a dense Cholesky factorization as fallback for
-configurations where the embedding is not nonnegative definite.
+truncation). The embedding of fractional Gaussian noise was found
+nonnegative definite for every H in 0.01..0.99 and n up to 65,536, so an
+indefinite one raises instead of falling back: dense Cholesky at the fine
+sizes in use would not fit in memory (about 550 GB at n = 262,144). The
+dense Cholesky factorization stays available as ``method='cholesky'``, an
+independent oracle for small n.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ class FbmSpec:
     seed : int
         Seed used when no generator is supplied to :func:`sample_fbm`.
     method : str
-        One of ``auto``, ``circulant-embedding``, ``cholesky``.
+        One of ``auto`` (the circulant embedding), ``circulant-embedding``,
+        ``cholesky``.
     """
 
     hurst: float
@@ -152,9 +157,10 @@ def sample_fbm(spec: FbmSpec, rng: np.random.Generator | None = None) -> FbmPath
     """Draw one exact fractional Brownian path at resolution ``spec.n``.
 
     The increments are unit-variance fractional Gaussian noise scaled by
-    ``n**-hurst`` (self-similarity on the unit interval). With ``method='auto'``
-    the circulant embedding is used and the dense Cholesky route is tried only
-    if the embedding fails; forcing ``circulant-embedding`` raises in that case.
+    ``n**-hurst`` (self-similarity on the unit interval). ``method='auto'``
+    and ``circulant-embedding`` both use the circulant embedding and raise
+    :class:`RuntimeError` if it is not nonnegative definite; ``cholesky``
+    factors the dense covariance.
     """
     if rng is None:
         rng = rng_for_spec(spec)
@@ -162,17 +168,13 @@ def sample_fbm(spec: FbmSpec, rng: np.random.Generator | None = None) -> FbmPath
 
     if spec.method == "cholesky":
         noise = _fgn_cholesky(n, spec.hurst, rng)
-    elif spec.method == "circulant-embedding":
+    else:
         noise = _fgn_circulant(n, spec.hurst, rng)
         if noise is None:
             raise RuntimeError(
                 "circulant embedding is not nonnegative definite for "
-                f"(hurst={spec.hurst}, n={n}); use method='auto' or 'cholesky'"
+                f"(hurst={spec.hurst}, n={n}); use method='cholesky'"
             )
-    else:
-        noise = _fgn_circulant(n, spec.hurst, rng)
-        if noise is None:
-            noise = _fgn_cholesky(n, spec.hurst, rng)
 
     values = np.empty(n + 1)
     values[0] = 0.0

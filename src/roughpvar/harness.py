@@ -25,9 +25,9 @@ import numpy as np
 from scipy.stats import norm
 
 from .controlled import ControlledPath
-from .fbm import FbmPath, FbmSpec, sample_fbm
+from .fbm import FbmSpec, sample_fbm
 from .hermite import hermite
-from .processes import PROCESS_TAGS, build_controlled_process
+from .processes import PROCESS_TAGS, build_controlled_process, default_fine_factor
 from .stats import (
     REGIME_CRITICAL,
     REGIME_DEGENERATE,
@@ -88,10 +88,10 @@ def validate_p_range(hurst: float, p: float) -> None:
 class ExperimentConfig:
     """Full description of one Monte Carlo experiment.
 
-    ``fine_factor=None`` resolves to 1 for the plain driver process (its
-    derivative level is constant, so coarse quadrature is already exact)
-    and 16 otherwise. ``force=True`` runs (regime, p) combinations outside
-    the guaranteed range and stamps outputs as unguaranteed.
+    ``fine_factor=None`` resolves to the process's default fine factor
+    (:func:`~roughpvar.processes.default_fine_factor`). ``force=True`` runs
+    (regime, p) combinations outside the guaranteed range and stamps outputs
+    as unguaranteed.
     """
 
     hurst: float
@@ -132,7 +132,7 @@ class ExperimentConfig:
     def resolved_fine_factor(self) -> int:
         if self.fine_factor is not None:
             return self.fine_factor
-        return 1 if self.process == "fbm" else 16
+        return default_fine_factor(self.process)
 
     @property
     def resolved_ks_threshold(self) -> float:
@@ -155,13 +155,17 @@ def _fmt_num(x: float) -> str:
     return f"{x:g}".replace(".", "_")
 
 
+def replica_rng(master_seed: int, n: int, replica: int) -> np.random.Generator:
+    """Philox stream of one (resolution, replica) pair under a master seed."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=(int(n), int(replica)))
+    return np.random.Generator(np.random.Philox(seq))
+
+
 def build_replica_path(cfg: ExperimentConfig, n: int, replica: int) -> ControlledPath:
     """Construct the controlled process for one (resolution, replica) pair."""
     factor = cfg.resolved_fine_factor
-    seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(int(n), int(replica)))
-    rng = np.random.Generator(np.random.Philox(seq))
-    spec = FbmSpec(hurst=cfg.hurst, n=n * factor, seed=cfg.master_seed)
-    x_fine = sample_fbm(spec, rng)
+    spec = FbmSpec(hurst=cfg.hurst, n=n * factor)
+    x_fine = sample_fbm(spec, replica_rng(cfg.master_seed, n, replica))
     return build_controlled_process(cfg.process, x_fine, factor, cfg.process_params)
 
 
@@ -307,38 +311,25 @@ def rows_to_csv(exp_id: str, rows: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summary_errors(cfg: ExperimentConfig, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _median_errors(
+    cfg: ExperimentConfig, rows: np.ndarray, location_column: int | None
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-resolution deviation of the statistic from its limit proxy.
 
-    Distributional regimes report the spread median |stat - center|, which
-    decays like the convergence rate. The degenerate regime reports the
-    normalized location error |median(z)|: the distance of the median
-    rescaled statistic from the drift constant it converges to.
+    Distributional regimes, and every call with ``location_column=None``,
+    report the spread median |stat - center|, of order n**(-1/2). The
+    degenerate regime reports the location error |median(rows[:, column])|:
+    the regime summary reads z (column 5), the distance of the median
+    rescaled statistic from the drift constant it converges to; the rate fit
+    reads the uncentered stat (column 2), which converges to zero at rate
+    n**(-2H), and whose signed median suppresses the faster-decaying
+    Gaussian fluctuation mode around it.
     """
     med_errs = np.empty(len(cfg.n_grid))
     for i, n in enumerate(cfg.n_grid):
         sel = rows[:, 0] == n
-        if cfg.regime == REGIME_DEGENERATE:
-            med_errs[i] = abs(float(np.median(rows[sel, 5])))
-        else:
-            err = rows[sel, 2] - rows[sel, 8]
-            med_errs[i] = float(np.median(np.abs(err)))
-    return np.array(cfg.n_grid, dtype=float), med_errs
-
-
-def _rate_errors(cfg: ExperimentConfig, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-resolution error metric whose log-log slope is the theorem rate.
-
-    Distributional regimes: median |stat - center|, of order n**(-1/2).
-    Degenerate regime: |median(stat)| with no centering; the statistic
-    itself converges to zero at rate n**(-2H), and the signed median
-    suppresses the faster-decaying Gaussian fluctuation mode around it.
-    """
-    med_errs = np.empty(len(cfg.n_grid))
-    for i, n in enumerate(cfg.n_grid):
-        sel = rows[:, 0] == n
-        if cfg.regime == REGIME_DEGENERATE:
-            med_errs[i] = abs(float(np.median(rows[sel, 2])))
+        if location_column is not None and cfg.regime == REGIME_DEGENERATE:
+            med_errs[i] = abs(float(np.median(rows[sel, location_column])))
         else:
             err = rows[sel, 2] - rows[sel, 8]
             med_errs[i] = float(np.median(np.abs(err)))
@@ -376,7 +367,7 @@ def run_regime_check(
     if not cfg.force:
         validate_p_range(cfg.hurst, cfg.p)
     rows = collect_rows(cfg, workers)
-    ns, med_errs = _summary_errors(cfg, rows)
+    ns, med_errs = _median_errors(cfg, rows, 5)
     slope, slope_se = _log_slope(ns, med_errs)
 
     summary = []
@@ -455,16 +446,8 @@ def rate_fit(
     if len(cfg.n_grid) < 2:
         raise ValueError("rate fits need at least two resolutions")
     rows = collect_rows(cfg, workers, proxy=proxy)
-    if proxy is not None:
-        ns = np.array(cfg.n_grid, dtype=float)
-        errs = np.empty(len(cfg.n_grid))
-        for i, n in enumerate(cfg.n_grid):
-            sel = rows[:, 0] == n
-            errs[i] = float(np.median(np.abs(rows[sel, 2] - rows[sel, 8])))
-        target = None
-    else:
-        ns, errs = _rate_errors(cfg, rows)
-        target = -rate_exponent(cfg.hurst)
+    ns, errs = _median_errors(cfg, rows, 2 if proxy is None else None)
+    target = -rate_exponent(cfg.hurst) if proxy is None else None
     slope, slope_se = _log_slope(ns, errs)
     passed = True if target is None else bool(abs(slope - target) <= tol)
     return RateFitResult(
@@ -509,14 +492,10 @@ def _scaling_row(
     start: float,
 ) -> list:
     f = _resolve_functional(rank_or_f)
-    seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(int(n), int(replica)))
-    rng = np.random.Generator(np.random.Philox(seq))
-    spec = FbmSpec(hurst=cfg.hurst, n=int(n), seed=cfg.master_seed)
-    x = sample_fbm(spec, rng)
-    cp = build_controlled_process(cfg.process, x, 1, cfg.process_params)
+    cp = build_replica_path(cfg, n, replica)
     weight = cp.level(0)
     return [
-        abs(weighted_increment_sum(x, f, weight, start, start + delta))
+        abs(weighted_increment_sum(cp.x, f, weight, start, start + delta))
         for delta in delta_grid
     ]
 
@@ -554,6 +533,8 @@ def scaling_exponent_check(
     if isinstance(rank_or_f, (int, np.integer)) and int(rank_or_f) < 1:
         raise ValueError("Hermite rank must be >= 1")
 
+    # The windowed sums read the coarse driver only, so no fine grid is drawn.
+    cfg = replace(cfg, fine_factor=1)
     tasks = [
         (cfg, rank_or_f, n, r, delta_grid, start)
         for n in cfg.n_grid

@@ -20,6 +20,13 @@ PROCESS_TAGS = ("fbm", "sq", "cube", "exp-rde", "custom-rde")
 _DEFAULT_ELL = 6
 
 
+def default_fine_factor(tag: str) -> int:
+    """Fine-grid multiple used when none is given: 1 for the driver itself,
+    whose derivative level is constant so coarse quadrature is already
+    exact, and 16 for every other process."""
+    return 1 if tag == "fbm" else 16
+
+
 def build_controlled_process(
     tag: str,
     x_fine: FbmPath,

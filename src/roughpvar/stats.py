@@ -150,16 +150,21 @@ def power_variation(values: np.ndarray, p: float, t: float = 1.0) -> float:
     return float(np.sum(np.abs(np.diff(values[: m + 1])) ** p))
 
 
+def _fine_grid(cp: ControlledPath, t: float) -> tuple[ControlledPath, int, float]:
+    """Finest available path, its cell count below t (snapped down on the
+    coarse grid), and its step."""
+    quad_cp = cp.quadrature_path()
+    factor = cp.fine_factor if cp.fine is not None else 1
+    return quad_cp, _snap_count(t, cp.n) * factor, 1.0 / (cp.n * factor)
+
+
 def _compensator(cp: ControlledPath, p: float, t: float, rule: Quadrature) -> float:
     """Integral of |y'|**p over [0, t_snapped] on the finest available grid."""
     if cp.ell < 2:
         raise ValueError("the compensator needs the first derivative level")
-    quad_cp = cp.quadrature_path()
-    factor = cp.fine_factor if cp.fine is not None else 1
-    m = _snap_count(t, cp.n)
-    mf = m * factor
+    quad_cp, mf, step = _fine_grid(cp, t)
     yprime = quad_cp.level(1)[: mf + 1]
-    return integrate_grid(np.abs(yprime) ** p, 1.0 / (cp.n * factor), rule)
+    return integrate_grid(np.abs(yprime) ** p, step, rule)
 
 
 def pvar_statistic(cp: ControlledPath, cfg: StatConfig) -> float:
@@ -200,10 +205,7 @@ def limit_drift(
             RuntimeWarning,
             stacklevel=2,
         )
-    quad_cp = cp.quadrature_path()
-    factor = cp.fine_factor if cp.fine is not None else 1
-    mf = _snap_count(t, cp.n) * factor
-    step = 1.0 / (cp.n * factor)
+    quad_cp, mf, step = _fine_grid(cp, t)
 
     def level_or_zero(i: int) -> np.ndarray:
         if i < cp.ell:
@@ -240,10 +242,7 @@ def limit_cond_std(
         raise RegimeError(
             f"no conditional std below the critical index (hurst={hurst})"
         )
-    quad_cp = cp.quadrature_path()
-    factor = cp.fine_factor if cp.fine is not None else 1
-    mf = _snap_count(t, cp.n) * factor
-    step = 1.0 / (cp.n * factor)
+    quad_cp, mf, step = _fine_grid(cp, t)
     yprime = quad_cp.level(1)[: mf + 1]
     scale = integrate_grid(np.abs(yprime) ** (2.0 * p), step, rule)
     return math.sqrt(asymptotic_variance(p, hurst, truncation)) * math.sqrt(scale)
@@ -305,11 +304,8 @@ def riemann_error(cp: ControlledPath, t: float = 1.0, rule: Quadrature = "trapez
     if m == 0:
         return 0.0
     left_sum = float(np.sum(cp.level(0)[:m])) / n
-    quad_cp = cp.quadrature_path()
-    factor = cp.fine_factor if cp.fine is not None else 1
-    integral = integrate_grid(
-        quad_cp.level(0)[: m * factor + 1], 1.0 / (n * factor), rule
-    )
+    quad_cp, mf, step = _fine_grid(cp, t)
+    integral = integrate_grid(quad_cp.level(0)[: mf + 1], step, rule)
     return left_sum - integral
 
 
@@ -327,13 +323,12 @@ def riemann_correction_sum(
     m = _snap_count(t, n)
     if m == 0:
         return 0.0
-    quad_cp = cp.quadrature_path()
-    factor = cp.fine_factor if cp.fine is not None else 1
-    xf = quad_cp.x.values[: m * factor + 1]
-    hf = 1.0 / (n * factor)
+    quad_cp, mf, hf = _fine_grid(cp, t)
+    factor = mf // m
+    xf = quad_cp.x.values[: mf + 1]
 
     if rule == "midpoint" and factor % 2 == 0:
-        mids = xf[1 : m * factor : 2].reshape(m, factor // 2)
+        mids = xf[1:mf:2].reshape(m, factor // 2)
         cell_integrals = 2.0 * hf * mids.sum(axis=1)
     else:
         if rule == "midpoint":

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import roughpvar
+from roughpvar import ExperimentConfig, FbmSpec, build_replica_path, path_from_csv
 from roughpvar.cli import (
     UsageError,
     _scaling_target,
@@ -229,6 +230,20 @@ class TestSimulate:
               "--seed", "7", "--out", str(out)])
         assert (out / "path_0000.csv").read_text() != (out / "path_0001.csv").read_text()
 
+    def test_paths_are_the_harness_driver(self, tmp_path):
+        # simulate and the harness draw replica r at resolution n from the
+        # same stream, so the dumped path is the driver of build_replica_path.
+        out = tmp_path / "sim"
+        main(["simulate", "--hurst", "0.3", "--n", "64", "--replicas", "2",
+              "--seed", "7", "--out", str(out)])
+        cfg = ExperimentConfig(hurst=0.3, p=2.0, n_grid=(64,), master_seed=7, fine_factor=1)
+        for replica in range(2):
+            dumped = path_from_csv(
+                (out / f"path_{replica:04d}.csv").read_text(), FbmSpec(hurst=0.3, n=64)
+            )
+            expected = build_replica_path(cfg, 64, replica).x.values
+            assert np.array_equal(dumped.values, expected), f"replica {replica}"
+
     def test_cholesky_method_runs(self, tmp_path):
         rc = main(["simulate", "--hurst", "0.3", "--n", "32", "--method", "cholesky",
                    "--out", str(tmp_path / "sim")])
@@ -420,11 +435,15 @@ class TestScalingCheck:
         rc = main(argv + ["--out", str(first)])
         assert rc in (0, 1)
         lines = _read_lines(first / "scaling_summary.csv")
-        assert lines[0] == "rank,hurst,n_exponent,delta_exponent,n_se,delta_se,target,pass"
+        assert lines[0] == (
+            "rank,hurst,n_exponent,delta_exponent,n_se,delta_se,target,window_target,pass"
+        )
         fields = lines[1].split(",")
-        assert fields[0] == "1" and fields[7] in ("0", "1")
-        for field in fields[1:7]:
+        assert fields[0] == "1" and fields[8] in ("0", "1")
+        for field in fields[1:8]:
             _assert_17g(field)
+        assert float(fields[6]) == _scaling_target(0.5, 1)
+        assert float(fields[7]) == _window_target(0.5, 1)
         table = _read_lines(first / "scaling.csv")
         assert table[0] == "n,delta,l1_norm"
         assert len(table) == 5, "two resolutions times two windows"

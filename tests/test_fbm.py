@@ -27,6 +27,7 @@ from roughpvar import (
     rng_for_spec,
     sample_fbm,
 )
+from roughpvar import fbm
 from roughpvar.fbm import _circulant_eigenvalues
 
 
@@ -198,6 +199,14 @@ def test_cholesky_and_circulant_agree_in_law():
     for method, var in var_by_method.items():
         se = math.sqrt(2.0 / replicas)
         assert abs(var - 1.0) < 4 * se, f"{method}: terminal var {var:.4f}"
+
+
+@pytest.mark.parametrize("method", ["auto", "circulant-embedding"])
+def test_indefinite_embedding_raises(monkeypatch, method):
+    # No Cholesky fallback: an indefinite embedding is an error under auto.
+    monkeypatch.setattr(fbm, "_circulant_eigenvalues", lambda n, hurst: None)
+    with pytest.raises(RuntimeError, match="not nonnegative definite"):
+        sample_fbm(FbmSpec(hurst=0.3, n=32, method=method))
 
 
 def test_circulant_eigenvalues_nonnegative_across_hurst():

@@ -32,26 +32,31 @@ from scipy.stats import kstest, norm, uniform
 from roughpvar import (
     ExperimentConfig,
     ExperimentResult,
+    FbmSpec,
     JointCheckReport,
     RateFitResult,
     RegimeError,
     ScalingFitResult,
     UnsupportedRangeError,
+    build_controlled_process,
     build_replica_path,
     collect_rows,
+    hermite,
     integrate_grid,
     ks_statistic,
     rate_fit,
     run_regime_check,
+    sample_fbm,
     scaling_exponent_check,
     stable_joint_check,
     validate_p_range,
+    weighted_increment_sum,
 )
 from roughpvar.harness import (
     WORKERS_ENV,
     _log_slope,
-    _rate_errors,
-    _summary_errors,
+    _median_errors,
+    replica_rng,
     rows_to_csv,
 )
 
@@ -434,11 +439,12 @@ class TestErrorMetrics:
                 (8, 0.3, 0.0, 0.2),
             ]
         )
-        # |stat - center|: {0.5, 1.5, 3.5} -> 1.5 and {0.1, 0.0, 0.1} -> 0.1.
-        for metric in (_summary_errors, _rate_errors):
-            ns, errs = metric(cfg, rows)
+        # |stat - center|: {0.5, 1.5, 3.5} -> 1.5 and {0.1, 0.0, 0.1} -> 0.1,
+        # whichever location column the summary (5) or the rate fit (2) passes.
+        for column in (5, 2):
+            ns, errs = _median_errors(cfg, rows, column)
             assert np.array_equal(ns, [4.0, 8.0])
-            assert errs == pytest.approx([1.5, 0.1], abs=1e-15), f"{metric.__name__}"
+            assert errs == pytest.approx([1.5, 0.1], abs=1e-15), f"column {column}"
 
     def test_degenerate_metrics_split(self):
         cfg = ExperimentConfig(
@@ -456,10 +462,14 @@ class TestErrorMetrics:
         )
         # Summary reads |median(z)| = {0.2, 0.05}; the rate metric reads the
         # uncentered |median(stat)| = {0.1, 0.02}.
-        _, summary = _summary_errors(cfg, rows)
-        _, rate = _rate_errors(cfg, rows)
+        _, summary = _median_errors(cfg, rows, 5)
+        _, rate = _median_errors(cfg, rows, 2)
         assert summary == pytest.approx([0.2, 0.05], abs=1e-15)
         assert rate == pytest.approx([0.1, 0.02], abs=1e-15)
+        # A proxy rate fit passes no column and reads the spread |stat - center|:
+        # {0.5, 0.2, 0.1} -> 0.2 and {0.04, 0.02, 0.06} -> 0.04.
+        _, proxy = _median_errors(cfg, rows, None)
+        assert proxy == pytest.approx([0.2, 0.04], abs=1e-15)
 
     def test_log_slope_recovers_exact_power_law(self):
         ns = np.array([4.0, 8.0, 16.0, 32.0])
@@ -695,6 +705,29 @@ class TestScalingExponentCheck:
         assert first.n_exponent == second.n_exponent
         print(f"rank-2 smoke exponents: n {first.n_exponent:.3f}, delta {first.delta_exponent:.3f}")
         assert np.isfinite(first.n_exponent) and np.isfinite(first.delta_exponent)
+
+    def test_sq_rows_use_the_coarse_driver(self):
+        # The windowed sums read the coarse driver only: an sq config, whose
+        # default fine factor is 16, draws the same paths as at factor 1.
+        cfg = ExperimentConfig(
+            hurst=0.4, p=2.0, process="sq", n_grid=(32, 64), replicas=3, master_seed=5
+        )
+        deltas = (0.25, 0.5)
+        result = scaling_exponent_check(cfg, 3, deltas, start=0.25, workers=1)
+        values = np.empty((2, 3, 2))
+        for i, n in enumerate(cfg.n_grid):
+            for r in range(cfg.replicas):
+                x = sample_fbm(FbmSpec(hurst=0.4, n=n), replica_rng(5, n, r))
+                weight = build_controlled_process("sq", x, 1).level(0)
+                for j, delta in enumerate(deltas):
+                    total = weighted_increment_sum(
+                        x, lambda u: hermite(3, u), weight, 0.25, 0.25 + delta
+                    )
+                    values[i, r, j] = abs(total)
+        l1 = values.mean(axis=1)
+        expected = [(n, d, float(l1[i, j])) for i, n in enumerate(cfg.n_grid)
+                    for j, d in enumerate(deltas)]
+        assert result.table == tuple(expected)
 
     @pytest.mark.parametrize(
         "kwargs, match",
