@@ -17,7 +17,6 @@ from .fbm import (
 )
 from .hermite import (
     AbsPowerFamily,
-    HermiteModel,
     TruncationSpec,
     abs_power_deriv,
     abs_power_hermite_coeff,
@@ -28,7 +27,6 @@ from .hermite import (
     hermite_coeffs_numeric,
 )
 from .controlled import (
-    ControlledCheckReport,
     ControlledPath,
     FunctionFamily,
     additivity_defect,
@@ -49,7 +47,6 @@ from .stats import (
     REGIME_CRITICAL,
     REGIME_DEGENERATE,
     REGIME_MIXED,
-    LimitSpec,
     RegimeError,
     StatConfig,
     build_limit_spec,
@@ -65,7 +62,7 @@ from .stats import (
     weighted_increment_sum,
     weighted_pvar_sum,
 )
-from .processes import PROCESS_TAGS, build_controlled_process
+from .processes import build_controlled_process
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -83,76 +80,3 @@ from .harness import (
     validate_p_range,
 )
 
-__all__ = [
-    "__version__",
-    "FbmPath",
-    "FbmSpec",
-    "fbm_covariance",
-    "fgn_autocovariance",
-    "increments",
-    "path_from_csv",
-    "path_to_csv",
-    "power_increment",
-    "rng_for_spec",
-    "sample_fbm",
-    "AbsPowerFamily",
-    "HermiteModel",
-    "TruncationSpec",
-    "abs_power_deriv",
-    "abs_power_hermite_coeff",
-    "asymptotic_variance",
-    "build_hermite_model",
-    "gaussian_abs_moment",
-    "hermite",
-    "hermite_coeffs_numeric",
-    "ControlledCheckReport",
-    "ControlledPath",
-    "FunctionFamily",
-    "additivity_defect",
-    "check_controlled",
-    "compose",
-    "controlled_from_field",
-    "discrete_integral",
-    "discrete_integral_increment",
-    "field_iterate_polynomials",
-    "pair_increment",
-    "remainder",
-    "remainder_decomposition_residual",
-    "rough_integral",
-    "solve_rde",
-    "subsample_controlled",
-    "REGIME_CRITICAL",
-    "REGIME_DEGENERATE",
-    "REGIME_MIXED",
-    "LimitSpec",
-    "RegimeError",
-    "StatConfig",
-    "build_limit_spec",
-    "classify_regime",
-    "integrate_grid",
-    "limit_cond_std",
-    "limit_drift",
-    "power_variation",
-    "pvar_statistic",
-    "rate_exponent",
-    "riemann_correction_sum",
-    "riemann_error",
-    "weighted_increment_sum",
-    "weighted_pvar_sum",
-    "PROCESS_TAGS",
-    "build_controlled_process",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "JointCheckReport",
-    "RateFitResult",
-    "ScalingFitResult",
-    "UnsupportedRangeError",
-    "build_replica_path",
-    "collect_rows",
-    "ks_statistic",
-    "rate_fit",
-    "run_regime_check",
-    "scaling_exponent_check",
-    "stable_joint_check",
-    "validate_p_range",
-]

@@ -2,18 +2,23 @@
 
 Subcommands cover path simulation, limit constants, single-path statistics,
 regime checks, rate fits, and scaling-exponent fits. Every run resolves its
-configuration (file, then flag overrides, then defaults), writes a manifest
-with the fully materialized config before any computation, and then writes
-CSV outputs next to it. Re-running a subcommand from its manifest reproduces
-every output byte for byte; worker count never affects results.
+configuration (file, then flag overrides, then the defaults in ``SCHEMA``),
+builds the library objects that validate it, writes a manifest with the fully
+materialized config before any computation, and then writes CSV outputs next
+to it. ``fine_factor`` and ``ks_threshold`` accept ``auto``: the process's
+fine factor and the regime's KS threshold, stored resolved in the manifest.
+Re-running a subcommand from its manifest reproduces every output byte for
+byte; worker count never affects results.
 
 Exit codes: 0 on success/pass, 1 when a check ran but failed, 2 on usage or
-domain errors.
+domain errors. A config refused while it is resolved or while its library
+objects are built exits 2 and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -23,6 +28,7 @@ from . import __version__
 from .fbm import FbmSpec, path_to_csv, sample_fbm
 from .harness import (
     ExperimentConfig,
+    _fmt_float,
     rate_fit,
     replica_rng,
     rows_to_csv,
@@ -32,24 +38,80 @@ from .harness import (
     validate_p_range,
 )
 from .hermite import TruncationSpec, asymptotic_variance, gaussian_abs_moment
-from .processes import PROCESS_TAGS, default_fine_factor
+from .processes import (
+    CUSTOM_RDE_DEFAULTS,
+    DEFAULT_ELL,
+    PROCESS_TAGS,
+    default_fine_factor,
+)
 
-_PROCESS_KEYS = ("process", "ell", "y0", "drift_coeffs", "field_coeffs")
-_PVAR_KEYS = ("hurst", "p", "n", "seed", "t", "fine_factor", "quadrature", "force", "id")
-_CHECK_KEYS = _PVAR_KEYS + ("replicas", "ks_threshold", "median_tol")
+REQUIRED = ...  # marks a key that has no default
 
-SUBCOMMAND_KEYS = {
-    "simulate": ("hurst", "n", "seed", "replicas", "method"),
-    "constants": ("p", "hurst", "hermite_terms", "lag_cutoff"),
-    "pvar": _PVAR_KEYS + _PROCESS_KEYS,
-    "limit-check": _CHECK_KEYS + _PROCESS_KEYS,
-    "rate-fit": _CHECK_KEYS + ("tol",) + _PROCESS_KEYS,
-    "scaling-check": ("hurst", "n", "seed", "replicas", "rank", "delta", "start")
-    + _PROCESS_KEYS,
+_PVAR_KEYS = {
+    "hurst": REQUIRED,
+    "p": REQUIRED,
+    "n": 1024,
+    "seed": 0,
+    "t": 1.0,
+    "fine_factor": "auto",
+    "quadrature": "trapezoid",
+    "force": False,
+    "id": "",
+}
+_CHECK_KEYS = {
+    **_PVAR_KEYS,
+    "n": [256, 512, 1024],
+    "replicas": 200,
+    "ks_threshold": "auto",
+    "median_tol": 0.08,
+}
+# The custom-rde keys default to None, which resolves to CUSTOM_RDE_DEFAULTS
+# for that process and drops the key for every other one.
+_PROCESS_KEYS = {
+    "process": "fbm",
+    "ell": DEFAULT_ELL,
+    "y0": None,
+    "drift_coeffs": None,
+    "field_coeffs": None,
 }
 
-# Key -> parse kind. "n" is a single resolution for simulate/pvar and a grid
-# for the fitting subcommands.
+# Subcommand -> {key: default}, in --help order. A list default makes "n" a
+# resolution grid rather than a single resolution.
+SCHEMA = {
+    "simulate": {
+        "hurst": REQUIRED,
+        "n": 1024,
+        "seed": 0,
+        "replicas": 1,
+        "method": "auto",
+    },
+    "constants": {
+        "p": REQUIRED,
+        "hurst": REQUIRED,
+        "hermite_terms": 40,
+        "lag_cutoff": 1000000,
+    },
+    "pvar": {**_PVAR_KEYS, **_PROCESS_KEYS},
+    "limit-check": {**_CHECK_KEYS, **_PROCESS_KEYS},
+    "rate-fit": {
+        **_CHECK_KEYS,
+        "n": [256, 512, 1024, 2048],
+        "tol": 0.1,
+        **_PROCESS_KEYS,
+    },
+    "scaling-check": {
+        "hurst": REQUIRED,
+        "n": [256, 512, 1024, 2048],
+        "seed": 0,
+        "replicas": 100,
+        "rank": 1,
+        "delta": [0.015625, 0.03125, 0.0625, 0.125, 0.25, 0.5],
+        "start": 0.25,
+        **_PROCESS_KEYS,
+    },
+}
+
+# Key -> parse kind; "n" is read as a list where its default is one.
 KEY_KINDS = {
     "hurst": "float",
     "p": "float",
@@ -62,7 +124,7 @@ KEY_KINDS = {
     "quadrature": "str",
     "force": "bool",
     "id": "str",
-    "ks_threshold": "float",
+    "ks_threshold": "float_or_auto",
     "median_tol": "float",
     "tol": "float",
     "rank": "int",
@@ -75,59 +137,6 @@ KEY_KINDS = {
     "y0": "float",
     "drift_coeffs": "float_list_or_none",
     "field_coeffs": "float_list",
-}
-
-_GRID_SUBCOMMANDS = ("limit-check", "rate-fit", "scaling-check")
-
-_DEFAULTS = {
-    "simulate": {"n": 1024, "seed": 0, "replicas": 1, "method": "auto"},
-    "constants": {"hermite_terms": 40, "lag_cutoff": 1000000},
-    "pvar": {
-        "process": "fbm",
-        "n": 1024,
-        "seed": 0,
-        "t": 1.0,
-        "fine_factor": "auto",
-        "quadrature": "trapezoid",
-        "force": False,
-        "id": "",
-        "ell": 6,
-    },
-    "limit-check": {
-        "process": "fbm",
-        "n": [256, 512, 1024],
-        "seed": 0,
-        "replicas": 200,
-        "t": 1.0,
-        "fine_factor": "auto",
-        "quadrature": "trapezoid",
-        "force": False,
-        "id": "",
-        "ks_threshold": "auto",
-        "median_tol": 0.08,
-        "ell": 6,
-    },
-    "scaling-check": {
-        "process": "fbm",
-        "n": [256, 512, 1024, 2048],
-        "seed": 0,
-        "replicas": 100,
-        "rank": 1,
-        "delta": [0.015625, 0.03125, 0.0625, 0.125, 0.25, 0.5],
-        "start": 0.25,
-        "ell": 6,
-    },
-}
-_DEFAULTS["rate-fit"] = {**_DEFAULTS["limit-check"], "tol": 0.1,
-                         "n": [256, 512, 1024, 2048]}
-
-_REQUIRED = {
-    "simulate": ("hurst",),
-    "constants": ("p", "hurst"),
-    "pvar": ("hurst", "p"),
-    "limit-check": ("hurst", "p"),
-    "rate-fit": ("hurst", "p"),
-    "scaling-check": ("hurst",),
 }
 
 
@@ -172,36 +181,27 @@ def _coerce_inner(value, kind: str):
         if isinstance(value, (int, float)):
             return float(value)
         return float(str(value).strip())
-    if kind == "int_or_auto":
+    if kind.endswith("_or_auto"):
         if isinstance(value, str) and value.strip().lower() == "auto":
             return "auto"
-        return _coerce_inner(value, "int")
-    if kind == "int_list":
-        return _coerce_list(value, "int")
-    if kind == "float_list":
-        return _coerce_list(value, "float")
-    if kind == "float_list_or_none":
+        return _coerce_inner(value, kind.removesuffix("_or_auto"))
+    if kind.endswith("_or_none"):
         if value is None or (isinstance(value, str) and value.strip().lower() == "none"):
             return None
-        return _coerce_list(value, "float")
+        return _coerce_inner(value, kind.removesuffix("_or_none"))
+    if kind.endswith("_list"):
+        return _coerce_list(value, kind.removesuffix("_list"))
     raise AssertionError(f"unknown kind {kind}")
 
 
 def _coerce_list(value, item_kind: str) -> list:
     if isinstance(value, str):
-        parts = [part for part in value.split(",") if part.strip()]
-        if not parts:
+        value = [part for part in value.split(",") if part.strip()]
+        if not value:
             raise ValueError("empty list")
-        return [_coerce_inner(part, item_kind) for part in parts]
-    if isinstance(value, (list, tuple)):
-        return [_coerce_inner(item, item_kind) for item in value]
-    return [_coerce_inner(value, item_kind)]
-
-
-def _key_kind(subcommand: str, key: str) -> str:
-    if key == "n" and subcommand in _GRID_SUBCOMMANDS:
-        return "int_list"
-    return KEY_KINDS[key]
+    elif not isinstance(value, (list, tuple)):
+        value = [value]
+    return [_coerce_inner(item, item_kind) for item in value]
 
 
 def _load_config_file(path: str) -> tuple[dict, str | None]:
@@ -235,91 +235,86 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> dict:
     """Merge config file, flag overrides, and defaults into a resolved dict.
 
     Unknown keys are errors; every key in the result is materialized, so the
-    dict can be stored in a manifest and replayed byte-identically.
+    dict can be stored in a manifest and replayed byte-identically. ``auto``
+    fine factors become the process default, ``auto`` KS thresholds None (the
+    regime's threshold, filled in by :func:`_experiment_config`), and the
+    custom-rde keys the process defaults.
     """
-    allowed = SUBCOMMAND_KEYS[subcommand]
-    merged: dict = {}
+    schema = SCHEMA[subcommand]
+    raw: dict = {}
     if getattr(args, "config", None):
         raw, stored_sub = _load_config_file(args.config)
         if stored_sub is not None and stored_sub != subcommand:
             raise UsageError(
                 f"manifest was written by {stored_sub!r}, not {subcommand!r}"
             )
-        for key, value in raw.items():
-            if key not in allowed:
+        for key in raw:
+            if key not in schema:
                 raise UsageError(f"unknown config key {key!r} for {subcommand}")
-            merged[key] = _coerce(key, value, _key_kind(subcommand, key))
-    for key in allowed:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = _coerce(key, flag_value, _key_kind(subcommand, key))
-    for key, value in _DEFAULTS[subcommand].items():
-        merged.setdefault(key, value)
-    for key in _REQUIRED[subcommand]:
-        if key not in merged:
-            raise UsageError(f"missing required key {key!r} for {subcommand}")
-    return _materialize(subcommand, merged)
-
-
-def _materialize(subcommand: str, cfg: dict) -> dict:
-    """Resolve 'auto' placeholders and process-specific defaults."""
+    for key in schema:
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
+    kinds = KEY_KINDS
+    if isinstance(schema.get("n"), list):
+        kinds = {**KEY_KINDS, "n": "int_list"}
+    cfg = {key: _coerce(key, raw[key], kinds[key]) for key in raw}
+    for key, default in schema.items():
+        if key not in cfg:
+            if default is REQUIRED:
+                raise UsageError(f"missing required key {key!r} for {subcommand}")
+            cfg[key] = default
     if "process" in cfg and cfg["process"] not in PROCESS_TAGS:
         raise UsageError(f"unknown process {cfg['process']!r}; known: {PROCESS_TAGS}")
     if cfg.get("fine_factor") == "auto":
-        cfg["fine_factor"] = default_fine_factor(cfg.get("process"))
+        cfg["fine_factor"] = default_fine_factor(cfg["process"])
     if cfg.get("ks_threshold") == "auto":
         cfg["ks_threshold"] = None
     if cfg.get("process") == "custom-rde":
-        cfg.setdefault("y0", 1.0)
-        cfg.setdefault("field_coeffs", [0.0, 1.0])
-        cfg.setdefault("drift_coeffs", None)
+        for key, default in CUSTOM_RDE_DEFAULTS.items():
+            if cfg[key] is None:
+                cfg[key] = _coerce(key, default, KEY_KINDS[key])
     else:
-        for key in ("y0", "drift_coeffs", "field_coeffs"):
-            if cfg.get(key) is not None:
+        for key in CUSTOM_RDE_DEFAULTS:
+            if cfg.pop(key, None) is not None:
                 raise UsageError(f"{key!r} only applies to the custom-rde process")
-            cfg.pop(key, None)
     return cfg
 
 
-def _process_params(cfg: dict) -> dict:
-    params = {"ell": cfg.get("ell", 6)}
-    for key in ("y0", "drift_coeffs", "field_coeffs"):
-        if cfg.get(key) is not None:
-            value = cfg[key]
-            params[key] = tuple(value) if isinstance(value, list) else value
-    return params
+# Config keys named otherwise in ExperimentConfig; "n" becomes its n_grid.
+_FIELD_NAMES = {"seed": "master_seed", "id": "experiment_id"}
+_EXPERIMENT_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _experiment_config(cfg: dict, grid: bool) -> ExperimentConfig:
-    n_grid = tuple(cfg["n"]) if grid else (cfg["n"],)
+def _experiment_config(cfg: dict, **fixed) -> ExperimentConfig:
+    """Build the run's ExperimentConfig from its resolved config.
+
+    ``fixed`` sets the fields the subcommand has no key for. The resolved id
+    and KS threshold are written back into ``cfg`` for the manifest.
+    """
+    fields = {_FIELD_NAMES.get(key, key): value for key, value in cfg.items()}
+    kwargs = {name: fields[name] for name in _EXPERIMENT_FIELDS if name in fields}
+    n = cfg["n"]
     econfig = ExperimentConfig(
-        hurst=cfg["hurst"],
-        p=cfg["p"],
-        process=cfg["process"],
-        n_grid=n_grid,
-        replicas=cfg.get("replicas", 1),
-        master_seed=cfg["seed"],
-        t=cfg["t"],
-        fine_factor=cfg["fine_factor"],
-        quadrature=cfg["quadrature"],
-        force=cfg["force"],
-        process_params=_process_params(cfg),
-        ks_threshold=cfg.get("ks_threshold"),
-        median_tol=cfg.get("median_tol", 0.08),
-        experiment_id=cfg.get("id", ""),
+        n_grid=tuple(n) if isinstance(n, list) else (n,),
+        process_params={k: cfg[k] for k in ("ell", *CUSTOM_RDE_DEFAULTS) if k in cfg},
+        **kwargs,
+        **fixed,
     )
     if not econfig.force:
         validate_p_range(econfig.hurst, econfig.p)
+    if "id" in cfg:
+        cfg["id"] = econfig.resolved_id()
+    if "ks_threshold" in cfg:
+        cfg["ks_threshold"] = econfig.resolved_ks_threshold
     return econfig
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_manifest(
-    out_dir: Path, subcommand: str, cfg: dict, outputs: list[str]
-) -> None:
+    args: argparse.Namespace, subcommand: str, cfg: dict, outputs: list[str]
+) -> Path:
+    """Create the output directory, write the manifest into it, return it."""
+    out = Path(getattr(args, "out", None) or f"roughpvar_{subcommand.replace('-', '_')}")
+    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "subcommand": subcommand,
         "version": __version__,
@@ -327,14 +322,8 @@ def _write_manifest(
         "outputs": outputs,
     }
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    (out_dir / "manifest.json").write_text(text)
-
-
-def _out_dir(args: argparse.Namespace, subcommand: str) -> Path:
-    out = getattr(args, "out", None) or f"roughpvar_{subcommand.replace('-', '_')}"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    (out / "manifest.json").write_text(text)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -343,32 +332,29 @@ def _out_dir(args: argparse.Namespace, subcommand: str) -> Path:
 
 def _run_simulate(args: argparse.Namespace) -> int:
     cfg = resolve_config("simulate", args)
-    out = _out_dir(args, "simulate")
+    spec = FbmSpec(hurst=cfg["hurst"], n=cfg["n"], method=cfg["method"])
+    if cfg["replicas"] < 1:
+        raise UsageError("replicas must be >= 1")
     names = [f"path_{replica:04d}.csv" for replica in range(cfg["replicas"])]
-    _write_manifest(out, "simulate", cfg, ["manifest.json"] + names)
-    n = cfg["n"]
+    out = _write_manifest(args, "simulate", cfg, ["manifest.json"] + names)
     for replica, name in enumerate(names):
-        spec = FbmSpec(hurst=cfg["hurst"], n=n, method=cfg["method"])
-        path = sample_fbm(spec, replica_rng(cfg["seed"], n, replica))
+        path = sample_fbm(spec, replica_rng(cfg["seed"], spec.n, replica))
         (out / name).write_text(path_to_csv(path))
-    print(f"simulate: wrote {cfg['replicas']} path(s) at n={n} to {out}")
+    print(f"simulate: wrote {cfg['replicas']} path(s) at n={spec.n} to {out}")
     return 0
 
 
 def _run_constants(args: argparse.Namespace) -> int:
     cfg = resolve_config("constants", args)
-    out = _out_dir(args, "constants")
-    _write_manifest(out, "constants", cfg, ["manifest.json", "constants.csv"])
     truncation = TruncationSpec(
         hermite_terms=cfg["hermite_terms"], lag_cutoff=cfg["lag_cutoff"]
     )
+    out = _write_manifest(args, "constants", cfg, ["manifest.json", "constants.csv"])
     moment = gaussian_abs_moment(cfg["p"])
     variance = asymptotic_variance(cfg["p"], cfg["hurst"], truncation)
-    lines = [
-        "p,hurst,abs_moment,asymptotic_variance",
-        f"{_fmt(cfg['p'])},{_fmt(cfg['hurst'])},{_fmt(moment)},{_fmt(variance)}",
-    ]
-    (out / "constants.csv").write_text("\n".join(lines) + "\n")
+    row = ",".join(map(_fmt_float, (cfg["p"], cfg["hurst"], moment, variance)))
+    header = "p,hurst,abs_moment,asymptotic_variance"
+    (out / "constants.csv").write_text(f"{header}\n{row}\n")
     print(
         f"constants: p={cfg['p']} hurst={cfg['hurst']} "
         f"abs_moment={moment:.6g} asymptotic_variance={variance:.6g}"
@@ -378,10 +364,8 @@ def _run_constants(args: argparse.Namespace) -> int:
 
 def _run_pvar(args: argparse.Namespace) -> int:
     cfg = resolve_config("pvar", args)
-    econfig = _experiment_config(cfg, grid=False)
-    cfg["id"] = econfig.resolved_id()
-    out = _out_dir(args, "pvar")
-    _write_manifest(out, "pvar", cfg, ["manifest.json", "pvar.csv"])
+    econfig = _experiment_config(cfg, replicas=1)
+    out = _write_manifest(args, "pvar", cfg, ["manifest.json", "pvar.csv"])
     rows = collect_rows(econfig, workers=args.workers)
     (out / "pvar.csv").write_text(rows_to_csv(econfig.resolved_id(), rows))
     print(
@@ -393,12 +377,9 @@ def _run_pvar(args: argparse.Namespace) -> int:
 
 def _run_limit_check(args: argparse.Namespace) -> int:
     cfg = resolve_config("limit-check", args)
-    econfig = _experiment_config(cfg, grid=True)
-    cfg["id"] = econfig.resolved_id()
-    cfg["ks_threshold"] = econfig.resolved_ks_threshold
-    out = _out_dir(args, "limit-check")
+    econfig = _experiment_config(cfg)
     outputs = ["manifest.json", "results.csv", "summary.csv", "plot_data.csv"]
-    _write_manifest(out, "limit-check", cfg, outputs)
+    out = _write_manifest(args, "limit-check", cfg, outputs)
     result = run_regime_check(econfig, workers=args.workers)
     (out / "results.csv").write_text(result.results_csv())
     (out / "summary.csv").write_text(result.summary_csv())
@@ -413,21 +394,16 @@ def _run_limit_check(args: argparse.Namespace) -> int:
 
 def _run_rate_fit(args: argparse.Namespace) -> int:
     cfg = resolve_config("rate-fit", args)
-    econfig = _experiment_config(cfg, grid=True)
-    cfg["id"] = econfig.resolved_id()
-    cfg["ks_threshold"] = econfig.resolved_ks_threshold
-    out = _out_dir(args, "rate-fit")
+    econfig = _experiment_config(cfg)
     outputs = ["manifest.json", "rate_fit.csv", "rate_summary.csv"]
-    _write_manifest(out, "rate-fit", cfg, outputs)
+    out = _write_manifest(args, "rate-fit", cfg, outputs)
     result = rate_fit(econfig, workers=args.workers, tol=cfg["tol"])
     (out / "rate_fit.csv").write_text(result.csv())
     target = result.target if result.target is not None else math.nan
-    lines = [
-        "experiment_id,slope,slope_se,target,tol,pass",
-        f"{econfig.resolved_id()},{_fmt(result.slope)},{_fmt(result.slope_se)},"
-        f"{_fmt(target)},{_fmt(result.tol)},{int(result.passed)}",
-    ]
-    (out / "rate_summary.csv").write_text("\n".join(lines) + "\n")
+    fields = map(_fmt_float, (result.slope, result.slope_se, target, result.tol))
+    row = ",".join([econfig.resolved_id(), *fields, str(int(result.passed))])
+    header = "experiment_id,slope,slope_se,target,tol,pass"
+    (out / "rate_summary.csv").write_text(f"{header}\n{row}\n")
     verdict = "pass" if result.passed else "FAIL"
     print(
         f"rate-fit: {econfig.resolved_id()} slope={result.slope:.4g} "
@@ -464,18 +440,10 @@ def _window_target(hurst: float, rank: int) -> float:
 
 def _run_scaling_check(args: argparse.Namespace) -> int:
     cfg = resolve_config("scaling-check", args)
-    out = _out_dir(args, "scaling-check")
+    # The windowed sums use no power exponent; p = 2 is covered in every regime.
+    econfig = _experiment_config(cfg, p=2.0)
     outputs = ["manifest.json", "scaling.csv", "scaling_summary.csv"]
-    _write_manifest(out, "scaling-check", cfg, outputs)
-    econfig = ExperimentConfig(
-        hurst=cfg["hurst"],
-        p=2.0,
-        process=cfg["process"],
-        n_grid=tuple(cfg["n"]),
-        replicas=cfg["replicas"],
-        master_seed=cfg["seed"],
-        process_params=_process_params(cfg),
-    )
+    out = _write_manifest(args, "scaling-check", cfg, outputs)
     result = scaling_exponent_check(
         econfig, cfg["rank"], cfg["delta"], start=cfg["start"], workers=args.workers
     )
@@ -487,13 +455,13 @@ def _run_scaling_check(args: argparse.Namespace) -> int:
         abs(result.n_exponent - target) <= tol
         and abs(result.delta_exponent - window_target) <= tol
     )
-    lines = [
-        "rank,hurst,n_exponent,delta_exponent,n_se,delta_se,target,window_target,pass",
-        f"{cfg['rank']},{_fmt(cfg['hurst'])},{_fmt(result.n_exponent)},"
-        f"{_fmt(result.delta_exponent)},{_fmt(result.n_se)},{_fmt(result.delta_se)},"
-        f"{_fmt(target)},{_fmt(window_target)},{int(passed)}",
-    ]
-    (out / "scaling_summary.csv").write_text("\n".join(lines) + "\n")
+    values = (result.n_exponent, result.delta_exponent, result.n_se, result.delta_se)
+    fields = map(_fmt_float, (cfg["hurst"], *values, target, window_target))
+    row = ",".join([str(cfg["rank"]), *fields, str(int(passed))])
+    (out / "scaling_summary.csv").write_text(
+        "rank,hurst,n_exponent,delta_exponent,n_se,delta_se,target,window_target,pass\n"
+        f"{row}\n"
+    )
     verdict = "pass" if passed else "FAIL"
     print(
         f"scaling-check: rank={cfg['rank']} hurst={cfg['hurst']} "
@@ -520,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name, keys in SUBCOMMAND_KEYS.items():
+    for name, keys in SCHEMA.items():
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", help="key=value file, JSON config, or manifest")
         sub.add_argument("--out", help="output directory")

@@ -120,6 +120,8 @@ class ExperimentConfig:
             raise ValueError("replicas must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
+        if self.fine_factor is not None and self.fine_factor < 1:
+            raise ValueError("fine_factor must be >= 1")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         classify_regime(self.hurst)
         StatConfig(p=self.p, t=self.t, quadrature=self.quadrature)

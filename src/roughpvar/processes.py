@@ -17,7 +17,10 @@ from .fbm import FbmPath
 
 PROCESS_TAGS = ("fbm", "sq", "cube", "exp-rde", "custom-rde")
 
-_DEFAULT_ELL = 6
+DEFAULT_ELL = 6
+
+# Options of ``custom-rde`` left unset: dy = y dx from 1, the exponential flow.
+CUSTOM_RDE_DEFAULTS = {"y0": 1.0, "drift_coeffs": None, "field_coeffs": (0.0, 1.0)}
 
 
 def default_fine_factor(tag: str) -> int:
@@ -47,23 +50,28 @@ def build_controlled_process(
     fine_factor : int
         Resolution ratio; the returned path lives on the coarse grid.
     params : dict
-        Process options: ``ell`` (level count, default 6) for every tag;
-        ``y0``, ``drift_coeffs``, ``field_coeffs`` for ``custom-rde``.
+        Process options: ``ell`` (level count, default :data:`DEFAULT_ELL`)
+        for every tag; ``y0``, ``drift_coeffs``, ``field_coeffs`` for
+        ``custom-rde``, defaulting to :data:`CUSTOM_RDE_DEFAULTS`.
     """
     params = dict(params or {})
-    ell = int(params.pop("ell", _DEFAULT_ELL))
+    ell = int(params.pop("ell", DEFAULT_ELL))
     if ell < 2:
         raise ValueError("processes need at least two levels")
     if fine_factor < 1 or x_fine.n % fine_factor != 0:
         raise ValueError(
             f"fine_factor must divide the fine resolution {x_fine.n}, got {fine_factor}"
         )
+    options = CUSTOM_RDE_DEFAULTS if tag == "custom-rde" else {}
+    unknown = sorted(set(params) - set(options))
+    if unknown:
+        raise ValueError(f"unknown parameters for process {tag!r}: {unknown}")
 
     if tag == "custom-rde":
-        y0 = float(params.pop("y0", 1.0))
-        drift_coeffs = params.pop("drift_coeffs", None)
-        field_coeffs = params.pop("field_coeffs", (0.0, 1.0))
-        _reject_unknown(tag, params)
+        params = {**options, **params}
+        y0 = float(params["y0"])
+        drift_coeffs = params["drift_coeffs"]
+        field_coeffs = params["field_coeffs"]
         drift = (
             FunctionFamily.polynomial(drift_coeffs, order=2)
             if drift_coeffs is not None
@@ -72,7 +80,6 @@ def build_controlled_process(
         field = FunctionFamily.polynomial(field_coeffs, order=ell)
         return solve_rde(drift, field, y0, x_fine, ell=ell, refine=fine_factor)
 
-    _reject_unknown(tag, params)
     xv = x_fine.values
     zeros = np.zeros_like(xv)
     ones = np.ones_like(xv)
@@ -92,8 +99,3 @@ def build_controlled_process(
     if fine_factor == 1:
         return fine_cp
     return subsample_controlled(fine_cp, fine_factor)
-
-
-def _reject_unknown(tag: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"unknown parameters for process {tag!r}: {sorted(params)}")

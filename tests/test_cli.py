@@ -12,26 +12,38 @@ Covers:
 6. rate-fit: a calibrated pass and an exact deterministic failure.
 7. scaling-check: output schema, manifest replay, and the resolution- and
    window-axis exponent targets.
-8. Exit codes: 0 pass, 1 failed check, 2 usage/domain errors; 17
-   significant digit float formatting throughout.
+8. Exit codes: 0 pass, 1 failed check, 2 usage/domain errors, and a
+   refused config writes nothing; 17 significant digit float formatting
+   throughout.
+9. The config -> manifest -> config round trip as a fixed point, on drawn
+   configs of every subcommand, in key=value and JSON form.
 """
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roughpvar
 from roughpvar import ExperimentConfig, FbmSpec, build_replica_path, path_from_csv
+from roughpvar import cli
 from roughpvar.cli import (
+    REQUIRED,
+    SCHEMA,
     UsageError,
+    _experiment_config,
     _scaling_target,
     _window_target,
     build_parser,
     main,
     resolve_config,
 )
+from roughpvar.processes import CUSTOM_RDE_DEFAULTS, PROCESS_TAGS
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -152,6 +164,24 @@ class TestResolveConfig:
         with pytest.raises(UsageError, match="unknown process"):
             resolve_config("pvar", args)
 
+    @pytest.mark.parametrize("hurst, threshold", [(0.25, 0.07), (0.35, 0.05)])
+    def test_ks_threshold_auto_replays_to_regime_threshold(self, tmp_path, hurst, threshold):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps(
+                {
+                    "subcommand": "limit-check",
+                    "config": {"hurst": hurst, "p": 2.0, "ks_threshold": 0.9},
+                    "outputs": [],
+                }
+            )
+        )
+        args = _parse(["limit-check", "--config", str(manifest), "--ks-threshold", "auto"])
+        cfg = resolve_config("limit-check", args)
+        assert cfg["ks_threshold"] is None, "auto must override the stored threshold"
+        _experiment_config(cfg)
+        assert cfg["ks_threshold"] == threshold
+
 
 # ---------------------------------------------------------------------------
 # exit codes and argparse plumbing
@@ -188,6 +218,22 @@ class TestMainErrors:
         )
         assert rc == 2
         assert "covers hurst" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--hurst", "0.3", "--replicas", "0"],
+            ["simulate", "--hurst", "0.3", "--replicas", "-2"],
+            ["simulate", "--hurst", "1.2", "--replicas", "0"],
+            ["scaling-check", "--hurst", "0.6"],
+            ["constants", "--p", "2", "--hurst", "0.3", "--hermite-terms", "0"],
+        ],
+    )
+    def test_refused_config_writes_nothing(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not (out / "manifest.json").exists()
+        assert not out.exists(), "a refused config must not create its output directory"
 
     def test_broken_json_config_exits_2(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -507,3 +553,118 @@ class TestManifest:
         assert cfg["fine_factor"] == 1, "auto must be materialized"
         assert cfg["ks_threshold"] == 0.9
         assert cfg["id"] == "fbm-p2-h0_5-mixed-gaussian"
+
+
+# ---------------------------------------------------------------------------
+# config round trip
+
+
+class _Stopped(Exception):
+    """Raised in place of the first computation, once the manifest is written."""
+
+
+def _stop(*args, **kwargs):
+    raise _Stopped
+
+
+# The first computation each runner starts after writing its manifest.
+_COMPUTATIONS = (
+    "sample_fbm",
+    "asymptotic_variance",
+    "collect_rows",
+    "run_regime_check",
+    "rate_fit",
+    "scaling_exponent_check",
+)
+
+_FRACTION = st.floats(0.001, 1.0)
+_COEFFS = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3)
+_VALUES = {
+    "hurst": st.floats(0.01, 0.5),
+    "p": st.one_of(st.sampled_from([2.0, 4.0]), st.floats(5.0, 8.0)),
+    "seed": st.integers(0, 2**32),
+    "replicas": st.integers(1, 500),
+    "t": st.floats(0.01, 1.0),
+    "fine_factor": st.one_of(st.just("auto"), st.integers(1, 32)),
+    "quadrature": st.sampled_from(["trapezoid", "midpoint"]),
+    "force": st.booleans(),
+    "id": st.one_of(st.just(""), st.from_regex(r"[a-z][a-z0-9_-]{0,11}", fullmatch=True)),
+    "ks_threshold": st.one_of(st.just("auto"), _FRACTION),
+    "median_tol": _FRACTION,
+    "tol": _FRACTION,
+    "rank": st.integers(1, 4),
+    "delta": st.lists(st.floats(0.01, 0.5), min_size=2, max_size=4, unique=True),
+    "start": st.floats(0.0, 0.5),
+    "method": st.sampled_from(["auto", "circulant-embedding", "cholesky"]),
+    "hermite_terms": st.integers(1, 60),
+    "lag_cutoff": st.integers(1, 10**6),
+    "process": st.sampled_from(PROCESS_TAGS),
+    "ell": st.integers(2, 8),
+    "y0": st.floats(-2.0, 2.0),
+    "drift_coeffs": st.one_of(st.none(), _COEFFS),
+    "field_coeffs": _COEFFS,
+}
+
+
+@st.composite
+def _configs(draw, subcommand):
+    """A valid config of the subcommand, with a drawn subset of optional keys."""
+    cfg = {}
+    for key, default in SCHEMA[subcommand].items():
+        if key in CUSTOM_RDE_DEFAULTS:
+            continue
+        if default is not REQUIRED and draw(st.booleans()):
+            continue
+        if key == "n":
+            single = st.integers(2, 4096)
+            grid = st.lists(single, min_size=1, max_size=4, unique=True)
+            cfg[key] = draw(grid if isinstance(default, list) else single)
+        else:
+            cfg[key] = draw(_VALUES[key])
+    if cfg.get("process") == "custom-rde":
+        for key in CUSTOM_RDE_DEFAULTS:
+            if draw(st.booleans()):
+                cfg[key] = draw(_VALUES[key])
+    return cfg
+
+
+def _key_value_text(cfg: dict) -> str:
+    def text(value):
+        if value is None:
+            return "none"
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, list):
+            return ",".join(map(repr, value))
+        return repr(value) if isinstance(value, float) else str(value)
+
+    return "\n".join(f"{key}={text(value)}" for key, value in cfg.items())
+
+
+class TestConfigRoundTrip:
+    """config -> manifest -> resolve_config is a fixed point."""
+
+    @pytest.mark.parametrize("form", ["key=value", "json"])
+    @pytest.mark.parametrize("subcommand", list(SCHEMA))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_manifest_is_a_fixed_point(self, subcommand, form, data):
+        drawn = data.draw(_configs(subcommand))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            for name in _COMPUTATIONS:
+                mp.setattr(cli, name, _stop)
+            source = Path(tmp, "run.cfg")
+            source.write_text(json.dumps(drawn) if form == "json" else _key_value_text(drawn))
+            first, second = Path(tmp, "first"), Path(tmp, "second")
+            with pytest.raises(_Stopped):
+                main([subcommand, "--config", str(source), "--out", str(first)])
+            manifest = first / "manifest.json"
+            with pytest.raises(_Stopped):
+                main([subcommand, "--config", str(manifest), "--out", str(second)])
+            assert manifest.read_bytes() == (second / "manifest.json").read_bytes()
+            stored = json.loads(manifest.read_text())["config"]
+            replayed = resolve_config(subcommand, _parse([subcommand, "--config", str(manifest)]))
+            assert replayed == stored
+            for key, value in drawn.items():
+                if value not in ("auto", ""):
+                    assert stored[key] == value, key

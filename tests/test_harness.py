@@ -206,6 +206,7 @@ class TestExperimentConfig:
             ({"hurst": 0.8}, "covers hurst"),
             ({"p": 0.5}, "p must be >= 1"),
             ({"quadrature": "simpson"}, "unknown quadrature"),
+            ({"fine_factor": 0}, "fine_factor must be >= 1"),
         ],
     )
     def test_validation_errors(self, overrides, match):
