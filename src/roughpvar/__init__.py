@@ -49,7 +49,6 @@ from .stats import (
     REGIME_MIXED,
     RegimeError,
     StatConfig,
-    build_limit_spec,
     classify_regime,
     integrate_grid,
     limit_cond_std,

@@ -3,16 +3,17 @@
 Subcommands cover path simulation, limit constants, single-path statistics,
 regime checks, rate fits, and scaling-exponent fits. Every run resolves its
 configuration (file, then flag overrides, then the defaults in ``SCHEMA``),
-builds the library objects that validate it, writes a manifest with the fully
-materialized config before any computation, and then writes CSV outputs next
-to it. ``fine_factor`` and ``ks_threshold`` accept ``auto``: the process's
-fine factor and the regime's KS threshold, stored resolved in the manifest.
-Re-running a subcommand from its manifest reproduces every output byte for
-byte; worker count never affects results.
+builds the library objects and calls the library checks that validate it,
+writes a manifest with the fully materialized config before any computation,
+and then writes CSV outputs next to it. ``fine_factor`` and ``ks_threshold``
+accept ``auto``: the process's fine factor and the regime's KS threshold,
+stored resolved in the manifest. Re-running a subcommand from its manifest
+reproduces every output byte for byte; worker count never affects results.
 
 Exit codes: 0 on success/pass, 1 when a check ran but failed, 2 on usage or
-domain errors. A config refused while it is resolved or while its library
-objects are built exits 2 and writes nothing.
+domain errors. A config refused while it is resolved, while its library
+objects are built or by a library check (worker count, seed, variance domain,
+rate and scaling grids) exits 2 and writes nothing.
 """
 
 from __future__ import annotations
@@ -29,15 +30,25 @@ from .fbm import FbmSpec, path_to_csv, sample_fbm
 from .harness import (
     ExperimentConfig,
     _fmt_float,
+    log_log_csv,
     rate_fit,
     replica_rng,
+    resolve_workers,
     rows_to_csv,
     run_regime_check,
     scaling_exponent_check,
     collect_rows,
+    validate_master_seed,
     validate_p_range,
+    validate_rate_grid,
+    validate_scaling_inputs,
 )
-from .hermite import TruncationSpec, asymptotic_variance, gaussian_abs_moment
+from .hermite import (
+    TruncationSpec,
+    asymptotic_variance,
+    gaussian_abs_moment,
+    validate_variance_domain,
+)
 from .processes import (
     CUSTOM_RDE_DEFAULTS,
     DEFAULT_ELL,
@@ -335,6 +346,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     spec = FbmSpec(hurst=cfg["hurst"], n=cfg["n"], method=cfg["method"])
     if cfg["replicas"] < 1:
         raise UsageError("replicas must be >= 1")
+    validate_master_seed(cfg["seed"])
     names = [f"path_{replica:04d}.csv" for replica in range(cfg["replicas"])]
     out = _write_manifest(args, "simulate", cfg, ["manifest.json"] + names)
     for replica, name in enumerate(names):
@@ -349,6 +361,7 @@ def _run_constants(args: argparse.Namespace) -> int:
     truncation = TruncationSpec(
         hermite_terms=cfg["hermite_terms"], lag_cutoff=cfg["lag_cutoff"]
     )
+    validate_variance_domain(cfg["p"], cfg["hurst"])
     out = _write_manifest(args, "constants", cfg, ["manifest.json", "constants.csv"])
     moment = gaussian_abs_moment(cfg["p"])
     variance = asymptotic_variance(cfg["p"], cfg["hurst"], truncation)
@@ -365,8 +378,9 @@ def _run_constants(args: argparse.Namespace) -> int:
 def _run_pvar(args: argparse.Namespace) -> int:
     cfg = resolve_config("pvar", args)
     econfig = _experiment_config(cfg, replicas=1)
+    workers = resolve_workers(args.workers)
     out = _write_manifest(args, "pvar", cfg, ["manifest.json", "pvar.csv"])
-    rows = collect_rows(econfig, workers=args.workers)
+    rows = collect_rows(econfig, workers=workers)
     (out / "pvar.csv").write_text(rows_to_csv(econfig.resolved_id(), rows))
     print(
         f"pvar: {econfig.resolved_id()} n={cfg['n']} stat={rows[0, 2]:.6g} "
@@ -378,12 +392,14 @@ def _run_pvar(args: argparse.Namespace) -> int:
 def _run_limit_check(args: argparse.Namespace) -> int:
     cfg = resolve_config("limit-check", args)
     econfig = _experiment_config(cfg)
+    workers = resolve_workers(args.workers)
     outputs = ["manifest.json", "results.csv", "summary.csv", "plot_data.csv"]
     out = _write_manifest(args, "limit-check", cfg, outputs)
-    result = run_regime_check(econfig, workers=args.workers)
+    result = run_regime_check(econfig, workers=workers)
     (out / "results.csv").write_text(result.results_csv())
     (out / "summary.csv").write_text(result.summary_csv())
-    (out / "plot_data.csv").write_text(result.plot_data_csv())
+    points = ((entry["n"], entry["median_err"]) for entry in result.summary)
+    (out / "plot_data.csv").write_text(log_log_csv(points))
     verdict = "pass" if result.passed else "FAIL"
     print(
         f"limit-check: {econfig.resolved_id()} regime={econfig.regime} "
@@ -395,10 +411,12 @@ def _run_limit_check(args: argparse.Namespace) -> int:
 def _run_rate_fit(args: argparse.Namespace) -> int:
     cfg = resolve_config("rate-fit", args)
     econfig = _experiment_config(cfg)
+    validate_rate_grid(econfig.n_grid)
+    workers = resolve_workers(args.workers)
     outputs = ["manifest.json", "rate_fit.csv", "rate_summary.csv"]
     out = _write_manifest(args, "rate-fit", cfg, outputs)
-    result = rate_fit(econfig, workers=args.workers, tol=cfg["tol"])
-    (out / "rate_fit.csv").write_text(result.csv())
+    result = rate_fit(econfig, workers=workers, tol=cfg["tol"])
+    (out / "rate_fit.csv").write_text(log_log_csv(zip(result.n_grid, result.errors)))
     target = result.target if result.target is not None else math.nan
     fields = map(_fmt_float, (result.slope, result.slope_se, target, result.tol))
     row = ",".join([econfig.resolved_id(), *fields, str(int(result.passed))])
@@ -442,10 +460,12 @@ def _run_scaling_check(args: argparse.Namespace) -> int:
     cfg = resolve_config("scaling-check", args)
     # The windowed sums use no power exponent; p = 2 is covered in every regime.
     econfig = _experiment_config(cfg, p=2.0)
+    validate_scaling_inputs(econfig.n_grid, cfg["rank"], cfg["delta"], cfg["start"])
+    workers = resolve_workers(args.workers)
     outputs = ["manifest.json", "scaling.csv", "scaling_summary.csv"]
     out = _write_manifest(args, "scaling-check", cfg, outputs)
     result = scaling_exponent_check(
-        econfig, cfg["rank"], cfg["delta"], start=cfg["start"], workers=args.workers
+        econfig, cfg["rank"], cfg["delta"], start=cfg["start"], workers=workers
     )
     (out / "scaling.csv").write_text(result.csv())
     target = _scaling_target(cfg["hurst"], cfg["rank"])

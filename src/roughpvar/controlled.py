@@ -2,10 +2,12 @@
 
 A controlled path bundles the driver, a tuple of level processes
 (the path itself plus its successive Gubinelli-type derivative levels), and
-the Hölder exponent attributed to the driver. Stored level arrays are
-normalized to start at 0, with the initial values kept as offsets; all
-evaluation (remainders, composition, quadrature) uses the unshifted values
-``offset + array``.
+the Hölder exponent attributed to the driver. It has one constructor, which
+takes the raw level arrays; the stored rows are normalized to start at 0,
+with the initial values kept as offsets, and all evaluation (remainders,
+composition, quadrature) uses the unshifted values ``offset + array``.
+Every builder works on the grid of its driver; :func:`subsample_controlled`
+is the one coarsening step, and it attaches the fine path for quadrature.
 
 The module provides the structural operations: increment operators and their
 additivity defect, order-k remainders, the decomposition identity residual,
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,81 +39,55 @@ _EXACT_LEVEL_REL = 1e-13
 class ControlledPath:
     """A path with derivative levels, controlled by a sampled driver.
 
+    Built from the raw level arrays: ``ControlledPath(x, levels)`` stacks
+    them into one fresh read-only array, keeps their initial values as
+    ``offsets`` and stores every row minus its initial value.
+
     Attributes
     ----------
     x : FbmPath
         The driver, sampled on the uniform grid with ``x.n`` cells.
     levels : np.ndarray
-        Shape ``(ell, n + 1)``; row i is the i-th level process normalized to
-        start at 0 (row 0 is the path itself minus its initial value).
-    offsets : np.ndarray
-        Shape ``(ell,)``; initial values of the raw level processes.
+        Shape ``(ell, n + 1)``; row i is the i-th level process (row 0 the
+        path itself) minus its initial value. Given as any ``ell`` arrays of
+        length ``n + 1`` with the raw values.
     alpha : float
-        Hölder exponent attributed to the driver (the Hurst index for
-        fractional drivers).
+        Hölder exponent attributed to the driver; defaults to the driver's
+        Hurst index.
     fine : ControlledPath or None
-        The same construction carried at resolution ``fine_factor * n``, used
-        for quadrature of limit functionals. The coarse rows are exactly the
-        fine rows subsampled.
-    fine_factor : int
-        Resolution ratio between ``fine`` and this path; 1 when absent.
+        The same construction at a multiple of the resolution, used for
+        quadrature of limit functionals. :func:`subsample_controlled`
+        attaches it; the coarse rows are then exactly the fine rows
+        subsampled.
+    offsets : np.ndarray
+        Shape ``(ell,)``; initial values of the raw levels. Derived, not an
+        argument.
     """
 
     x: FbmPath
     levels: np.ndarray
-    offsets: np.ndarray
-    alpha: float
+    alpha: float | None = None
     fine: "ControlledPath | None" = None
-    fine_factor: int = 1
+    offsets: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        levels = np.asarray(self.levels, dtype=float)
-        offsets = np.asarray(self.offsets, dtype=float)
-        if levels.ndim != 2 or levels.shape[1] != self.x.n + 1:
+        levels = np.array(self.levels, dtype=float)
+        if levels.ndim != 2 or levels.shape[0] < 1 or levels.shape[1] != self.x.n + 1:
             raise ValueError(
-                f"levels must have shape (ell, {self.x.n + 1}), got {levels.shape}"
+                f"levels must be ell >= 1 rows of {self.x.n + 1} nodes, got {levels.shape}"
             )
-        if offsets.shape != (levels.shape[0],):
-            raise ValueError("offsets must have one entry per level")
-        if levels.shape[0] < 1:
-            raise ValueError("a controlled path needs at least one level")
-        if np.any(levels[:, 0] != 0.0):
-            raise ValueError("stored level rows must be normalized to start at 0")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.fine_factor < 1:
-            raise ValueError("fine_factor must be >= 1")
-        if self.fine is not None:
-            if self.fine.x.n != self.fine_factor * self.x.n:
-                raise ValueError("fine companion resolution must be fine_factor * n")
-        levels = levels.copy()
+        alpha = self.x.hurst if self.alpha is None else self.alpha
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        if self.fine is not None and self.fine.n % self.x.n != 0:
+            raise ValueError("fine companion resolution must be a multiple of n")
+        offsets = levels[:, 0].copy()
+        levels -= offsets[:, None]
         levels.setflags(write=False)
-        offsets = offsets.copy()
         offsets.setflags(write=False)
         object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "offsets", offsets)
-
-    @classmethod
-    def from_raw_levels(
-        cls,
-        x: FbmPath,
-        raw_levels: Sequence[np.ndarray],
-        alpha: float | None = None,
-        fine: "ControlledPath | None" = None,
-        fine_factor: int = 1,
-    ) -> "ControlledPath":
-        """Build from unnormalized level arrays (initial values become offsets)."""
-        rows = np.array([np.asarray(row, dtype=float) for row in raw_levels])
-        offsets = rows[:, 0].copy()
-        rows -= offsets[:, None]
-        return cls(
-            x=x,
-            levels=rows,
-            offsets=offsets,
-            alpha=x.hurst if alpha is None else alpha,
-            fine=fine,
-            fine_factor=fine_factor,
-        )
 
     @property
     def ell(self) -> int:
@@ -124,6 +100,11 @@ class ControlledPath:
     def level(self, i: int) -> np.ndarray:
         """Unshifted values of level i: offset + normalized row."""
         return self.offsets[i] + self.levels[i]
+
+    @property
+    def fine_factor(self) -> int:
+        """Resolution ratio between ``fine`` and this path; 1 when absent."""
+        return 1 if self.fine is None else self.fine.n // self.n
 
     def quadrature_path(self) -> "ControlledPath":
         """The finest available representation (self when no companion)."""
@@ -428,7 +409,7 @@ def controlled_from_field(family: FunctionFamily, ell: int, x: FbmPath) -> Contr
     derivs = [family.deriv(a)(x.values) for a in range(max_order + 1)]
     raw = [np.broadcast_to(np.asarray(_dp_eval(poly, derivs), dtype=float), x.values.shape)
            for poly in polys]
-    return ControlledPath.from_raw_levels(x, raw, alpha=x.hurst)
+    return ControlledPath(x, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +425,11 @@ def compose(family: FunctionFamily, cp: ControlledPath) -> ControlledPath:
                                                      y^(j_1) ... y^(j_i)
 
     over ordered compositions with parts between 1 and the available level
-    count; level 0 is f(y). The output order is min(family order, ell).
+    count; level 0 is f(y). The output order is min(family order, ell). A
+    path with a fine companion is composed on the fine grid and coarsened.
     """
+    if cp.fine is not None:
+        return subsample_controlled(compose(family, cp.fine), cp.fine_factor)
     ell_out = min(family.order, cp.ell)
     y = cp.level(0)
     raw = [np.asarray(family.deriv(0)(y), dtype=float)]
@@ -463,10 +447,7 @@ def compose(family: FunctionFamily, cp: ControlledPath) -> ControlledPath:
                 inner = inner + weight * prod
             acc = acc + np.asarray(family.deriv(i)(y), dtype=float) / math.factorial(i) * inner
         raw.append(acc)
-    fine = compose(family, cp.fine) if cp.fine is not None else None
-    return ControlledPath.from_raw_levels(
-        cp.x, raw, alpha=cp.alpha, fine=fine, fine_factor=cp.fine_factor
-    )
+    return ControlledPath(cp.x, raw, alpha=cp.alpha)
 
 
 def _ordered_compositions(total: int, parts: int, max_part: int):
@@ -484,19 +465,17 @@ def _ordered_compositions(total: int, parts: int, max_part: int):
 # rough integral
 
 
-def rough_integral(z: ControlledPath, x: FbmPath, refine: int = 1) -> ControlledPath:
+def rough_integral(z: ControlledPath, x: FbmPath) -> ControlledPath:
     """Compensated-sum integral of a controlled integrand against its driver.
 
-    Each fine cell contributes the full local expansion
+    Each cell of the driver grid contributes the full local expansion
     ``sum_{i=1}^{ell} z^(i-1) (delta x)^i / i!``; the running sum is the
-    integral path. The result is a controlled path of order ell + 1 at the
-    coarse resolution n / refine, with levels (integral, z levels) and the
-    fine-resolution construction attached for quadrature.
+    integral path. The result is a controlled path of order ell + 1 on the
+    grid of ``x``, with levels (integral, z levels); pass it to
+    :func:`subsample_controlled` for a coarse view with this one attached.
     """
     if z.x.n != x.n or not np.array_equal(z.x.values, x.values):
         raise ValueError("integrand and driver must share the same sampled path")
-    if refine < 1 or x.n % refine != 0:
-        raise ValueError(f"refine must divide the driver resolution {x.n}")
     if (z.ell + 1) * z.alpha <= 1.0:
         warnings.warn(
             f"integrand order {z.ell} is marginal for alpha={z.alpha}: "
@@ -515,15 +494,16 @@ def rough_integral(z: ControlledPath, x: FbmPath, refine: int = 1) -> Controlled
     integral[0] = 0.0
     np.cumsum(contrib, out=integral[1:])
 
-    raw_fine = [integral] + [z.level(i) for i in range(z.ell)]
-    fine_cp = ControlledPath.from_raw_levels(x, raw_fine, alpha=z.alpha)
-    if refine == 1:
-        return fine_cp
-    return subsample_controlled(fine_cp, refine)
+    return ControlledPath(x, [integral] + [z.level(i) for i in range(z.ell)], alpha=z.alpha)
 
 
 def subsample_controlled(fine_cp: ControlledPath, factor: int) -> ControlledPath:
-    """Coarse view of a controlled path, keeping it attached for quadrature."""
+    """Coarse view on every ``factor``-th node, with ``fine_cp`` attached.
+
+    The only place a fine companion is attached. The coarse raw rows are
+    ``offset + row[::factor]`` of the fine path, so the coarse levels are
+    exact subsamples of the fine ones. A factor of 1 returns ``fine_cp``.
+    """
     if factor < 1 or fine_cp.n % factor != 0:
         raise ValueError(f"factor must divide the resolution {fine_cp.n}")
     if factor == 1:
@@ -533,10 +513,8 @@ def subsample_controlled(fine_cp: ControlledPath, factor: int) -> ControlledPath
         spec=replace(fine_cp.x.spec, n=n_coarse),
         values=fine_cp.x.values[::factor],
     )
-    raw = [fine_cp.level(i)[::factor] for i in range(fine_cp.ell)]
-    return ControlledPath.from_raw_levels(
-        coarse_x, raw, alpha=fine_cp.alpha, fine=fine_cp, fine_factor=factor
-    )
+    raw = fine_cp.offsets[:, None] + fine_cp.levels[:, ::factor]
+    return ControlledPath(coarse_x, raw, alpha=fine_cp.alpha, fine=fine_cp)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +527,6 @@ def solve_rde(
     y0: float,
     x: FbmPath,
     ell: int,
-    refine: int = 1,
 ) -> ControlledPath:
     """One-step scheme for dy = b(y) dt + V(y) dx with iterated-field terms.
 
@@ -559,15 +536,13 @@ def solve_rde(
 
     where g_0 = V and g_{m+1} = V g_m' are the iterated field applications.
     Levels of the solution are y itself and g_{i-1}(y) for i = 1..ell-1. The
-    scheme runs on the full resolution of ``x``; the result is returned at
-    the coarse resolution n / refine with the fine construction attached.
+    scheme runs on the grid of ``x`` and returns the solution there; pass it
+    to :func:`subsample_controlled` for a coarse view with it attached.
 
     Raises RuntimeError if the state exceeds 1e12 in absolute value.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2 (the field level is required)")
-    if refine < 1 or x.n % refine != 0:
-        raise ValueError(f"refine must divide the driver resolution {x.n}")
     polys = field_iterate_polynomials(ell - 1)
     max_order = _dp_max_order(polys)
     if max_order >= field_family.order:
@@ -617,10 +592,7 @@ def solve_rde(
         np.broadcast_to(np.asarray(_dp_eval(poly, derivs_path), dtype=float), y.shape)
         for poly in polys
     ]
-    fine_cp = ControlledPath.from_raw_levels(x, raw, alpha=x.hurst)
-    if refine == 1:
-        return fine_cp
-    return subsample_controlled(fine_cp, refine)
+    return ControlledPath(x, raw)
 
 
 # ---------------------------------------------------------------------------

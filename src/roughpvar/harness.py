@@ -118,8 +118,7 @@ class ExperimentConfig:
             raise ValueError("n_grid entries must be distinct")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        validate_master_seed(self.master_seed)
         if self.fine_factor is not None and self.fine_factor < 1:
             raise ValueError("fine_factor must be >= 1")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
@@ -153,6 +152,12 @@ class ExperimentConfig:
         return tag
 
 
+def validate_master_seed(master_seed: int) -> None:
+    """Reject a negative master seed, which no replica stream can take."""
+    if master_seed < 0:
+        raise ValueError("master_seed must be nonnegative")
+
+
 def _fmt_num(x: float) -> str:
     return f"{x:g}".replace(".", "_")
 
@@ -173,10 +178,7 @@ def build_replica_path(cfg: ExperimentConfig, n: int, replica: int) -> Controlle
 
 def _replica_row(cfg: ExperimentConfig, n: int, replica: int, proxy=None) -> tuple:
     cp = build_replica_path(cfg, n, replica)
-    scfg = StatConfig(
-        p=cfg.p, t=cfg.t, quadrature=cfg.quadrature, fine_factor=cfg.resolved_fine_factor
-    )
-    stat = pvar_statistic(cp, scfg)
+    stat = pvar_statistic(cp, StatConfig(p=cfg.p, t=cfg.t, quadrature=cfg.quadrature))
     regime = cfg.regime
 
     drift = 0.0
@@ -215,7 +217,8 @@ def _replica_row(cfg: ExperimentConfig, n: int, replica: int, proxy=None) -> tup
     )
 
 
-def _resolve_workers(workers: int | None) -> int:
+def resolve_workers(workers: int | None) -> int:
+    """Worker count: ``workers``, else the environment's, else 1."""
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers < 1:
@@ -224,7 +227,7 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 def _parallel_starmap(fn: Callable, tasks: list[tuple], workers: int | None) -> list:
-    count = _resolve_workers(workers)
+    count = resolve_workers(workers)
     if count == 1 or len(tasks) <= 1:
         return [fn(*task) for task in tasks]
     chunk = max(1, len(tasks) // (count * 8))
@@ -287,19 +290,18 @@ class ExperimentResult:
             )
         return "\n".join(lines) + "\n"
 
-    def plot_data_csv(self) -> str:
-        lines = ["log_n,log_err"]
-        for entry in self.summary:
-            if entry["median_err"] > 0.0:
-                lines.append(
-                    f"{_fmt_float(math.log(entry['n']))},"
-                    f"{_fmt_float(math.log(entry['median_err']))}"
-                )
-        return "\n".join(lines) + "\n"
-
 
 def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
+
+
+def log_log_csv(points) -> str:
+    """``log_n,log_err`` lines of the (n, err) pairs with a positive error."""
+    lines = ["log_n,log_err"]
+    for n, err in points:
+        if err > 0.0:
+            lines.append(f"{_fmt_float(math.log(n))},{_fmt_float(math.log(err))}")
+    return "\n".join(lines) + "\n"
 
 
 def rows_to_csv(exp_id: str, rows: np.ndarray) -> str:
@@ -420,12 +422,11 @@ class RateFitResult:
     tol: float
     passed: bool
 
-    def csv(self) -> str:
-        lines = ["log_n,log_err"]
-        for n, err in zip(self.n_grid, self.errors):
-            if err > 0.0:
-                lines.append(f"{_fmt_float(math.log(n))},{_fmt_float(math.log(err))}")
-        return "\n".join(lines) + "\n"
+
+def validate_rate_grid(n_grid: Sequence[int]) -> None:
+    """Reject a rate fit over fewer than two resolutions."""
+    if len(n_grid) < 2:
+        raise ValueError("rate fits need at least two resolutions")
 
 
 def rate_fit(
@@ -445,8 +446,7 @@ def rate_fit(
     """
     if not cfg.force:
         validate_p_range(cfg.hurst, cfg.p)
-    if len(cfg.n_grid) < 2:
-        raise ValueError("rate fits need at least two resolutions")
+    validate_rate_grid(cfg.n_grid)
     rows = collect_rows(cfg, workers, proxy=proxy)
     ns, errs = _median_errors(cfg, rows, 2 if proxy is None else None)
     target = -rate_exponent(cfg.hurst) if proxy is None else None
@@ -511,6 +511,19 @@ def _resolve_functional(rank_or_f):
     raise TypeError("pass a Hermite rank (int) or a vectorized callable")
 
 
+def validate_scaling_inputs(
+    n_grid: Sequence[int], rank_or_f, delta_grid: Sequence[float], start: float
+) -> None:
+    """Reject a scaling fit short of grid points, with a window outside
+    [0, 1], or with a Hermite rank below 1."""
+    if len(delta_grid) < 2 or len(n_grid) < 2:
+        raise ValueError("need at least two resolutions and two window lengths")
+    if any(d <= 0 for d in delta_grid) or start < 0 or start + max(delta_grid) > 1.0:
+        raise ValueError("windows must lie inside [0, 1]")
+    if isinstance(rank_or_f, (int, np.integer)) and int(rank_or_f) < 1:
+        raise ValueError("Hermite rank must be >= 1")
+
+
 def scaling_exponent_check(
     cfg: ExperimentConfig,
     rank_or_f,
@@ -528,12 +541,7 @@ def scaling_exponent_check(
     when run with multiple workers).
     """
     delta_grid = tuple(float(d) for d in delta_grid)
-    if len(delta_grid) < 2 or len(cfg.n_grid) < 2:
-        raise ValueError("need at least two resolutions and two window lengths")
-    if any(d <= 0 for d in delta_grid) or start < 0 or start + max(delta_grid) > 1.0:
-        raise ValueError("windows must lie inside [0, 1]")
-    if isinstance(rank_or_f, (int, np.integer)) and int(rank_or_f) < 1:
-        raise ValueError("Hermite rank must be >= 1")
+    validate_scaling_inputs(cfg.n_grid, rank_or_f, delta_grid, start)
 
     # The windowed sums read the coarse driver only, so no fine grid is drawn.
     cfg = replace(cfg, fine_factor=1)

@@ -126,14 +126,19 @@ def asymptotic_variance(
     )
 
 
-@lru_cache(maxsize=128)
-def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int) -> float:
+def validate_variance_domain(p: float, hurst: float) -> None:
+    """Reject (p, hurst) outside the domain of the asymptotic variance series."""
     if p < 1.0:
         raise ValueError(f"power variation exponent must satisfy p >= 1, got {p}")
     if not 0.0 < hurst < 0.75:
         raise ValueError(
             f"variance series converges only for hurst in (0, 3/4), got {hurst}"
         )
+
+
+@lru_cache(maxsize=128)
+def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int) -> float:
+    validate_variance_domain(p, hurst)
     rho = fgn_autocovariance(np.arange(1, cutoff + 1), hurst)
     rho_sq = rho * rho
 
@@ -153,7 +158,7 @@ def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int)
         if weight == 0.0:
             break
 
-    tail = lag_tail + _series_tail_estimate(p, hurst, terms)
+    tail = lag_tail + _series_tail_estimate(p, hurst, terms, weight)
     if total > 0.0 and tail > 1e-6 * total:
         warnings.warn(
             f"asymptotic variance truncation tail ~{tail:.3g} exceeds 1e-6 of "
@@ -179,18 +184,16 @@ def _lag_tail_estimate(hurst: float, q: int, cutoff: int) -> float:
     return 2.0 * amp ** (2 * q) * cutoff ** (-decay) / decay
 
 
-def _series_tail_estimate(p: float, hurst: float, terms: int) -> float:
+def _series_tail_estimate(p: float, hurst: float, terms: int, weight: float) -> float:
     """Bound the dropped Hermite terms using a crude O(1) bound on lag sums.
 
-    The term weights decay superfactorially, so twenty extra terms with any
-    bounded lag-sum factor give a reliable tail size.
+    ``weight`` is the last kept term weight (2q)! coeff_q^2, at q = terms
+    (0 once the series has ended). The term weights decay superfactorially,
+    so twenty extra terms with any bounded lag-sum factor give a reliable
+    tail size.
     """
     rho1 = abs(float(fgn_autocovariance(1, hurst)))
     s_bound = 3.0 if rho1 >= 0.5 else 1.5
-    weight = gaussian_abs_moment(p) ** 2
-    for q in range(1, terms + 1):
-        weight *= (p - 2.0 * (q - 1)) ** 2
-        weight /= (2.0 * q - 1.0) * (2.0 * q)
     tail = 0.0
     for q in range(terms + 1, terms + 21):
         weight *= (p - 2.0 * (q - 1)) ** 2

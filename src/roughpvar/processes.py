@@ -58,6 +58,8 @@ def build_controlled_process(
     ell = int(params.pop("ell", DEFAULT_ELL))
     if ell < 2:
         raise ValueError("processes need at least two levels")
+    # Checked here as well as in subsample_controlled, so that a bad factor
+    # is refused before a custom-rde solve.
     if fine_factor < 1 or x_fine.n % fine_factor != 0:
         raise ValueError(
             f"fine_factor must divide the fine resolution {x_fine.n}, got {fine_factor}"
@@ -78,24 +80,21 @@ def build_controlled_process(
             else None
         )
         field = FunctionFamily.polynomial(field_coeffs, order=ell)
-        return solve_rde(drift, field, y0, x_fine, ell=ell, refine=fine_factor)
-
-    xv = x_fine.values
-    zeros = np.zeros_like(xv)
-    ones = np.ones_like(xv)
-    if tag == "fbm":
-        base = [xv, ones]
-    elif tag == "sq":
-        base = [0.5 * xv**2, xv, ones]
-    elif tag == "cube":
-        base = [xv**3 / 6.0, 0.5 * xv**2, xv, ones]
-    elif tag == "exp-rde":
-        base = [np.exp(xv)] * ell
+        fine_cp = solve_rde(drift, field, y0, x_fine, ell=ell)
     else:
-        raise ValueError(f"unknown process tag {tag!r}; known: {PROCESS_TAGS}")
-    raw = base[:ell] if ell <= len(base) else base + [zeros] * (ell - len(base))
-
-    fine_cp = ControlledPath.from_raw_levels(x_fine, raw, alpha=x_fine.hurst)
-    if fine_factor == 1:
-        return fine_cp
+        xv = x_fine.values
+        zeros = np.zeros_like(xv)
+        ones = np.ones_like(xv)
+        if tag == "fbm":
+            base = [xv, ones]
+        elif tag == "sq":
+            base = [0.5 * xv**2, xv, ones]
+        elif tag == "cube":
+            base = [xv**3 / 6.0, 0.5 * xv**2, xv, ones]
+        elif tag == "exp-rde":
+            base = [np.exp(xv)] * ell
+        else:
+            raise ValueError(f"unknown process tag {tag!r}; known: {PROCESS_TAGS}")
+        raw = base[:ell] if ell <= len(base) else base + [zeros] * (ell - len(base))
+        fine_cp = ControlledPath(x_fine, raw)
     return subsample_controlled(fine_cp, fine_factor)

@@ -57,7 +57,7 @@ class StatConfig:
         Rule for the compensator integral: ``trapezoid`` (default) or
         ``midpoint`` (composite over pairs of fine cells).
     fine_factor : int
-        Resolution multiple used when constructing paths for quadrature.
+        Not read: the quadrature uses the fine companion the path carries.
     """
 
     p: float
@@ -74,20 +74,6 @@ class StatConfig:
             raise ValueError(f"unknown quadrature rule {self.quadrature!r}")
         if self.fine_factor < 1:
             raise ValueError("fine_factor must be >= 1")
-
-
-@dataclass(frozen=True)
-class LimitSpec:
-    """Regime classification plus the limit ingredients for one path.
-
-    ``cond_std`` is None in the degenerate regime, where no distributional
-    normalization applies.
-    """
-
-    regime: str
-    rate_exponent: float
-    drift: float
-    cond_std: float | None
 
 
 def classify_regime(hurst: float) -> str:
@@ -153,9 +139,8 @@ def power_variation(values: np.ndarray, p: float, t: float = 1.0) -> float:
 def _fine_grid(cp: ControlledPath, t: float) -> tuple[ControlledPath, int, float]:
     """Finest available path, its cell count below t (snapped down on the
     coarse grid), and its step."""
-    quad_cp = cp.quadrature_path()
-    factor = cp.fine_factor if cp.fine is not None else 1
-    return quad_cp, _snap_count(t, cp.n) * factor, 1.0 / (cp.n * factor)
+    factor = cp.fine_factor
+    return cp.quadrature_path(), _snap_count(t, cp.n) * factor, 1.0 / (cp.n * factor)
 
 
 def _compensator(cp: ControlledPath, p: float, t: float, rule: Quadrature) -> float:
@@ -246,31 +231,6 @@ def limit_cond_std(
     yprime = quad_cp.level(1)[: mf + 1]
     scale = integrate_grid(np.abs(yprime) ** (2.0 * p), step, rule)
     return math.sqrt(asymptotic_variance(p, hurst, truncation)) * math.sqrt(scale)
-
-
-def build_limit_spec(
-    cp: ControlledPath,
-    p: float,
-    hurst: float | None = None,
-    t: float = 1.0,
-    rule: Quadrature = "trapezoid",
-) -> LimitSpec:
-    """Classify the regime and evaluate the matching limit ingredients."""
-    if hurst is None:
-        hurst = cp.alpha
-    regime = classify_regime(hurst)
-    drift = 0.0
-    cond: float | None = None
-    if regime == REGIME_MIXED:
-        cond = limit_cond_std(cp, p, hurst, t, rule)
-    elif regime == REGIME_CRITICAL:
-        drift = limit_drift(cp, p, t, rule)
-        cond = limit_cond_std(cp, p, hurst, t, rule)
-    else:
-        drift = limit_drift(cp, p, t, rule)
-    return LimitSpec(
-        regime=regime, rate_exponent=rate_exponent(hurst), drift=drift, cond_std=cond
-    )
 
 
 def weighted_increment_sum(

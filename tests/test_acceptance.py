@@ -37,12 +37,15 @@ they reproduce; tolerances are the acceptance gates, not tuned to the run.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import norm
 
+import roughpvar
 from roughpvar import (
     ControlledPath,
     ExperimentConfig,
@@ -65,6 +68,7 @@ from roughpvar import (
     sample_fbm,
     scaling_exponent_check,
     solve_rde,
+    subsample_controlled,
     weighted_increment_sum,
 )
 
@@ -188,13 +192,15 @@ def test_criterion_03_construction_oracles():
                     x16.values[::step],
                 )
                 # solver half: one-step scheme for dy = y dx against exp(x)
-                sol = solve_rde(None, FunctionFamily.identity(), 1.0, x_f, ell=ell, refine=factor)
+                sol = subsample_controlled(
+                    solve_rde(None, FunctionFamily.identity(), 1.0, x_f, ell=ell), factor
+                )
                 errs.append(np.max(np.abs(sol.level(0) - truth)))
                 # integral half: the compensated sum of x dx telescopes to
                 # x**2 / 2 exactly, at every refinement
                 ones = np.ones(x_f.n + 1)
-                z = ControlledPath.from_raw_levels(x_f, [x_f.values, ones])
-                integ = rough_integral(z, x_f, refine=factor)
+                z = ControlledPath(x_f, [x_f.values, ones])
+                integ = subsample_controlled(rough_integral(z, x_f), factor)
                 exact = x_f.values[::factor] ** 2 / 2.0
                 integral_sup = max(integral_sup, np.max(np.abs(integ.level(0) - exact)))
             errs = np.array(errs)
@@ -468,7 +474,10 @@ def test_criterion_11_cli_determinism(tmp_path):
             sys.executable, "-m", "roughpvar.cli", "limit-check",
             "--config", str(config), "--out", str(out_dir), *extra,
         ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        # the CLI process imports the package under test, wherever pytest found it
+        paths = (str(Path(roughpvar.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode in (0, 1), f"unexpected exit {proc.returncode}: {proc.stderr}"
         files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
         return proc.returncode, files

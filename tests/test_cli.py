@@ -227,6 +227,12 @@ class TestMainErrors:
             ["simulate", "--hurst", "1.2", "--replicas", "0"],
             ["scaling-check", "--hurst", "0.6"],
             ["constants", "--p", "2", "--hurst", "0.3", "--hermite-terms", "0"],
+            ["rate-fit", "--hurst", "0.3", "--p", "2", "--n", "64"],
+            ["scaling-check", "--hurst", "0.3", "--delta", "2,3"],
+            ["limit-check", "--hurst", "0.3", "--p", "2", "--workers", "0"],
+            ["constants", "--p", "0.5", "--hurst", "0.3"],
+            ["constants", "--p", "2", "--hurst", "0.8"],
+            ["simulate", "--hurst", "0.3", "--seed", "-1"],
         ],
     )
     def test_refused_config_writes_nothing(self, tmp_path, argv):
@@ -617,7 +623,8 @@ def _configs(draw, subcommand):
             continue
         if key == "n":
             single = st.integers(2, 4096)
-            grid = st.lists(single, min_size=1, max_size=4, unique=True)
+            fits = subcommand in ("rate-fit", "scaling-check")  # a fit needs two
+            grid = st.lists(single, min_size=2 if fits else 1, max_size=4, unique=True)
             cfg[key] = draw(grid if isinstance(default, list) else single)
         else:
             cfg[key] = draw(_VALUES[key])

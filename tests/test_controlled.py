@@ -1,14 +1,16 @@
 """Tests for controlled paths, remainders, composition and the solver.
 
 Covers:
-  1. Construction and validation of the level/offset representation.
+  1. Construction from raw levels and validation of the level/offset
+     representation.
   2. Increment operators and the discrete integral identities.
   3. Remainders: exact zeros on polynomial tuples, closed-form small cases,
-     and the exact midpoint decomposition identity on random level tuples.
+     and the exact midpoint decomposition identity on random level tuples,
+     pinned and as a Hypothesis property with nonzero offsets.
   4. Function families and the iterated-field polynomials.
   5. Composition through smooth functions (Faa di Bruno levels).
-  6. The compensated-sum rough integral: polynomial exactness, refinement,
-     and the marginal-order warning.
+  6. The compensated-sum rough integral: polynomial exactness, its coarse
+     view, and the marginal-order warning.
   7. The one-step scheme for dy = b(y) dt + V(y) dx: exactly integrable
      cases, a deterministic-driver convergence check, and the blow-up guard.
   8. The empirical Holder exponent check.
@@ -18,6 +20,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughpvar import (
     ControlledPath,
@@ -40,13 +44,14 @@ from roughpvar import (
     solve_rde,
     subsample_controlled,
 )
+from roughpvar.controlled import _decomposition_residuals
 
 
 def _canonical(x, ell):
     """The driver as a controlled path: levels (x, 1, 0, ...)."""
     rows = [x.values, np.ones_like(x.values)]
     rows += [np.zeros_like(x.values)] * (ell - 2)
-    return ControlledPath.from_raw_levels(x, rows[:ell])
+    return ControlledPath(x, rows[:ell])
 
 
 def _line_driver(n):
@@ -65,7 +70,7 @@ class TestControlledPath:
     def test_from_raw_levels_normalizes(self):
         x = sample_fbm(FbmSpec(hurst=0.4, n=16, seed=1))
         raw = [3.0 + x.values, 2.0 * np.ones_like(x.values)]
-        cp = ControlledPath.from_raw_levels(x, raw)
+        cp = ControlledPath(x, raw)
         assert np.array_equal(cp.offsets, [3.0, 2.0])
         assert cp.levels[0][0] == 0.0 and cp.levels[1][0] == 0.0
         assert np.allclose(cp.level(0), 3.0 + x.values, atol=0.0)
@@ -78,13 +83,14 @@ class TestControlledPath:
         x = sample_fbm(FbmSpec(hurst=0.4, n=16, seed=1))
         good_row = np.zeros(17)
         with pytest.raises(ValueError):
-            ControlledPath(x, np.zeros((1, 5)), np.zeros(1), alpha=0.4)
+            ControlledPath(x, np.zeros((1, 5)), alpha=0.4)
         with pytest.raises(ValueError):
-            ControlledPath(x, np.ones((1, 17)), np.zeros(1), alpha=0.4)  # row[0] != 0
+            ControlledPath(x, np.zeros((0, 17)), alpha=0.4)
         with pytest.raises(ValueError):
-            ControlledPath(x, good_row[None, :], np.zeros(1), alpha=1.5)
+            ControlledPath(x, [good_row], alpha=1.5)
+        odd_fine = _canonical(sample_fbm(FbmSpec(hurst=0.4, n=24, seed=1)), 1)
         with pytest.raises(ValueError):
-            ControlledPath(x, good_row[None, :], np.zeros(2), alpha=0.4)
+            ControlledPath(x, [good_row], fine=odd_fine)
 
     def test_quadrature_path_defaults_to_self(self):
         x = sample_fbm(FbmSpec(hurst=0.4, n=16, seed=1))
@@ -181,7 +187,7 @@ class TestRemainder:
         # with levels (x^2/2, x) the expansion stops one term early and the
         # remainder over any cell is exactly (dx)^2 / 2
         x = sample_fbm(FbmSpec(hurst=0.35, n=64, seed=7))
-        cp = ControlledPath.from_raw_levels(x, [0.5 * x.values**2, x.values])
+        cp = ControlledPath(x, [0.5 * x.values**2, x.values])
         dx = x.values[40] - x.values[8]
         got = remainder(cp, 0, 8 / 64.0, 40 / 64.0)
         assert got == pytest.approx(0.5 * dx * dx, rel=1e-12)
@@ -212,7 +218,7 @@ class TestDecompositionIdentity:
         rng = np.random.default_rng(100 + ell)
         x = sample_fbm(FbmSpec(hurst=0.3, n=256, seed=9))
         raw = [rng.normal(size=257) for _ in range(ell)]
-        cp = ControlledPath.from_raw_levels(x, raw)
+        cp = ControlledPath(x, raw)
 
         idx = rng.integers(0, 257, size=(200, 3))
         idx.sort(axis=1)
@@ -230,6 +236,32 @@ class TestDecompositionIdentity:
             term = remainder(cp, m, s, u) * dx**m / math.factorial(m)
             scale = scale + np.abs(term)
         bad = np.abs(residual) > 1e-12 * np.maximum(scale, 1e-300)
+        assert not np.any(bad), f"{int(np.sum(bad))} residuals above 1e-12 * scale"
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ell=st.integers(1, 6),
+        n=st.integers(2, 64),
+        offsets=st.lists(
+            st.floats(-100.0, 100.0).filter(lambda v: abs(v) > 1e-3), min_size=6, max_size=6
+        ),
+    )
+    def test_random_raw_levels_with_offsets(self, seed, ell, n, offsets):
+        # raw rows start at nonzero values, so the constructor's offset split
+        # is exercised together with the remainder arithmetic
+        rng = np.random.default_rng(seed)
+        values = np.concatenate([[0.0], np.cumsum(rng.normal(size=n))]) / math.sqrt(n)
+        x = FbmPath(FbmSpec(hurst=0.3, n=n, seed=0), values)
+        raw = [offsets[m] + rng.normal(size=n + 1) for m in range(ell)]
+        cp = ControlledPath(x, raw)
+        assert np.array_equal(cp.offsets, [row[0] for row in raw])
+
+        idx = np.sort(rng.integers(0, n + 1, size=(40, 3)), axis=1)
+        i, u, j = idx[:, 0], idx[:, 1], idx[:, 2]
+        residual = remainder_decomposition_residual(cp, i / n, u / n, j / n)
+        _, scale = _decomposition_residuals(cp, i, u, j)
+        bad = np.abs(residual) > 1e-12 * scale
         assert not np.any(bad), f"{int(np.sum(bad))} residuals above 1e-12 * scale"
 
     def test_scalar_form(self):
@@ -361,7 +393,7 @@ class TestCompose:
         out = compose(FunctionFamily.polynomial([0.0, 0.0, 0.5], order=2), cp)
         assert out.ell == 2
         assert out.fine is not None and out.fine_factor == 4
-        assert np.allclose(out.level(0), out.fine.level(0)[::4], atol=0.0)
+        assert np.array_equal(out.level(0), out.fine.level(0)[::4])
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +423,13 @@ class TestRoughIntegral:
     def test_constant_integrand(self):
         x = sample_fbm(FbmSpec(hurst=0.35, n=128, seed=20))
         ones = np.ones_like(x.values)
-        cp = ControlledPath.from_raw_levels(x, [ones, np.zeros_like(ones)])
+        cp = ControlledPath(x, [ones, np.zeros_like(ones)])
         out = rough_integral(cp, x)
         assert np.allclose(out.level(0), x.values, atol=1e-15)
 
     def test_refine_returns_coarse_view(self):
         x_fine = sample_fbm(FbmSpec(hurst=0.35, n=512, seed=21))
-        out = rough_integral(_canonical(x_fine, 2), x_fine, refine=4)
+        out = subsample_controlled(rough_integral(_canonical(x_fine, 2), x_fine), 4)
         assert out.n == 128
         assert out.fine is not None and out.fine.n == 512
         assert np.array_equal(out.level(0), out.fine.level(0)[::4])
@@ -411,7 +443,7 @@ class TestRoughIntegral:
 
     def test_marginal_order_warns(self):
         x = sample_fbm(FbmSpec(hurst=0.5, n=64, seed=24))
-        z = ControlledPath.from_raw_levels(x, [x.values], alpha=0.5)
+        z = ControlledPath(x, [x.values], alpha=0.5)
         with pytest.warns(RuntimeWarning, match="marginal"):
             rough_integral(z, x)
 
@@ -454,7 +486,9 @@ class TestSolveRde:
 
     def test_refine_attaches_fine_solution(self):
         x_fine = sample_fbm(FbmSpec(hurst=0.4, n=512, seed=28))
-        out = solve_rde(None, FunctionFamily.identity(), 1.0, x_fine, ell=3, refine=8)
+        out = subsample_controlled(
+            solve_rde(None, FunctionFamily.identity(), 1.0, x_fine, ell=3), 8
+        )
         assert out.n == 64
         assert out.fine is not None
         assert np.array_equal(out.level(0), out.fine.level(0)[::8])
@@ -475,8 +509,8 @@ class TestSolveRde:
         ident = FunctionFamily.identity()
         with pytest.raises(ValueError):
             solve_rde(None, ident, 1.0, x, ell=1)
-        with pytest.raises(ValueError):
-            solve_rde(None, ident, 1.0, x, ell=3, refine=7)
+        with pytest.raises(ValueError, match="divide"):
+            build_controlled_process("custom-rde", x, fine_factor=7)
         with pytest.raises(ValueError):
             solve_rde(None, FunctionFamily.identity(order=2), 1.0, x, ell=5)
 
@@ -520,7 +554,7 @@ class TestCheckControlled:
 
     def test_corrupted_derivative_level_fails(self):
         x = sample_fbm(FbmSpec(hurst=0.35, n=1024, seed=21))
-        bad = ControlledPath.from_raw_levels(
+        bad = ControlledPath(
             x, [np.exp(x.values), 0.5 * np.exp(x.values)]
         )
         assert not check_controlled(bad).passed

@@ -44,6 +44,7 @@ from roughpvar import (
     hermite,
     integrate_grid,
     ks_statistic,
+    limit_cond_std,
     rate_fit,
     run_regime_check,
     sample_fbm,
@@ -56,6 +57,7 @@ from roughpvar.harness import (
     WORKERS_ENV,
     _log_slope,
     _median_errors,
+    log_log_csv,
     replica_rng,
     rows_to_csv,
 )
@@ -356,9 +358,11 @@ class TestCollectRows:
     def test_mixed_regime_row_arithmetic(self):
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=4, master_seed=3)
         for row in collect_rows(cfg):
-            n, _, stat, drift, cond, z, _, _, center = row
+            n, replica, stat, drift, cond, z, _, _, center = row
             assert drift == 0.0 and center == 0.0
             assert cond > 0.0
+            cp = build_replica_path(cfg, int(n), int(replica))
+            assert cond == limit_cond_std(cp, 2.0), "cond_std is the path's limit_cond_std"
             expected = math.sqrt(n) * stat / cond
             assert z == pytest.approx(expected, rel=1e-12), (
                 f"mixed z {z} != sqrt(n) stat / cond = {expected}"
@@ -372,6 +376,7 @@ class TestCollectRows:
         for row in collect_rows(cfg):
             n, _, stat, drift, cond, z, _, _, center = row
             assert cond > 0.0 and drift != 0.0
+            assert drift == pytest.approx(-0.25, rel=1e-12), "sq drift at p = 2 is -t/4"
             assert z * cond + drift == pytest.approx(math.sqrt(n) * stat, rel=1e-12)
             assert center == pytest.approx(drift / math.sqrt(n), rel=1e-15)
 
@@ -383,6 +388,7 @@ class TestCollectRows:
         for row in collect_rows(cfg):
             n, _, stat, drift, cond, z, _, _, center = row
             assert math.isnan(cond), "degenerate rows have no conditional scale"
+            assert drift == pytest.approx(-0.25, rel=1e-12), "sq drift at p = 2 is -t/4"
             assert z == pytest.approx(n ** 0.3 * stat - drift, rel=1e-12)
             assert center == pytest.approx(drift * n ** -0.3, rel=1e-12)
 
@@ -587,7 +593,8 @@ class TestCsvOutputs:
 
     def test_plot_data_csv_is_log_log(self):
         result = _mixed_result()
-        lines = result.plot_data_csv().splitlines()
+        points = ((entry["n"], entry["median_err"]) for entry in result.summary)
+        lines = log_log_csv(points).splitlines()
         assert lines[0] == "log_n,log_err"
         assert len(lines) == 3
         log_n, log_err = (float(v) for v in lines[1].split(","))
@@ -616,7 +623,7 @@ class TestRateFit:
         assert result.target == pytest.approx(-0.5)
         assert result.passed, f"slope {result.slope} misses -1/2 by more than 0.1"
         assert abs(result.slope + 0.5) <= 0.1
-        lines = result.csv().splitlines()
+        lines = log_log_csv(zip(result.n_grid, result.errors)).splitlines()
         assert lines[0] == "log_n,log_err" and len(lines) == 4
 
     def test_proxy_fit_is_exact_on_drift_only_equation(self):

@@ -7,7 +7,7 @@ Covers:
      expectation when the integrand is the driver itself).
   4. Drift functional: exact zero for the driver, closed forms for the
      running square and cube processes, the missing-level warning.
-  5. Conditional standard deviation and the bundled limit spec.
+  5. Conditional standard deviation.
   6. Weighted increment sums (with the exact telescoping of the first
      Hermite sum on the driver), the Riemann error and correction sums, and
      the centered weighted power variation, with dual-route checks against
@@ -28,7 +28,6 @@ from roughpvar import (
     RegimeError,
     StatConfig,
     build_controlled_process,
-    build_limit_spec,
     classify_regime,
     discrete_integral,
     gaussian_abs_moment,
@@ -79,7 +78,8 @@ def test_classify_regime_domain():
 
 
 @pytest.mark.parametrize(
-    ("hurst", "expo"), [(0.5, 0.5), (0.3, 0.5), (0.25, 0.5), (0.2, 0.4), (0.15, 0.3)]
+    ("hurst", "expo"),
+    [(0.5, 0.5), (0.35, 0.5), (0.3, 0.5), (0.25, 0.5), (0.2, 0.4), (0.15, 0.3)],
 )
 def test_rate_exponent(hurst, expo):
     assert rate_exponent(hurst) == pytest.approx(expo, abs=1e-12)
@@ -246,7 +246,7 @@ class TestLimitDrift:
 
 
 # ---------------------------------------------------------------------------
-# conditional standard deviation and the limit spec
+# conditional standard deviation
 # ---------------------------------------------------------------------------
 
 
@@ -264,7 +264,7 @@ class TestLimitCondStd:
     def test_zero_derivative_gives_zero(self):
         x = sample_fbm(FbmSpec(hurst=0.4, n=64, seed=47))
         ones = np.ones_like(x.values)
-        cp = ControlledPath.from_raw_levels(x, [ones, np.zeros_like(ones)])
+        cp = ControlledPath(x, [ones, np.zeros_like(ones)])
         assert limit_cond_std(cp, 2.0) == 0.0
 
     def test_square_process_scale(self):
@@ -284,36 +284,6 @@ class TestLimitCondStd:
             limit_cond_std(cp, 2.0)
         # explicit override beats the path's own index
         assert limit_cond_std(cp, 2.0, hurst=0.3) > 0.0
-
-
-class TestBuildLimitSpec:
-    """Bundled regime data."""
-
-    def test_mixed(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=128, seed=50))
-        cp = build_controlled_process("fbm", x, params={"ell": 4})
-        spec = build_limit_spec(cp, 2.0)
-        assert spec.regime == REGIME_MIXED
-        assert spec.rate_exponent == 0.5
-        assert spec.drift == 0.0
-        assert spec.cond_std == pytest.approx(limit_cond_std(cp, 2.0), abs=0.0)
-
-    def test_critical(self):
-        xf = sample_fbm(FbmSpec(hurst=0.25, n=128 * 16, seed=51))
-        cp = build_controlled_process("sq", xf, fine_factor=16)
-        spec = build_limit_spec(cp, 2.0)
-        assert spec.regime == REGIME_CRITICAL
-        assert spec.drift == pytest.approx(-0.25, rel=1e-12)
-        assert spec.cond_std is not None and spec.cond_std > 0.0
-
-    def test_degenerate(self):
-        xf = sample_fbm(FbmSpec(hurst=0.15, n=128 * 16, seed=52))
-        cp = build_controlled_process("sq", xf, fine_factor=16)
-        spec = build_limit_spec(cp, 2.0)
-        assert spec.regime == REGIME_DEGENERATE
-        assert spec.rate_exponent == pytest.approx(0.3, abs=1e-12)
-        assert spec.cond_std is None
-        assert spec.drift == pytest.approx(-0.25, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +346,13 @@ class TestRiemannError:
         # left sum of t over [0, 1) is (n-1)/(2n); the integral is 1/2
         n = 64
         x = sample_fbm(FbmSpec(hurst=0.5, n=n, seed=54))
-        line = ControlledPath.from_raw_levels(x, [x.times, np.zeros(n + 1)])
+        line = ControlledPath(x, [x.times, np.zeros(n + 1)])
         assert riemann_error(line) == pytest.approx(-0.5 / n, rel=1e-12)
 
     def test_constant_path_is_exact(self):
         x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=55))
         ones = np.ones_like(x.values)
-        cp = ControlledPath.from_raw_levels(x, [3.0 * ones, np.zeros_like(ones)])
+        cp = ControlledPath(x, [3.0 * ones, np.zeros_like(ones)])
         assert abs(riemann_error(cp)) < 1e-14
 
     def test_driver_error_decays(self):
@@ -428,7 +398,7 @@ class TestRiemannCorrectionSum:
         for r in range(400):
             xf = sample_fbm(FbmSpec(hurst=0.3, n=256 * 16, seed=509), rng)
             ones = np.ones_like(xf.values)
-            fine_cp = ControlledPath.from_raw_levels(xf, [ones, np.zeros_like(ones)])
+            fine_cp = ControlledPath(xf, [ones, np.zeros_like(ones)])
             vals[r] = riemann_correction_sum(
                 subsample_controlled(fine_cp, 16), rule="midpoint"
             )
