@@ -13,7 +13,7 @@ reproduces every output byte for byte; worker count never affects results.
 Exit codes: 0 on success/pass, 1 when a check ran but failed, 2 on usage or
 domain errors. A config refused while it is resolved, while its library
 objects are built or by a library check (worker count, seed, variance domain,
-rate and scaling grids) exits 2 and writes nothing.
+rate and scaling grids, level count) exits 2 and writes nothing.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .processes import (
     DEFAULT_ELL,
     PROCESS_TAGS,
     default_fine_factor,
+    validate_ell,
 )
 
 REQUIRED = ...  # marks a key that has no default
@@ -302,6 +303,7 @@ def _experiment_config(cfg: dict, **fixed) -> ExperimentConfig:
     ``fixed`` sets the fields the subcommand has no key for. The resolved id
     and KS threshold are written back into ``cfg`` for the manifest.
     """
+    validate_ell(cfg["ell"])
     fields = {_FIELD_NAMES.get(key, key): value for key, value in cfg.items()}
     kwargs = {name: fields[name] for name in _EXPERIMENT_FIELDS if name in fields}
     n = cfg["n"]

@@ -539,10 +539,12 @@ def solve_rde(
     scheme runs on the grid of ``x`` and returns the solution there; pass it
     to :func:`subsample_controlled` for a coarse view with it attached.
 
-    Raises RuntimeError if the state exceeds 1e12 in absolute value.
+    Raises RuntimeError if the state exceeds 1e12 in absolute value or is
+    not finite.
     """
-    if ell < 2:
-        raise ValueError("ell must be >= 2 (the field level is required)")
+    from .processes import validate_ell  # processes imports this module
+
+    validate_ell(ell)
     polys = field_iterate_polynomials(ell - 1)
     max_order = _dp_max_order(polys)
     if max_order >= field_family.order:
@@ -580,7 +582,7 @@ def solve_rde(
         if drift is not None:
             step += float(drift(state)) * h
         state += step
-        if abs(state) > _BLOWUP_GUARD:
+        if not abs(state) <= _BLOWUP_GUARD:
             raise RuntimeError(
                 f"solution exceeded the blow-up guard {_BLOWUP_GUARD:g} at step "
                 f"{k + 1} of {n}"

@@ -8,10 +8,16 @@ indefinite one raises instead of falling back: dense Cholesky at the fine
 sizes in use would not fit in memory (about 550 GB at n = 262,144). The
 dense Cholesky factorization stays available as ``method='cholesky'``, an
 independent oracle for small n.
+
+Each process computes the embedding spectrum, in the scaled form a draw
+uses, once per (n, H) and reuses it for every later draw. The cache keeps
+the 8 most recent entries, read-only, and the drawn values are bit for bit
+those of the per-draw computation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal
@@ -234,23 +240,45 @@ def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray | None:
     return np.clip(lam, 0.0, None)
 
 
+@functools.lru_cache(maxsize=8)
+def _draw_scale(eigenvalues: Callable, n: int, hurst: float) -> np.ndarray | None:
+    """Per-draw scale of the 2n circulant embedding, or None if indefinite.
+
+    With ``lam = eigenvalues(n, hurst)``, entries 0 and n are ``sqrt(lam[0])``
+    and ``sqrt(lam[n])``, and entry k in 1..n-1 is ``sqrt(0.5 * lam[k])``.
+    Each process keeps the last 8 results (about 2 MB each at n = 262,144),
+    read-only. The eigenvalue function is part of the key, so replacing
+    :func:`_circulant_eigenvalues` never serves an entry it did not compute.
+    """
+    lam = eigenvalues(n, hurst)
+    if lam is None:
+        return None
+    scale = np.empty(n + 1)
+    scale[0] = np.sqrt(lam[0])
+    scale[n] = np.sqrt(lam[n])
+    scale[1:n] = np.sqrt(0.5 * lam[1:n])
+    scale.setflags(write=False)
+    return scale
+
+
 def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray | None:
     """Unit fractional Gaussian noise of length n, or None on embedding failure.
 
     Uses 2n standard normal draws regardless of n, which keeps the draw
-    pattern stable for stream-derivation purposes.
+    pattern stable for stream-derivation purposes: z[0] and z[1] feed the
+    real frequencies 0 and n, and the pair (z[2k], z[2k+1]) is the k-th
+    complex normal.
     """
-    lam = _circulant_eigenvalues(n, hurst)
-    if lam is None:
+    scale = _draw_scale(_circulant_eigenvalues, n, hurst)
+    if scale is None:
         return None
     z = rng.standard_normal(2 * n)
     half = np.empty(n + 1, dtype=complex)
-    half[0] = np.sqrt(lam[0]) * z[0]
-    half[n] = np.sqrt(lam[n]) * z[1]
-    if n > 1:
-        k = np.arange(1, n)
-        half[1:n] = np.sqrt(0.5 * lam[1:n]) * (z[2 * k] + 1j * z[2 * k + 1])
-    g = np.fft.irfft(half, 2 * n) * np.sqrt(2 * n)
+    half[0] = scale[0] * z[0]
+    half[n] = scale[n] * z[1]
+    np.multiply(scale[1:n], z.view(complex)[1:], out=half[1:n])
+    g = np.fft.irfft(half, 2 * n)
+    g *= np.sqrt(2 * n)
     return g[:n]
 
 

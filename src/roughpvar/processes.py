@@ -23,6 +23,13 @@ DEFAULT_ELL = 6
 CUSTOM_RDE_DEFAULTS = {"y0": 1.0, "drift_coeffs": None, "field_coeffs": (0.0, 1.0)}
 
 
+def validate_ell(ell: int) -> None:
+    """Refuse fewer than two levels: every process needs its path and the
+    field level (the first derivative level)."""
+    if ell < 2:
+        raise ValueError(f"processes need at least two levels, got ell={ell}")
+
+
 def default_fine_factor(tag: str) -> int:
     """Fine-grid multiple used when none is given: 1 for the driver itself,
     whose derivative level is constant so coarse quadrature is already
@@ -56,8 +63,7 @@ def build_controlled_process(
     """
     params = dict(params or {})
     ell = int(params.pop("ell", DEFAULT_ELL))
-    if ell < 2:
-        raise ValueError("processes need at least two levels")
+    validate_ell(ell)
     # Checked here as well as in subsample_controlled, so that a bad factor
     # is refused before a custom-rde solve.
     if fine_factor < 1 or x_fine.n % fine_factor != 0:

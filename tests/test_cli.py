@@ -233,6 +233,8 @@ class TestMainErrors:
             ["constants", "--p", "0.5", "--hurst", "0.3"],
             ["constants", "--p", "2", "--hurst", "0.8"],
             ["simulate", "--hurst", "0.3", "--seed", "-1"],
+            ["pvar", "--hurst", "0.3", "--p", "3", "--ell", "1"],
+            ["limit-check", "--hurst", "0.3", "--p", "3", "--ell", "1"],
         ],
     )
     def test_refused_config_writes_nothing(self, tmp_path, argv):
@@ -240,6 +242,15 @@ class TestMainErrors:
         assert main(argv + ["--out", str(out)]) == 2
         assert not (out / "manifest.json").exists()
         assert not out.exists(), "a refused config must not create its output directory"
+
+    def test_non_finite_blow_up_exits_1(self, tmp_path, capsys):
+        # dy = 5 y^8 dx from 1e13 overflows to inf and then NaN in one step.
+        argv = ["pvar", "--hurst", "0.3", "--p", "3", "--process", "custom-rde",
+                "--field-coeffs", "0,0,0,0,0,0,0,0,5", "--y0", "1e13", "--n", "8",
+                "--out", str(tmp_path / "out")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 1
+        assert "blow-up guard" in capsys.readouterr().err
 
     def test_broken_json_config_exits_2(self, tmp_path):
         bad = tmp_path / "broken.json"

@@ -504,6 +504,16 @@ class TestSolveRde:
                 ell=2,
             )
 
+    def test_blow_up_guard_catches_non_finite_state(self):
+        # From 1e13 the field iterates of V(y) = 5 y^8 overflow to +inf from
+        # the third on. On a falling driver their terms alternate in sign, so
+        # the first step is inf - inf = NaN, which exceeds no guard.
+        x = FbmPath(FbmSpec(hurst=0.5, n=8, seed=0), np.linspace(0.0, -1.0, 9))
+        field = FunctionFamily.polynomial([0.0] * 8 + [5.0], order=6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="blow-up guard"):
+                solve_rde(None, field, 1e13, x, ell=6)
+
     def test_validation(self):
         x = sample_fbm(FbmSpec(hurst=0.5, n=256, seed=29))
         ident = FunctionFamily.identity()

@@ -7,7 +7,9 @@ Covers:
   3. Distributional checks of sampled paths: increment variance,
      whiteness at hurst = 1/2, and the full empirical covariance matrix.
   4. Determinism, method forcing, and the derived-stream layout.
-  5. Increment helpers and the CSV dump round trip.
+  5. The per-(n, H) spectrum cache: draws bit-identical to the uncached
+     formula, one entry per Hurst value, read-only entries.
+  6. Increment helpers and the CSV dump round trip.
 """
 
 import math
@@ -209,6 +211,18 @@ def test_indefinite_embedding_raises(monkeypatch, method):
         sample_fbm(FbmSpec(hurst=0.3, n=32, method=method))
 
 
+@pytest.mark.parametrize("method", ["auto", "circulant-embedding"])
+def test_indefinite_embedding_raises_after_a_cached_draw(monkeypatch, method):
+    # A draw at (32, 0.3) fills the spectrum cache first; the replaced
+    # eigenvalue function must still take effect, on every call.
+    spec = FbmSpec(hurst=0.3, n=32, method=method)
+    sample_fbm(spec)
+    monkeypatch.setattr(fbm, "_circulant_eigenvalues", lambda n, hurst: None)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="not nonnegative definite"):
+            sample_fbm(spec)
+
+
 def test_circulant_eigenvalues_nonnegative_across_hurst():
     for hurst in (0.1, 0.25, 0.5, 0.75, 0.9):
         lam = _circulant_eigenvalues(256, hurst)
@@ -225,6 +239,54 @@ def test_derived_streams_differ_by_spawn_key():
         streams.append(sample_fbm(FbmSpec(hurst=0.4, n=64, seed=base), rng).values)
     assert not np.array_equal(streams[0], streams[1])
     assert not np.array_equal(streams[0], streams[2])
+
+
+# ---------------------------------------------------------------------------
+# the per-(n, H) spectrum cache
+# ---------------------------------------------------------------------------
+
+
+def _reference_fgn(n, hurst, rng):
+    """The per-draw circulant formula as it was before the spectrum cache."""
+    lam = _circulant_eigenvalues(n, hurst)
+    z = rng.standard_normal(2 * n)
+    half = np.empty(n + 1, dtype=complex)
+    half[0] = np.sqrt(lam[0]) * z[0]
+    half[n] = np.sqrt(lam[n]) * z[1]
+    if n > 1:
+        k = np.arange(1, n)
+        half[1:n] = np.sqrt(0.5 * lam[1:n]) * (z[2 * k] + 1j * z[2 * k + 1])
+    g = np.fft.irfft(half, 2 * n) * np.sqrt(2 * n)
+    return g[:n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 4096])
+@pytest.mark.parametrize("hurst", [0.05, 0.25, 0.5, 0.7])
+def test_cached_draw_matches_reference_formula_bit_for_bit(n, hurst):
+    fbm._draw_scale.cache_clear()
+    for replica, expect_hits in enumerate((0, 1)):
+        seq = np.random.SeedSequence(11, spawn_key=(n, replica))
+        want = _reference_fgn(n, hurst, np.random.Generator(np.random.Philox(seq)))
+        got = fbm._fgn_circulant(n, hurst, np.random.Generator(np.random.Philox(seq)))
+        info = fbm._draw_scale.cache_info()
+        assert (info.misses, info.hits) == (1, expect_hits)
+        assert got.tobytes() == want.tobytes(), f"replica {replica}"
+
+
+def test_hurst_values_at_one_n_never_share_an_entry():
+    fbm._draw_scale.cache_clear()
+    hursts = (0.3, np.nextafter(0.3, 1.0), 0.4)
+    scales = [fbm._draw_scale(_circulant_eigenvalues, 64, hurst) for hurst in hursts]
+    assert fbm._draw_scale.cache_info().misses == len(hursts)
+    assert len({id(scale) for scale in scales}) == len(hursts)
+    assert not np.array_equal(scales[0], scales[2])
+
+
+def test_cached_scale_is_read_only():
+    scale = fbm._draw_scale(_circulant_eigenvalues, 64, 0.3)
+    assert not scale.flags.writeable
+    with pytest.raises(ValueError):
+        scale[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
