@@ -8,20 +8,16 @@ from .fbm import (
     FbmSpec,
     fbm_covariance,
     fgn_autocovariance,
-    increments,
     path_from_csv,
     path_to_csv,
-    power_increment,
     rng_for_spec,
     sample_fbm,
 )
 from .hermite import (
     AbsPowerFamily,
     TruncationSpec,
-    abs_power_deriv,
     abs_power_hermite_coeff,
     asymptotic_variance,
-    build_hermite_model,
     gaussian_abs_moment,
     hermite,
     hermite_coeffs_numeric,
@@ -29,14 +25,8 @@ from .hermite import (
 from .controlled import (
     ControlledPath,
     FunctionFamily,
-    additivity_defect,
-    check_controlled,
     compose,
-    controlled_from_field,
-    discrete_integral,
-    discrete_integral_increment,
     field_iterate_polynomials,
-    pair_increment,
     remainder,
     remainder_decomposition_residual,
     rough_integral,
@@ -53,13 +43,10 @@ from .stats import (
     integrate_grid,
     limit_cond_std,
     limit_drift,
-    power_variation,
     pvar_statistic,
     rate_exponent,
     riemann_correction_sum,
-    riemann_error,
     weighted_increment_sum,
-    weighted_pvar_sum,
 )
 from .processes import build_controlled_process
 from .harness import (

@@ -21,11 +21,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import __version__
+from .controlled import validate_ell
 from .fbm import FbmSpec, path_to_csv, sample_fbm
 from .harness import (
     ExperimentConfig,
@@ -54,7 +54,6 @@ from .processes import (
     DEFAULT_ELL,
     PROCESS_TAGS,
     default_fine_factor,
-    validate_ell,
 )
 
 REQUIRED = ...  # marks a key that has no default
@@ -419,15 +418,14 @@ def _run_rate_fit(args: argparse.Namespace) -> int:
     out = _write_manifest(args, "rate-fit", cfg, outputs)
     result = rate_fit(econfig, workers=workers, tol=cfg["tol"])
     (out / "rate_fit.csv").write_text(log_log_csv(zip(result.n_grid, result.errors)))
-    target = result.target if result.target is not None else math.nan
-    fields = map(_fmt_float, (result.slope, result.slope_se, target, result.tol))
+    fields = map(_fmt_float, (result.slope, result.slope_se, result.target, result.tol))
     row = ",".join([econfig.resolved_id(), *fields, str(int(result.passed))])
     header = "experiment_id,slope,slope_se,target,tol,pass"
     (out / "rate_summary.csv").write_text(f"{header}\n{row}\n")
     verdict = "pass" if result.passed else "FAIL"
     print(
         f"rate-fit: {econfig.resolved_id()} slope={result.slope:.4g} "
-        f"target={target:.4g} -> {verdict}"
+        f"target={result.target:.4g} -> {verdict}"
     )
     return 0 if result.passed else 1
 

@@ -9,9 +9,8 @@ composition, quadrature) uses the unshifted values ``offset + array``.
 Every builder works on the grid of its driver; :func:`subsample_controlled`
 is the one coarsening step, and it attaches the fine path for quadrature.
 
-The module provides the structural operations: increment operators and their
-additivity defect, order-k remainders, the decomposition identity residual,
-construction of controlled paths from function families, composition with a
+The module provides the structural operations: order-k remainders, the
+decomposition identity residual, function families, composition with a
 smooth function, the compensated-sum rough integral, and a first-order
 rough-differential-equation solver with iterated vector-field levels.
 """
@@ -28,7 +27,6 @@ import numpy as np
 from .fbm import FbmPath, _time_to_index
 
 _BLOWUP_GUARD = 1e12
-_EXACT_LEVEL_REL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -111,72 +109,11 @@ class ControlledPath:
         return self.fine if self.fine is not None else self
 
 
-# ---------------------------------------------------------------------------
-# increment operators
-
-
-def pair_increment(values: np.ndarray) -> Callable:
-    """Two-point increment operator of a path: (i, j) -> values[j] - values[i].
-
-    Indices may be scalars or arrays.
-    """
-    values = np.asarray(values, dtype=float)
-
-    def _inc(i, j):
-        return values[j] - values[i]
-
-    return _inc
-
-
-def additivity_defect(g: Callable) -> Callable:
-    """Defect of additivity of a two-point function over a midpoint.
-
-    Returns (i, u, j) -> g(i, j) - g(i, u) - g(u, j). Applied to a
-    :func:`pair_increment` this is identically zero; applied to genuine
-    two-parameter data it measures failure of the chain decomposition.
-    """
-
-    def _defect(i, u, j):
-        return g(i, j) - g(i, u) - g(u, j)
-
-    return _defect
-
-
-def discrete_integral(weight_values: np.ndarray, g: Callable, s: float, t: float) -> float:
-    """Left-point discrete integral sum_{s <= t_k < t} weight[k] * g(k, k+1).
-
-    ``weight_values`` has length n + 1 and defines the grid; ``g`` is a
-    two-point function on grid indices. An empty index range gives 0.
-    """
-    weight_values = np.asarray(weight_values, dtype=float)
-    n = len(weight_values) - 1
-    lo, hi = _index_window(s, t, n)
-    if hi <= lo:
-        return 0.0
-    k = np.arange(lo, hi)
-    return float(np.sum(weight_values[k] * g(k, k + 1)))
-
-
-def discrete_integral_increment(f: Callable, g: Callable, s: float, t: float, n: int) -> float:
-    """Discrete integral with a two-point integrand anchored at the left end.
-
-    Computes sum_{s <= t_k < t} f(a, k) * g(k, k+1) where a is the grid index
-    of ``s``. An empty index range gives 0.
-    """
-    lo, hi = _index_window(s, t, n)
-    if hi <= lo:
-        return 0.0
-    k = np.arange(lo, hi)
-    return float(np.sum(np.asarray(f(lo, k), dtype=float) * g(k, k + 1)))
-
-
-def _index_window(s: float, t: float, n: int) -> tuple[int, int]:
-    """Grid indices [lo, hi) of times t_k with s <= t_k < t, snapping t down."""
-    if not 0.0 <= s <= t <= 1.0 + 1e-12:
-        raise ValueError(f"need 0 <= s <= t <= 1, got ({s}, {t})")
-    lo = int(math.ceil(s * n - 1e-9))
-    hi = int(math.floor(t * n + 1e-9))
-    return max(lo, 0), min(hi, n)
+def validate_ell(ell: int) -> None:
+    """Refuse fewer than two levels: every process needs its path and the
+    field level (the first derivative level)."""
+    if ell < 2:
+        raise ValueError(f"processes need at least two levels, got ell={ell}")
 
 
 # ---------------------------------------------------------------------------
@@ -390,28 +327,6 @@ def _dp_eval(poly: dict, deriv_values: Sequence) -> float | np.ndarray:
     return total
 
 
-def controlled_from_field(family: FunctionFamily, ell: int, x: FbmPath) -> ControlledPath:
-    """Controlled path with levels given by iterated field applications.
-
-    Level i is the i-th iterate of the operator g -> V * g' applied to V
-    itself, evaluated along the driver: level 0 is V(x), level 1 is
-    (V V')(x), and so on. Requires derivatives of V up to order ell - 1.
-    """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    polys = field_iterate_polynomials(ell)
-    max_order = _dp_max_order(polys)
-    if max_order >= family.order:
-        raise ValueError(
-            f"need derivatives of the field up to order {max_order}, family "
-            f"'{family.name}' provides {family.order - 1}"
-        )
-    derivs = [family.deriv(a)(x.values) for a in range(max_order + 1)]
-    raw = [np.broadcast_to(np.asarray(_dp_eval(poly, derivs), dtype=float), x.values.shape)
-           for poly in polys]
-    return ControlledPath(x, raw)
-
-
 # ---------------------------------------------------------------------------
 # composition
 
@@ -540,10 +455,9 @@ def solve_rde(
     to :func:`subsample_controlled` for a coarse view with it attached.
 
     Raises RuntimeError if the state exceeds 1e12 in absolute value or is
-    not finite.
+    not finite; the steps run with numpy's overflow and invalid-value
+    warnings off, so that error is the only report of a blow-up.
     """
-    from .processes import validate_ell  # processes imports this module
-
     validate_ell(ell)
     polys = field_iterate_polynomials(ell - 1)
     max_order = _dp_max_order(polys)
@@ -568,26 +482,27 @@ def solve_rde(
     y = np.empty(n + 1)
     y[0] = float(y0)
     state = float(y0)
-    for k in range(n):
-        derivs = [float(field_family.deriv(a)(state)) for a in range(max_order + 1)]
-        step = 0.0
-        for i, poly_items in enumerate(compiled):
-            gi = 0.0
-            for orders, coeff in poly_items:
-                term = coeff
-                for a in orders:
-                    term *= derivs[a]
-                gi += term
-            step += gi * powers[i, k]
-        if drift is not None:
-            step += float(drift(state)) * h
-        state += step
-        if not abs(state) <= _BLOWUP_GUARD:
-            raise RuntimeError(
-                f"solution exceeded the blow-up guard {_BLOWUP_GUARD:g} at step "
-                f"{k + 1} of {n}"
-            )
-        y[k + 1] = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            derivs = [float(field_family.deriv(a)(state)) for a in range(max_order + 1)]
+            step = 0.0
+            for i, poly_items in enumerate(compiled):
+                gi = 0.0
+                for orders, coeff in poly_items:
+                    term = coeff
+                    for a in orders:
+                        term *= derivs[a]
+                    gi += term
+                step += gi * powers[i, k]
+            if drift is not None:
+                step += float(drift(state)) * h
+            state += step
+            if not abs(state) <= _BLOWUP_GUARD:
+                raise RuntimeError(
+                    f"solution exceeded the blow-up guard {_BLOWUP_GUARD:g} at step "
+                    f"{k + 1} of {n}"
+                )
+            y[k + 1] = state
 
     derivs_path = [field_family.deriv(a)(y) for a in range(max_order + 1)]
     raw = [y] + [
@@ -595,61 +510,3 @@ def solve_rde(
         for poly in polys
     ]
     return ControlledPath(x, raw)
-
-
-# ---------------------------------------------------------------------------
-# empirical Hölder check
-
-
-@dataclass(frozen=True)
-class ControlledCheckReport:
-    """Fitted remainder exponents per level against their thresholds."""
-
-    slopes: np.ndarray
-    thresholds: np.ndarray
-    window_sizes: np.ndarray
-    passed: bool
-
-
-def check_controlled(cp: ControlledPath, eps: float = 0.05) -> ControlledCheckReport:
-    """Fit empirical Hölder exponents of all remainder orders.
-
-    For each level k the sup over start points of |r^(k)| across dyadic
-    window sizes is regressed on the window length; the fitted slope must
-    reach (ell - k) * (alpha - eps) - 0.1. Levels whose remainders vanish to
-    roundoff report an infinite slope and pass. Windows contaminated by the
-    roundoff floor are excluded from the fit.
-    """
-    n = cp.n
-    if n < 16:
-        raise ValueError("need at least 16 grid cells for an exponent fit")
-    sizes = []
-    m = 1
-    while m <= n // 4:
-        sizes.append(m)
-        m *= 2
-    sizes_arr = np.array(sizes)
-
-    value_scale = max(float(np.max(np.abs(cp.levels))), 1.0)
-    floor = _EXACT_LEVEL_REL * value_scale
-
-    slopes = np.empty(cp.ell)
-    thresholds = np.empty(cp.ell)
-    for k in range(cp.ell):
-        sups = np.empty(len(sizes))
-        for idx, size in enumerate(sizes):
-            starts = np.arange(0, n - size + 1)
-            r = _remainder_by_index(cp, k, starts, starts + size)
-            sups[idx] = np.max(np.abs(r))
-        usable = sups > floor
-        if usable.sum() < 3:
-            slopes[k] = math.inf
-        else:
-            slopes[k] = np.polyfit(
-                np.log(sizes_arr[usable] / n), np.log(sups[usable]), 1
-            )[0]
-        thresholds[k] = (cp.ell - k) * (cp.alpha - eps) - 0.1
-    passed = bool(np.all(slopes >= thresholds))
-    return ControlledCheckReport(
-        slopes=slopes, thresholds=thresholds, window_sizes=sizes_arr, passed=passed
-    )

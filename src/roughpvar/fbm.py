@@ -18,7 +18,6 @@ those of the per-draw computation.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -187,34 +186,6 @@ def sample_fbm(spec: FbmSpec, rng: np.random.Generator | None = None) -> FbmPath
     np.cumsum(noise, out=values[1:])
     values[1:] *= float(n) ** (-spec.hurst)
     return FbmPath(spec=spec, values=values)
-
-
-def increments(path: FbmPath) -> np.ndarray:
-    """First differences delta x_k = x_{(k+1)/n} - x_{k/n}, length n."""
-    return np.diff(path.values)
-
-
-def power_increment(path: FbmPath, i: int) -> Callable:
-    """Return the i-th normalized increment power (s, t) -> (x_t - x_s)**i / i!.
-
-    The zeroth power is identically one. Arguments must lie on the path's
-    grid; both scalars and arrays of times are accepted.
-    """
-    if i < 0:
-        raise ValueError("power must be a nonnegative integer")
-    values = path.values
-    n = path.n
-    fact = float(math.factorial(i))
-
-    def _power(s, t):
-        a = _time_to_index(s, n)
-        b = _time_to_index(t, n)
-        if i == 0:
-            shape = np.broadcast(a, b).shape
-            return np.ones(shape) if shape else 1.0
-        return (values[b] - values[a]) ** i / fact
-
-    return _power
 
 
 def _time_to_index(t, n: int):

@@ -45,18 +45,6 @@ from .stats import (
 
 WORKERS_ENV = "ROUGHPVAR_WORKERS"
 
-_ROW_COLUMNS = (
-    "n",
-    "replica",
-    "stat",
-    "drift",
-    "cond_std",
-    "z",
-    "x_end",
-    "x_integral",
-    "center",
-)
-
 # Theorem coverage of the power exponent per regime: every p >= the regime
 # threshold plus the listed isolated even values.
 _P_RANGES = {
@@ -176,7 +164,7 @@ def build_replica_path(cfg: ExperimentConfig, n: int, replica: int) -> Controlle
     return build_controlled_process(cfg.process, x_fine, factor, cfg.process_params)
 
 
-def _replica_row(cfg: ExperimentConfig, n: int, replica: int, proxy=None) -> tuple:
+def _replica_row(cfg: ExperimentConfig, n: int, replica: int) -> tuple:
     cp = build_replica_path(cfg, n, replica)
     stat = pvar_statistic(cp, StatConfig(p=cfg.p, t=cfg.t, quadrature=cfg.quadrature))
     regime = cfg.regime
@@ -197,8 +185,6 @@ def _replica_row(cfg: ExperimentConfig, n: int, replica: int, proxy=None) -> tup
     else:
         z = float(n) ** (2.0 * cfg.hurst) * stat - drift
         center = drift * float(n) ** (-2.0 * cfg.hurst)
-    if proxy is not None:
-        center = float(proxy(cp))
 
     quad_cp = cp.quadrature_path()
     x_values = quad_cp.x.values
@@ -235,11 +221,9 @@ def _parallel_starmap(fn: Callable, tasks: list[tuple], workers: int | None) -> 
         return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
 
 
-def collect_rows(
-    cfg: ExperimentConfig, workers: int | None = None, proxy=None
-) -> np.ndarray:
+def collect_rows(cfg: ExperimentConfig, workers: int | None = None) -> np.ndarray:
     """Rows for every (n, replica) pair, ordered n-major then replica."""
-    tasks = [(cfg, n, r, proxy) for n in cfg.n_grid for r in range(cfg.replicas)]
+    tasks = [(cfg, n, r) for n in cfg.n_grid for r in range(cfg.replicas)]
     rows = _parallel_starmap(_replica_row, tasks, workers)
     return np.array(rows, dtype=float)
 
@@ -316,23 +300,23 @@ def rows_to_csv(exp_id: str, rows: np.ndarray) -> str:
 
 
 def _median_errors(
-    cfg: ExperimentConfig, rows: np.ndarray, location_column: int | None
+    cfg: ExperimentConfig, rows: np.ndarray, location_column: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-resolution deviation of the statistic from its limit proxy.
 
-    Distributional regimes, and every call with ``location_column=None``,
-    report the spread median |stat - center|, of order n**(-1/2). The
-    degenerate regime reports the location error |median(rows[:, column])|:
-    the regime summary reads z (column 5), the distance of the median
-    rescaled statistic from the drift constant it converges to; the rate fit
-    reads the uncentered stat (column 2), which converges to zero at rate
-    n**(-2H), and whose signed median suppresses the faster-decaying
-    Gaussian fluctuation mode around it.
+    Distributional regimes report the spread median |stat - center|, of
+    order n**(-1/2). The degenerate regime reports the location error
+    |median(rows[:, location_column])|: the regime summary reads z (column
+    5), the distance of the median rescaled statistic from the drift
+    constant it converges to; the rate fit reads the uncentered stat
+    (column 2), which converges to zero at rate n**(-2H), and whose signed
+    median suppresses the faster-decaying Gaussian fluctuation mode around
+    it.
     """
     med_errs = np.empty(len(cfg.n_grid))
     for i, n in enumerate(cfg.n_grid):
         sel = rows[:, 0] == n
-        if location_column is not None and cfg.regime == REGIME_DEGENERATE:
+        if cfg.regime == REGIME_DEGENERATE:
             med_errs[i] = abs(float(np.median(rows[sel, location_column])))
         else:
             err = rows[sel, 2] - rows[sel, 8]
@@ -418,7 +402,7 @@ class RateFitResult:
     errors: np.ndarray
     slope: float
     slope_se: float
-    target: float | None
+    target: float
     tol: float
     passed: bool
 
@@ -433,25 +417,21 @@ def rate_fit(
     cfg: ExperimentConfig,
     workers: int | None = None,
     tol: float = 0.1,
-    proxy=None,
 ) -> RateFitResult:
     """Fit the convergence-rate exponent of the statistic's error decay.
 
-    Without a proxy the error is measured against the regime's own limit
-    (zero / scaled drift) and compared to the theoretical exponent: -1/2 in
-    the distributional regimes, -2H in the degenerate one. A custom
-    ``proxy(cp) -> float`` centers each replica instead and disables the
-    target comparison (the fit is then purely descriptive); custom proxies
-    run serially unless they are picklable top-level functions.
+    The error is measured against the regime's own limit (zero / scaled
+    drift) and compared to the theoretical exponent: -1/2 in the
+    distributional regimes, -2H in the degenerate one.
     """
     if not cfg.force:
         validate_p_range(cfg.hurst, cfg.p)
     validate_rate_grid(cfg.n_grid)
-    rows = collect_rows(cfg, workers, proxy=proxy)
-    ns, errs = _median_errors(cfg, rows, 2 if proxy is None else None)
-    target = -rate_exponent(cfg.hurst) if proxy is None else None
+    rows = collect_rows(cfg, workers)
+    ns, errs = _median_errors(cfg, rows, 2)
+    target = -rate_exponent(cfg.hurst)
     slope, slope_se = _log_slope(ns, errs)
-    passed = True if target is None else bool(abs(slope - target) <= tol)
+    passed = bool(abs(slope - target) <= tol)
     return RateFitResult(
         config=cfg,
         n_grid=tuple(int(n) for n in ns),

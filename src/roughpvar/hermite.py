@@ -93,18 +93,6 @@ class TruncationSpec:
             raise ValueError("lag_cutoff must be >= 1")
 
 
-@dataclass(frozen=True)
-class HermiteModel:
-    """Frozen expansion data for ``|x|**p`` against one noise law."""
-
-    p: float
-    hurst: float
-    mean: float
-    coeffs: np.ndarray
-    variance: float
-    truncation: TruncationSpec
-
-
 def asymptotic_variance(
     p: float, hurst: float, truncation: TruncationSpec | None = None
 ) -> float:
@@ -204,25 +192,6 @@ def _series_tail_estimate(p: float, hurst: float, terms: int, weight: float) -> 
     return tail
 
 
-def build_hermite_model(
-    p: float, hurst: float, truncation: TruncationSpec | None = None
-) -> HermiteModel:
-    """Bundle mean, coefficients and limit variance for ``|x|**p``."""
-    if truncation is None:
-        truncation = TruncationSpec()
-    coeffs = np.array(
-        [abs_power_hermite_coeff(p, q) for q in range(truncation.hermite_terms + 1)]
-    )
-    return HermiteModel(
-        p=p,
-        hurst=hurst,
-        mean=gaussian_abs_moment(p),
-        coeffs=coeffs,
-        variance=asymptotic_variance(p, hurst, truncation),
-        truncation=truncation,
-    )
-
-
 def hermite_coeffs_numeric(f, order: int, nodes: int | None = None) -> np.ndarray:
     """Hermite coefficients of ``f`` against N(0,1) by Gauss-Hermite quadrature.
 
@@ -273,9 +242,6 @@ class AbsPowerFamily:
     def is_even_integer(self) -> bool:
         return _is_integer(self.p) and int(round(self.p)) % 2 == 0
 
-    def max_order(self) -> float:
-        return math.inf if self.is_even_integer else math.floor(self.p)
-
     def eval(self, j: int, x):
         if j < 0:
             raise ValueError("derivative order must be nonnegative")
@@ -295,11 +261,6 @@ class AbsPowerFamily:
         else:
             out = k_j * np.abs(x_arr) ** (self.p - j) * np.sign(x_arr) ** j
         return float(out) if x_arr.ndim == 0 else out
-
-
-def abs_power_deriv(p: float, j: int, x):
-    """j-th derivative of ``|x|**p``; see :class:`AbsPowerFamily`."""
-    return AbsPowerFamily(p).eval(j, x)
 
 
 def _falling_factorial(p: float, j: int) -> float:

@@ -12,7 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .controlled import ControlledPath, FunctionFamily, solve_rde, subsample_controlled
+from .controlled import (
+    ControlledPath,
+    FunctionFamily,
+    solve_rde,
+    subsample_controlled,
+    validate_ell,
+)
 from .fbm import FbmPath
 
 PROCESS_TAGS = ("fbm", "sq", "cube", "exp-rde", "custom-rde")
@@ -21,13 +27,6 @@ DEFAULT_ELL = 6
 
 # Options of ``custom-rde`` left unset: dy = y dx from 1, the exponential flow.
 CUSTOM_RDE_DEFAULTS = {"y0": 1.0, "drift_coeffs": None, "field_coeffs": (0.0, 1.0)}
-
-
-def validate_ell(ell: int) -> None:
-    """Refuse fewer than two levels: every process needs its path and the
-    field level (the first derivative level)."""
-    if ell < 2:
-        raise ValueError(f"processes need at least two levels, got ell={ell}")
 
 
 def default_fine_factor(tag: str) -> int:

@@ -124,18 +124,6 @@ def integrate_grid(values: np.ndarray, step: float, rule: Quadrature = "trapezoi
     return float(step * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
-def power_variation(values: np.ndarray, p: float, t: float = 1.0) -> float:
-    """Raw power variation sum_{t_k < t} |delta y|**p of node samples."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    values = np.asarray(values, dtype=float)
-    n = len(values) - 1
-    m = _snap_count(t, n)
-    if m == 0:
-        return 0.0
-    return float(np.sum(np.abs(np.diff(values[: m + 1])) ** p))
-
-
 def _fine_grid(cp: ControlledPath, t: float) -> tuple[ControlledPath, int, float]:
     """Finest available path, its cell count below t (snapped down on the
     coarse grid), and its step."""
@@ -257,18 +245,6 @@ def weighted_increment_sum(
     return float(np.sum(weight_values[lo:hi] * np.asarray(f(scaled), dtype=float)))
 
 
-def riemann_error(cp: ControlledPath, t: float = 1.0, rule: Quadrature = "trapezoid") -> float:
-    """Left Riemann sum of the path minus its fine-grid integral over [0, t]."""
-    n = cp.n
-    m = _snap_count(t, n)
-    if m == 0:
-        return 0.0
-    left_sum = float(np.sum(cp.level(0)[:m])) / n
-    quad_cp, mf, step = _fine_grid(cp, t)
-    integral = integrate_grid(quad_cp.level(0)[: mf + 1], step, rule)
-    return left_sum - integral
-
-
 def riemann_correction_sum(
     cp: ControlledPath, t: float = 1.0, rule: Quadrature = "midpoint"
 ) -> float:
@@ -303,18 +279,3 @@ def riemann_correction_sum(
     x_coarse = cp.x.values[:m]
     corrections = cell_integrals - x_coarse / n
     return float(np.sum(cp.level(0)[:m] * corrections))
-
-
-def weighted_pvar_sum(
-    weight_values: np.ndarray, x: FbmPath, p: float, t: float = 1.0
-) -> float:
-    """Unnormalized weighted centered power variation of the driver.
-
-    sum_{t_k < t} weight[k] * (|n**H delta x_k|**p - E|N|**p).
-    """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    moment = gaussian_abs_moment(p)
-    return weighted_increment_sum(
-        x, lambda u: np.abs(u) ** p - moment, weight_values, 0.0, t
-    )

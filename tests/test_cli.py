@@ -248,8 +248,7 @@ class TestMainErrors:
         argv = ["pvar", "--hurst", "0.3", "--p", "3", "--process", "custom-rde",
                 "--field-coeffs", "0,0,0,0,0,0,0,0,5", "--y0", "1e13", "--n", "8",
                 "--out", str(tmp_path / "out")]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(argv) == 1
+        assert main(argv) == 1
         assert "blow-up guard" in capsys.readouterr().err
 
     def test_broken_json_config_exits_2(self, tmp_path):

@@ -3,20 +3,20 @@
 Covers:
   1. Construction from raw levels and validation of the level/offset
      representation.
-  2. Increment operators and the discrete integral identities.
-  3. Remainders: exact zeros on polynomial tuples, closed-form small cases,
+  2. Remainders: exact zeros on polynomial tuples, closed-form small cases,
      and the exact midpoint decomposition identity on random level tuples,
      pinned and as a Hypothesis property with nonzero offsets.
-  4. Function families and the iterated-field polynomials.
-  5. Composition through smooth functions (Faa di Bruno levels).
-  6. The compensated-sum rough integral: polynomial exactness, its coarse
+  3. Function families and the iterated-field polynomials.
+  4. Composition through smooth functions (Faa di Bruno levels).
+  5. The compensated-sum rough integral: polynomial exactness, its coarse
      view, and the marginal-order warning.
-  7. The one-step scheme for dy = b(y) dt + V(y) dx: exactly integrable
+  6. The one-step scheme for dy = b(y) dt + V(y) dx: exactly integrable
      cases, a deterministic-driver convergence check, and the blow-up guard.
-  8. The empirical Holder exponent check.
+  7. Coarsening a controlled path onto every k-th node.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,15 +28,9 @@ from roughpvar import (
     FbmPath,
     FbmSpec,
     FunctionFamily,
-    additivity_defect,
     build_controlled_process,
-    check_controlled,
     compose,
-    controlled_from_field,
-    discrete_integral,
-    discrete_integral_increment,
     field_iterate_polynomials,
-    pair_increment,
     remainder,
     remainder_decomposition_residual,
     rough_integral,
@@ -97,66 +91,6 @@ class TestControlledPath:
         cp = _canonical(x, 2)
         assert cp.quadrature_path() is cp
         assert cp.fine_factor == 1
-
-
-# ---------------------------------------------------------------------------
-# increment operators and discrete integrals
-# ---------------------------------------------------------------------------
-
-
-def test_pair_increment_and_defect():
-    rng = np.random.default_rng(7)
-    values = rng.normal(size=33)
-    inc = pair_increment(values)
-    assert inc(4, 10) == pytest.approx(values[10] - values[4], abs=0.0)
-
-    defect = additivity_defect(inc)
-    i = rng.integers(0, 10, size=50)
-    u = i + rng.integers(0, 10, size=50)
-    j = u + rng.integers(0, 10, size=50)
-    # additive up to the non-associativity of float subtraction
-    assert np.max(np.abs(defect(i, u, j))) < 1e-15, "increments are additive"
-
-    squared = lambda a, b: (values[b] - values[a]) ** 2
-    assert np.max(np.abs(additivity_defect(squared)(i, u, j))) > 0.0
-
-
-def test_discrete_integral_empty_and_telescoping():
-    x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=2))
-    inc = pair_increment(x.values)
-    ones = np.ones_like(x.values)
-    assert discrete_integral(ones, inc, 0.5, 0.5) == 0.0
-    total = discrete_integral(ones, inc, 0.0, 1.0)
-    assert total == pytest.approx(x.values[-1] - x.values[0], rel=1e-12)
-    # window [1/4, 3/4): telescopes between the endpoints
-    part = discrete_integral(ones, inc, 0.25, 0.75)
-    assert part == pytest.approx(x.values[48] - x.values[16], rel=1e-12)
-
-
-def test_discrete_integral_left_point_identity():
-    # sum x_k dx_k = (x_t^2 - x_s^2) / 2 - sum (dx_k)^2 / 2, exactly
-    x = sample_fbm(FbmSpec(hurst=0.3, n=128, seed=3))
-    inc = pair_increment(x.values)
-    got = discrete_integral(x.values, inc, 0.0, 1.0)
-    dx = np.diff(x.values)
-    expected = 0.5 * (x.values[-1] ** 2 - x.values[0] ** 2) - 0.5 * np.sum(dx * dx)
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_discrete_integral_increment_anchored():
-    x = sample_fbm(FbmSpec(hurst=0.3, n=32, seed=4))
-    inc = pair_increment(x.values)
-    got = discrete_integral_increment(inc, inc, 0.25, 0.75, 32)
-    k = np.arange(8, 24)
-    expected = float(np.sum((x.values[k] - x.values[8]) * np.diff(x.values)[8:24]))
-    assert got == pytest.approx(expected, rel=1e-12)
-    assert discrete_integral_increment(inc, inc, 0.5, 0.5, 32) == 0.0
-
-
-def test_discrete_integral_window_validation():
-    x = sample_fbm(FbmSpec(hurst=0.3, n=32, seed=4))
-    with pytest.raises(ValueError):
-        discrete_integral(x.values, pair_increment(x.values), 0.75, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -326,37 +260,6 @@ def test_field_iterate_polynomials_literal():
         field_iterate_polynomials(-1)
 
 
-class TestControlledFromField:
-    """Iterated field applications evaluated along a path."""
-
-    def test_constant_field(self):
-        x = sample_fbm(FbmSpec(hurst=0.4, n=32, seed=11))
-        cp = controlled_from_field(FunctionFamily.constant(1.0), 3, x)
-        assert np.allclose(cp.level(0), 1.0, atol=0.0)
-        assert np.allclose(cp.level(1), 0.0, atol=0.0)
-        assert np.allclose(cp.level(2), 0.0, atol=0.0)
-
-    def test_identity_field(self):
-        # V = id: every iterate is the path itself
-        x = sample_fbm(FbmSpec(hurst=0.4, n=32, seed=12))
-        cp = controlled_from_field(FunctionFamily.identity(), 4, x)
-        for i in range(4):
-            assert np.array_equal(cp.level(i), x.values), i
-
-    def test_square_field(self):
-        # V = y^2: g_1 = 2 y^3, g_2 = 6 y^4
-        x = sample_fbm(FbmSpec(hurst=0.4, n=32, seed=13))
-        cp = controlled_from_field(FunctionFamily.polynomial([0.0, 0.0, 1.0]), 3, x)
-        assert np.allclose(cp.level(0), x.values**2, rtol=1e-14)
-        assert np.allclose(cp.level(1), 2.0 * x.values**3, rtol=1e-14)
-        assert np.allclose(cp.level(2), 6.0 * x.values**4, rtol=1e-14)
-
-    def test_insufficient_family_order(self):
-        x = sample_fbm(FbmSpec(hurst=0.4, n=32, seed=13))
-        with pytest.raises(ValueError):
-            controlled_from_field(FunctionFamily.exponential(order=2), 4, x)
-
-
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
@@ -507,10 +410,13 @@ class TestSolveRde:
     def test_blow_up_guard_catches_non_finite_state(self):
         # From 1e13 the field iterates of V(y) = 5 y^8 overflow to +inf from
         # the third on. On a falling driver their terms alternate in sign, so
-        # the first step is inf - inf = NaN, which exceeds no guard.
+        # the first step is inf - inf = NaN, which exceeds no guard. Under
+        # numpy's default error handling, with every warning turned into an
+        # error, the guard's RuntimeError must be the only report.
         x = FbmPath(FbmSpec(hurst=0.5, n=8, seed=0), np.linspace(0.0, -1.0, 9))
         field = FunctionFamily.polynomial([0.0] * 8 + [5.0], order=6)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
             with pytest.raises(RuntimeError, match="blow-up guard"):
                 solve_rde(None, field, 1e13, x, ell=6)
 
@@ -526,7 +432,7 @@ class TestSolveRde:
 
 
 # ---------------------------------------------------------------------------
-# subsampling and the empirical exponent check
+# subsampling
 # ---------------------------------------------------------------------------
 
 
@@ -542,34 +448,3 @@ def test_subsample_controlled_consistency():
     assert subsample_controlled(fine_cp, 1) is fine_cp
     with pytest.raises(ValueError):
         subsample_controlled(fine_cp, 7)
-
-
-class TestCheckControlled:
-    """Empirical Holder exponents of the remainders."""
-
-    def test_exact_tuple_reports_infinite_slopes(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=256, seed=31))
-        report = check_controlled(build_controlled_process("sq", x))
-        assert report.passed
-        assert np.all(np.isinf(report.slopes))
-
-    def test_exponential_flow_passes(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=4096, seed=3))
-        cp = build_controlled_process("exp-rde", x, params={"ell": 3})
-        report = check_controlled(cp, eps=0.1)
-        print(f"  slopes {np.round(report.slopes, 3)} vs {report.thresholds}")
-        assert report.passed
-        # deeper levels have weaker remainders: slopes must decrease
-        assert report.slopes[0] > report.slopes[1] > report.slopes[2]
-
-    def test_corrupted_derivative_level_fails(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=1024, seed=21))
-        bad = ControlledPath(
-            x, [np.exp(x.values), 0.5 * np.exp(x.values)]
-        )
-        assert not check_controlled(bad).passed
-
-    def test_needs_enough_cells(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=8, seed=32))
-        with pytest.raises(ValueError):
-            check_controlled(_canonical(x, 2))

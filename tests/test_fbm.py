@@ -9,7 +9,7 @@ Covers:
   4. Determinism, method forcing, and the derived-stream layout.
   5. The per-(n, H) spectrum cache: draws bit-identical to the uncached
      formula, one entry per Hurst value, read-only entries.
-  6. Increment helpers and the CSV dump round trip.
+  6. The CSV dump round trip.
 """
 
 import math
@@ -18,14 +18,11 @@ import numpy as np
 import pytest
 
 from roughpvar import (
-    FbmPath,
     FbmSpec,
     fbm_covariance,
     fgn_autocovariance,
-    increments,
     path_from_csv,
     path_to_csv,
-    power_increment,
     rng_for_spec,
     sample_fbm,
 )
@@ -147,7 +144,7 @@ def test_increment_variance_matches_self_similarity(hurst):
     rng = rng_for_spec(spec)
     acc = np.zeros(n)
     for _ in range(replicas):
-        acc += increments(sample_fbm(spec, rng)) ** 2
+        acc += np.diff(sample_fbm(spec, rng).values) ** 2
     emp = acc / replicas
     target = float(n) ** (-2 * hurst)
     # chi-squared standard error of a variance estimate
@@ -163,7 +160,7 @@ def test_half_hurst_increments_are_white():
     rng = rng_for_spec(spec)
     acfs = []
     for _ in range(replicas):
-        d = increments(sample_fbm(spec, rng))
+        d = np.diff(sample_fbm(spec, rng).values)
         d = d - d.mean()
         acfs.append(float(np.dot(d[:-1], d[1:]) / np.dot(d, d)))
     mean_acf = abs(float(np.mean(acfs)))
@@ -290,31 +287,8 @@ def test_cached_scale_is_read_only():
 
 
 # ---------------------------------------------------------------------------
-# increments and power increments
+# CSV dump
 # ---------------------------------------------------------------------------
-
-
-def test_increments_definition_and_telescoping():
-    spec = FbmSpec(hurst=0.5, n=2, seed=0)
-    path = FbmPath(spec, np.array([0.0, 1.0, 3.0]))
-    assert np.array_equal(increments(path), np.array([1.0, 2.0]))
-    sampled = sample_fbm(FbmSpec(hurst=0.25, n=100, seed=3))
-    assert increments(sampled).sum() == pytest.approx(
-        sampled.values[-1] - sampled.values[0], rel=1e-12
-    )
-
-
-def test_power_increment_orders():
-    spec = FbmSpec(hurst=0.5, n=5, seed=0)
-    path = FbmPath(spec, np.array([0.0, 0.2, 0.2, -0.8, -0.8, 0.0]))
-    order0 = power_increment(path, 0)
-    assert order0(0.2, 0.8) == pytest.approx(1.0, abs=0.0)
-    order2 = power_increment(path, 2)
-    assert order2(0.0, 0.2) == pytest.approx(0.02, rel=1e-12)  # 0.2^2 / 2
-    order3 = power_increment(path, 3)
-    assert order3(0.2, 0.8) == pytest.approx(-1.0 / 6.0, rel=1e-12)  # (-1)^3 / 3!
-    with pytest.raises(ValueError):
-        order2(0.05, 0.5)  # off-grid time
 
 
 def test_csv_round_trip():

@@ -74,14 +74,6 @@ def _ones(u):
     return np.ones_like(u)
 
 
-def _zero_proxy(cp):
-    return 0.0
-
-
-def _const_proxy(cp):
-    return 7.5
-
-
 # Drift-only differential equation dy = 1 dt + 0 dx: the solution y = t is
 # deterministic, so every replica statistic is an exact power of the
 # resolution and rate fits recover their slopes to machine precision.
@@ -346,15 +338,6 @@ class TestCollectRows:
         with pytest.raises(ValueError, match="worker count"):
             collect_rows(cfg, workers=0)
 
-    def test_proxy_overrides_center_only(self):
-        cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=3, master_seed=3)
-        plain = collect_rows(cfg, workers=1)
-        proxied = collect_rows(cfg, workers=1, proxy=_const_proxy)
-        assert np.all(proxied[:, 8] == 7.5), "proxy should fill the center column"
-        assert np.array_equal(plain[:, :8], proxied[:, :8]), (
-            "proxy must not disturb the other columns"
-        )
-
     def test_mixed_regime_row_arithmetic(self):
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=4, master_seed=3)
         for row in collect_rows(cfg):
@@ -473,10 +456,6 @@ class TestErrorMetrics:
         _, rate = _median_errors(cfg, rows, 2)
         assert summary == pytest.approx([0.2, 0.05], abs=1e-15)
         assert rate == pytest.approx([0.1, 0.02], abs=1e-15)
-        # A proxy rate fit passes no column and reads the spread |stat - center|:
-        # {0.5, 0.2, 0.1} -> 0.2 and {0.04, 0.02, 0.06} -> 0.04.
-        _, proxy = _median_errors(cfg, rows, None)
-        assert proxy == pytest.approx([0.2, 0.04], abs=1e-15)
 
     def test_log_slope_recovers_exact_power_law(self):
         ns = np.array([4.0, 8.0, 16.0, 32.0])
@@ -626,16 +605,19 @@ class TestRateFit:
         lines = log_log_csv(zip(result.n_grid, result.errors)).splitlines()
         assert lines[0] == "log_n,log_err" and len(lines) == 4
 
-    def test_proxy_fit_is_exact_on_drift_only_equation(self):
+    def test_mixed_fit_is_exact_on_drift_only_equation(self):
         # y = t exactly, so |delta y|^2 sums to 1/n and the statistic equals
-        # n^(2H-2) = n^(-1) at hurst 1/2 with a zero compensator.
+        # n^(2H-2) = n^(-1) at hurst 1/2 with a zero compensator. The mixed
+        # regime centers at 0, so the errors are exactly 1/n; the slope -1
+        # misses the theorem rate -1/2 and the fit fails.
         cfg = ExperimentConfig(
             hurst=0.5, p=2.0, process="custom-rde", n_grid=(64, 128, 256),
             replicas=3, master_seed=0, fine_factor=1,
             process_params=dict(_PURE_DRIFT),
         )
-        result = rate_fit(cfg, workers=1, proxy=_zero_proxy)
-        assert result.target is None and result.passed
+        result = rate_fit(cfg, workers=1)
+        assert result.target == -0.5
+        assert not result.passed
         expected = [1.0 / n for n in (64, 128, 256)]
         assert result.errors == pytest.approx(expected, rel=1e-12), (
             f"errors {result.errors} != {expected}"

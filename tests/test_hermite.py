@@ -22,10 +22,8 @@ import scipy.integrate
 from roughpvar import (
     AbsPowerFamily,
     TruncationSpec,
-    abs_power_deriv,
     abs_power_hermite_coeff,
     asymptotic_variance,
-    build_hermite_model,
     gaussian_abs_moment,
     hermite,
     hermite_coeffs_numeric,
@@ -252,16 +250,6 @@ class TestAsymptoticVariance:
             TruncationSpec(lag_cutoff=0)
 
 
-def test_build_hermite_model_bundles_consistently():
-    model = build_hermite_model(2.0, 0.5)
-    assert model.mean == pytest.approx(1.0, rel=1e-14)
-    assert model.variance == pytest.approx(2.0, abs=1e-8)
-    assert model.coeffs[0] == pytest.approx(1.0, rel=1e-14)
-    assert model.coeffs[1] == pytest.approx(1.0, rel=1e-14)
-    assert np.all(model.coeffs[2:] == 0.0)
-    assert len(model.coeffs) == model.truncation.hermite_terms + 1
-
-
 # ---------------------------------------------------------------------------
 # absolute-power derivative family
 # ---------------------------------------------------------------------------
@@ -276,7 +264,6 @@ class TestAbsPowerFamily:
         assert fam.eval(1, -3.0) == pytest.approx(-6.0, abs=0.0)
         assert fam.eval(2, 0.0) == pytest.approx(2.0, abs=0.0)
         assert fam.eval(3, 5.0) == 0.0
-        assert fam.max_order() == math.inf
 
     def test_odd_integer_sign_convention(self):
         fam = AbsPowerFamily(3.0)
@@ -288,7 +275,6 @@ class TestAbsPowerFamily:
 
     def test_fractional_order_limit(self):
         fam = AbsPowerFamily(2.5)
-        assert fam.max_order() == 2
         assert fam.eval(2, 4.0) == pytest.approx(2.5 * 1.5 * 2.0, rel=1e-13)
         with pytest.raises(ValueError):
             fam.eval(3, 1.0)
@@ -300,9 +286,6 @@ class TestAbsPowerFamily:
         for x in (-1.7, -0.4, 0.9, 2.3):
             fd = (fam.eval(0, x + h) - fam.eval(0, x - h)) / (2.0 * h)
             assert fam.eval(1, x) == pytest.approx(fd, rel=1e-7), (p, x)
-
-    def test_module_level_wrapper(self):
-        assert abs_power_deriv(4.0, 2, 2.0) == pytest.approx(48.0, rel=1e-14)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -3,15 +3,14 @@
 Covers:
   1. Regime classification and rate exponents over the admissible range.
   2. Grid quadrature rules, including the odd-cell fallback.
-  3. Raw power variation and the centered statistic (exact centering in
-     expectation when the integrand is the driver itself).
+  3. The centered statistic (exact centering in expectation when the
+     integrand is the driver itself).
   4. Drift functional: exact zero for the driver, closed forms for the
      running square and cube processes, the missing-level warning.
   5. Conditional standard deviation.
   6. Weighted increment sums (with the exact telescoping of the first
-     Hermite sum on the driver), the Riemann error and correction sums, and
-     the centered weighted power variation, with dual-route checks against
-     the generic discrete integral.
+     Hermite sum on the driver and the variance of the second at H = 1/2)
+     and the Riemann correction sums.
 """
 
 import math
@@ -29,21 +28,16 @@ from roughpvar import (
     StatConfig,
     build_controlled_process,
     classify_regime,
-    discrete_integral,
-    gaussian_abs_moment,
     hermite,
     integrate_grid,
     limit_cond_std,
     limit_drift,
-    power_variation,
     pvar_statistic,
     rate_exponent,
     riemann_correction_sum,
-    riemann_error,
     sample_fbm,
     subsample_controlled,
     weighted_increment_sum,
-    weighted_pvar_sum,
 )
 
 
@@ -124,26 +118,8 @@ class TestIntegrateGrid:
 
 
 # ---------------------------------------------------------------------------
-# power variation and the centered statistic
+# the centered statistic
 # ---------------------------------------------------------------------------
-
-
-class TestPowerVariation:
-    """Raw sums of absolute increment powers."""
-
-    def test_small_cases(self):
-        values = np.array([0.0, 1.0, -1.0])
-        assert power_variation(values, 2.0) == pytest.approx(5.0, abs=0.0)
-        assert power_variation(values, 1.0) == pytest.approx(3.0, abs=0.0)
-        # t = 0.5 keeps only the first of the two cells
-        assert power_variation(values, 2.0, t=0.5) == pytest.approx(1.0, abs=0.0)
-        assert power_variation(values, 2.0, t=0.0) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            power_variation(np.zeros(3), 0.5)
-        with pytest.raises(ValueError):
-            power_variation(np.zeros(3), 2.0, t=1.5)
 
 
 class TestPvarStatistic:
@@ -315,8 +291,11 @@ class TestWeightedIncrementSum:
             vals[r] = weighted_increment_sum(x, lambda u: u * u - 1.0, ones)
         mean = float(np.mean(vals))
         se = float(np.std(vals)) / math.sqrt(len(vals))
-        print(f"  He_2 sum: mean {mean:.3f}, se {se:.3f}")
+        # Var(He_2(N)) = 2, so n^{-1/2} times the sum has variance 2
+        var = float(np.var(vals)) / 256.0
+        print(f"  He_2 sum: mean {mean:.3f}, se {se:.3f}, normalized variance {var:.4f}")
         assert abs(mean) < 3.0 * se
+        assert var == pytest.approx(2.0, rel=0.1)
 
     def test_weight_shape_validation(self):
         x = sample_fbm(FbmSpec(hurst=0.35, n=64, seed=53))
@@ -337,55 +316,6 @@ class TestWeightedIncrementSum:
             scale = n**hurst * (v[hi] ** 2 + v[lo] ** 2 + squares) / 2.0
             want = n**hurst * ((v[hi] ** 2 - v[lo] ** 2) / 2.0 - squares / 2.0)
             assert abs(got - want) <= 1e-12 * scale, (case, hurst, n, lo, hi)
-
-
-class TestRiemannError:
-    """Left Riemann sum minus the fine-grid integral."""
-
-    def test_linear_path_closed_form(self):
-        # left sum of t over [0, 1) is (n-1)/(2n); the integral is 1/2
-        n = 64
-        x = sample_fbm(FbmSpec(hurst=0.5, n=n, seed=54))
-        line = ControlledPath(x, [x.times, np.zeros(n + 1)])
-        assert riemann_error(line) == pytest.approx(-0.5 / n, rel=1e-12)
-
-    def test_constant_path_is_exact(self):
-        x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=55))
-        ones = np.ones_like(x.values)
-        cp = ControlledPath(x, [3.0 * ones, np.zeros_like(ones)])
-        assert abs(riemann_error(cp)) < 1e-14
-
-    def test_driver_error_decays(self):
-        # the signed error of a rough path concentrates well below O(1):
-        # medians must decrease and the fitted slope clear -2H + 0.1
-        hurst = 0.3
-        ns = [256, 512, 1024, 2048]
-        medians = []
-        for n in ns:
-            rng = _philox(506, n)
-            vals = [
-                abs(
-                    riemann_error(
-                        build_controlled_process(
-                            "fbm",
-                            sample_fbm(FbmSpec(hurst=hurst, n=n * 16, seed=506), rng),
-                            fine_factor=16,
-                            params={"ell": 2},
-                        )
-                    )
-                )
-                for _ in range(40)
-            ]
-            medians.append(float(np.median(vals)))
-        slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
-        print(f"  medians {[f'{m:.1e}' for m in medians]}, slope {slope:.3f}")
-        assert all(a > b for a, b in zip(medians, medians[1:]))
-        assert slope <= -2.0 * hurst + 0.1
-
-    def test_zero_window(self):
-        x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=56))
-        cp = build_controlled_process("fbm", x)
-        assert riemann_error(cp, t=0.0) == 0.0
 
 
 class TestRiemannCorrectionSum:
@@ -426,44 +356,3 @@ class TestRiemannCorrectionSum:
         x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=58))
         cp = build_controlled_process("fbm", x)
         assert riemann_correction_sum(cp, t=0.0) == 0.0
-
-
-class TestWeightedPvarSum:
-    """Centered weighted power variation (unnormalized)."""
-
-    def test_zero_weight(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=64, seed=59))
-        assert weighted_pvar_sum(np.zeros(65), x, 2.0) == 0.0
-
-    def test_unit_weight_variance_at_half(self):
-        # independent increments: Var(n^{-1/2} sum (|N_k|^2 - 1)) = 2
-        rng = _philox(507)
-        spec = FbmSpec(hurst=0.5, n=256, seed=507)
-        ones = np.ones(257)
-        vals = np.empty(3000)
-        for r in range(3000):
-            x = sample_fbm(spec, rng)
-            vals[r] = weighted_pvar_sum(ones, x, 2.0) / math.sqrt(256.0)
-        var = float(np.var(vals))
-        print(f"  normalized variance: {var:.4f} (target 2)")
-        assert var == pytest.approx(2.0, rel=0.1)
-
-    def test_dual_route_against_discrete_integral(self):
-        # same quantity assembled through the generic two-point machinery
-        x = sample_fbm(FbmSpec(hurst=0.35, n=128, seed=60))
-        weight = x.values.copy()
-        p = 2.5
-        moment = gaussian_abs_moment(p)
-        n_h = 128.0**0.35
-
-        def g(i, j):
-            return np.abs(n_h * (x.values[j] - x.values[i])) ** p - moment
-
-        direct = weighted_pvar_sum(weight, x, p)
-        generic = discrete_integral(weight, g, 0.0, 1.0)
-        assert direct == pytest.approx(generic, rel=1e-12)
-
-    def test_domain(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=64, seed=59))
-        with pytest.raises(ValueError):
-            weighted_pvar_sum(np.ones(65), x, 0.5)
