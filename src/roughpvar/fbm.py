@@ -5,9 +5,10 @@ sequence, which reproduces the target covariance exactly (no spectral
 truncation). The embedding of fractional Gaussian noise was found
 nonnegative definite for every H in 0.01..0.99 and n up to 65,536, so an
 indefinite one raises instead of falling back: dense Cholesky at the fine
-sizes in use would not fit in memory (about 550 GB at n = 262,144). The
-dense Cholesky factorization stays available as ``method='cholesky'``, an
-independent oracle for small n.
+sizes in use would not fit in memory (8 n**2 bytes, 512 GiB at n = 262,144).
+The dense Cholesky factorization stays available as ``method='cholesky'``,
+an independent oracle for n up to 4096, where the covariance and its factor
+take 128 MiB each.
 
 Each process computes the embedding spectrum, in the scaled form a draw
 uses, once per (n, H) and reuses it for every later draw. The cache keeps
@@ -22,11 +23,14 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.linalg import cholesky, toeplitz
 
 Method = Literal["auto", "circulant-embedding", "cholesky"]
 
 _METHODS = ("auto", "circulant-embedding", "cholesky")
+
+# Largest n that method='cholesky' accepts: its dense covariance and factor
+# take 8 n**2 bytes each.
+_CHOLESKY_MAX_N = 4096
 
 # Relative tolerance for clamping tiny negative embedding eigenvalues that are
 # pure roundoff; anything more negative means the embedding genuinely failed.
@@ -102,7 +106,7 @@ class FbmSpec:
         Seed used when no generator is supplied to :func:`sample_fbm`.
     method : str
         One of ``auto`` (the circulant embedding), ``circulant-embedding``,
-        ``cholesky``.
+        ``cholesky`` (n up to 4096 only).
     """
 
     hurst: float
@@ -118,6 +122,11 @@ class FbmSpec:
             raise ValueError("seed must be a nonnegative integer")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.method == "cholesky" and self.n > _CHOLESKY_MAX_N:
+            raise ValueError(
+                f"method='cholesky' needs n <= {_CHOLESKY_MAX_N}, got {self.n}: "
+                "its dense covariance takes 8 n**2 bytes"
+            )
 
 
 @dataclass(frozen=True)
@@ -254,6 +263,10 @@ def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray
 
 
 def _fgn_cholesky(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    # Imported here, the only place that needs scipy.linalg, so a run that
+    # never asks for the dense oracle does not load it.
+    from scipy.linalg import cholesky, toeplitz
+
     cov = toeplitz(fgn_autocovariance(np.arange(n), hurst))
     lower = cholesky(cov, lower=True)
     return lower @ rng.standard_normal(n)

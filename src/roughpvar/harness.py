@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .controlled import ControlledPath
 from .fbm import FbmSpec, sample_fbm
@@ -367,7 +367,7 @@ def run_regime_check(
         else:
             z = rows[sel, 5]
             z = z[np.isfinite(z)]
-            ks = ks_statistic(z, norm.cdf) if z.size else math.nan
+            ks = ks_statistic(z, ndtr) if z.size else math.nan
             ok = bool(ks < cfg.resolved_ks_threshold)
         summary.append(
             {"n": int(n), "median_err": float(med_errs[i]), "ks": ks, "pass": ok}
@@ -616,7 +616,7 @@ def stable_joint_check(
     bin_sizes = np.diff(edges)
     for b in range(bins):
         members = order[edges[b] : edges[b + 1]]
-        bin_ks[b] = ks_statistic(z[members], norm.cdf)
+        bin_ks[b] = ks_statistic(z[members], ndtr)
     bin_threshold = 2.72 / math.sqrt(float(np.min(bin_sizes)))
     passed = (
         corr_end < corr_threshold

@@ -17,10 +17,16 @@ Covers:
    throughout.
 9. The config -> manifest -> config round trip as a fixed point, on drawn
    configs of every subcommand, in key=value and JSON form.
+10. Cold start: a complete limit-check run in a fresh interpreter never
+    loads scipy.stats or scipy.linalg; the dense Cholesky oracle loads
+    scipy.linalg when it runs.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -235,6 +241,7 @@ class TestMainErrors:
             ["simulate", "--hurst", "0.3", "--seed", "-1"],
             ["pvar", "--hurst", "0.3", "--p", "3", "--ell", "1"],
             ["limit-check", "--hurst", "0.3", "--p", "3", "--ell", "1"],
+            ["simulate", "--hurst", "0.3", "--n", "4097", "--method", "cholesky"],
         ],
     )
     def test_refused_config_writes_nothing(self, tmp_path, argv):
@@ -685,3 +692,60 @@ class TestConfigRoundTrip:
             for key, value in drawn.items():
                 if value not in ("auto", ""):
                     assert stored[key] == value, key
+
+
+# ---------------------------------------------------------------------------
+# cold start
+
+_HEAVY_MODULES = ("scipy.stats", "scipy.linalg")
+
+_MAIN_THEN_MODULES = f"""
+import json, sys
+from roughpvar import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, [m for m in {_HEAVY_MODULES!r} if m in sys.modules]]))
+"""
+
+
+def _fresh_main(argv):
+    """Run cli.main in a fresh interpreter; its exit code and heavy modules."""
+    # the child imports the package under test, wherever pytest found it
+    paths = (str(Path(roughpvar.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = {key: value for key, value in os.environ.items() if not key.startswith("ROUGHPVAR_")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_THEN_MODULES, *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return code, loaded
+
+
+class TestColdStart:
+    """Modules a CLI run loads: the import cost every run pays."""
+
+    @pytest.mark.parametrize(
+        "regime",
+        [
+            ["--process", "fbm", "--hurst", "0.5"],  # mixed: KS against ndtr
+            ["--process", "sq", "--hurst", "0.25"],  # critical: drift and cond_std
+            ["--process", "sq", "--hurst", "0.15"],  # degenerate
+        ],
+    )
+    def test_limit_check_never_loads_stats_or_linalg(self, tmp_path, regime):
+        out = tmp_path / "lc"
+        argv = ["limit-check", *regime, "--p", "2", "--n", "32,64", "--replicas", "10",
+                "--seed", "3", "--ks-threshold", "0.9", "--median-tol", "0.9",
+                "--workers", "1", "--out", str(out)]
+        code, loaded = _fresh_main(argv)
+        assert code == 0
+        assert (out / "summary.csv").exists()
+        assert loaded == [], f"limit-check loaded {loaded}"
+
+    def test_cholesky_oracle_loads_linalg(self, tmp_path):
+        argv = ["simulate", "--hurst", "0.3", "--n", "32", "--method", "cholesky",
+                "--out", str(tmp_path / "sim")]
+        code, loaded = _fresh_main(argv)
+        assert code == 0
+        assert loaded == ["scipy.linalg"]

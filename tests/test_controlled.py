@@ -8,7 +8,8 @@ Covers:
      pinned and as a Hypothesis property with nonzero offsets.
   3. Function families and the iterated-field polynomials.
   4. Composition through smooth functions (Faa di Bruno levels).
-  5. The compensated-sum rough integral: polynomial exactness, its coarse
+  5. The compensated-sum rough integral: polynomial exactness, pinned and
+     as a Hypothesis property on random polynomial integrands, its coarse
      view, and the marginal-order warning.
   6. The one-step scheme for dy = b(y) dt + V(y) dx: exactly integrable
      cases, a deterministic-driver convergence check, and the blow-up guard.
@@ -19,6 +20,7 @@ import math
 import warnings
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -337,6 +339,43 @@ class TestRoughIntegral:
         assert out.fine is not None and out.fine.n == 512
         assert np.array_equal(out.level(0), out.fine.level(0)[::4])
         assert np.allclose(out.level(0), 0.5 * out.x.values**2, atol=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        hurst=st.floats(0.1, 0.9),
+        n=st.integers(2, 256),
+        ell=st.integers(1, 6),
+        # zero, or far enough from it that no Taylor term falls to subnormal
+        # numbers, whose rounding is not relative
+        coeffs=st.lists(
+            st.one_of(st.just(0.0), st.floats(-3.0, 3.0).filter(lambda v: abs(v) >= 1e-3)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_polynomial_integrands_are_exact(self, seed, hurst, n, ell, coeffs):
+        # For f of degree at most ell - 1 with levels (f, f', ..., f^(ell-1))
+        # each cell's expansion is the full Taylor sum of F with F' = f, so
+        # the compensated sum telescopes to F(x_t) - F(0) up to rounding.
+        f = np.array(coeffs[:ell])
+        x = sample_fbm(FbmSpec(hurst=hurst, n=n, seed=seed))
+        levels = [P.polyval(x.values, P.polyder(f, j)) for j in range(ell)]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "integrand order", RuntimeWarning)
+            out = rough_integral(ControlledPath(x, levels), x)
+
+        antiderivative = P.polyint(f)
+        expected = P.polyval(x.values, antiderivative) - antiderivative[0]
+        # rounding scale: every Taylor term the sum adds, and every monomial of F
+        dx = np.abs(np.diff(x.values))
+        terms = sum(
+            np.abs(levels[i - 1][:-1]) * dx**i / math.factorial(i) for i in range(1, ell + 1)
+        )
+        monomials = P.polyval(np.abs(x.values), np.abs(antiderivative))
+        scale = np.concatenate([[0.0], np.cumsum(terms)]) + monomials
+        error = np.abs(out.level(0) - expected)
+        assert np.all(error <= 1e-12 * scale), f"worst relative error {np.max(error / scale):.2e}"
 
     def test_driver_mismatch_rejected(self):
         x1 = sample_fbm(FbmSpec(hurst=0.35, n=64, seed=22))

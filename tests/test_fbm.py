@@ -6,7 +6,8 @@ Covers:
      telescoping truncated-sum identity.
   3. Distributional checks of sampled paths: increment variance,
      whiteness at hurst = 1/2, and the full empirical covariance matrix.
-  4. Determinism, method forcing, and the derived-stream layout.
+  4. Determinism, method forcing, the derived-stream layout, and the size
+     cap of the dense Cholesky oracle.
   5. The per-(n, H) spectrum cache: draws bit-identical to the uncached
      formula, one entry per Hurst value, read-only entries.
   6. The CSV dump round trip.
@@ -185,6 +186,15 @@ def test_empirical_covariance_matrix():
     violations = int(np.sum(np.abs(emp - theory) > 4 * se))
     print(f"  entries beyond 4se: {violations} of {n * n}")
     assert violations == 0
+
+
+def test_cholesky_refuses_n_above_4096():
+    # The dense covariance takes 8 n**2 bytes; the cap keeps it at 128 MiB.
+    # Only the specs are built here: nothing is factored.
+    assert FbmSpec(hurst=0.3, n=4096, method="cholesky").n == 4096
+    with pytest.raises(ValueError, match="n <= 4096"):
+        FbmSpec(hurst=0.3, n=4097, method="cholesky")
+    assert FbmSpec(hurst=0.3, n=4097, method="circulant-embedding").n == 4097
 
 
 def test_cholesky_and_circulant_agree_in_law():

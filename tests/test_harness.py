@@ -2,7 +2,8 @@
 
 Covers:
 1. The Kolmogorov-Smirnov sup distance against the scipy oracle and against
-   hand-computed degenerate samples.
+   hand-computed degenerate samples; the harness's reference CDF
+   ``scipy.special.ndtr`` gives the same bits as ``scipy.stats.norm.cdf``.
 2. Guaranteed-range validation of the power exponent per regime.
 3. ExperimentConfig validation, resolved defaults, and identifier format.
 4. Replica path construction: determinism, stream separation, fine wiring.
@@ -27,6 +28,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import kstest, norm, uniform
 
 from roughpvar import (
@@ -130,6 +134,25 @@ class TestKsStatistic:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             ks_statistic(np.array([]), norm.cdf)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sample=st.lists(
+            st.one_of(
+                st.floats(-40.0, 40.0),  # where the CDF is not yet 0 or 1
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_ndtr_matches_norm_cdf_bit_for_bit(self, sample):
+        # The harness takes its reference CDF from ndtr, the function that
+        # norm.cdf evaluates for the standard normal; the KS distance must
+        # not change by a single bit.
+        values = np.array(sample)
+        assert np.array_equal(ndtr(values), norm.cdf(values))
+        assert ks_statistic(values, ndtr) == ks_statistic(values, norm.cdf)
 
 
 # ---------------------------------------------------------------------------
