@@ -6,14 +6,17 @@ configuration (file, then flag overrides, then the defaults in ``SCHEMA``),
 builds the library objects and calls the library checks that validate it,
 writes a manifest with the fully materialized config before any computation,
 and then writes CSV outputs next to it. ``fine_factor`` and ``ks_threshold``
-accept ``auto``: the process's fine factor and the regime's KS threshold,
-stored resolved in the manifest. Re-running a subcommand from its manifest
-reproduces every output byte for byte; worker count never affects results.
+accept ``auto``: ``ExperimentConfig`` resolves it at construction to the
+process's fine factor and the regime's KS threshold, and the manifest stores
+the resolved value. Re-running a subcommand from its manifest reproduces
+every output byte for byte; worker count never affects results.
 
 Exit codes: 0 on success/pass, 1 when a check ran but failed, 2 on usage or
-domain errors. A config refused while it is resolved, while its library
-objects are built or by a library check (worker count, seed, variance domain,
-rate and scaling grids, level count) exits 2 and writes nothing.
+domain errors, 70 (``EX_SOFTWARE``) with a traceback on any other exception.
+A config refused while it is resolved, while its library objects are built
+(level count and power exponent included) or by a library check (worker
+count, seed, variance domain, rate and scaling grids) exits 2 and writes
+nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .controlled import validate_ell
 from .fbm import FbmSpec, path_to_csv, sample_fbm
 from .harness import (
     ExperimentConfig,
@@ -39,7 +41,6 @@ from .harness import (
     scaling_exponent_check,
     collect_rows,
     validate_master_seed,
-    validate_p_range,
     validate_rate_grid,
     validate_scaling_inputs,
 )
@@ -49,12 +50,7 @@ from .hermite import (
     gaussian_abs_moment,
     validate_variance_domain,
 )
-from .processes import (
-    CUSTOM_RDE_DEFAULTS,
-    DEFAULT_ELL,
-    PROCESS_TAGS,
-    default_fine_factor,
-)
+from .processes import CUSTOM_RDE_DEFAULTS, DEFAULT_ELL, PROCESS_TAGS
 
 REQUIRED = ...  # marks a key that has no default
 
@@ -247,9 +243,9 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> dict:
 
     Unknown keys are errors; every key in the result is materialized, so the
     dict can be stored in a manifest and replayed byte-identically. ``auto``
-    fine factors become the process default, ``auto`` KS thresholds None (the
-    regime's threshold, filled in by :func:`_experiment_config`), and the
-    custom-rde keys the process defaults.
+    fine factors and KS thresholds become None, which
+    :func:`_experiment_config` resolves and writes back, and the custom-rde
+    keys the process defaults.
     """
     schema = SCHEMA[subcommand]
     raw: dict = {}
@@ -276,10 +272,9 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> dict:
             cfg[key] = default
     if "process" in cfg and cfg["process"] not in PROCESS_TAGS:
         raise UsageError(f"unknown process {cfg['process']!r}; known: {PROCESS_TAGS}")
-    if cfg.get("fine_factor") == "auto":
-        cfg["fine_factor"] = default_fine_factor(cfg["process"])
-    if cfg.get("ks_threshold") == "auto":
-        cfg["ks_threshold"] = None
+    for key in ("fine_factor", "ks_threshold"):
+        if cfg.get(key) == "auto":
+            cfg[key] = None
     if cfg.get("process") == "custom-rde":
         for key, default in CUSTOM_RDE_DEFAULTS.items():
             if cfg[key] is None:
@@ -299,10 +294,10 @@ _EXPERIMENT_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 def _experiment_config(cfg: dict, **fixed) -> ExperimentConfig:
     """Build the run's ExperimentConfig from its resolved config.
 
-    ``fixed`` sets the fields the subcommand has no key for. The resolved id
-    and KS threshold are written back into ``cfg`` for the manifest.
+    ``fixed`` sets the fields the subcommand has no key for. The resolved id,
+    fine factor and KS threshold are written back into ``cfg`` for the
+    manifest.
     """
-    validate_ell(cfg["ell"])
     fields = {_FIELD_NAMES.get(key, key): value for key, value in cfg.items()}
     kwargs = {name: fields[name] for name in _EXPERIMENT_FIELDS if name in fields}
     n = cfg["n"]
@@ -312,12 +307,11 @@ def _experiment_config(cfg: dict, **fixed) -> ExperimentConfig:
         **kwargs,
         **fixed,
     )
-    if not econfig.force:
-        validate_p_range(econfig.hurst, econfig.p)
     if "id" in cfg:
         cfg["id"] = econfig.resolved_id()
-    if "ks_threshold" in cfg:
-        cfg["ks_threshold"] = econfig.resolved_ks_threshold
+    for key in ("fine_factor", "ks_threshold"):
+        if key in cfg:
+            cfg[key] = getattr(econfig, key)
     return econfig
 
 
@@ -402,6 +396,9 @@ def _run_limit_check(args: argparse.Namespace) -> int:
     points = ((entry["n"], entry["median_err"]) for entry in result.summary)
     (out / "plot_data.csv").write_text(log_log_csv(points))
     verdict = "pass" if result.passed else "FAIL"
+    nonfinite = sum(entry["nonfinite"] for entry in result.summary)
+    if nonfinite:
+        verdict += f" nonfinite={nonfinite}"
     print(
         f"limit-check: {econfig.resolved_id()} regime={econfig.regime} "
         f"slope={result.slope:.4g} -> {verdict}"
@@ -537,6 +534,13 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
+    except Exception:
+        # A bug, not a failed check. Only this path needs traceback, so a
+        # normal run's start-up never imports it on the CLI's account.
+        import traceback
+
+        traceback.print_exc()
+        return 70
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ and a binned joint-stability check.
 
 Replica streams are derived from the master seed through SeedSequence spawn
 keys indexed by (resolution, replica), so results are bit-identical for a
-fixed config regardless of worker count or scheduling order.
+fixed config regardless of worker count or scheduling order. An
+``ExperimentConfig`` resolves its ``auto`` (``None``) values and refuses what
+the theorem does not cover when it is constructed; the checks take it as is.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .controlled import ControlledPath
-from .fbm import FbmSpec, sample_fbm
+from .controlled import ControlledPath, validate_ell
+from .fbm import FbmPath, FbmSpec, sample_fbm
 from .hermite import hermite
-from .processes import PROCESS_TAGS, build_controlled_process, default_fine_factor
+from .processes import (
+    DEFAULT_ELL, PROCESS_TAGS, build_controlled_process, default_fine_factor
+)
 from .stats import (
     REGIME_CRITICAL,
     REGIME_DEGENERATE,
@@ -74,12 +78,12 @@ def validate_p_range(hurst: float, p: float) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one Monte Carlo experiment.
-
-    ``fine_factor=None`` resolves to the process's default fine factor
-    (:func:`~roughpvar.processes.default_fine_factor`). ``force=True`` runs
-    (regime, p) combinations outside the guaranteed range and stamps outputs
-    as unguaranteed.
+    """Full description of one Monte Carlo experiment, resolved and refused
+    at construction: ``fine_factor=None`` (the CLI's ``auto``) becomes the
+    process's default fine factor and ``ks_threshold=None`` the regime's KS
+    threshold (0.07 at the critical index, 0.05 otherwise). An ``ell`` below
+    2 is refused, and so is a (regime, p) outside the guaranteed range
+    unless ``force=True``, which runs it and stamps outputs as unguaranteed.
     """
 
     hurst: float
@@ -100,6 +104,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.process not in PROCESS_TAGS:
             raise ValueError(f"unknown process {self.process!r}; known: {PROCESS_TAGS}")
+        validate_ell(self.process_params.get("ell", DEFAULT_ELL))
         if len(self.n_grid) < 1 or any(n < 2 for n in self.n_grid):
             raise ValueError("n_grid must list resolutions >= 2")
         if len(set(self.n_grid)) != len(self.n_grid):
@@ -110,24 +115,19 @@ class ExperimentConfig:
         if self.fine_factor is not None and self.fine_factor < 1:
             raise ValueError("fine_factor must be >= 1")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        classify_regime(self.hurst)
+        regime = classify_regime(self.hurst)
         StatConfig(p=self.p, t=self.t, quadrature=self.quadrature)
+        if not self.force:
+            validate_p_range(self.hurst, self.p)
+        if self.fine_factor is None:
+            object.__setattr__(self, "fine_factor", default_fine_factor(self.process))
+        if self.ks_threshold is None:
+            threshold = 0.07 if regime == REGIME_CRITICAL else 0.05
+            object.__setattr__(self, "ks_threshold", threshold)
 
     @property
     def regime(self) -> str:
         return classify_regime(self.hurst)
-
-    @property
-    def resolved_fine_factor(self) -> int:
-        if self.fine_factor is not None:
-            return self.fine_factor
-        return default_fine_factor(self.process)
-
-    @property
-    def resolved_ks_threshold(self) -> float:
-        if self.ks_threshold is not None:
-            return self.ks_threshold
-        return 0.07 if self.regime == REGIME_CRITICAL else 0.05
 
     def resolved_id(self) -> str:
         if self.experiment_id:
@@ -156,15 +156,21 @@ def replica_rng(master_seed: int, n: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _replica_driver(cfg: ExperimentConfig, n: int, replica: int) -> FbmPath:
+    """The fine driver of one (resolution, replica) pair."""
+    spec = FbmSpec(hurst=cfg.hurst, n=n * cfg.fine_factor)
+    return sample_fbm(spec, replica_rng(cfg.master_seed, n, replica))
+
+
 def build_replica_path(cfg: ExperimentConfig, n: int, replica: int) -> ControlledPath:
     """Construct the controlled process for one (resolution, replica) pair."""
-    factor = cfg.resolved_fine_factor
-    spec = FbmSpec(hurst=cfg.hurst, n=n * factor)
-    x_fine = sample_fbm(spec, replica_rng(cfg.master_seed, n, replica))
+    x_fine = _replica_driver(cfg, n, replica)
+    factor = cfg.fine_factor
     return build_controlled_process(cfg.process, x_fine, factor, cfg.process_params)
 
 
 def _replica_row(cfg: ExperimentConfig, n: int, replica: int) -> tuple:
+    """``(n, replica, stat, drift, cond_std, z)``, the columns of results.csv."""
     cp = build_replica_path(cfg, n, replica)
     stat = pvar_statistic(cp, StatConfig(p=cfg.p, t=cfg.t, quadrature=cfg.quadrature))
     regime = cfg.regime
@@ -178,29 +184,11 @@ def _replica_row(cfg: ExperimentConfig, n: int, replica: int) -> tuple:
 
     if regime == REGIME_MIXED:
         z = math.sqrt(n) * stat / cond if cond > 0.0 else math.nan
-        center = 0.0
     elif regime == REGIME_CRITICAL:
         z = (math.sqrt(n) * stat - drift) / cond if cond > 0.0 else math.nan
-        center = drift / math.sqrt(n)
     else:
         z = float(n) ** (2.0 * cfg.hurst) * stat - drift
-        center = drift * float(n) ** (-2.0 * cfg.hurst)
-
-    quad_cp = cp.quadrature_path()
-    x_values = quad_cp.x.values
-    x_end = float(x_values[-1])
-    x_integral = integrate_grid(x_values, 1.0 / quad_cp.n, "trapezoid")
-    return (
-        float(n),
-        float(replica),
-        stat,
-        drift,
-        cond,
-        z,
-        x_end,
-        x_integral,
-        center,
-    )
+    return (float(n), float(replica), stat, drift, cond, z)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -289,13 +277,10 @@ def log_log_csv(points) -> str:
 
 
 def rows_to_csv(exp_id: str, rows: np.ndarray) -> str:
+    """results.csv: the id, then every column of the rows collect_rows returns."""
     lines = ["experiment_id,n,replica,stat,drift,cond_std,z"]
-    for row in rows:
-        lines.append(
-            f"{exp_id},{int(row[0])},{int(row[1])},"
-            f"{_fmt_float(row[2])},{_fmt_float(row[3])},"
-            f"{_fmt_float(row[4])},{_fmt_float(row[5])}"
-        )
+    for n, replica, *values in rows:
+        lines.append(",".join([exp_id, str(int(n)), str(int(replica)), *map(_fmt_float, values)]))
     return "\n".join(lines) + "\n"
 
 
@@ -305,7 +290,8 @@ def _median_errors(
     """Per-resolution deviation of the statistic from its limit proxy.
 
     Distributional regimes report the spread median |stat - center|, of
-    order n**(-1/2). The degenerate regime reports the location error
+    order n**(-1/2), where the center is drift / sqrt(n): zero in the mixed
+    regime, whose drift is 0. The degenerate regime reports the location error
     |median(rows[:, location_column])|: the regime summary reads z (column
     5), the distance of the median rescaled statistic from the drift
     constant it converges to; the rate fit reads the uncentered stat
@@ -319,7 +305,7 @@ def _median_errors(
         if cfg.regime == REGIME_DEGENERATE:
             med_errs[i] = abs(float(np.median(rows[sel, location_column])))
         else:
-            err = rows[sel, 2] - rows[sel, 8]
+            err = rows[sel, 2] - rows[sel, 3] / math.sqrt(n)
             med_errs[i] = float(np.median(np.abs(err)))
     return np.array(cfg.n_grid, dtype=float), med_errs
 
@@ -350,28 +336,27 @@ def run_regime_check(
     is below the threshold. Degenerate regime (Hurst < 1/4): per-resolution
     signed-median error against the drift proxy; passes when the largest
     resolution is within the tolerance and the medians are nonincreasing in
-    resolution with at most one inversion.
+    resolution with at most one inversion. Each summary entry counts the
+    replicas whose z is not finite (``nonfinite``); the distributional
+    regimes leave them out of the KS test.
     """
-    if not cfg.force:
-        validate_p_range(cfg.hurst, cfg.p)
     rows = collect_rows(cfg, workers)
     ns, med_errs = _median_errors(cfg, rows, 5)
     slope, slope_se = _log_slope(ns, med_errs)
 
     summary = []
     for i, n in enumerate(cfg.n_grid):
-        sel = rows[:, 0] == n
+        z = rows[rows[:, 0] == n, 5]
+        finite = np.isfinite(z)
         if cfg.regime == REGIME_DEGENERATE:
             ks = math.nan
             ok = med_errs[i] <= cfg.median_tol
         else:
-            z = rows[sel, 5]
-            z = z[np.isfinite(z)]
-            ks = ks_statistic(z, ndtr) if z.size else math.nan
-            ok = bool(ks < cfg.resolved_ks_threshold)
-        summary.append(
-            {"n": int(n), "median_err": float(med_errs[i]), "ks": ks, "pass": ok}
-        )
+            ks = ks_statistic(z[finite], ndtr) if finite.any() else math.nan
+            ok = bool(ks < cfg.ks_threshold)
+        entry = {"n": int(n), "median_err": float(med_errs[i]), "ks": ks, "pass": ok}
+        entry["nonfinite"] = int(z.size - np.count_nonzero(finite))
+        summary.append(entry)
 
     order = np.argsort(ns)
     passed = bool(summary[int(order[-1])]["pass"])
@@ -424,8 +409,6 @@ def rate_fit(
     drift) and compared to the theoretical exponent: -1/2 in the
     distributional regimes, -2H in the degenerate one.
     """
-    if not cfg.force:
-        validate_p_range(cfg.hurst, cfg.p)
     validate_rate_grid(cfg.n_grid)
     rows = collect_rows(cfg, workers)
     ns, errs = _median_errors(cfg, rows, 2)
@@ -577,6 +560,13 @@ class JointCheckReport:
     passed: bool
 
 
+def _driver_summary(cfg: ExperimentConfig, n: int, replica: int) -> tuple[float, float]:
+    """Endpoint and trapezoid time integral of one replica's fine driver."""
+    x_values = _replica_driver(cfg, n, replica).values
+    step = 1.0 / (n * cfg.fine_factor)
+    return float(x_values[-1]), integrate_grid(x_values, step, "trapezoid")
+
+
 def stable_joint_check(
     cfg: ExperimentConfig, workers: int | None = None, bins: int = 5
 ) -> JointCheckReport:
@@ -587,7 +577,8 @@ def stable_joint_check(
     3 / sqrt(replicas)) and its law must stay standard normal within each
     driver-endpoint quantile bin (KS below 2.72 / sqrt(bin size), twice the
     asymptotic 95% band). Replicas whose conditional scale degenerates to
-    zero are excluded and reported.
+    zero are excluded and reported. The driver summaries come from a
+    driver-only pass over the same replica streams.
     """
     if cfg.replicas < 1000:
         raise ValueError("joint checks need at least 1000 replicas")
@@ -598,13 +589,15 @@ def stable_joint_check(
     n_top = max(cfg.n_grid)
     sub = replace(cfg, n_grid=(n_top,))
     rows = collect_rows(sub, workers)
+    tasks = [(sub, n_top, r) for r in range(sub.replicas)]
+    driver = np.array(_parallel_starmap(_driver_summary, tasks, workers), dtype=float)
 
     cond = rows[:, 4]
     good = cond > 1e-12 * float(np.nanmedian(cond))
     excluded = int(np.sum(~good))
     z = rows[good, 5]
-    x_end = rows[good, 6]
-    x_int = rows[good, 7]
+    x_end = driver[good, 0]
+    x_int = driver[good, 1]
     m = z.size
     corr_threshold = 3.0 / math.sqrt(m)
     corr_end = float(abs(np.corrcoef(z, x_end)[0, 1]))

@@ -8,12 +8,12 @@ Covers:
 4. The pvar subcommand: row schema, guaranteed-range refusal, and the
    force escape hatch with its unguaranteed marker.
 5. limit-check: calibrated pass, forced failure, manifest replay byte
-   identity, and worker-count invariance.
+   identity, worker-count invariance, and the non-finite z count.
 6. rate-fit: a calibrated pass and an exact deterministic failure.
 7. scaling-check: output schema, manifest replay, and the resolution- and
    window-axis exponent targets.
-8. Exit codes: 0 pass, 1 failed check, 2 usage/domain errors, and a
-   refused config writes nothing; 17 significant digit float formatting
+8. Exit codes: 0 pass, 1 failed check, 2 usage/domain errors, 70 any
+   other exception, and a refused config writes nothing; 17 significant digit float formatting
    throughout.
 9. The config -> manifest -> config round trip as a fixed point, on drawn
    configs of every subcommand, in key=value and JSON form.
@@ -36,8 +36,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughpvar
-from roughpvar import ExperimentConfig, FbmSpec, build_replica_path, path_from_csv
-from roughpvar import cli
+from roughpvar import (
+    ExperimentConfig,
+    FbmSpec,
+    build_replica_path,
+    path_from_csv,
+    run_regime_check,
+)
+from roughpvar import cli, harness
 from roughpvar.cli import (
     REQUIRED,
     SCHEMA,
@@ -83,10 +89,14 @@ class TestResolveConfig:
         assert cfg["process"] == "sq"
         assert cfg["n"] == [1024, 4096]
         assert cfg["replicas"] == 500 and cfg["seed"] == 42
-        # Materialized defaults: auto fine factor is 16 off the plain driver.
-        assert cfg["fine_factor"] == 16
+        # Defaults filled in; auto stays None until ExperimentConfig resolves
+        # it, and _experiment_config writes the resolved value back.
+        assert cfg["fine_factor"] is None
         assert cfg["ks_threshold"] is None
         assert cfg["t"] == 1.0 and cfg["quadrature"] == "trapezoid"
+        _experiment_config(cfg)
+        assert cfg["fine_factor"] == 16, "auto fine factor is 16 off the plain driver"
+        assert cfg["ks_threshold"] == 0.07, "auto KS threshold at the critical index"
 
     def test_newline_separated_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -257,6 +267,16 @@ class TestMainErrors:
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert "blow-up guard" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_70(self, tmp_path, monkeypatch, capsys):
+        # A bug is neither a refused config (2) nor a failed check (1).
+        def broken(args):
+            raise KeyError("not a usage error")
+
+        monkeypatch.setitem(cli._RUNNERS, "pvar", broken)
+        assert main(["pvar", "--hurst", "0.3", "--p", "2", "--out", str(tmp_path / "out")]) == 70
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "KeyError" in err
 
     def test_broken_json_config_exits_2(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -443,6 +463,22 @@ class TestLimitCheck:
                 f"{name} depends on the worker count"
             )
 
+    def test_nonfinite_z_is_counted(self, tmp_path, capsys, monkeypatch):
+        # A zero conditional scale leaves z undefined on every row; the KS
+        # test drops those rows, and the count says how many.
+        monkeypatch.setattr(harness, "limit_cond_std", lambda *args, **kwargs: 0.0)
+        cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64, 128), replicas=5, master_seed=3)
+        result = run_regime_check(cfg, workers=1)
+        assert [entry["nonfinite"] for entry in result.summary] == [5, 5]
+        assert all(math.isnan(entry["ks"]) for entry in result.summary)
+        out = tmp_path / "lc"
+        rc = main(["limit-check", "--hurst", "0.5", "--p", "2", "--n", "64,128",
+                   "--replicas", "5", "--seed", "3", "--workers", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().out.endswith("-> FAIL nonfinite=10\n")
+        summary = _read_lines(out / "summary.csv")
+        assert summary[0] == "experiment_id,n,median_err,ks,slope,slope_se,pass"
+
     def test_default_output_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rc = main(["limit-check", "--hurst", "0.5", "--p", "2", "--n", "64",
@@ -582,8 +618,11 @@ class TestManifest:
 # config round trip
 
 
-class _Stopped(Exception):
-    """Raised in place of the first computation, once the manifest is written."""
+class _Stopped(BaseException):
+    """Raised in place of the first computation, once the manifest is written.
+
+    A BaseException, so that main's exit-70 handler lets it through.
+    """
 
 
 def _stop(*args, **kwargs):

@@ -7,7 +7,9 @@ Covers:
      and the exact midpoint decomposition identity on random level tuples,
      pinned and as a Hypothesis property with nonzero offsets.
   3. Function families and the iterated-field polynomials.
-  4. Composition through smooth functions (Faa di Bruno levels).
+  4. Composition through smooth functions (Faa di Bruno levels), and the
+     chain rule for its first levels as a Hypothesis property on random
+     polynomial families and random level tuples.
   5. The compensated-sum rough integral: polynomial exactness, pinned and
      as a Hypothesis property on random polynomial integrands, its coarse
      view, and the marginal-order warning.
@@ -291,6 +293,43 @@ class TestCompose:
         out = compose(FunctionFamily.identity(), cp)
         for j in range(3):
             assert np.allclose(out.level(j), cp.level(j), atol=0.0), j
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 64),
+        ell=st.integers(2, 4),
+        # zero, or far enough from it that no term falls to subnormal
+        # numbers, whose rounding is not relative
+        coeffs=st.lists(
+            st.one_of(st.just(0.0), st.floats(-3.0, 3.0).filter(lambda v: abs(v) >= 1e-3)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_chain_rule_on_random_levels(self, seed, n, ell, coeffs):
+        # The raw levels (y, y', y'', ...) are drawn independently: the first
+        # output levels are the chain rule applied node by node, whatever
+        # the levels are.
+        rng = np.random.default_rng(seed)
+        x = sample_fbm(FbmSpec(hurst=0.3, n=n), rng)
+        cp = ControlledPath(x, rng.uniform(-3.0, 3.0, size=(ell, n + 1)))
+        out = compose(FunctionFamily.polynomial(coeffs), cp)
+        assert out.ell == ell
+        y = [cp.level(j) for j in range(ell)]
+        f = [P.polyval(y[0], P.polyder(coeffs, j)) for j in range(3)]
+        # Level 0 is f(y) itself, stored as its first node plus the shifted row.
+        assert out.offsets[0] == f[0][0]
+        assert np.array_equal(out.levels[0], f[0] - f[0][0])
+        chain = {1: [f[1] * y[1]]}
+        if ell >= 3:
+            chain[2] = [f[2] * y[1] ** 2, f[1] * y[2]]
+        for r, terms in chain.items():
+            size = sum(np.abs(term) for term in terms)
+            # the offset split rounds relative to the first node's terms too
+            scale = size + size[0]
+            error = np.abs(out.level(r) - sum(terms))
+            assert np.all(error <= 1e-13 * scale), f"level {r}: {np.max(error / scale):.2e}"
 
     def test_order_truncation_and_fine_propagation(self):
         x_fine = sample_fbm(FbmSpec(hurst=0.4, n=256, seed=17))

@@ -19,7 +19,8 @@ Covers:
 10. Two-way scaling fits: exact exponent recovery on a constant process and
     input validation.
 11. The joint stability check (decoupling of the normalized statistic from
-    its driver) with a calibrated seed.
+    its driver) with a calibrated seed; its driver-only pass draws the
+    drivers the rows were built on.
 """
 
 import dataclasses
@@ -59,6 +60,7 @@ from roughpvar import (
 )
 from roughpvar.harness import (
     WORKERS_ENV,
+    _driver_summary,
     _log_slope,
     _median_errors,
     log_log_csv,
@@ -224,6 +226,8 @@ class TestExperimentConfig:
             ({"p": 0.5}, "p must be >= 1"),
             ({"quadrature": "simpson"}, "unknown quadrature"),
             ({"fine_factor": 0}, "fine_factor must be >= 1"),
+            ({"process_params": {"ell": 1}}, "at least two levels"),
+            ({"p": 2.5}, "force=True"),
         ],
     )
     def test_validation_errors(self, overrides, match):
@@ -245,25 +249,14 @@ class TestExperimentConfig:
         assert ExperimentConfig(hurst=hurst, p=2.0).regime == regime
 
     def test_resolved_fine_factor(self):
-        assert ExperimentConfig(hurst=0.35, p=2.0).resolved_fine_factor == 1
-        assert (
-            ExperimentConfig(hurst=0.35, p=2.0, process="sq").resolved_fine_factor
-            == 16
-        )
-        assert (
-            ExperimentConfig(
-                hurst=0.35, p=2.0, process="sq", fine_factor=4
-            ).resolved_fine_factor
-            == 4
-        )
+        assert ExperimentConfig(hurst=0.35, p=2.0).fine_factor == 1
+        assert ExperimentConfig(hurst=0.35, p=2.0, process="sq").fine_factor == 16
+        assert ExperimentConfig(hurst=0.35, p=2.0, process="sq", fine_factor=4).fine_factor == 4
 
     def test_resolved_ks_threshold(self):
-        assert ExperimentConfig(hurst=0.35, p=2.0).resolved_ks_threshold == 0.05
-        assert ExperimentConfig(hurst=0.25, p=2.0).resolved_ks_threshold == 0.07
-        assert (
-            ExperimentConfig(hurst=0.25, p=2.0, ks_threshold=0.03).resolved_ks_threshold
-            == 0.03
-        )
+        assert ExperimentConfig(hurst=0.35, p=2.0).ks_threshold == 0.05
+        assert ExperimentConfig(hurst=0.25, p=2.0).ks_threshold == 0.07
+        assert ExperimentConfig(hurst=0.25, p=2.0, ks_threshold=0.03).ks_threshold == 0.03
 
     @pytest.mark.parametrize(
         "kwargs, expected",
@@ -336,7 +329,7 @@ class TestCollectRows:
     def test_shape_and_ordering(self):
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64, 128), replicas=5)
         rows = collect_rows(cfg)
-        assert rows.shape == (10, 9), f"unexpected shape {rows.shape}"
+        assert rows.shape == (10, 6), f"unexpected shape {rows.shape}"
         assert np.array_equal(rows[:, 0], np.repeat([64.0, 128.0], 5))
         assert np.array_equal(rows[:, 1], np.tile(np.arange(5.0), 2))
 
@@ -364,8 +357,8 @@ class TestCollectRows:
     def test_mixed_regime_row_arithmetic(self):
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=4, master_seed=3)
         for row in collect_rows(cfg):
-            n, replica, stat, drift, cond, z, _, _, center = row
-            assert drift == 0.0 and center == 0.0
+            n, replica, stat, drift, cond, z = row
+            assert drift == 0.0
             assert cond > 0.0
             cp = build_replica_path(cfg, int(n), int(replica))
             assert cond == limit_cond_std(cp, 2.0), "cond_std is the path's limit_cond_std"
@@ -379,12 +372,16 @@ class TestCollectRows:
             hurst=0.25, p=2.0, process="sq", n_grid=(64,), replicas=3,
             master_seed=4, fine_factor=4,
         )
-        for row in collect_rows(cfg):
-            n, _, stat, drift, cond, z, _, _, center = row
+        rows = collect_rows(cfg)
+        for row in rows:
+            n, _, stat, drift, cond, z = row
             assert cond > 0.0 and drift != 0.0
             assert drift == pytest.approx(-0.25, rel=1e-12), "sq drift at p = 2 is -t/4"
             assert z * cond + drift == pytest.approx(math.sqrt(n) * stat, rel=1e-12)
-            assert center == pytest.approx(drift / math.sqrt(n), rel=1e-15)
+        # The spread metric centers the statistic at drift / sqrt(n).
+        center = rows[:, 3] / math.sqrt(64)
+        _, errs = _median_errors(cfg, rows, 5)
+        assert errs[0] == float(np.median(np.abs(rows[:, 2] - center)))
 
     def test_degenerate_regime_row_arithmetic(self):
         cfg = ExperimentConfig(
@@ -392,20 +389,10 @@ class TestCollectRows:
             master_seed=4, fine_factor=4,
         )
         for row in collect_rows(cfg):
-            n, _, stat, drift, cond, z, _, _, center = row
+            n, _, stat, drift, cond, z = row
             assert math.isnan(cond), "degenerate rows have no conditional scale"
             assert drift == pytest.approx(-0.25, rel=1e-12), "sq drift at p = 2 is -t/4"
             assert z == pytest.approx(n ** 0.3 * stat - drift, rel=1e-12)
-            assert center == pytest.approx(drift * n ** -0.3, rel=1e-12)
-
-    def test_driver_summary_columns(self):
-        cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=2, master_seed=3)
-        rows = collect_rows(cfg)
-        for replica in range(2):
-            quad = build_replica_path(cfg, 64, replica).quadrature_path()
-            assert rows[replica, 6] == quad.x.values[-1], "x_end mismatch"
-            expected = integrate_grid(quad.x.values, 1.0 / quad.n, "trapezoid")
-            assert rows[replica, 7] == expected, "x_integral mismatch"
 
     def test_replica_statistics_uncorrelated(self):
         # Lag-1 sample autocorrelation of an iid sequence of length M has
@@ -426,14 +413,15 @@ class TestCollectRows:
 
 
 def _synthetic_rows(entries):
-    """Rows with only the columns the error metrics read filled in."""
-    rows = np.zeros((len(entries), 9))
+    """Rows with only the columns the error metrics read filled in; the
+    distributional center is given through drift = center * sqrt(n)."""
+    rows = np.zeros((len(entries), 6))
     for i, (n, stat, z, center) in enumerate(entries):
         rows[i, 0] = n
         rows[i, 1] = i
         rows[i, 2] = stat
+        rows[i, 3] = center * math.sqrt(n)
         rows[i, 5] = z
-        rows[i, 8] = center
     return rows
 
 
@@ -544,9 +532,9 @@ class TestRunRegimeCheck:
         assert meds[1] < meds[0], "median error should shrink with resolution"
 
     def test_uncovered_exponent_rejected(self):
-        cfg = ExperimentConfig(hurst=0.35, p=2.5, n_grid=(64,), replicas=5)
+        # Refused when the config is built, before any replica is drawn.
         with pytest.raises(UnsupportedRangeError):
-            run_regime_check(cfg)
+            run_regime_check(ExperimentConfig(hurst=0.35, p=2.5, n_grid=(64,), replicas=5))
 
     def test_force_runs_and_marks_unguaranteed(self):
         cfg = ExperimentConfig(
@@ -577,7 +565,7 @@ class TestCsvOutputs:
             assert float(text) == value, f"field {text} does not round trip"
 
     def test_rows_to_csv_formats_integers(self):
-        rows = np.array([[64.0, 3.0, 0.1, 0.0, 1.0, 0.5, 0.0, 0.0, 0.0]])
+        rows = np.array([[64.0, 3.0, 0.1, 0.0, 1.0, 0.5]])
         lines = rows_to_csv("demo", rows).splitlines()
         assert lines[1].startswith("demo,64,3,"), f"bad row line {lines[1]!r}"
 
@@ -671,9 +659,9 @@ class TestRateFit:
             rate_fit(cfg)
 
     def test_uncovered_exponent_rejected(self):
-        cfg = ExperimentConfig(hurst=0.35, p=2.5, n_grid=(64, 128), replicas=5)
+        # Refused when the config is built, before any replica is drawn.
         with pytest.raises(UnsupportedRangeError):
-            rate_fit(cfg)
+            rate_fit(ExperimentConfig(hurst=0.35, p=2.5, n_grid=(64, 128), replicas=5))
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +778,20 @@ class TestStableJointCheck:
         assert report.bin_ks.shape == (5,)
         assert report.bin_threshold == pytest.approx(2.72 / math.sqrt(400))
         assert report.corr_endpoint < 0.05 and report.corr_integral < 0.05
+
+    @pytest.mark.parametrize("process, factor", [("fbm", 1), ("sq", 4)])
+    def test_driver_pass_matches_replica_path(self, process, factor):
+        # The driver-only pass draws the same fine driver the rows were built on.
+        cfg = ExperimentConfig(
+            hurst=0.35, p=3.0, process=process, n_grid=(64,), replicas=2,
+            master_seed=3, fine_factor=factor,
+        )
+        for replica in range(2):
+            quad = build_replica_path(cfg, 64, replica).quadrature_path()
+            x_end, x_integral = _driver_summary(cfg, 64, replica)
+            assert x_end == quad.x.values[-1], "x_end mismatch"
+            expected = integrate_grid(quad.x.values, 1.0 / quad.n, "trapezoid")
+            assert x_integral == expected, "x_integral mismatch"
 
     def test_needs_enough_replicas(self):
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=500)

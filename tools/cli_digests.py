@@ -1,0 +1,111 @@
+"""Digest a fixed set of CLI runs, so that two checkouts can be compared.
+
+Usage, from anywhere:
+
+    python3 tools/cli_digests.py [CHECKOUT]
+
+CHECKOUT defaults to the checkout this script lives in. Each run is a fresh
+interpreter with ``PYTHONPATH=CHECKOUT/src`` and its own ``--out`` directory
+in a temporary directory. For each run the script prints one line: the
+argv, the exit code, the sha256 of stdout and of stderr with the output
+directory's path masked as ``<out>`` and the checkout's as ``<checkout>``,
+and the sha256 of every file the run left in its output
+directory (``no-out-dir`` when it created none). Comparing two checkouts is
+
+    diff <(python3 tools/cli_digests.py A) <(python3 tools/cli_digests.py B)
+
+The set covers every subcommand, a ``--workers 2`` run, a manifest replay,
+the dense Cholesky oracle, a forced run, a blow-up, and refused configs.
+It takes about 15 s on two cores and is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# (name, argv). ``{name}`` in an argv item is replaced by the output
+# directory of the earlier run of that name, so a manifest can be replayed.
+RUNS = (
+    ("simulate", ["simulate", "--hurst", "0.3", "--n", "64", "--replicas", "2", "--seed", "7"]),
+    ("cholesky", ["simulate", "--hurst", "0.3", "--n", "32", "--method", "cholesky"]),
+    ("constants", ["constants", "--p", "2", "--hurst", "0.35"]),
+    ("pvar", ["pvar", "--process", "sq", "--hurst", "0.2", "--p", "2", "--n", "256",
+              "--seed", "3"]),
+    ("mixed", ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "256,512",
+               "--replicas", "100", "--seed", "11"]),
+    ("critical", ["limit-check", "--process", "sq", "--hurst", "0.25", "--p", "2",
+                  "--n", "64,128", "--replicas", "60", "--seed", "4"]),
+    ("critical-workers2", ["limit-check", "--process", "sq", "--hurst", "0.25", "--p", "2",
+                           "--n", "64,128", "--replicas", "60", "--seed", "4",
+                           "--workers", "2"]),
+    ("replay", ["limit-check", "--config", "{critical}/manifest.json"]),
+    ("degenerate", ["limit-check", "--process", "sq", "--hurst", "0.15", "--p", "2",
+                    "--n", "128,256", "--replicas", "40", "--seed", "9", "--fine-factor", "4"]),
+    ("forced", ["limit-check", "--hurst", "0.35", "--p", "2.5", "--n", "64",
+                "--replicas", "20", "--seed", "1", "--force"]),
+    ("rate-fit", ["rate-fit", "--hurst", "0.4", "--p", "2", "--n", "256,512,1024",
+                  "--replicas", "60", "--seed", "5"]),
+    ("scaling", ["scaling-check", "--hurst", "0.4", "--rank", "3", "--n", "256,512",
+                 "--delta", "0.125,0.25", "--replicas", "30", "--seed", "9"]),
+    ("blow-up", ["pvar", "--hurst", "0.3", "--p", "3", "--process", "custom-rde",
+                 "--field-coeffs", "0,0,0,0,0,0,0,0,5", "--y0", "1e13", "--n", "8"]),
+    ("refused-p", ["limit-check", "--hurst", "0.35", "--p", "2.5", "--n", "64"]),
+    ("refused-ell", ["pvar", "--hurst", "0.3", "--p", "3", "--ell", "1"]),
+    ("refused-grid", ["rate-fit", "--hurst", "0.3", "--p", "2", "--n", "64"]),
+)
+
+_MAIN = "import sys; from roughpvar.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_runs(checkout: Path, work: Path) -> list[str]:
+    """Run every entry of RUNS against ``checkout`` and return its lines."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ROUGHPVAR_")}
+    env["PYTHONPATH"] = str(checkout / "src")
+    outs: dict[str, str] = {}
+    lines = []
+    for name, argv in RUNS:
+        out = work / name
+        outs[name] = str(out)
+        resolved = [item.format(**outs) for item in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", _MAIN, *resolved, "--out", str(out)],
+            cwd=work,
+            env=env,
+            capture_output=True,
+        )
+        fields = [" ".join(argv), f"exit={proc.returncode}"]
+        for stream, data in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+            data = data.replace(str(out).encode(), b"<out>")
+            data = data.replace(str(checkout).encode(), b"<checkout>")
+            fields.append(f"{stream}={_sha(data)}")
+        if out.is_dir():
+            for path in sorted(out.iterdir()):
+                fields.append(f"{path.name}={_sha(path.read_bytes())}")
+        else:
+            fields.append("no-out-dir")
+        lines.append(" ".join(fields))
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    checkout = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    if not (checkout / "src" / "roughpvar").is_dir():
+        print(f"no src/roughpvar under {checkout}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in digest_runs(checkout, Path(tmp)):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
