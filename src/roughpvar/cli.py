@@ -16,7 +16,7 @@ domain errors, 70 (``EX_SOFTWARE``) with a traceback on any other exception.
 A config refused while it is resolved, while its library objects are built
 (level count and power exponent included) or by a library check (worker
 count, seed, variance domain, rate and scaling grids) exits 2 and writes
-nothing.
+nothing; so does a ``scaling-check`` whose weight has no established target.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .hermite import (
     gaussian_abs_moment,
     validate_variance_domain,
 )
-from .processes import CUSTOM_RDE_DEFAULTS, DEFAULT_ELL, PROCESS_TAGS
+from .processes import CUSTOM_RDE_DEFAULTS, DEFAULT_ELL, PROCESS_TAGS, first_zero_level
 
 REQUIRED = ...  # marks a key that has no default
 
@@ -445,12 +445,25 @@ def _window_target(hurst: float, rank: int) -> float:
     The degenerate limit is a time integral over the window, so it grows
     like delta. For the ``fbm`` weight at rank 1 the sum telescopes to
     n**H ((x_t**2 - x_s**2) - sum (delta x_k)**2) / 2, about
-    -(delta / 2) n**(1 - H). Not settled: where the weight's rank-th
-    derivative level vanishes (the ``fbm`` weight at rank >= 2) the limit
-    integral is 0 and neither exponent is established; both targets are
-    applied there unchanged.
+    -(delta / 2) n**(1 - H). Where the weight's rank-th derivative level
+    vanishes the limit integral is 0 and neither exponent is established;
+    :func:`_refuse_untargeted` refuses those configs before any target is
+    applied.
     """
     return 1.0 if rank * hurst < 0.5 else 0.5
+
+
+def _refuse_untargeted(process: str, hurst: float, rank: int) -> None:
+    """Refuse a degenerate scaling fit (rank * H < 1/2) whose closed-form
+    weight has an identically zero rank-th level: ``fbm`` at rank >= 2,
+    ``sq`` at rank >= 3, ``cube`` at rank >= 4."""
+    zero_from = first_zero_level(process)
+    if zero_from is not None and rank >= zero_from and rank * hurst < 0.5:
+        raise UsageError(
+            f"no scaling target is established for process {process!r} at rank "
+            f"{rank} and hurst {hurst}: its level {rank} is identically zero "
+            "and rank * hurst < 1/2"
+        )
 
 
 def _run_scaling_check(args: argparse.Namespace) -> int:
@@ -458,6 +471,7 @@ def _run_scaling_check(args: argparse.Namespace) -> int:
     # The windowed sums use no power exponent; p = 2 is covered in every regime.
     econfig = _experiment_config(cfg, p=2.0)
     validate_scaling_inputs(econfig.n_grid, cfg["rank"], cfg["delta"], cfg["start"])
+    _refuse_untargeted(econfig.process, econfig.hurst, cfg["rank"])
     workers = resolve_workers(args.workers)
     outputs = ["manifest.json", "scaling.csv", "scaling_summary.csv"]
     out = _write_manifest(args, "scaling-check", cfg, outputs)
@@ -523,7 +537,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_malloc_thresholds() -> None:
+    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    Left dynamic, the mmap threshold follows what the process freed before,
+    so a row's multi-MB arrays can be mapped and faulted in again on every
+    row, and the heap trimmed between rows. Skipped where libc has no
+    mallopt; pool workers inherit the setting when they fork.
+    """
+    import ctypes  # numpy has loaded it already
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -3,9 +3,11 @@
 A controlled path bundles the driver, a tuple of level processes
 (the path itself plus its successive Gubinelli-type derivative levels), and
 the Hölder exponent attributed to the driver. It has one constructor, which
-takes the raw level arrays; the stored rows are normalized to start at 0,
+takes the raw levels; the stored rows are normalized to start at 0,
 with the initial values kept as offsets, and all evaluation (remainders,
-composition, quadrature) uses the unshifted values ``offset + array``.
+composition, quadrature) uses the unshifted values ``offset + array``. A
+level given as a scalar is constant: after the last level given as an array
+no row is stored, and such a level reads as its offset.
 Every builder works on the grid of its driver; :func:`subsample_controlled`
 is the one coarsening step, and it attaches the fine path for quadrature.
 
@@ -37,18 +39,21 @@ _BLOWUP_GUARD = 1e12
 class ControlledPath:
     """A path with derivative levels, controlled by a sampled driver.
 
-    Built from the raw level arrays: ``ControlledPath(x, levels)`` stacks
-    them into one fresh read-only array, keeps their initial values as
-    ``offsets`` and stores every row minus its initial value.
+    Built from the raw levels: ``ControlledPath(x, levels)`` stacks them
+    into one fresh read-only array, keeps their initial values as
+    ``offsets`` and stores every row minus its initial value. A scalar
+    level is constant; the rows after the last array level are not stored.
 
     Attributes
     ----------
     x : FbmPath
         The driver, sampled on the uniform grid with ``x.n`` cells.
     levels : np.ndarray
-        Shape ``(ell, n + 1)``; row i is the i-th level process (row 0 the
-        path itself) minus its initial value. Given as any ``ell`` arrays of
-        length ``n + 1`` with the raw values.
+        Shape ``(stored, n + 1)``; row i is the i-th level process (row 0
+        the path itself) minus its initial value. Given as ``ell`` raw
+        levels, each an array of length ``n + 1`` or a scalar constant;
+        ``stored`` runs up to the last array level (at least 1), and a
+        scalar before it is stored as a constant row.
     alpha : float
         Hölder exponent attributed to the driver; defaults to the driver's
         Hurst index.
@@ -58,8 +63,8 @@ class ControlledPath:
         attaches it; the coarse rows are then exactly the fine rows
         subsampled.
     offsets : np.ndarray
-        Shape ``(ell,)``; initial values of the raw levels. Derived, not an
-        argument.
+        Shape ``(ell,)``; initial values of the raw levels, including the
+        levels that store no row. Derived, not an argument.
     """
 
     x: FbmPath
@@ -69,18 +74,27 @@ class ControlledPath:
     offsets: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        levels = np.array(self.levels, dtype=float)
-        if levels.ndim != 2 or levels.shape[0] < 1 or levels.shape[1] != self.x.n + 1:
+        nodes = self.x.n + 1
+        if isinstance(self.levels, np.ndarray) and self.levels.ndim != 2:
+            raise ValueError(f"a levels array must be 2-d, got shape {self.levels.shape}")
+        given = [np.asarray(level, dtype=float) for level in self.levels]
+        if not given or any(level.shape not in ((), (nodes,)) for level in given):
+            shapes = [level.shape for level in given]
             raise ValueError(
-                f"levels must be ell >= 1 rows of {self.x.n + 1} nodes, got {levels.shape}"
+                f"levels must be ell >= 1 rows of {nodes} nodes or scalars, got {shapes}"
             )
+        arrays = [i for i, level in enumerate(given) if level.ndim == 1]
+        stored = arrays[-1] + 1 if arrays else 1
         alpha = self.x.hurst if self.alpha is None else self.alpha
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         if self.fine is not None and self.fine.n % self.x.n != 0:
             raise ValueError("fine companion resolution must be a multiple of n")
-        offsets = levels[:, 0].copy()
-        levels -= offsets[:, None]
+        levels = np.empty((stored, nodes))
+        for row, level in zip(levels, given):
+            row[...] = level
+        offsets = np.array([level.flat[0] for level in given])
+        levels -= offsets[:stored, None]
         levels.setflags(write=False)
         offsets.setflags(write=False)
         object.__setattr__(self, "levels", levels)
@@ -89,15 +103,26 @@ class ControlledPath:
 
     @property
     def ell(self) -> int:
-        return self.levels.shape[0]
+        """Declared level count; rows are stored only for the first
+        ``levels.shape[0]`` of them."""
+        return self.offsets.shape[0]
 
     @property
     def n(self) -> int:
         return self.x.n
 
     def level(self, i: int) -> np.ndarray:
-        """Unshifted values of level i: offset + normalized row."""
-        return self.offsets[i] + self.levels[i]
+        """Unshifted values of level i: offset + normalized row, or the
+        constant row of a level that stores none."""
+        value = self.level_value(i)
+        return value if np.ndim(value) else np.full(self.n + 1, value)
+
+    def level_value(self, i: int):
+        """Level i as :meth:`level` gives it, or, for a level that stores no
+        row, its constant value as a scalar."""
+        if i < self.levels.shape[0]:
+            return self.offsets[i] + self.levels[i]
+        return self.offsets[i] + 0.0
 
     @property
     def fine_factor(self) -> int:
@@ -141,12 +166,19 @@ def remainder(cp: ControlledPath, k: int, s, t):
 
 def _remainder_by_index(cp: ControlledPath, k: int, i, j):
     dx = cp.x.values[j] - cp.x.values[i]
-    out = cp.levels[k][j] - cp.levels[k][i]
+    out = _row_at(cp, k, j) - _row_at(cp, k, i)
     power = np.ones_like(np.asarray(dx, dtype=float))
     for m in range(1, cp.ell - k):
         power = power * dx / m
-        out = out - (cp.offsets[k + m] + cp.levels[k + m][i]) * power
+        out = out - (cp.offsets[k + m] + _row_at(cp, k + m, i)) * power
     return out
+
+
+def _row_at(cp: ControlledPath, k: int, idx):
+    """Normalized row k at the indices ``idx``; 0 where no row is stored."""
+    if k < cp.levels.shape[0]:
+        return cp.levels[k][idx]
+    return np.zeros(np.shape(idx))
 
 
 def remainder_decomposition_residual(cp: ControlledPath, s, u, t) -> float:
@@ -348,7 +380,7 @@ def compose(family: FunctionFamily, cp: ControlledPath) -> ControlledPath:
     ell_out = min(family.order, cp.ell)
     y = cp.level(0)
     raw = [np.asarray(family.deriv(0)(y), dtype=float)]
-    part_values = [None] + [cp.level(j) for j in range(1, cp.ell)]
+    part_values = [None] + [cp.level_value(j) for j in range(1, cp.ell)]
     for r in range(1, ell_out):
         acc = np.zeros_like(y)
         for i in range(1, r + 1):
@@ -409,7 +441,8 @@ def rough_integral(z: ControlledPath, x: FbmPath) -> ControlledPath:
     integral[0] = 0.0
     np.cumsum(contrib, out=integral[1:])
 
-    return ControlledPath(x, [integral] + [z.level(i) for i in range(z.ell)], alpha=z.alpha)
+    levels = [integral] + [z.level_value(i) for i in range(z.ell)]
+    return ControlledPath(x, levels, alpha=z.alpha)
 
 
 def subsample_controlled(fine_cp: ControlledPath, factor: int) -> ControlledPath:
@@ -417,7 +450,8 @@ def subsample_controlled(fine_cp: ControlledPath, factor: int) -> ControlledPath
 
     The only place a fine companion is attached. The coarse raw rows are
     ``offset + row[::factor]`` of the fine path, so the coarse levels are
-    exact subsamples of the fine ones. A factor of 1 returns ``fine_cp``.
+    exact subsamples of the fine ones; a level without a row stays one. A
+    factor of 1 returns ``fine_cp``.
     """
     if factor < 1 or fine_cp.n % factor != 0:
         raise ValueError(f"factor must divide the resolution {fine_cp.n}")
@@ -428,8 +462,10 @@ def subsample_controlled(fine_cp: ControlledPath, factor: int) -> ControlledPath
         spec=replace(fine_cp.x.spec, n=n_coarse),
         values=fine_cp.x.values[::factor],
     )
-    raw = fine_cp.offsets[:, None] + fine_cp.levels[:, ::factor]
-    return ControlledPath(coarse_x, raw, alpha=fine_cp.alpha, fine=fine_cp)
+    stored = fine_cp.levels.shape[0]
+    rows = fine_cp.offsets[:stored, None] + fine_cp.levels[:, ::factor]
+    constants = fine_cp.offsets[stored:] + 0.0
+    return ControlledPath(coarse_x, [*rows, *constants], alpha=fine_cp.alpha, fine=fine_cp)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,16 @@ class FbmPath:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _adopt(cls, spec: FbmSpec, values: np.ndarray) -> "FbmPath":
+        """Wrap a fresh array that nothing else references, without the
+        copy the constructor makes; it becomes read-only."""
+        values.setflags(write=False)
+        path = cls.__new__(cls)
+        object.__setattr__(path, "spec", spec)
+        object.__setattr__(path, "values", values)
+        return path
+
     @property
     def n(self) -> int:
         return self.spec.n
@@ -194,7 +204,7 @@ def sample_fbm(spec: FbmSpec, rng: np.random.Generator | None = None) -> FbmPath
     values[0] = 0.0
     np.cumsum(noise, out=values[1:])
     values[1:] *= float(n) ** (-spec.hurst)
-    return FbmPath(spec=spec, values=values)
+    return FbmPath._adopt(spec, values)
 
 
 def _time_to_index(t, n: int):
@@ -257,9 +267,10 @@ def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray
     half[0] = scale[0] * z[0]
     half[n] = scale[n] * z[1]
     np.multiply(scale[1:n], z.view(complex)[1:], out=half[1:n])
-    g = np.fft.irfft(half, 2 * n)
+    # The normals are spent once the half spectrum holds them.
+    g = np.fft.irfft(half, 2 * n, out=z)[:n]
     g *= np.sqrt(2 * n)
-    return g[:n]
+    return g
 
 
 def _fgn_cholesky(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:

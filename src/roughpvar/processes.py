@@ -4,8 +4,9 @@ Each builder takes the driver sampled at fine resolution and returns the
 controlled path at the coarse resolution with the fine construction
 attached. Closed-form processes (the driver itself, its square and cube
 integrals, the exponential flow) are evaluated exactly on the fine grid, so
-their coarse rows are exact subsamples; the generic process runs the
-rough-differential-equation solver.
+their coarse rows are exact subsamples; the driver and its square and cube
+integrals store no row for their constant levels. The generic process runs
+the rough-differential-equation solver.
 """
 
 from __future__ import annotations
@@ -25,6 +26,14 @@ PROCESS_TAGS = ("fbm", "sq", "cube", "exp-rde", "custom-rde")
 
 DEFAULT_ELL = 6
 
+# Level functions of the closed-form weights x**d / d!, from the path itself
+# down to its constant derivative level; every level after them is 0.
+_CLOSED_FORM_LEVELS = {
+    "fbm": (lambda xv: xv, lambda xv: 1.0),
+    "sq": (lambda xv: 0.5 * xv**2, lambda xv: xv, lambda xv: 1.0),
+    "cube": (lambda xv: xv**3 / 6.0, lambda xv: 0.5 * xv**2, lambda xv: xv, lambda xv: 1.0),
+}
+
 # Options of ``custom-rde`` left unset: dy = y dx from 1, the exponential flow.
 CUSTOM_RDE_DEFAULTS = {"y0": 1.0, "drift_coeffs": None, "field_coeffs": (0.0, 1.0)}
 
@@ -34,6 +43,13 @@ def default_fine_factor(tag: str) -> int:
     whose derivative level is constant so coarse quadrature is already
     exact, and 16 for every other process."""
     return 1 if tag == "fbm" else 16
+
+
+def first_zero_level(tag: str) -> int | None:
+    """Index of the first derivative level that is identically 0, or None
+    where no level is (the RDE processes)."""
+    levels = _CLOSED_FORM_LEVELS.get(tag)
+    return None if levels is None else len(levels)
 
 
 def build_controlled_process(
@@ -86,20 +102,12 @@ def build_controlled_process(
         )
         field = FunctionFamily.polynomial(field_coeffs, order=ell)
         fine_cp = solve_rde(drift, field, y0, x_fine, ell=ell)
+    elif tag == "exp-rde":
+        fine_cp = ControlledPath(x_fine, [np.exp(x_fine.values)] * ell)
+    elif tag in _CLOSED_FORM_LEVELS:
+        # Constant levels are scalars, so no row is stored for them.
+        raw = [level(x_fine.values) for level in _CLOSED_FORM_LEVELS[tag][:ell]]
+        fine_cp = ControlledPath(x_fine, raw + [0.0] * (ell - len(raw)))
     else:
-        xv = x_fine.values
-        zeros = np.zeros_like(xv)
-        ones = np.ones_like(xv)
-        if tag == "fbm":
-            base = [xv, ones]
-        elif tag == "sq":
-            base = [0.5 * xv**2, xv, ones]
-        elif tag == "cube":
-            base = [xv**3 / 6.0, 0.5 * xv**2, xv, ones]
-        elif tag == "exp-rde":
-            base = [np.exp(xv)] * ell
-        else:
-            raise ValueError(f"unknown process tag {tag!r}; known: {PROCESS_TAGS}")
-        raw = base[:ell] if ell <= len(base) else base + [zeros] * (ell - len(base))
-        fine_cp = ControlledPath(x_fine, raw)
+        raise ValueError(f"unknown process tag {tag!r}; known: {PROCESS_TAGS}")
     return subsample_controlled(fine_cp, fine_factor)

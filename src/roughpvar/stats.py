@@ -168,8 +168,9 @@ def limit_drift(
         + ((p - 2) E|N|**p / 24) int_0^t phi'(y') y''' du
 
     over the fine grid, with phi the p-th absolute power. Missing derivative
-    levels beyond the stored order are treated as zero after a warning (four
-    levels carry the full functional).
+    levels beyond the declared order are treated as zero after a warning
+    (four levels carry the full functional); a level that stores no row
+    enters as its constant.
     """
     if cp.ell < 4:
         warnings.warn(
@@ -180,12 +181,13 @@ def limit_drift(
         )
     quad_cp, mf, step = _fine_grid(cp, t)
 
-    def level_or_zero(i: int) -> np.ndarray:
-        if i < cp.ell:
-            return quad_cp.level(i)[: mf + 1]
-        return np.zeros(mf + 1)
+    def level_or_zero(i: int):
+        """Level i up to t; a constant level as a scalar, 0 past ``ell``."""
+        value = quad_cp.level_value(i) if i < cp.ell else 0.0
+        return value[: mf + 1] if np.ndim(value) else value
 
-    yp = level_or_zero(1)
+    # The first level sets the integrands' shape, even when it is constant.
+    yp = np.broadcast_to(level_or_zero(1), mf + 1)
     ypp = level_or_zero(2)
     yppp = level_or_zero(3)
     family = AbsPowerFamily(p)

@@ -12,9 +12,10 @@ Covers:
 6. rate-fit: a calibrated pass and an exact deterministic failure.
 7. scaling-check: output schema, manifest replay, and the resolution- and
    window-axis exponent targets.
-8. Exit codes: 0 pass, 1 failed check, 2 usage/domain errors, 70 any
-   other exception, and a refused config writes nothing; 17 significant digit float formatting
-   throughout.
+8. Exit codes: 0 pass, 1 failed check, 2 usage/domain errors (a
+   scaling-check without an established target included), 70 any other
+   exception, and a refused config writes nothing; a libc without mallopt
+   changes no exit code; 17 significant digit float formatting throughout.
 9. The config -> manifest -> config round trip as a fixed point, on drawn
    configs of every subcommand, in key=value and JSON form.
 10. Cold start: a complete limit-check run in a fresh interpreter never
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import roughpvar
@@ -252,6 +253,9 @@ class TestMainErrors:
             ["pvar", "--hurst", "0.3", "--p", "3", "--ell", "1"],
             ["limit-check", "--hurst", "0.3", "--p", "3", "--ell", "1"],
             ["simulate", "--hurst", "0.3", "--n", "4097", "--method", "cholesky"],
+            # a weight whose rank-th level is 0 below rank * H = 1/2: no target
+            ["scaling-check", "--process", "fbm", "--rank", "2", "--hurst", "0.15"],
+            ["scaling-check", "--process", "sq", "--rank", "3", "--hurst", "0.15"],
         ],
     )
     def test_refused_config_writes_nothing(self, tmp_path, argv):
@@ -277,6 +281,23 @@ class TestMainErrors:
         assert main(["pvar", "--hurst", "0.3", "--p", "2", "--out", str(tmp_path / "out")]) == 70
         err = capsys.readouterr().err
         assert "Traceback" in err and "KeyError" in err
+
+    def test_runs_where_libc_has_no_mallopt(self, tmp_path, monkeypatch, capsys):
+        # On a libc without mallopt the allocator pinning is skipped, and the
+        # run ends with its own exit code, not 70.
+        import ctypes
+
+        class NoMallopt:
+            def __init__(self, name):
+                pass
+
+            def __getattr__(self, name):
+                raise AttributeError(name)
+
+        monkeypatch.setattr(ctypes, "CDLL", NoMallopt)
+        rc = main(["constants", "--p", "2", "--hurst", "0.3", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_broken_json_config_exits_2(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -688,6 +709,14 @@ def _configs(draw, subcommand):
         for key in CUSTOM_RDE_DEFAULTS:
             if draw(st.booleans()):
                 cfg[key] = draw(_VALUES[key])
+    if subcommand == "scaling-check":
+        # a weight with no established target is refused before its manifest
+        defaults = SCHEMA[subcommand]
+        process, rank = cfg.get("process", defaults["process"]), cfg.get("rank", defaults["rank"])
+        try:
+            cli._refuse_untargeted(process, cfg["hurst"], rank)
+        except UsageError:
+            assume(False)
     return cfg
 
 

@@ -16,6 +16,9 @@ Covers:
   6. The one-step scheme for dy = b(y) dt + V(y) dx: exactly integrable
      cases, a deterministic-driver convergence check, and the blow-up guard.
   7. Coarsening a controlled path onto every k-th node.
+  8. Constant levels given as scalars store no row: the closed-form
+     builders' stored row counts, and a Hypothesis property that such a
+     path agrees bit for bit with the one that stores every row.
 """
 
 import math
@@ -32,9 +35,13 @@ from roughpvar import (
     FbmPath,
     FbmSpec,
     FunctionFamily,
+    StatConfig,
     build_controlled_process,
     compose,
     field_iterate_polynomials,
+    limit_cond_std,
+    limit_drift,
+    pvar_statistic,
     remainder,
     remainder_decomposition_residual,
     rough_integral,
@@ -526,3 +533,98 @@ def test_subsample_controlled_consistency():
     assert subsample_controlled(fine_cp, 1) is fine_cp
     with pytest.raises(ValueError):
         subsample_controlled(fine_cp, 7)
+
+
+# ---------------------------------------------------------------------------
+# levels without a stored row
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tag, stored", [("fbm", 1), ("sq", 2), ("cube", 3), ("exp-rde", 6)])
+def test_closed_forms_store_only_non_constant_rows(tag, stored):
+    x_fine = sample_fbm(FbmSpec(hurst=0.3, n=256, seed=31))
+    cp = build_controlled_process(tag, x_fine, 4, {"ell": 6})
+    assert cp.ell == 6 and cp.offsets.shape == (6,)
+    assert cp.fine.ell == 6 and cp.fine.offsets.shape == (6,)
+    assert cp.fine.levels.shape == (stored, 257)
+    assert cp.levels.shape == (stored, 65)
+
+
+def test_scalar_before_an_array_level_is_stored():
+    x = _line_driver(8)
+    cp = ControlledPath(x, [x.values, 2.0, x.values, 0.0])
+    assert cp.ell == 4 and cp.levels.shape == (3, 9)
+    assert np.array_equal(cp.offsets, [0.0, 2.0, 0.0, 0.0])
+    assert np.array_equal(cp.levels[1], np.zeros(9))
+    assert np.array_equal(cp.level(3), np.zeros(9))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_paths(a, b):
+    return (
+        a.ell == b.ell
+        and _same_bits(a.offsets, b.offsets)
+        and all(_same_bits(a.level(i), b.level(i)) for i in range(a.ell))
+    )
+
+
+class TestLevelsWithoutRows:
+    """Scalar constant levels read exactly as full constant rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ell=st.integers(2, 6),
+        arrays=st.integers(1, 6),
+        n=st.integers(2, 24),
+        factor=st.sampled_from([1, 2, 4]),
+        constants=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+        coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+        p=st.sampled_from([2.0, 3.0, 4.0]),
+    )
+    def test_trimmed_path_matches_full_path(
+        self, seed, ell, arrays, n, factor, constants, coeffs, p
+    ):
+        rng = np.random.default_rng(seed)
+        cells = n * factor
+        steps = rng.normal(size=cells) / math.sqrt(cells)
+        x = FbmPath(FbmSpec(hurst=0.3, n=cells), np.concatenate([[0.0], np.cumsum(steps)]))
+        arrays = min(arrays, ell)
+        rows = [rng.normal() + rng.normal(size=cells + 1) for _ in range(arrays)]
+        trailing = constants[: ell - arrays]
+        trimmed = ControlledPath(x, rows + trailing)
+        full = ControlledPath(x, rows + [np.full(cells + 1, c) for c in trailing])
+        assert trimmed.levels.shape == (arrays, cells + 1)
+        assert full.levels.shape == (ell, cells + 1)
+        assert _same_paths(trimmed, full)
+
+        idx = np.sort(rng.integers(0, cells + 1, size=(30, 3)), axis=1)
+        i, u, j = (idx[:, m] / cells for m in range(3))
+        for k in range(ell):
+            assert _same_bits(remainder(trimmed, k, i, j), remainder(full, k, i, j)), k
+        assert _same_bits(
+            remainder_decomposition_residual(trimmed, i, u, j),
+            remainder_decomposition_residual(full, i, u, j),
+        )
+
+        family = FunctionFamily.polynomial(coeffs)
+        assert _same_paths(compose(family, trimmed), compose(family, full))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # marginal order
+            assert _same_paths(rough_integral(trimmed, x), rough_integral(full, x))
+
+        coarse_trimmed = subsample_controlled(trimmed, factor)
+        coarse_full = subsample_controlled(full, factor)
+        assert _same_paths(coarse_trimmed, coarse_full)
+        cfg = StatConfig(p=p)
+        assert _same_bits(pvar_statistic(coarse_trimmed, cfg), pvar_statistic(coarse_full, cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # fewer than 4 levels
+            assert _same_bits(limit_drift(coarse_trimmed, p), limit_drift(coarse_full, p))
+        assert _same_bits(
+            limit_cond_std(coarse_trimmed, p), limit_cond_std(coarse_full, p)
+        )

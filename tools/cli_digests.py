@@ -14,9 +14,10 @@ directory (``no-out-dir`` when it created none). Comparing two checkouts is
 
     diff <(python3 tools/cli_digests.py A) <(python3 tools/cli_digests.py B)
 
-The set covers every subcommand, a ``--workers 2`` run, a manifest replay,
-the dense Cholesky oracle, a forced run, a blow-up, and refused configs.
-It takes about 15 s on two cores and is not part of the test suite.
+The set covers every subcommand, every closed-form process, ``exp-rde``, a
+``--workers 2`` run, a manifest replay, the dense Cholesky oracle, a forced
+run, a blow-up, and refused configs. It takes about 15 s on two cores and
+is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ RUNS = (
     ("replay", ["limit-check", "--config", "{critical}/manifest.json"]),
     ("degenerate", ["limit-check", "--process", "sq", "--hurst", "0.15", "--p", "2",
                     "--n", "128,256", "--replicas", "40", "--seed", "9", "--fine-factor", "4"]),
+    ("cube", ["limit-check", "--process", "cube", "--hurst", "0.25", "--p", "2",
+              "--n", "64,128", "--replicas", "30", "--seed", "6"]),
+    ("exp-rde", ["limit-check", "--process", "exp-rde", "--hurst", "0.15", "--p", "2",
+                 "--n", "64,128", "--replicas", "30", "--seed", "8", "--fine-factor", "4"]),
+    ("sq-ell3", ["limit-check", "--process", "sq", "--ell", "3", "--hurst", "0.25", "--p", "2",
+                 "--n", "64,128", "--replicas", "30", "--seed", "2"]),
     ("forced", ["limit-check", "--hurst", "0.35", "--p", "2.5", "--n", "64",
                 "--replicas", "20", "--seed", "1", "--force"]),
     ("rate-fit", ["rate-fit", "--hurst", "0.4", "--p", "2", "--n", "256,512,1024",
@@ -57,6 +64,10 @@ RUNS = (
     ("refused-p", ["limit-check", "--hurst", "0.35", "--p", "2.5", "--n", "64"]),
     ("refused-ell", ["pvar", "--hurst", "0.3", "--p", "3", "--ell", "1"]),
     ("refused-grid", ["rate-fit", "--hurst", "0.3", "--p", "2", "--n", "64"]),
+    ("refused-fbm-rank2", ["scaling-check", "--process", "fbm", "--rank", "2",
+                           "--hurst", "0.15", "--n", "64,128", "--replicas", "5"]),
+    ("refused-sq-rank3", ["scaling-check", "--process", "sq", "--rank", "3",
+                          "--hurst", "0.15", "--n", "64,128", "--replicas", "5"]),
 )
 
 _MAIN = "import sys; from roughpvar.cli import main; sys.exit(main(sys.argv[1:]))"
