@@ -2,12 +2,14 @@
 
 A controlled path bundles the driver, a tuple of level processes
 (the path itself plus its successive Gubinelli-type derivative levels), and
-the Hölder exponent attributed to the driver. It has one constructor, which
-takes the raw levels; the stored rows are normalized to start at 0,
+the Hölder exponent attributed to the driver. Its constructor takes the raw
+levels; the stored rows are normalized to start at 0,
 with the initial values kept as offsets, and all evaluation (remainders,
 composition, quadrature) uses the unshifted values ``offset + array``. A
 level given as a scalar is constant: after the last level given as an array
-no row is stored, and such a level reads as its offset.
+no row is stored, and such a level reads as its offset. Given ``offsets``
+as well, the constructor takes the stored form back as it is, which is what
+``dataclasses.replace`` passes.
 Every builder works on the grid of its driver; :func:`subsample_controlled`
 is the one coarsening step, and it attaches the fine path for quadrature.
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,6 +45,11 @@ class ControlledPath:
     into one fresh read-only array, keeps their initial values as
     ``offsets`` and stores every row minus its initial value. A scalar
     level is constant; the rows after the last array level are not stored.
+    ``ControlledPath(x, levels, offsets=offsets)`` takes the stored form
+    instead: rows that start at 0, and one offset per level. So
+    ``dataclasses.replace`` keeps every level and offset, and refuses new
+    ``levels`` whose rows do not start at 0 unless ``offsets=None`` is
+    passed with them.
 
     Attributes
     ----------
@@ -64,14 +71,14 @@ class ControlledPath:
         subsampled.
     offsets : np.ndarray
         Shape ``(ell,)``; initial values of the raw levels, including the
-        levels that store no row. Derived, not an argument.
+        levels that store no row. Derived from raw levels when not given.
     """
 
     x: FbmPath
     levels: np.ndarray
     alpha: float | None = None
     fine: "ControlledPath | None" = None
-    offsets: np.ndarray = field(init=False)
+    offsets: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         nodes = self.x.n + 1
@@ -93,8 +100,17 @@ class ControlledPath:
         levels = np.empty((stored, nodes))
         for row, level in zip(levels, given):
             row[...] = level
-        offsets = np.array([level.flat[0] for level in given])
-        levels -= offsets[:stored, None]
+        if self.offsets is None:
+            offsets = np.array([level.flat[0] for level in given])
+            levels -= offsets[:stored, None]
+        else:
+            offsets = np.array(self.offsets, dtype=float)
+            if offsets.ndim != 1 or offsets.size < stored or np.any(levels[:, 0] != 0.0):
+                raise ValueError(
+                    "with offsets, levels must be stored rows that start at 0, "
+                    f"at most one per offset; got {stored} row(s) starting at "
+                    f"{levels[:, 0].tolist()} and offsets of shape {offsets.shape}"
+                )
         levels.setflags(write=False)
         offsets.setflags(write=False)
         object.__setattr__(self, "levels", levels)

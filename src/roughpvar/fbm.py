@@ -32,6 +32,10 @@ _METHODS = ("auto", "circulant-embedding", "cholesky")
 # take 8 n**2 bytes each.
 _CHOLESKY_MAX_N = 4096
 
+# Lags per block of fgn_autocovariance: each float64 temporary of a block
+# takes 256 KB, so the temporaries stay in L2.
+_LAG_BLOCK = 2**15
+
 # Relative tolerance for clamping tiny negative embedding eigenvalues that are
 # pure roundoff; anything more negative means the embedding genuinely failed.
 _EIGEN_CLAMP_REL = 1e-12
@@ -70,26 +74,33 @@ def fgn_autocovariance(k, hurst: float):
     roughly ``log10(k**2)`` digits to cancellation, so for ``|k| >= 2`` the
     function factors out ``|k|**(2H)`` and uses expm1/log1p.
 
-    Accepts scalars or arrays; lags may be negative (the function is even).
+    Accepts scalars or arrays of any shape; lags may be negative (the
+    function is even). Arrays are evaluated in blocks of ``2**15`` lags
+    written into one output, so the temporaries take a few MB whatever the
+    input size; every step is elementwise, so the bits are those of one
+    pass over the whole input.
     """
     _check_hurst(hurst)
-    k_arr = np.abs(np.asarray(k, dtype=float))
-    scalar = k_arr.ndim == 0
-    k_arr = np.atleast_1d(k_arr)
+    k_arr = np.asarray(k)
+    out = np.empty(k_arr.shape)
+    lags = k_arr.reshape(-1)
+    flat = out.reshape(-1)
     h2 = 2.0 * hurst
-    out = np.empty_like(k_arr)
+    for start in range(0, lags.size, _LAG_BLOCK):
+        k_abs = np.abs(np.asarray(lags[start : start + _LAG_BLOCK], dtype=float))
+        dst = flat[start : start + _LAG_BLOCK]
 
-    small = k_arr <= 1.0
-    ks = k_arr[small]
-    out[small] = 0.5 * ((ks + 1.0) ** h2 + np.abs(ks - 1.0) ** h2 - 2.0 * ks**h2)
+        small = k_abs <= 1.0
+        ks = k_abs[small]
+        dst[small] = 0.5 * ((ks + 1.0) ** h2 + np.abs(ks - 1.0) ** h2 - 2.0 * ks**h2)
 
-    big = ~small
-    kb = k_arr[big]
-    plus = np.expm1(h2 * np.log1p(1.0 / kb))
-    minus = np.expm1(h2 * np.log1p(-1.0 / kb))
-    out[big] = 0.5 * kb**h2 * (plus + minus)
+        big = ~small
+        kb = k_abs[big]
+        plus = np.expm1(h2 * np.log1p(1.0 / kb))
+        minus = np.expm1(h2 * np.log1p(-1.0 / kb))
+        dst[big] = 0.5 * kb**h2 * (plus + minus)
 
-    return float(out[0]) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,12 @@ def asymptotic_variance(
 
     At ``hurst = 1/2`` the increments are independent, every lag sum
     collapses to 1, and the series sums to Var(|N|**p) exactly.
+
+    One evaluation holds two ``lag_cutoff``-length arrays, ``rho**2`` and
+    its running power (16 MB at the default 10**6 lags), plus the blocks of
+    :func:`~roughpvar.fbm.fgn_autocovariance`. For even integer p the
+    series ends after ``p / 2`` lag passes. Results are cached per process,
+    keyed by ``(p, hurst)`` and the truncation orders.
     """
     if truncation is None:
         truncation = TruncationSpec()
@@ -127,24 +133,28 @@ def validate_variance_domain(p: float, hurst: float) -> None:
 @lru_cache(maxsize=128)
 def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int) -> float:
     validate_variance_domain(p, hurst)
-    rho = fgn_autocovariance(np.arange(1, cutoff + 1), hurst)
-    rho_sq = rho * rho
+    rho_sq = fgn_autocovariance(np.arange(1.0, cutoff + 1.0), hurst)
+    rho_sq *= rho_sq
+    # The q = 1 power, rho^2 itself; these two arrays are all the lag pass
+    # holds.
+    power = rho_sq.copy()
 
     total = 0.0
     lag_tail = 0.0
-    power = np.ones_like(rho)
     # (2q)! coeff_q^2 = moment^2 * (prod_{i<q} (p - 2i))^2 / (2q)!; built
     # iteratively so neither factor overflows on its own.
     weight = gaussian_abs_moment(p) ** 2
     for q in range(1, terms + 1):
         weight *= (p - 2.0 * (q - 1)) ** 2
         weight /= (2.0 * q - 1.0) * (2.0 * q)
-        power *= rho_sq
+        if weight == 0.0:
+            # Even p: the series has ended, and a zero term adds nothing.
+            break
+        if q > 1:
+            power *= rho_sq
         lag_sum = 1.0 + 2.0 * float(power.sum())
         total += weight * lag_sum
         lag_tail += weight * _lag_tail_estimate(hurst, q, cutoff)
-        if weight == 0.0:
-            break
 
     tail = lag_tail + _series_tail_estimate(p, hurst, terms, weight)
     if total > 0.0 and tail > 1e-6 * total:

@@ -19,8 +19,11 @@ Covers:
   8. Constant levels given as scalars store no row: the closed-form
      builders' stored row counts, and a Hypothesis property that such a
      path agrees bit for bit with the one that stores every row.
+  9. ``dataclasses.replace`` keeps every level and offset, as a Hypothesis
+     property, and refuses raw levels unless the offsets are dropped too.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -628,3 +631,49 @@ class TestLevelsWithoutRows:
         assert _same_bits(
             limit_cond_std(coarse_trimmed, p), limit_cond_std(coarse_full, p)
         )
+
+
+class TestReplace:
+    """``dataclasses.replace`` passes the stored form back in."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tag=st.sampled_from(["raw", "fbm", "sq", "cube", "exp-rde"]),
+        ell=st.integers(2, 6),
+        arrays=st.integers(1, 6),
+        n=st.integers(2, 24),
+        factor=st.sampled_from([1, 2, 4]),
+        constants=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+        alpha=st.floats(0.05, 0.95),
+    )
+    def test_round_trip_keeps_every_level_and_offset(
+        self, seed, tag, ell, arrays, n, factor, constants, alpha
+    ):
+        rng = np.random.default_rng(seed)
+        cells = n * factor
+        steps = rng.normal(size=cells) / math.sqrt(cells)
+        x = FbmPath(FbmSpec(hurst=0.3, n=cells), np.concatenate([[0.0], np.cumsum(steps)]))
+        if tag == "raw":
+            arrays = min(arrays, ell)
+            rows = [rng.normal() + rng.normal(size=cells + 1) for _ in range(arrays)]
+            cp = subsample_controlled(ControlledPath(x, rows + constants[: ell - arrays]), factor)
+        else:
+            cp = build_controlled_process(tag, x, factor, params={"ell": ell})
+        copy = dataclasses.replace(cp, alpha=alpha)
+        assert copy.alpha == alpha and copy.fine is cp.fine and copy.x is cp.x
+        assert _same_bits(copy.levels, cp.levels)
+        assert _same_paths(copy, cp)
+        if cp.fine is not None:
+            assert _same_paths(dataclasses.replace(cp.fine), cp.fine)
+
+    def test_raw_levels_need_the_offsets_dropped(self):
+        x = sample_fbm(FbmSpec(hurst=0.25, n=32, seed=3))
+        cp = build_controlled_process("sq", x)
+        raw = [1.0 + x.values, np.ones_like(x.values), 1.0]
+        with pytest.raises(ValueError, match="start at 0"):
+            dataclasses.replace(cp, levels=raw)
+        rebuilt = dataclasses.replace(cp, levels=raw, offsets=None)
+        assert _same_paths(rebuilt, ControlledPath(x, raw))
+        with pytest.raises(ValueError, match="one per offset"):
+            ControlledPath(x, np.zeros((3, 33)), offsets=[0.0, 1.0])

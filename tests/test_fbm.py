@@ -2,8 +2,9 @@
 
 Covers:
   1. Covariance / autocovariance closed forms against hand-evaluated values.
-  2. Numerical stability of the autocovariance at huge lags, plus the
-     telescoping truncated-sum identity.
+  2. Numerical stability of the autocovariance at huge lags, the
+     telescoping truncated-sum identity, and blockwise evaluation: any
+     split of the lags gives the same bits as one call.
   3. Distributional checks of sampled paths: increment variance,
      whiteness at hurst = 1/2, and the full empirical covariance matrix.
   4. Determinism, method forcing, the derived-stream layout, and the size
@@ -17,6 +18,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughpvar import (
     FbmSpec,
@@ -115,6 +118,33 @@ def test_truncated_sum_small_at_ten_million():
     print(f"  |truncated sum| at K=1e7: {total:.3e}, at K=1e6: {smaller:.3e}")
     assert total < 2e-3
     assert total < smaller, "should decrease with the cutoff"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 3),
+    cols=st.integers(1, fbm._LAG_BLOCK),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+    hurst=st.floats(0.01, 0.99),
+)
+def test_autocovariance_split_matches_one_call_bit_for_bit(seed, rows, cols, cuts, hurst):
+    # every step is elementwise, so evaluating in blocks of _LAG_BLOCK lags
+    # must give the bits of any other split: up to 3 blocks, negative and
+    # fractional lags, |k| <= 1 (the direct branch) next to huge lags
+    rng = np.random.default_rng(seed)
+    size = rows * cols
+    lags = rng.integers(-(10**7), 10**7, size=size).astype(float)
+    near = rng.random(size) < 0.2
+    lags[near] = rng.uniform(-2.0, 2.0, size=int(near.sum()))
+    whole = fgn_autocovariance(lags, hurst)
+    bounds = sorted({0, size, *(int(c * size) for c in cuts)})
+    parts = [fgn_autocovariance(lags[a:b], hurst) for a, b in zip(bounds, bounds[1:])]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    grid = fgn_autocovariance(lags.reshape(rows, cols), hurst)
+    assert grid.shape == (rows, cols)
+    assert grid.tobytes() == whole.tobytes()
+    assert fgn_autocovariance(lags[-1], hurst).hex() == float(whole[-1]).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,20 @@ Covers:
   3. Expansion coefficients of |x|^p: closed product form vs the literal
      alternating projection sum and vs Gauss-Hermite quadrature.
   4. The asymptotic variance series: independent-increment exact values,
-     a hand-built lag-sum oracle for p = 2, domain errors, and the
-     truncation-tail warning.
+     a hand-built lag-sum oracle for p = 2, a closed-form oracle for other
+     p through 2F1, frozen bits, the memory bound of one evaluation,
+     domain errors, and the truncation-tail warning.
   5. The absolute-power derivative family.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 from roughpvar import (
     AbsPowerFamily,
@@ -29,6 +32,7 @@ from roughpvar import (
     hermite_coeffs_numeric,
 )
 from roughpvar.fbm import fgn_autocovariance
+from roughpvar.hermite import _asymptotic_variance_cached
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +226,62 @@ class TestAsymptoticVariance:
         got = asymptotic_variance(2.0, hurst, TruncationSpec(lag_cutoff=cutoff))
         print(f"  sigma^2(2, 0.25): series {got:.10f}, oracle {oracle:.10f}")
         assert got == pytest.approx(oracle, rel=1e-10)
+
+    # E|X|^p |Y|^p = m_p^2 2F1(-p/2, -p/2; 1/2; rho^2) for a standard
+    # Gaussian pair with correlation rho, so the series equals
+    # Var|N|^p + 2 sum_k m_p^2 (2F1(rho(k)^2) - 1) over the same lags, with
+    # no Hermite coefficients involved. The bound was set before the first
+    # run; the largest gap seen is 1.4e-7, at (2.5, 0.1). Each pair is one
+    # the series does not warn about at the default truncation.
+    @pytest.mark.parametrize("p, hurst", [(2.5, 0.1), (3.0, 0.3), (4.0, 0.2), (5.0, 0.4)])
+    def test_series_vs_hypergeometric_oracle(self, p, hurst):
+        spec = TruncationSpec()
+        rho = fgn_autocovariance(np.arange(1, spec.lag_cutoff + 1), hurst)
+        m_p = gaussian_abs_moment(p)
+        excess = scipy.special.hyp2f1(-p / 2.0, -p / 2.0, 0.5, rho * rho) - 1.0
+        oracle = gaussian_abs_moment(2.0 * p) - m_p**2 + 2.0 * m_p**2 * float(excess.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _asymptotic_variance_cached.__wrapped__(
+                p, hurst, spec.hermite_terms, spec.lag_cutoff
+            )
+        print(f"  sigma^2({p}, {hurst}): series {got!r}, oracle {oracle!r}")
+        assert got == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "p, hurst, bits",
+        [
+            (2.0, 0.1, "0x1.5d39256ef98a2p+1"),
+            (2.0, 0.25, "0x1.2dc226119e48fp+1"),
+            (4.0, 0.2, "0x1.c6dbc0859b4acp+6"),
+            (4.0, 0.35, "0x1.96ab0318e9054p+6"),
+            (2.5, 0.1, "0x1.a65ea90e10bd0p+2"),
+            (2.5, 0.3, "0x1.5d4d95a24506cp+2"),
+            (3.0, 0.2, "0x1.e64714e8a0c75p+3"),
+            (3.0, 0.4, "0x1.9cc23d7f80b89p+3"),
+            (5.0, 0.15, "0x1.0c5990f517bbfp+10"),
+        ],
+    )
+    def test_frozen_bits(self, p, hurst, bits):
+        # σ² at the default truncation, bit for bit: splitting, reordering
+        # or shortening the lag pass must not move a single bit
+        assert asymptotic_variance(p, hurst).hex() == bits
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_one_evaluation_holds_two_lag_arrays(self, p):
+        # uncached, so the lag pass runs; the autocovariance and its powers
+        # take two cutoff-length arrays, and 4 MiB covers the blocks
+        cutoff = 10**6
+        tracemalloc.start()
+        try:
+            _asymptotic_variance_cached.__wrapped__(
+                p, 0.3, TruncationSpec().hermite_terms, cutoff
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        print(f"  peak {peak / 2**20:.1f} MiB at p = {p}")
+        assert peak <= 2 * 8 * cutoff + 4 * 2**20
 
     def test_positive_and_cached(self):
         first = asymptotic_variance(2.0, 0.35)

@@ -16,7 +16,8 @@ directory (``no-out-dir`` when it created none). Comparing two checkouts is
 
 The set covers every subcommand, every closed-form process, ``exp-rde``, a
 ``--workers 2`` run, a manifest replay, the dense Cholesky oracle, a forced
-run, a blow-up, and refused configs. It takes about 15 s on two cores and
+run, a blow-up, refused configs, and ``constants`` at p = 3 and 2.5 (the
+Hermite terms past q = 1) and with a truncation-tail warning on stderr. It takes about 15 s on two cores and
 is not part of the test suite.
 """
 
@@ -35,6 +36,9 @@ RUNS = (
     ("simulate", ["simulate", "--hurst", "0.3", "--n", "64", "--replicas", "2", "--seed", "7"]),
     ("cholesky", ["simulate", "--hurst", "0.3", "--n", "32", "--method", "cholesky"]),
     ("constants", ["constants", "--p", "2", "--hurst", "0.35"]),
+    ("constants-p3", ["constants", "--p", "3", "--hurst", "0.2"]),
+    ("constants-p2.5", ["constants", "--p", "2.5", "--hurst", "0.1"]),
+    ("constants-tail", ["constants", "--p", "2", "--hurst", "0.7", "--lag-cutoff", "17"]),
     ("pvar", ["pvar", "--process", "sq", "--hurst", "0.2", "--p", "2", "--n", "256",
               "--seed", "3"]),
     ("mixed", ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "256,512",
