@@ -53,7 +53,9 @@ from .harness import (
     ExperimentConfig,
     ExperimentResult,
     JointCheckReport,
+    RateFitConfig,
     RateFitResult,
+    ScalingConfig,
     ScalingFitResult,
     UnsupportedRangeError,
     build_replica_path,

@@ -3,20 +3,24 @@
 Subcommands cover path simulation, limit constants, single-path statistics,
 regime checks, rate fits, and scaling-exponent fits. Every run resolves its
 configuration (file, then flag overrides, then the defaults in ``SCHEMA``),
-builds the library objects and calls the library checks that validate it,
-writes a manifest with the fully materialized config before any computation,
-and then writes CSV outputs next to it. ``fine_factor`` and ``ks_threshold``
-accept ``auto``: ``ExperimentConfig`` resolves it at construction to the
-process's fine factor and the regime's KS threshold, and the manifest stores
-the resolved value. Re-running a subcommand from its manifest reproduces
-every output byte for byte; worker count never affects results.
+builds the library objects that validate it (``ExperimentConfig`` and, for
+the fits, ``RateFitConfig`` or ``ScalingConfig``, which own the fit's
+refusals, targets and tolerance), writes a manifest with the fully
+materialized config before any computation, calls the library check once,
+and then formats its result into CSV outputs next to the manifest.
+``fine_factor`` and ``ks_threshold`` accept ``auto``: ``ExperimentConfig``
+resolves it at construction to the process's fine factor and the regime's
+KS threshold, and the manifest stores the resolved value. Re-running a
+subcommand from its manifest reproduces every output byte for byte; worker
+count never affects results.
 
 Exit codes: 0 on success/pass, 1 when a check ran but failed, 2 on usage or
 domain errors, 70 (``EX_SOFTWARE``) with a traceback on any other exception.
 A config refused while it is resolved, while its library objects are built
-(level count and power exponent included) or by a library check (worker
-count, seed, variance domain, rate and scaling grids) exits 2 and writes
-nothing; so does a ``scaling-check`` whose weight has no established target.
+(level count, power exponent, KS threshold and median tolerance, the rate
+fit's grid and tolerance, the scaling fit's grid, windows, rank and target
+included) or by a library check (worker count, seed, variance domain) exits
+2 and writes nothing.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from . import __version__
 from .fbm import FbmSpec, path_to_csv, sample_fbm
 from .harness import (
     ExperimentConfig,
+    RateFitConfig,
+    ScalingConfig,
     _fmt_float,
     log_log_csv,
     rate_fit,
@@ -41,8 +47,6 @@ from .harness import (
     scaling_exponent_check,
     collect_rows,
     validate_master_seed,
-    validate_rate_grid,
-    validate_scaling_inputs,
 )
 from .hermite import (
     TruncationSpec,
@@ -50,7 +54,7 @@ from .hermite import (
     gaussian_abs_moment,
     validate_variance_domain,
 )
-from .processes import CUSTOM_RDE_DEFAULTS, DEFAULT_ELL, PROCESS_TAGS, first_zero_level
+from .processes import CUSTOM_RDE_DEFAULTS, DEFAULT_ELL, PROCESS_TAGS
 
 REQUIRED = ...  # marks a key that has no default
 
@@ -409,13 +413,13 @@ def _run_limit_check(args: argparse.Namespace) -> int:
 def _run_rate_fit(args: argparse.Namespace) -> int:
     cfg = resolve_config("rate-fit", args)
     econfig = _experiment_config(cfg)
-    validate_rate_grid(econfig.n_grid)
+    rcfg = RateFitConfig(econfig, cfg["tol"])
     workers = resolve_workers(args.workers)
     outputs = ["manifest.json", "rate_fit.csv", "rate_summary.csv"]
     out = _write_manifest(args, "rate-fit", cfg, outputs)
-    result = rate_fit(econfig, workers=workers, tol=cfg["tol"])
-    (out / "rate_fit.csv").write_text(log_log_csv(zip(result.n_grid, result.errors)))
-    fields = map(_fmt_float, (result.slope, result.slope_se, result.target, result.tol))
+    result = rate_fit(rcfg, workers=workers)
+    (out / "rate_fit.csv").write_text(log_log_csv(zip(econfig.n_grid, result.errors)))
+    fields = map(_fmt_float, (result.slope, result.slope_se, result.target, rcfg.tol))
     row = ",".join([econfig.resolved_id(), *fields, str(int(result.passed))])
     header = "experiment_id,slope,slope_se,target,tol,pass"
     (out / "rate_summary.csv").write_text(f"{header}\n{row}\n")
@@ -427,79 +431,32 @@ def _run_rate_fit(args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
-def _scaling_target(hurst: float, rank: int) -> float:
-    """Resolution-axis exponent target, the ``target`` column of the summary.
-
-    Below rank * H = 1/2 the windowed Hermite sum is degenerate:
-    n**(rank H - 1) times it converges to (-1/2)**rank times the window
-    integral of the weight's rank-th derivative level, so it grows like
-    n**(1 - rank H). Otherwise the central limit square root takes over.
-    """
-    product = rank * hurst
-    return 1.0 - product if product < 0.5 else 0.5
-
-
-def _window_target(hurst: float, rank: int) -> float:
-    """Window-length exponent target: 1 in the degenerate regime, else 1/2.
-
-    The degenerate limit is a time integral over the window, so it grows
-    like delta. For the ``fbm`` weight at rank 1 the sum telescopes to
-    n**H ((x_t**2 - x_s**2) - sum (delta x_k)**2) / 2, about
-    -(delta / 2) n**(1 - H). Where the weight's rank-th derivative level
-    vanishes the limit integral is 0 and neither exponent is established;
-    :func:`_refuse_untargeted` refuses those configs before any target is
-    applied.
-    """
-    return 1.0 if rank * hurst < 0.5 else 0.5
-
-
-def _refuse_untargeted(process: str, hurst: float, rank: int) -> None:
-    """Refuse a degenerate scaling fit (rank * H < 1/2) whose closed-form
-    weight has an identically zero rank-th level: ``fbm`` at rank >= 2,
-    ``sq`` at rank >= 3, ``cube`` at rank >= 4."""
-    zero_from = first_zero_level(process)
-    if zero_from is not None and rank >= zero_from and rank * hurst < 0.5:
-        raise UsageError(
-            f"no scaling target is established for process {process!r} at rank "
-            f"{rank} and hurst {hurst}: its level {rank} is identically zero "
-            "and rank * hurst < 1/2"
-        )
-
-
 def _run_scaling_check(args: argparse.Namespace) -> int:
     cfg = resolve_config("scaling-check", args)
     # The windowed sums use no power exponent; p = 2 is covered in every regime.
-    econfig = _experiment_config(cfg, p=2.0)
-    validate_scaling_inputs(econfig.n_grid, cfg["rank"], cfg["delta"], cfg["start"])
-    _refuse_untargeted(econfig.process, econfig.hurst, cfg["rank"])
+    scfg = ScalingConfig(
+        _experiment_config(cfg, p=2.0), cfg["rank"], cfg["delta"], cfg["start"]
+    )
     workers = resolve_workers(args.workers)
     outputs = ["manifest.json", "scaling.csv", "scaling_summary.csv"]
     out = _write_manifest(args, "scaling-check", cfg, outputs)
-    result = scaling_exponent_check(
-        econfig, cfg["rank"], cfg["delta"], start=cfg["start"], workers=workers
-    )
+    result = scaling_exponent_check(scfg, workers=workers)
     (out / "scaling.csv").write_text(result.csv())
-    target = _scaling_target(cfg["hurst"], cfg["rank"])
-    window_target = _window_target(cfg["hurst"], cfg["rank"])
-    tol = 0.15
-    passed = (
-        abs(result.n_exponent - target) <= tol
-        and abs(result.delta_exponent - window_target) <= tol
-    )
     values = (result.n_exponent, result.delta_exponent, result.n_se, result.delta_se)
-    fields = map(_fmt_float, (cfg["hurst"], *values, target, window_target))
-    row = ",".join([str(cfg["rank"]), *fields, str(int(passed))])
+    targets = (result.target, result.window_target)
+    fields = map(_fmt_float, (cfg["hurst"], *values, *targets))
+    row = ",".join([str(cfg["rank"]), *fields, str(int(result.passed))])
     (out / "scaling_summary.csv").write_text(
         "rank,hurst,n_exponent,delta_exponent,n_se,delta_se,target,window_target,pass\n"
         f"{row}\n"
     )
-    verdict = "pass" if passed else "FAIL"
+    verdict = "pass" if result.passed else "FAIL"
     print(
         f"scaling-check: rank={cfg['rank']} hurst={cfg['hurst']} "
         f"exponents=({result.n_exponent:.3g}, {result.delta_exponent:.3g}) "
-        f"targets=({target:.3g}, {window_target:.3g}) -> {verdict}"
+        f"targets=({result.target:.3g}, {result.window_target:.3g}) -> {verdict}"
     )
-    return 0 if passed else 1
+    return 0 if result.passed else 1
 
 
 _RUNNERS = {

@@ -13,15 +13,21 @@ keys indexed by (resolution, replica), so results are bit-identical for a
 fixed config regardless of worker count or scheduling order. An
 ``ExperimentConfig`` resolves its ``auto`` (``None``) values and refuses what
 the theorem does not cover when it is constructed; the checks take it as is.
+The two fits wrap it the same way: ``RateFitConfig`` owns the rate fit's
+grid refusal and tolerance, ``ScalingConfig`` the scaling fit's grid, window
+and rank refusals, its exponent targets and its tolerance, and each fit's
+result carries its targets and verdict.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.special import ndtr
@@ -30,7 +36,7 @@ from .controlled import ControlledPath, validate_ell
 from .fbm import FbmPath, FbmSpec, sample_fbm
 from .hermite import hermite
 from .processes import (
-    DEFAULT_ELL, PROCESS_TAGS, build_controlled_process, default_fine_factor
+    DEFAULT_ELL, PROCESS_TAGS, build_controlled_process, default_fine_factor, first_zero_level
 )
 from .stats import (
     REGIME_CRITICAL,
@@ -84,6 +90,8 @@ class ExperimentConfig:
     threshold (0.07 at the critical index, 0.05 otherwise). An ``ell`` below
     2 is refused, and so is a (regime, p) outside the guaranteed range
     unless ``force=True``, which runs it and stamps outputs as unguaranteed.
+    A KS threshold outside (0, 1] and a median tolerance below 0 are refused,
+    NaN included.
     """
 
     hurst: float
@@ -124,6 +132,10 @@ class ExperimentConfig:
         if self.ks_threshold is None:
             threshold = 0.07 if regime == REGIME_CRITICAL else 0.05
             object.__setattr__(self, "ks_threshold", threshold)
+        if not 0.0 < self.ks_threshold <= 1.0:
+            raise ValueError(f"ks_threshold must lie in (0, 1], got {self.ks_threshold}")
+        if not self.median_tol >= 0.0:
+            raise ValueError(f"median_tol must be >= 0, got {self.median_tol}")
 
     @property
     def regime(self) -> str:
@@ -379,51 +391,53 @@ def run_regime_check(
 
 
 @dataclass(frozen=True)
-class RateFitResult:
-    """OLS fit of log median error against log resolution."""
+class RateFitConfig:
+    """A rate fit over an experiment's resolution grid, refused at
+    construction when the grid has fewer than two resolutions or ``tol``
+    (the largest accepted distance of the slope from its target) is below 0
+    or NaN."""
 
-    config: ExperimentConfig
-    n_grid: tuple
+    experiment: ExperimentConfig
+    tol: float = 0.1
+
+    def __post_init__(self) -> None:
+        if len(self.experiment.n_grid) < 2:
+            raise ValueError("rate fits need at least two resolutions")
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
+
+
+@dataclass(frozen=True)
+class RateFitResult:
+    """OLS fit of log median error against log resolution, with its verdict."""
+
+    config: RateFitConfig
     errors: np.ndarray
     slope: float
     slope_se: float
     target: float
-    tol: float
     passed: bool
 
 
-def validate_rate_grid(n_grid: Sequence[int]) -> None:
-    """Reject a rate fit over fewer than two resolutions."""
-    if len(n_grid) < 2:
-        raise ValueError("rate fits need at least two resolutions")
-
-
-def rate_fit(
-    cfg: ExperimentConfig,
-    workers: int | None = None,
-    tol: float = 0.1,
-) -> RateFitResult:
+def rate_fit(rcfg: RateFitConfig, workers: int | None = None) -> RateFitResult:
     """Fit the convergence-rate exponent of the statistic's error decay.
 
     The error is measured against the regime's own limit (zero / scaled
     drift) and compared to the theoretical exponent: -1/2 in the
     distributional regimes, -2H in the degenerate one.
     """
-    validate_rate_grid(cfg.n_grid)
+    cfg = rcfg.experiment
     rows = collect_rows(cfg, workers)
     ns, errs = _median_errors(cfg, rows, 2)
     target = -rate_exponent(cfg.hurst)
     slope, slope_se = _log_slope(ns, errs)
-    passed = bool(abs(slope - target) <= tol)
     return RateFitResult(
-        config=cfg,
-        n_grid=tuple(int(n) for n in ns),
+        config=rcfg,
         errors=errs,
         slope=slope,
         slope_se=slope_se,
         target=target,
-        tol=tol,
-        passed=passed,
+        passed=bool(abs(slope - target) <= rcfg.tol),
     )
 
 
@@ -432,14 +446,84 @@ def rate_fit(
 
 
 @dataclass(frozen=True)
+class ScalingConfig:
+    """A two-way scaling fit of windowed Hermite sums, refused at construction.
+
+    Refused: fewer than two resolutions or two window lengths, a window
+    [start, start + delta) outside [0, 1] (NaN included), a Hermite rank
+    below 1, and a degenerate fit (rank * H < 1/2) whose closed-form weight
+    has an identically zero rank-th level: ``fbm`` at rank >= 2, ``sq`` at
+    rank >= 3, ``cube`` at rank >= 4. There the limit integral is 0 and
+    neither exponent target is established.
+    """
+
+    experiment: ExperimentConfig
+    rank: int
+    delta_grid: tuple[float, ...]
+    start: float
+
+    # Largest accepted distance of each fitted exponent from its target.
+    TOL: ClassVar[float] = 0.15
+
+    def __post_init__(self) -> None:
+        rank = operator.index(self.rank)
+        deltas = tuple(float(d) for d in self.delta_grid)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "delta_grid", deltas)
+        if len(deltas) < 2 or len(self.experiment.n_grid) < 2:
+            raise ValueError("need at least two resolutions and two window lengths")
+        # written so that a NaN window fails it
+        if not (all(d > 0.0 for d in deltas) and 0.0 <= self.start
+                and self.start + max(deltas) <= 1.0):
+            raise ValueError("windows must lie inside [0, 1]")
+        if rank < 1:
+            raise ValueError("Hermite rank must be >= 1")
+        process, hurst = self.experiment.process, self.experiment.hurst
+        zero_from = first_zero_level(process)
+        if zero_from is not None and rank >= zero_from and rank * hurst < 0.5:
+            raise ValueError(
+                f"no scaling target is established for process {process!r} at rank "
+                f"{rank} and hurst {hurst}: its level {rank} is identically zero "
+                "and rank * hurst < 1/2"
+            )
+
+    @property
+    def target(self) -> float:
+        """Resolution-axis exponent target.
+
+        Below rank * H = 1/2 the windowed Hermite sum is degenerate:
+        n**(rank H - 1) times it converges to (-1/2)**rank times the window
+        integral of the weight's rank-th derivative level, so it grows like
+        n**(1 - rank H). Otherwise the central limit square root takes over.
+        """
+        product = self.rank * self.experiment.hurst
+        return 1.0 - product if product < 0.5 else 0.5
+
+    @property
+    def window_target(self) -> float:
+        """Window-length exponent target: 1 in the degenerate regime, else 1/2.
+
+        The degenerate limit is a time integral over the window, so it grows
+        like delta. For the ``fbm`` weight at rank 1 the sum telescopes to
+        n**H ((x_t**2 - x_s**2) - sum (delta x_k)**2) / 2, about
+        -(delta / 2) n**(1 - H).
+        """
+        return 1.0 if self.rank * self.experiment.hurst < 0.5 else 0.5
+
+
+@dataclass(frozen=True)
 class ScalingFitResult:
-    """Two-way OLS of log L1 norms over resolutions and window lengths."""
+    """Two-way OLS of log L1 norms over resolutions and window lengths; it
+    passes when both exponents lie within ``ScalingConfig.TOL`` of the targets."""
 
     n_exponent: float
     delta_exponent: float
     n_se: float
     delta_se: float
     table: tuple
+    target: float
+    window_target: float
+    passed: bool
 
     def csv(self) -> str:
         lines = ["n,delta,l1_norm"]
@@ -448,80 +532,40 @@ class ScalingFitResult:
         return "\n".join(lines) + "\n"
 
 
-def _scaling_row(
-    cfg: ExperimentConfig,
-    rank_or_f,
-    n: int,
-    replica: int,
-    delta_grid: tuple,
-    start: float,
-) -> list:
-    f = _resolve_functional(rank_or_f)
-    cp = build_replica_path(cfg, n, replica)
-    weight = cp.level(0)
+def _scaling_row(scfg: ScalingConfig, n: int, replica: int) -> list:
+    cp = build_replica_path(scfg.experiment, n, replica)
+    weight, f, start = cp.level(0), partial(hermite, scfg.rank), scfg.start
     return [
         abs(weighted_increment_sum(cp.x, f, weight, start, start + delta))
-        for delta in delta_grid
+        for delta in scfg.delta_grid
     ]
 
 
-def _resolve_functional(rank_or_f):
-    if isinstance(rank_or_f, (int, np.integer)):
-        rank = int(rank_or_f)
-        return lambda u: hermite(rank, u)
-    if callable(rank_or_f):
-        return rank_or_f
-    raise TypeError("pass a Hermite rank (int) or a vectorized callable")
-
-
-def validate_scaling_inputs(
-    n_grid: Sequence[int], rank_or_f, delta_grid: Sequence[float], start: float
-) -> None:
-    """Reject a scaling fit short of grid points, with a window outside
-    [0, 1], or with a Hermite rank below 1."""
-    if len(delta_grid) < 2 or len(n_grid) < 2:
-        raise ValueError("need at least two resolutions and two window lengths")
-    if any(d <= 0 for d in delta_grid) or start < 0 or start + max(delta_grid) > 1.0:
-        raise ValueError("windows must lie inside [0, 1]")
-    if isinstance(rank_or_f, (int, np.integer)) and int(rank_or_f) < 1:
-        raise ValueError("Hermite rank must be >= 1")
-
-
 def scaling_exponent_check(
-    cfg: ExperimentConfig,
-    rank_or_f,
-    delta_grid: Sequence[float],
-    start: float = 0.25,
-    workers: int | None = None,
+    scfg: ScalingConfig, workers: int | None = None
 ) -> ScalingFitResult:
     """Fit joint (resolution, window) scaling exponents of windowed sums.
 
     For each resolution and each window [start, start + delta) the empirical
-    L1 norm of the weighted functional sum is averaged over replicas; a
-    two-way regression of its log on (log n, log delta) returns both
-    exponents. Integer input selects the Hermite polynomial of that rank as
-    the functional; callables must accept arrays (and be top-level functions
-    when run with multiple workers).
+    L1 norm of the weighted Hermite sum of the config's rank is averaged
+    over replicas; a two-way regression of its log on (log n, log delta)
+    returns both exponents.
     """
-    delta_grid = tuple(float(d) for d in delta_grid)
-    validate_scaling_inputs(cfg.n_grid, rank_or_f, delta_grid, start)
-
     # The windowed sums read the coarse driver only, so no fine grid is drawn.
-    cfg = replace(cfg, fine_factor=1)
-    tasks = [
-        (cfg, rank_or_f, n, r, delta_grid, start)
-        for n in cfg.n_grid
-        for r in range(cfg.replicas)
-    ]
+    coarse = replace(scfg, experiment=replace(scfg.experiment, fine_factor=1))
+    cfg = coarse.experiment
+    tasks = [(coarse, n, r) for n in cfg.n_grid for r in range(cfg.replicas)]
     values = np.array(_parallel_starmap(_scaling_row, tasks, workers), dtype=float)
-    values = values.reshape(len(cfg.n_grid), cfg.replicas, len(delta_grid))
-    l1 = values.mean(axis=1)
+    values = values.reshape(len(cfg.n_grid), cfg.replicas, len(scfg.delta_grid))
+    return _scaling_fit(scfg, values.mean(axis=1))
 
-    rows = []
-    design = []
-    response = []
-    for i, n in enumerate(cfg.n_grid):
-        for j, delta in enumerate(delta_grid):
+
+def _scaling_fit(scfg: ScalingConfig, l1: np.ndarray) -> ScalingFitResult:
+    """Regress log ``l1`` (one row per resolution, one column per window)
+    on (log n, log delta) and judge the exponents against the targets."""
+    rows, design, response = [], [], []
+    for i, n in enumerate(scfg.experiment.n_grid):
+        for j, delta in enumerate(scfg.delta_grid):
             rows.append((n, delta, float(l1[i, j])))
             design.append([math.log(n), math.log(delta), 1.0])
             response.append(math.log(l1[i, j]))
@@ -534,12 +578,20 @@ def scaling_exponent_check(
         ses = np.sqrt(np.diag(cov))
     else:
         ses = np.full(3, math.nan)
+    n_exponent, delta_exponent = float(coeffs[0]), float(coeffs[1])
+    passed = (
+        abs(n_exponent - scfg.target) <= scfg.TOL
+        and abs(delta_exponent - scfg.window_target) <= scfg.TOL
+    )
     return ScalingFitResult(
-        n_exponent=float(coeffs[0]),
-        delta_exponent=float(coeffs[1]),
+        n_exponent=n_exponent,
+        delta_exponent=delta_exponent,
         n_se=float(ses[0]),
         delta_se=float(ses[1]),
         table=tuple(rows),
+        target=scfg.target,
+        window_target=scfg.window_target,
+        passed=passed,
     )
 
 

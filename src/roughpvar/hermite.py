@@ -140,6 +140,7 @@ def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int)
     power = rho_sq.copy()
 
     total = 0.0
+    kept = 0.0
     lag_tail = 0.0
     # (2q)! coeff_q^2 = moment^2 * (prod_{i<q} (p - 2i))^2 / (2q)!; built
     # iteratively so neither factor overflows on its own.
@@ -153,10 +154,16 @@ def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int)
         if q > 1:
             power *= rho_sq
         lag_sum = 1.0 + 2.0 * float(power.sum())
+        kept += weight
         total += weight * lag_sum
         lag_tail += weight * _lag_tail_estimate(hurst, q, cutoff)
 
-    tail = lag_tail + _series_tail_estimate(p, hurst, terms, weight)
+    # The weights sum to Var|N|**p (Parseval), so the dropped ones sum to
+    # what the kept ones leave of it. Lag sums fall in q because |rho| <= 1,
+    # so the dropped terms lie between that mass and that mass times the
+    # last lag sum; the upper end is the estimate.
+    dropped = gaussian_abs_moment(2.0 * p) - gaussian_abs_moment(p) ** 2 - kept
+    tail = lag_tail + max(dropped, 0.0) * lag_sum
     if total > 0.0 and tail > 1e-6 * total:
         warnings.warn(
             f"asymptotic variance truncation tail ~{tail:.3g} exceeds 1e-6 of "
@@ -180,26 +187,6 @@ def _lag_tail_estimate(hurst: float, q: int, cutoff: int) -> float:
     if decay <= 0.0:
         return math.inf
     return 2.0 * amp ** (2 * q) * cutoff ** (-decay) / decay
-
-
-def _series_tail_estimate(p: float, hurst: float, terms: int, weight: float) -> float:
-    """Bound the dropped Hermite terms using a crude O(1) bound on lag sums.
-
-    ``weight`` is the last kept term weight (2q)! coeff_q^2, at q = terms
-    (0 once the series has ended). The term weights decay superfactorially,
-    so twenty extra terms with any bounded lag-sum factor give a reliable
-    tail size.
-    """
-    rho1 = abs(float(fgn_autocovariance(1, hurst)))
-    s_bound = 3.0 if rho1 >= 0.5 else 1.5
-    tail = 0.0
-    for q in range(terms + 1, terms + 21):
-        weight *= (p - 2.0 * (q - 1)) ** 2
-        weight /= (2.0 * q - 1.0) * (2.0 * q)
-        tail += weight * s_bound
-        if weight == 0.0:
-            break
-    return tail
 
 
 def hermite_coeffs_numeric(f, order: int, nodes: int | None = None) -> np.ndarray:

@@ -52,6 +52,8 @@ from roughpvar import (
     FbmPath,
     FbmSpec,
     FunctionFamily,
+    RateFitConfig,
+    ScalingConfig,
     abs_power_hermite_coeff,
     asymptotic_variance,
     build_controlled_process,
@@ -318,18 +320,18 @@ def test_criterion_07_error_decay_rates():
     n_grid = (512, 1024, 2048, 4096, 8192, 16384)
     # frozen slopes at seed 2024: mixed -0.5113 (target -0.5),
     # degenerate -0.3416 (target -2H = -0.3); the gate is +-0.1
-    mixed = rate_fit(
+    mixed = rate_fit(RateFitConfig(
         ExperimentConfig(
             hurst=0.4, p=2.0, process="fbm", n_grid=n_grid,
             replicas=500, master_seed=MASTER_SEED,
         )
-    )
-    degen = rate_fit(
+    ))
+    degen = rate_fit(RateFitConfig(
         ExperimentConfig(
             hurst=0.15, p=2.0, process="sq", n_grid=n_grid,
             replicas=500, master_seed=MASTER_SEED,
         )
-    )
+    ))
     print(f"  mixed: slope {mixed.slope:.4f} (se {mixed.slope_se:.4f}) target {mixed.target}")
     print(f"  degenerate: slope {degen.slope:.4f} (se {degen.slope_se:.4f}) target {degen.target}")
     pinned = abs(mixed.slope - (-0.5113)) <= 0.02 and abs(degen.slope - (-0.3416)) <= 0.02
@@ -402,8 +404,8 @@ _SCALING_DELTAS = tuple(2.0 ** (-k) for k in range(6, 0, -1))
 _SCALING_GRID = (2048, 4096, 8192, 16384)
 
 
-def _scaling_config(hurst):
-    return ExperimentConfig(
+def _scaling_config(hurst, rank):
+    experiment = ExperimentConfig(
         hurst=hurst,
         p=2.0,
         process="fbm",
@@ -411,11 +413,12 @@ def _scaling_config(hurst):
         replicas=500,
         master_seed=MASTER_SEED,
     )
+    return ScalingConfig(experiment, rank, _SCALING_DELTAS, 0.25)
 
 
 def test_criterion_10_scaling_rank3():
     # rank * hurst = 1.2 saturates the prediction at the square-root value 0.5
-    result = scaling_exponent_check(_scaling_config(0.4), 3, _SCALING_DELTAS, start=0.25)
+    result = scaling_exponent_check(_scaling_config(0.4, 3))
     target = 0.5
     n_ok = abs(result.n_exponent - target) <= 0.15
     d_ok = abs(result.delta_exponent - target) <= 0.15
@@ -439,7 +442,7 @@ def test_criterion_10_scaling_rank1():
     # and E dx_k**2 = n**(-2H) makes the second term -(delta / 2) n**(1 - H):
     # exponents (1 - H, 1) = (0.8, 1). Losing that Ito-type correction would
     # leave the first term alone, with exponents (H, H), and fail both axes.
-    result = scaling_exponent_check(_scaling_config(0.2), 1, _SCALING_DELTAS, start=0.25)
+    result = scaling_exponent_check(_scaling_config(0.2, 1))
     target = 1.0 - 1 * 0.2
     window_target = 1.0
     n_ok = abs(result.n_exponent - target) <= 0.15

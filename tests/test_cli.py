@@ -10,12 +10,13 @@ Covers:
 5. limit-check: calibrated pass, forced failure, manifest replay byte
    identity, worker-count invariance, and the non-finite z count.
 6. rate-fit: a calibrated pass and an exact deterministic failure.
-7. scaling-check: output schema, manifest replay, and the resolution- and
-   window-axis exponent targets.
+7. scaling-check: output schema, manifest replay, and a pass field that is
+   the library's verdict.
 8. Exit codes: 0 pass, 1 failed check, 2 usage/domain errors (a
-   scaling-check without an established target included), 70 any other
-   exception, and a refused config writes nothing; a libc without mallopt
-   changes no exit code; 17 significant digit float formatting throughout.
+   scaling-check without an established target, and NaN or negative gates
+   and windows, included), 70 any other exception, and a refused config
+   writes nothing; a libc without mallopt changes no exit code; 17
+   significant digit float formatting throughout.
 9. The config -> manifest -> config round trip as a fixed point, on drawn
    configs of every subcommand, in key=value and JSON form.
 10. Cold start: a complete limit-check run in a fresh interpreter never
@@ -40,9 +41,11 @@ import roughpvar
 from roughpvar import (
     ExperimentConfig,
     FbmSpec,
+    ScalingConfig,
     build_replica_path,
     path_from_csv,
     run_regime_check,
+    scaling_exponent_check,
 )
 from roughpvar import cli, harness
 from roughpvar.cli import (
@@ -50,8 +53,6 @@ from roughpvar.cli import (
     SCHEMA,
     UsageError,
     _experiment_config,
-    _scaling_target,
-    _window_target,
     build_parser,
     main,
     resolve_config,
@@ -256,6 +257,13 @@ class TestMainErrors:
             # a weight whose rank-th level is 0 below rank * H = 1/2: no target
             ["scaling-check", "--process", "fbm", "--rank", "2", "--hurst", "0.15"],
             ["scaling-check", "--process", "sq", "--rank", "3", "--hurst", "0.15"],
+            # gates and windows that are NaN or out of range
+            ["limit-check", "--hurst", "0.3", "--p", "2", "--ks-threshold", "nan"],
+            ["limit-check", "--hurst", "0.3", "--p", "2", "--median-tol", "-1"],
+            ["rate-fit", "--hurst", "0.3", "--p", "2", "--tol", "nan"],
+            ["scaling-check", "--hurst", "0.3", "--delta", "nan,0.25"],
+            ["scaling-check", "--hurst", "0.3", "--start", "nan"],
+            ["scaling-check", "--hurst", "0.3", "--rank", "0"],
         ],
     )
     def test_refused_config_writes_nothing(self, tmp_path, argv):
@@ -568,8 +576,7 @@ class TestScalingCheck:
         assert fields[0] == "1" and fields[8] in ("0", "1")
         for field in fields[1:8]:
             _assert_17g(field)
-        assert float(fields[6]) == _scaling_target(0.5, 1)
-        assert float(fields[7]) == _window_target(0.5, 1)
+        assert float(fields[6]) == 0.5 and float(fields[7]) == 0.5
         table = _read_lines(first / "scaling.csv")
         assert table[0] == "n,delta,l1_norm"
         assert len(table) == 5, "two resolutions times two windows"
@@ -581,33 +588,18 @@ class TestScalingCheck:
         for name in ("manifest.json", "scaling.csv", "scaling_summary.csv"):
             assert (first / name).read_bytes() == (replay / name).read_bytes(), name
 
-    @pytest.mark.parametrize(
-        "hurst, rank, expected",
-        [
-            (0.2, 1, 0.8),
-            (0.2, 2, 0.6),
-            (0.25, 2, 0.5),
-            (0.4, 3, 0.5),
-            (0.5, 2, 0.5),
-        ],
-    )
-    def test_scaling_target(self, hurst, rank, expected):
-        # Below the boundary the L1 norm grows like n^(1 - rank H) along the
-        # resolution axis, above it the central limit square root takes over.
-        assert _scaling_target(hurst, rank) == pytest.approx(expected)
-
-    @pytest.mark.parametrize(
-        "hurst, rank, expected",
-        [
-            (0.2, 1, 1.0),
-            (0.25, 2, 0.5),
-            (0.4, 3, 0.5),
-        ],
-    )
-    def test_window_target(self, hurst, rank, expected):
-        # Below the boundary the limit is a time integral over the window, so
-        # the L1 norm grows like delta; above it like the square root of delta.
-        assert _window_target(hurst, rank) == pytest.approx(expected)
+    def test_pass_field_is_the_library_verdict(self, tmp_path):
+        out = tmp_path / "sc"
+        rc = main(["scaling-check", "--hurst", "0.2", "--rank", "1", "--n", "64,128",
+                   "--replicas", "10", "--delta", "0.125,0.25", "--seed", "2",
+                   "--out", str(out)])
+        cfg = ExperimentConfig(hurst=0.2, p=2.0, n_grid=(64, 128), replicas=10, master_seed=2)
+        result = scaling_exponent_check(ScalingConfig(cfg, 1, (0.125, 0.25), 0.25))
+        fields = _read_lines(out / "scaling_summary.csv")[1].split(",")
+        assert fields[8] == str(int(result.passed))
+        assert rc == (0 if result.passed else 1)
+        assert float(fields[2]) == result.n_exponent
+        assert float(fields[3]) == result.delta_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -711,11 +703,11 @@ def _configs(draw, subcommand):
                 cfg[key] = draw(_VALUES[key])
     if subcommand == "scaling-check":
         # a weight with no established target is refused before its manifest
-        defaults = SCHEMA[subcommand]
-        process, rank = cfg.get("process", defaults["process"]), cfg.get("rank", defaults["rank"])
+        merged = {**SCHEMA[subcommand], **cfg}
+        experiment = ExperimentConfig(hurst=cfg["hurst"], p=2.0, process=merged["process"])
         try:
-            cli._refuse_untargeted(process, cfg["hurst"], rank)
-        except UsageError:
+            ScalingConfig(experiment, merged["rank"], merged["delta"], merged["start"])
+        except ValueError:
             assume(False)
     return cfg
 

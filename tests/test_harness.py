@@ -16,8 +16,9 @@ Covers:
 8. CSV output formats (17 significant digit round trips).
 9. Rate fits: a calibrated Monte Carlo run plus exact deterministic decays
    from a drift-only differential equation.
-10. Two-way scaling fits: exact exponent recovery on a constant process and
-    input validation.
+10. Two-way scaling fits: the config's refusals and exponent targets, exact
+    exponent recovery of the regression on an exact power-law table, and
+    the coarse driver the windowed sums read.
 11. The joint stability check (decoupling of the normalized statistic from
     its driver) with a calibrated seed; its driver-only pass draws the
     drivers the rows were built on.
@@ -39,8 +40,10 @@ from roughpvar import (
     ExperimentResult,
     FbmSpec,
     JointCheckReport,
+    RateFitConfig,
     RateFitResult,
     RegimeError,
+    ScalingConfig,
     ScalingFitResult,
     UnsupportedRangeError,
     build_controlled_process,
@@ -63,6 +66,7 @@ from roughpvar.harness import (
     _driver_summary,
     _log_slope,
     _median_errors,
+    _scaling_fit,
     log_log_csv,
     replica_rng,
     rows_to_csv,
@@ -76,18 +80,10 @@ def _philox(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _ones(u):
-    return np.ones_like(u)
-
-
 # Drift-only differential equation dy = 1 dt + 0 dx: the solution y = t is
 # deterministic, so every replica statistic is an exact power of the
 # resolution and rate fits recover their slopes to machine precision.
 _PURE_DRIFT = {"ell": 4, "y0": 0.0, "drift_coeffs": (1.0,), "field_coeffs": (0.0,)}
-
-# Zero-field equation with no drift: y stays at y0 exactly, giving constant
-# weights for the exact two-way scaling fit.
-_CONSTANT_PROCESS = {"ell": 2, "y0": 2.0, "field_coeffs": (0.0,)}
 
 
 @lru_cache(maxsize=1)
@@ -228,6 +224,10 @@ class TestExperimentConfig:
             ({"fine_factor": 0}, "fine_factor must be >= 1"),
             ({"process_params": {"ell": 1}}, "at least two levels"),
             ({"p": 2.5}, "force=True"),
+            ({"ks_threshold": math.nan}, "ks_threshold"),
+            ({"ks_threshold": 1.5}, "ks_threshold"),
+            ({"median_tol": -1.0}, "median_tol"),
+            ({"median_tol": math.nan}, "median_tol"),
         ],
     )
     def test_validation_errors(self, overrides, match):
@@ -605,7 +605,7 @@ class TestRateFit:
         cfg = ExperimentConfig(
             hurst=0.5, p=2.0, n_grid=(256, 512, 1024), replicas=200, master_seed=5
         )
-        result = rate_fit(cfg)
+        result = rate_fit(RateFitConfig(cfg))
         print(
             f"mixed rate: slope={result.slope:.4f} (se {result.slope_se:.4f}), "
             f"target {result.target}"
@@ -613,7 +613,7 @@ class TestRateFit:
         assert result.target == pytest.approx(-0.5)
         assert result.passed, f"slope {result.slope} misses -1/2 by more than 0.1"
         assert abs(result.slope + 0.5) <= 0.1
-        lines = log_log_csv(zip(result.n_grid, result.errors)).splitlines()
+        lines = log_log_csv(zip(cfg.n_grid, result.errors)).splitlines()
         assert lines[0] == "log_n,log_err" and len(lines) == 4
 
     def test_mixed_fit_is_exact_on_drift_only_equation(self):
@@ -626,7 +626,7 @@ class TestRateFit:
             replicas=3, master_seed=0, fine_factor=1,
             process_params=dict(_PURE_DRIFT),
         )
-        result = rate_fit(cfg, workers=1)
+        result = rate_fit(RateFitConfig(cfg), workers=1)
         assert result.target == -0.5
         assert not result.passed
         expected = [1.0 / n for n in (64, 128, 256)]
@@ -646,7 +646,7 @@ class TestRateFit:
             replicas=3, master_seed=0, fine_factor=1,
             process_params=dict(_PURE_DRIFT),
         )
-        result = rate_fit(cfg)
+        result = rate_fit(RateFitConfig(cfg))
         expected = [n ** (2.0 * hurst - 2.0) for n in (64, 128, 256)]
         assert result.errors == pytest.approx(expected, rel=1e-10)
         assert result.slope == pytest.approx(2.0 * hurst - 2.0, abs=1e-9)
@@ -656,52 +656,101 @@ class TestRateFit:
     def test_needs_two_resolutions(self):
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=5)
         with pytest.raises(ValueError, match="two resolutions"):
-            rate_fit(cfg)
+            RateFitConfig(cfg)
+
+    @pytest.mark.parametrize("tol", [math.nan, -0.1])
+    def test_tol_must_be_nonnegative(self, tol):
+        cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64, 128), replicas=5)
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            RateFitConfig(cfg, tol)
 
     def test_uncovered_exponent_rejected(self):
         # Refused when the config is built, before any replica is drawn.
         with pytest.raises(UnsupportedRangeError):
-            rate_fit(ExperimentConfig(hurst=0.35, p=2.5, n_grid=(64, 128), replicas=5))
+            RateFitConfig(ExperimentConfig(hurst=0.35, p=2.5, n_grid=(64, 128), replicas=5))
 
 
 # ---------------------------------------------------------------------------
 # two-way scaling fits
 
 
+class TestScalingConfig:
+    """Refusals and exponent targets of a two-way scaling fit."""
+
+    @pytest.mark.parametrize(
+        "hurst, rank, expected",
+        [
+            (0.2, 1, 0.8),
+            (0.2, 2, 0.6),
+            (0.25, 2, 0.5),
+            (0.4, 3, 0.5),
+            (0.5, 2, 0.5),
+        ],
+    )
+    def test_scaling_target(self, hurst, rank, expected):
+        # The cube weight has no zero level below rank 4, so none is refused.
+        # Below the boundary the L1 norm grows like n^(1 - rank H) along the
+        # resolution axis, above it the central limit square root takes over.
+        scfg = ScalingConfig(ExperimentConfig(hurst=hurst, p=2.0, process="cube"), rank,
+                             (0.125, 0.25), 0.25)
+        assert scfg.target == pytest.approx(expected)
+
+    @pytest.mark.parametrize(
+        "hurst, rank, expected",
+        [
+            (0.2, 1, 1.0),
+            (0.25, 2, 0.5),
+            (0.4, 3, 0.5),
+        ],
+    )
+    def test_window_target(self, hurst, rank, expected):
+        # Below the boundary the limit is a time integral over the window, so
+        # the L1 norm grows like delta; above it like the square root of delta.
+        scfg = ScalingConfig(ExperimentConfig(hurst=hurst, p=2.0, process="cube"), rank,
+                             (0.125, 0.25), 0.25)
+        assert scfg.window_target == pytest.approx(expected)
+
+
+def _power_law_fit(hurst=0.5, rank=1):
+    """The fit of an exact table L1 = 2 n delta, what a weight frozen at 2
+    gives with the unit functional: both exponents are exactly 1."""
+    cfg = ExperimentConfig(hurst=hurst, p=2.0, n_grid=(64, 128), replicas=2)
+    scfg = ScalingConfig(cfg, rank, (0.125, 0.25), 0.25)
+    l1 = 2.0 * np.outer(cfg.n_grid, scfg.delta_grid)
+    return _scaling_fit(scfg, l1)
+
+
 class TestScalingExponentCheck:
     """Joint (resolution, window) scaling of weighted functional sums."""
 
     def test_exact_exponents_on_constant_weight(self):
-        # With y frozen at 2 and the unit functional, every windowed sum is
-        # exactly 2 * n * delta, so both exponents are exactly one.
-        cfg = ExperimentConfig(
-            hurst=0.5, p=2.0, process="custom-rde", n_grid=(64, 128),
-            replicas=2, master_seed=0, fine_factor=1,
-            process_params=dict(_CONSTANT_PROCESS),
-        )
-        result = scaling_exponent_check(cfg, _ones, (0.125, 0.25), start=0.25, workers=1)
+        result = _power_law_fit()
         assert result.n_exponent == pytest.approx(1.0, abs=1e-9)
         assert result.delta_exponent == pytest.approx(1.0, abs=1e-9)
         expected = {(64, 0.125): 16.0, (64, 0.25): 32.0, (128, 0.125): 32.0, (128, 0.25): 64.0}
         for n, delta, l1 in result.table:
             assert l1 == expected[(n, delta)], f"l1({n}, {delta}) = {l1}"
+        # targets (1/2, 1/2) at rank * H = 1/2: exponents (1, 1) miss both
+        assert (result.target, result.window_target) == (0.5, 0.5)
+        assert not result.passed
+
+    def test_verdict_within_tolerance(self):
+        # rank 1 at H = 0.3 targets (0.7, 1): 1 is within 0.15 of the window
+        # target only; rank 1 at H = 0.05 targets (0.95, 1), within both.
+        assert not _power_law_fit(hurst=0.3, rank=1).passed
+        assert _power_law_fit(hurst=0.05, rank=1).passed
 
     def test_csv_layout(self):
-        cfg = ExperimentConfig(
-            hurst=0.5, p=2.0, process="custom-rde", n_grid=(64, 128),
-            replicas=2, master_seed=0, fine_factor=1,
-            process_params=dict(_CONSTANT_PROCESS),
-        )
-        result = scaling_exponent_check(cfg, _ones, (0.125, 0.25), start=0.25, workers=1)
-        lines = result.csv().splitlines()
+        lines = _power_law_fit().csv().splitlines()
         assert lines[0] == "n,delta,l1_norm"
         assert lines[1] == "64,0.125,16"
         assert len(lines) == 5
 
     def test_hermite_rank_smoke_is_deterministic(self):
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64, 128), replicas=30, master_seed=3)
-        first = scaling_exponent_check(cfg, 2, (0.125, 0.25), start=0.25)
-        second = scaling_exponent_check(cfg, 2, (0.125, 0.25), start=0.25)
+        scfg = ScalingConfig(cfg, 2, (0.125, 0.25), 0.25)
+        first = scaling_exponent_check(scfg)
+        second = scaling_exponent_check(scfg)
         assert first.table == second.table
         assert first.n_exponent == second.n_exponent
         print(f"rank-2 smoke exponents: n {first.n_exponent:.3f}, delta {first.delta_exponent:.3f}")
@@ -714,7 +763,7 @@ class TestScalingExponentCheck:
             hurst=0.4, p=2.0, process="sq", n_grid=(32, 64), replicas=3, master_seed=5
         )
         deltas = (0.25, 0.5)
-        result = scaling_exponent_check(cfg, 3, deltas, start=0.25, workers=1)
+        result = scaling_exponent_check(ScalingConfig(cfg, 3, deltas, 0.25), workers=1)
         values = np.empty((2, 3, 2))
         for i, n in enumerate(cfg.n_grid):
             for r in range(cfg.replicas):
@@ -736,20 +785,26 @@ class TestScalingExponentCheck:
             ({"delta_grid": (0.25,)}, "two resolutions and two window"),
             ({"delta_grid": (0.25, 0.9)}, "inside"),
             ({"delta_grid": (0.125, 0.25), "start": -0.1}, "inside"),
-            ({"delta_grid": (0.125, 0.25), "rank_or_f": 0}, "rank"),
+            ({"delta_grid": (0.125, 0.25), "rank": 0}, "rank"),
+            ({"delta_grid": (math.nan, 0.25)}, "inside"),
+            ({"delta_grid": (0.125, 0.25), "start": math.nan}, "inside"),
+            ({"delta_grid": (0.125, 0.25), "hurst": 0.15, "process": "fbm"}, "no scaling target"),
+            ({"delta_grid": (0.125, 0.25), "hurst": 0.15, "process": "sq", "rank": 3},
+             "no scaling target"),
         ],
     )
     def test_input_validation(self, kwargs, match):
-        cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64, 128), replicas=2)
-        args = {"rank_or_f": 2, "start": 0.25}
-        args.update(kwargs)
+        args = {"hurst": 0.5, "process": "fbm", "rank": 2, "start": 0.25, **kwargs}
+        cfg = ExperimentConfig(hurst=args["hurst"], p=2.0, process=args["process"],
+                               n_grid=(64, 128), replicas=2)
         with pytest.raises(ValueError, match=match):
-            scaling_exponent_check(cfg, args["rank_or_f"], args["delta_grid"], start=args["start"])
+            ScalingConfig(cfg, args["rank"], args["delta_grid"], args["start"])
 
-    def test_functional_must_be_rank_or_callable(self):
+    @pytest.mark.parametrize("rank", ["He2", 2.5])
+    def test_rank_must_be_an_integer(self, rank):
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64, 128), replicas=2)
-        with pytest.raises(TypeError, match="vectorized callable"):
-            scaling_exponent_check(cfg, "He2", (0.125, 0.25), start=0.25, workers=1)
+        with pytest.raises(TypeError):
+            ScalingConfig(cfg, rank, (0.125, 0.25), 0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ Covers:
   4. The asymptotic variance series: independent-increment exact values,
      a hand-built lag-sum oracle for p = 2, a closed-form oracle for other
      p through 2F1, frozen bits, the memory bound of one evaluation,
-     domain errors, and the truncation-tail warning.
+     domain errors, and the truncation-tail warning, whose estimate covers
+     the Hermite mass the series drops.
   5. The absolute-power derivative family.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -302,6 +304,25 @@ class TestAsymptoticVariance:
         # lags leaves visible mass behind and must be reported
         with pytest.warns(RuntimeWarning, match="truncation tail"):
             asymptotic_variance(2.0, 0.7, TruncationSpec(lag_cutoff=17))
+
+    # The weights (2q)! c_q^2 sum to Var|N|^p (Parseval) and every lag sum
+    # is at least 1, so a series cut after `terms` terms drops at least what
+    # the kept weights leave of Var|N|^p; the reported tail must cover it.
+    @pytest.mark.parametrize(
+        "p, hurst, terms", [(1.5, 0.35, 40), (2.5, 0.2, 4), (3.0, 0.1, 2), (5.5, 0.3, 3)]
+    )
+    def test_tail_estimate_covers_the_lag0_remainder(self, p, hurst, terms):
+        kept = sum(
+            math.factorial(2 * q) * abs_power_hermite_coeff(p, q) ** 2
+            for q in range(1, terms + 1)
+        )
+        remainder = gaussian_abs_moment(2.0 * p) - gaussian_abs_moment(p) ** 2 - kept
+        with pytest.warns(RuntimeWarning, match="truncation tail") as record:
+            _asymptotic_variance_cached.__wrapped__(p, hurst, terms, 10**6)
+        reported = re.search(r"tail ~(\S+) exceeds", str(record[0].message)).group(1)
+        print(f"  ({p}, {hurst}, {terms}): reported {reported}, remainder {remainder:.3g}")
+        # the message rounds to 3 digits, so compare after the same rounding
+        assert float(reported) >= float(f"{remainder:.3g}")
 
     def test_truncation_spec_validation(self):
         with pytest.raises(ValueError):

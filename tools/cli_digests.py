@@ -8,7 +8,9 @@ CHECKOUT defaults to the checkout this script lives in. Each run is a fresh
 interpreter with ``PYTHONPATH=CHECKOUT/src`` and its own ``--out`` directory
 in a temporary directory. For each run the script prints one line: the
 argv, the exit code, the sha256 of stdout and of stderr with the output
-directory's path masked as ``<out>`` and the checkout's as ``<checkout>``,
+directory's path masked as ``<out>``, the checkout's as ``<checkout>`` and
+the line number in a warning's ``<checkout>/...py:N:`` source location as
+``<line>`` (it moves whenever code above the warning's call site does),
 and the sha256 of every file the run left in its output
 directory (``no-out-dir`` when it created none). Comparing two checkouts is
 
@@ -16,15 +18,18 @@ directory (``no-out-dir`` when it created none). Comparing two checkouts is
 
 The set covers every subcommand, every closed-form process, ``exp-rde``, a
 ``--workers 2`` run, a manifest replay, the dense Cholesky oracle, a forced
-run, a blow-up, refused configs, and ``constants`` at p = 3 and 2.5 (the
-Hermite terms past q = 1) and with a truncation-tail warning on stderr. It takes about 15 s on two cores and
-is not part of the test suite.
+run, a blow-up, a failing rate fit, a rank-1 scaling fit (window target 1),
+refused configs (NaN or negative gates and windows among them), and
+``constants`` at p = 3 and 2.5 (the Hermite terms past q = 1) and with a
+truncation-tail warning on stderr. It takes about 20 s on two cores and is
+not part of the test suite.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -72,7 +77,26 @@ RUNS = (
                            "--hurst", "0.15", "--n", "64,128", "--replicas", "5"]),
     ("refused-sq-rank3", ["scaling-check", "--process", "sq", "--rank", "3",
                           "--hurst", "0.15", "--n", "64,128", "--replicas", "5"]),
+    ("scaling-rank1", ["scaling-check", "--hurst", "0.2", "--rank", "1", "--n", "256,512",
+                       "--delta", "0.125,0.25", "--replicas", "30", "--seed", "9"]),
+    ("rate-fit-fail", ["rate-fit", "--hurst", "0.2", "--p", "2", "--process", "custom-rde",
+                       "--n", "64,128,256", "--replicas", "3", "--fine-factor", "1",
+                       "--ell", "4", "--y0", "0", "--drift-coeffs", "1", "--field-coeffs", "0"]),
+    ("refused-window", ["scaling-check", "--hurst", "0.3", "--delta", "0.25,0.9"]),
+    ("refused-rank0", ["scaling-check", "--hurst", "0.3", "--rank", "0"]),
+    ("refused-ks-nan", ["limit-check", "--hurst", "0.3", "--p", "2", "--n", "64",
+                        "--replicas", "20", "--ks-threshold", "nan"]),
+    ("refused-median-tol", ["limit-check", "--hurst", "0.3", "--p", "2", "--n", "64",
+                            "--replicas", "20", "--median-tol", "-1"]),
+    ("refused-tol-nan", ["rate-fit", "--hurst", "0.3", "--p", "2", "--n", "64,128",
+                         "--replicas", "20", "--tol", "nan"]),
+    ("refused-delta-nan", ["scaling-check", "--hurst", "0.3", "--n", "64,128",
+                           "--replicas", "5", "--delta", "nan,0.25"]),
+    ("refused-start-nan", ["scaling-check", "--hurst", "0.3", "--n", "64,128",
+                           "--replicas", "5", "--start", "nan"]),
 )
+
+_SOURCE_LINE = re.compile(rb"(<checkout>/\S+\.py):\d+:")
 
 _MAIN = "import sys; from roughpvar.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -101,6 +125,7 @@ def digest_runs(checkout: Path, work: Path) -> list[str]:
         for stream, data in (("stdout", proc.stdout), ("stderr", proc.stderr)):
             data = data.replace(str(out).encode(), b"<out>")
             data = data.replace(str(checkout).encode(), b"<checkout>")
+            data = _SOURCE_LINE.sub(rb"\1:<line>:", data)
             fields.append(f"{stream}={_sha(data)}")
         if out.is_dir():
             for path in sorted(out.iterdir()):
