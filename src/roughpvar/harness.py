@@ -30,11 +30,10 @@ from functools import partial
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.special import ndtr
 
 from .controlled import ControlledPath, validate_ell
 from .fbm import FbmPath, FbmSpec, sample_fbm
-from .hermite import hermite
+from .hermite import hermite, ndtr
 from .processes import (
     DEFAULT_ELL, PROCESS_TAGS, build_controlled_process, default_fine_factor, first_zero_level
 )
@@ -315,11 +314,25 @@ def _median_errors(
     for i, n in enumerate(cfg.n_grid):
         sel = rows[:, 0] == n
         if cfg.regime == REGIME_DEGENERATE:
-            med_errs[i] = abs(float(np.median(rows[sel, location_column])))
+            med_errs[i] = abs(_median(rows[sel, location_column]))
         else:
             err = rows[sel, 2] - rows[sel, 3] / math.sqrt(n)
-            med_errs[i] = float(np.median(np.abs(err)))
+            med_errs[i] = _median(np.abs(err))
     return np.array(cfg.n_grid, dtype=float), med_errs
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1-D float array, NaN if any value is.
+
+    np.median imports numpy.ma on first use, which nothing else in a run
+    needs. The middle one or two values are averaged by np.mean, as
+    np.median averages them, so the bits agree.
+    """
+    ordered = np.sort(values)
+    if math.isnan(ordered[-1]):
+        return math.nan
+    mid = ordered.size // 2
+    return float(np.mean(ordered[mid - 1 + ordered.size % 2 : mid + 1]))
 
 
 def _log_slope(ns: np.ndarray, errs: np.ndarray) -> tuple[float, float]:

@@ -5,6 +5,11 @@ polynomials, absolute moments of the standard normal, the even Hermite
 coefficients of ``|x|**p``, the asymptotic variance of centered power
 variation over correlated Gaussian increments, and the derivative family of
 ``|x|**p``.
+
+The standard normal CDF ``ndtr`` and Gamma up to 33 are pure-Python ports of
+the Cephes code that ``scipy.special`` runs (Moshier, *Methods and Programs
+for Mathematical Functions*, 1989): its tables and order of operations give
+scipy's bits without importing scipy. Gamma above 33 imports scipy's own.
 """
 
 from __future__ import annotations
@@ -16,11 +21,100 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import gamma
 
 from .fbm import fgn_autocovariance
 
 _INTEGER_TOL = 1e-12
+
+# Cephes tables, highest power first. A table whose leading coefficient is 1
+# holds it explicitly: 1.0 * x is exact, so Cephes' p1evl is _polevl.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
+            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
+            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+_SQRT1_2 = 7.07106781186547524401e-1
+
+
+def _polevl(x: float, coeffs) -> float:
+    """Horner's rule in Cephes' order of operations."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _erf(x: float) -> float:
+    """Error function for |x| < 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _ndtr(a: float) -> float:
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    # Half of erfc(z), z > 0, and 0 once exp(-z**2) underflows. math.exp is
+    # the C library's exp, as in scipy's compiled code; np.exp's can differ.
+    if z < 1.0:
+        y = 0.5 * (1.0 - _erf(z))
+    elif z * z > _MAXLOG:
+        y = 0.0
+    else:
+        num, den = (_ERFC_P, _ERFC_Q) if z < 8.0 else (_ERFC_R, _ERFC_S)
+        y = 0.5 * (math.exp(-z * z) * _polevl(z, num) / _polevl(z, den))
+    return 1.0 - y if x > 0.0 else y
+
+
+def ndtr(x) -> np.ndarray:
+    """Standard normal CDF, elementwise; the bits of ``scipy.special.ndtr``."""
+    values = np.asarray(x, dtype=float)
+    return np.array([_ndtr(v) for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+def gamma(x: float) -> float:
+    """Gamma function for x > 0; the bits of ``scipy.special.gamma``.
+
+    Up to 33 the recurrence brings x into [2, 3) for a rational
+    approximation. Above, scipy's Stirling branch runs, imported here:
+    E|N|**p reaches it for p > 65, and the asymptotic variance for p > 32.5.
+    """
+    if x > 33.0:
+        from scipy.special import gamma as scipy_gamma
+
+        return scipy_gamma(x)
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
 
 
 def hermite(q: int, x):

@@ -168,11 +168,11 @@ def limit_drift(
         + ((p - 2) E|N|**p / 24) int_0^t phi'(y') y''' du
 
     over the fine grid, with phi the p-th absolute power. Missing derivative
-    levels beyond the declared order are treated as zero after a warning
-    (four levels carry the full functional); a level that stores no row
-    enters as its constant.
+    levels beyond the declared order are treated as zero, with a warning
+    when one enters with a nonzero coefficient (level 3 drops out at
+    p = 2); a level that stores no row enters as its constant.
     """
-    if cp.ell < 4:
+    if cp.ell < 3 or (cp.ell == 3 and p != 2.0):
         warnings.warn(
             f"drift functional uses levels up to order 3; path has {cp.ell} "
             "levels, missing ones are taken as zero",

@@ -763,12 +763,17 @@ _MAIN_THEN_MODULES = f"""
 import json, sys
 from roughpvar import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, [m for m in {_HEAVY_MODULES!r} if m in sys.modules]]))
+optional = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma")
+print(json.dumps([code, [m for m in {_HEAVY_MODULES!r} if m in sys.modules], optional]))
 """
 
 
-def _fresh_main(argv):
-    """Run cli.main in a fresh interpreter; its exit code and heavy modules."""
+def _fresh_main(argv, optional=False):
+    """Run cli.main in a fresh interpreter; its exit code and heavy modules.
+
+    With ``optional`` the modules are every scipy module the run loaded,
+    and numpy.ma (which np.median imports) if it did.
+    """
     # the child imports the package under test, wherever pytest found it
     paths = (str(Path(roughpvar.__file__).parents[1]), os.environ.get("PYTHONPATH"))
     env = {key: value for key, value in os.environ.items() if not key.startswith("ROUGHPVAR_")}
@@ -778,8 +783,8 @@ def _fresh_main(argv):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    return code, loaded
+    code, heavy, optional_loaded = json.loads(proc.stdout.splitlines()[-1])
+    return code, optional_loaded if optional else heavy
 
 
 class TestColdStart:
@@ -802,6 +807,34 @@ class TestColdStart:
         assert code == 0
         assert (out / "summary.csv").exists()
         assert loaded == [], f"limit-check loaded {loaded}"
+
+    @pytest.mark.parametrize(
+        "regime",
+        [
+            ["--process", "fbm", "--hurst", "0.5", "--p", "2"],  # mixed: KS against ndtr
+            ["--process", "sq", "--hurst", "0.25", "--p", "2"],  # critical
+            ["--process", "sq", "--hurst", "0.15", "--p", "2"],  # degenerate
+            ["--process", "sq", "--hurst", "0.25", "--p", "4"],  # critical, σ² past q = 1
+        ],
+    )
+    def test_limit_check_loads_no_scipy(self, tmp_path, regime):
+        # Phi and Gamma up to 33 are the package's own ports of scipy's, and
+        # the medians skip np.median's import of numpy.ma
+        out = tmp_path / "lc"
+        argv = ["limit-check", *regime, "--n", "32,64", "--replicas", "10", "--seed", "3",
+                "--ks-threshold", "0.9", "--median-tol", "0.9", "--workers", "1",
+                "--out", str(out)]
+        code, loaded = _fresh_main(argv, optional=True)
+        assert code == 0
+        assert (out / "summary.csv").exists()
+        assert loaded == [], f"limit-check loaded {loaded}"
+
+    def test_gamma_past_33_loads_special(self, tmp_path):
+        # σ² at p = 40 reads E|N|^80, Gamma(40.5): scipy's Stirling branch
+        argv = ["constants", "--p", "40", "--hurst", "0.3", "--out", str(tmp_path / "c")]
+        code, loaded = _fresh_main(argv, optional=True)
+        assert code == 0
+        assert "scipy.special" in loaded
 
     def test_cholesky_oracle_loads_linalg(self, tmp_path):
         argv = ["simulate", "--hurst", "0.3", "--n", "32", "--method", "cholesky",

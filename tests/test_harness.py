@@ -2,15 +2,17 @@
 
 Covers:
 1. The Kolmogorov-Smirnov sup distance against the scipy oracle and against
-   hand-computed degenerate samples; the harness's reference CDF
-   ``scipy.special.ndtr`` gives the same bits as ``scipy.stats.norm.cdf``.
+   hand-computed degenerate samples; the harness's reference CDF, the
+   package's port of ``scipy.special.ndtr``, gives the same bits as that
+   function and as ``scipy.stats.norm.cdf``.
 2. Guaranteed-range validation of the power exponent per regime.
 3. ExperimentConfig validation, resolved defaults, and identifier format.
 4. Replica path construction: determinism, stream separation, fine wiring.
 5. Row collection: ordering, determinism, serial/parallel bit equality,
    per-regime column arithmetic, and replica independence.
 6. The summary/rate error metrics and the log-log slope fit on synthetic
-   rows with hand-computed medians.
+   rows with hand-computed medians; the metrics' median against np.median
+   bit for bit.
 7. Regime checks in the mixed and degenerate regimes with calibrated seeds,
    plus the force bypass for unguaranteed exponents.
 8. CSV output formats (17 significant digit round trips).
@@ -65,12 +67,14 @@ from roughpvar.harness import (
     WORKERS_ENV,
     _driver_summary,
     _log_slope,
+    _median,
     _median_errors,
     _scaling_fit,
     log_log_csv,
     replica_rng,
     rows_to_csv,
 )
+from roughpvar.harness import ndtr as package_ndtr
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -145,12 +149,16 @@ class TestKsStatistic:
         )
     )
     def test_ndtr_matches_norm_cdf_bit_for_bit(self, sample):
-        # The harness takes its reference CDF from ndtr, the function that
-        # norm.cdf evaluates for the standard normal; the KS distance must
-        # not change by a single bit.
+        # The harness takes its reference CDF from the package's port of
+        # scipy's ndtr, the function that norm.cdf evaluates for the
+        # standard normal; the KS distance must not change by a single bit.
         values = np.array(sample)
         assert np.array_equal(ndtr(values), norm.cdf(values))
         assert ks_statistic(values, ndtr) == ks_statistic(values, norm.cdf)
+        ported = package_ndtr(values)
+        assert ported.tobytes() == ndtr(values).tobytes()
+        assert ported.tobytes() == norm.cdf(values).tobytes()
+        assert ks_statistic(values, package_ndtr) == ks_statistic(values, norm.cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +475,22 @@ class TestErrorMetrics:
         _, rate = _median_errors(cfg, rows, 2)
         assert summary == pytest.approx([0.2, 0.05], abs=1e-15)
         assert rate == pytest.approx([0.1, 0.02], abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=True, allow_infinity=True)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_median_is_np_median_bit_for_bit(self, values):
+        # the error metrics' median, NaN payloads aside
+        values = np.array(values)
+        with np.errstate(invalid="ignore"):
+            expected = float(np.median(values))
+        got = _median(values)
+        assert (math.isnan(got) and math.isnan(expected)) or got.hex() == expected.hex()
 
     def test_log_slope_recovers_exact_power_law(self):
         ns = np.array([4.0, 8.0, 16.0, 32.0])

@@ -3,7 +3,8 @@
 Covers:
   1. The probabilists' Hermite recurrence against numpy's hermite_e oracle.
   2. Gaussian absolute moments: exact small cases, the p -> p+2 recurrence,
-     and a quadrature cross-check.
+     and a quadrature cross-check; the in-package ports of scipy's ``ndtr``
+     and Gamma, and the moments built on them, bit for bit against scipy.
   3. Expansion coefficients of |x|^p: closed product form vs the literal
      alternating projection sum and vs Gauss-Hermite quadrature.
   4. The asymptotic variance series: independent-increment exact values,
@@ -23,6 +24,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughpvar import (
     AbsPowerFamily,
@@ -34,7 +37,7 @@ from roughpvar import (
     hermite_coeffs_numeric,
 )
 from roughpvar.fbm import fgn_autocovariance
-from roughpvar.hermite import _asymptotic_variance_cached
+from roughpvar.hermite import _asymptotic_variance_cached, gamma, ndtr
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +104,61 @@ def test_abs_moment_quadrature_oracle():
 def test_abs_moment_domain():
     with pytest.raises(ValueError):
         gaussian_abs_moment(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# the Cephes ports: scipy's bits without importing scipy
+# ---------------------------------------------------------------------------
+
+
+def _bits(values) -> str:
+    return np.asarray(values, dtype=float).tobytes().hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(-40.0, 40.0),  # every branch of erf and erfc
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        ),
+        min_size=1,
+        max_size=100,
+    )
+)
+def test_ndtr_is_scipy_ndtr_bit_for_bit(values):
+    assert _bits(ndtr(values)) == _bits(scipy.special.ndtr(values))
+
+
+def test_ndtr_at_its_branch_points():
+    # |a| / sqrt(2) crosses 1/sqrt(2), 1 and 8, and exp(-a^2 / 2) underflows
+    edges = np.array([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.78)])
+    near = edges[:, None] * (1.0 + np.linspace(-1e-6, 1e-6, 2001))
+    values = np.concatenate([near.ravel(), -near.ravel(), np.linspace(-40.0, 40.0, 100001)])
+    assert _bits(ndtr(values)) == _bits(scipy.special.ndtr(values))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 33.0, exclude_min=True, allow_subnormal=True))
+def test_gamma_is_scipy_gamma_bit_for_bit_up_to_33(x):
+    assert _bits(gamma(x)) == _bits(scipy.special.gamma(x))
+
+
+def test_gamma_on_tiny_and_gridded_arguments():
+    # below 1e-9 Cephes leaves the recurrence for a series term
+    values = np.concatenate(
+        [np.geomspace(1e-300, 1e-9, 20001), np.linspace(0.0, 33.0, 100001)[1:]]
+    )
+    assert _bits([gamma(x) for x in values.tolist()]) == _bits(scipy.special.gamma(values))
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 40.0, 70.0])
+def test_abs_moment_is_scipy_formula_bit_for_bit(p):
+    # the moments σ² reads, E|N|^p and E|N|^(2p); 40 and 70 reach Gamma
+    # above 33, which scipy computes
+    for q in (p, 2.0 * p):
+        expected = 2.0 ** (q / 2.0) * scipy.special.gamma((q + 1.0) / 2.0) / math.sqrt(math.pi)
+        assert _bits(gaussian_abs_moment(q)) == _bits(expected), q
 
 
 # ---------------------------------------------------------------------------

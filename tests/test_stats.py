@@ -6,7 +6,8 @@ Covers:
   3. The centered statistic (exact centering in expectation when the
      integrand is the driver itself).
   4. Drift functional: exact zero for the driver, closed forms for the
-     running square and cube processes, the missing-level warning.
+     running square and cube processes, the missing-level warning and its
+     silence where the dropped level has a zero coefficient.
   5. Conditional standard deviation.
   6. Weighted increment sums (with the exact telescoping of the first
      Hermite sum on the driver and the variance of the second at H = 1/2)
@@ -14,6 +15,7 @@ Covers:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +221,21 @@ class TestLimitDrift:
         with pytest.warns(RuntimeWarning, match="levels"):
             got = limit_drift(cp, 2.0)
         assert got == 0.0
+
+    def test_missing_third_level_warns_only_where_it_counts(self):
+        # Level 3 enters with coefficient (p - 2) E|N|^p / 24: dropping it
+        # changes nothing at p = 2 and is worth a warning at p = 4.
+        x = sample_fbm(FbmSpec(hurst=0.25, n=64, seed=45))
+        cp = build_controlled_process("sq", x, params={"ell": 3})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert limit_drift(cp, 2.0) == limit_drift(
+                build_controlled_process("sq", x, params={"ell": 4}), 2.0
+            )
+        with pytest.warns(RuntimeWarning, match="path has 3 levels"):
+            limit_drift(cp, 4.0)
+        with pytest.warns(RuntimeWarning, match="path has 2 levels"):
+            limit_drift(build_controlled_process("sq", x, params={"ell": 2}), 2.0)
 
 
 # ---------------------------------------------------------------------------

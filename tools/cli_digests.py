@@ -19,10 +19,12 @@ directory (``no-out-dir`` when it created none). Comparing two checkouts is
 The set covers every subcommand, every closed-form process, ``exp-rde``, a
 ``--workers 2`` run, a manifest replay, the dense Cholesky oracle, a forced
 run, a blow-up, a failing rate fit, a rank-1 scaling fit (window target 1),
-refused configs (NaN or negative gates and windows among them), and
-``constants`` at p = 3 and 2.5 (the Hermite terms past q = 1) and with a
-truncation-tail warning on stderr. It takes about 20 s on two cores and is
-not part of the test suite.
+refused configs (NaN or negative gates and windows among them),
+``constants`` at p = 3 and 2.5 (the Hermite terms past q = 1), at p = 40
+(Gamma past 33, computed by scipy) and with a truncation-tail warning on
+stderr, and a critical ``limit-check`` at p = 4 (the drift's third level
+and σ² past q = 1). It takes about 20 s on two cores and is not part of the
+test suite.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ RUNS = (
     ("constants-p3", ["constants", "--p", "3", "--hurst", "0.2"]),
     ("constants-p2.5", ["constants", "--p", "2.5", "--hurst", "0.1"]),
     ("constants-tail", ["constants", "--p", "2", "--hurst", "0.7", "--lag-cutoff", "17"]),
+    ("constants-p40", ["constants", "--p", "40", "--hurst", "0.3"]),
     ("pvar", ["pvar", "--process", "sq", "--hurst", "0.2", "--p", "2", "--n", "256",
               "--seed", "3"]),
     ("mixed", ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "256,512",
@@ -53,6 +56,8 @@ RUNS = (
     ("critical-workers2", ["limit-check", "--process", "sq", "--hurst", "0.25", "--p", "2",
                            "--n", "64,128", "--replicas", "60", "--seed", "4",
                            "--workers", "2"]),
+    ("critical-p4", ["limit-check", "--process", "sq", "--hurst", "0.25", "--p", "4",
+                     "--n", "64,128", "--replicas", "60", "--seed", "4"]),
     ("replay", ["limit-check", "--config", "{critical}/manifest.json"]),
     ("degenerate", ["limit-check", "--process", "sq", "--hurst", "0.15", "--p", "2",
                     "--n", "128,256", "--replicas", "40", "--seed", "9", "--fine-factor", "4"]),
