@@ -13,7 +13,10 @@ take 128 MiB each.
 Each process computes the embedding spectrum, in the scaled form a draw
 uses, once per (n, H) and reuses it for every later draw. The cache keeps
 the 8 most recent entries, read-only, and the drawn values are bit for bit
-those of the per-draw computation.
+those of the per-draw computation. The computation writes the lags into
+the 2n embedding row block by block, mirrors the row in place and frees it
+after the FFT, so it peaks at 32 n bytes: the row and the complex
+eigenvalues, which are then clipped and scaled without a temporary.
 """
 
 from __future__ import annotations
@@ -85,22 +88,39 @@ def fgn_autocovariance(k, hurst: float):
     out = np.empty(k_arr.shape)
     lags = k_arr.reshape(-1)
     flat = out.reshape(-1)
-    h2 = 2.0 * hurst
     for start in range(0, lags.size, _LAG_BLOCK):
         k_abs = np.abs(np.asarray(lags[start : start + _LAG_BLOCK], dtype=float))
-        dst = flat[start : start + _LAG_BLOCK]
-
-        small = k_abs <= 1.0
-        ks = k_abs[small]
-        dst[small] = 0.5 * ((ks + 1.0) ** h2 + np.abs(ks - 1.0) ** h2 - 2.0 * ks**h2)
-
-        big = ~small
-        kb = k_abs[big]
-        plus = np.expm1(h2 * np.log1p(1.0 / kb))
-        minus = np.expm1(h2 * np.log1p(-1.0 / kb))
-        dst[big] = 0.5 * kb**h2 * (plus + minus)
-
+        _autocovariance_block(k_abs, hurst, flat[start : start + _LAG_BLOCK])
     return float(out) if out.ndim == 0 else out
+
+
+def fill_fgn_autocovariance(out: np.ndarray, first: int, hurst: float) -> None:
+    """Write ``fgn_autocovariance(k, hurst)`` for k = first, first + 1, ...
+    into the 1-d float array ``out``, which it fills; ``first >= 0``.
+
+    The lags of each ``2**15`` block are one small ``np.arange``, so no
+    lag array of the full length exists; the bits are those of
+    :func:`fgn_autocovariance` on the same lags.
+    """
+    _check_hurst(hurst)
+    for start in range(0, out.size, _LAG_BLOCK):
+        dst = out[start : start + _LAG_BLOCK]
+        lag = first + start
+        _autocovariance_block(np.arange(lag, lag + dst.size, dtype=float), hurst, dst)
+
+
+def _autocovariance_block(k_abs: np.ndarray, hurst: float, dst: np.ndarray) -> None:
+    """The autocovariance at the nonnegative float lags ``k_abs``, into ``dst``."""
+    h2 = 2.0 * hurst
+    small = k_abs <= 1.0
+    ks = k_abs[small]
+    dst[small] = 0.5 * ((ks + 1.0) ** h2 + np.abs(ks - 1.0) ** h2 - 2.0 * ks**h2)
+
+    big = ~small
+    kb = k_abs[big]
+    plus = np.expm1(h2 * np.log1p(1.0 / kb))
+    minus = np.expm1(h2 * np.log1p(-1.0 / kb))
+    dst[big] = 0.5 * kb**h2 * (plus + minus)
 
 
 @dataclass(frozen=True)
@@ -231,14 +251,20 @@ def _time_to_index(t, n: int):
 
 
 def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray | None:
-    """Eigenvalues of the 2n circulant embedding, or None if indefinite."""
-    lags = fgn_autocovariance(np.arange(n + 1), hurst)
-    row = np.concatenate([lags, lags[-2:0:-1]])
+    """Eigenvalues of the 2n circulant embedding, or None if indefinite.
+
+    The result is the real part of the ``rfft`` output, a strided view.
+    """
+    row = np.empty(2 * n)
+    fill_fgn_autocovariance(row[: n + 1], 0, hurst)
+    row[n + 1 :] = row[n - 1 : 0 : -1]
     lam = np.fft.rfft(row).real
+    # The row is spent; the peak is the row and the complex spectrum.
+    del row
     floor = -_EIGEN_CLAMP_REL * lam.max()
     if lam.min() < floor:
         return None
-    return np.clip(lam, 0.0, None)
+    return np.clip(lam, 0.0, None, out=lam)
 
 
 @functools.lru_cache(maxsize=8)
@@ -257,7 +283,9 @@ def _draw_scale(eigenvalues: Callable, n: int, hurst: float) -> np.ndarray | Non
     scale = np.empty(n + 1)
     scale[0] = np.sqrt(lam[0])
     scale[n] = np.sqrt(lam[n])
-    scale[1:n] = np.sqrt(0.5 * lam[1:n])
+    inner = scale[1:n]
+    np.multiply(lam[1:n], 0.5, out=inner)
+    np.sqrt(inner, out=inner)
     scale.setflags(write=False)
     return scale
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
-from .fbm import fgn_autocovariance
+from .fbm import fill_fgn_autocovariance
 
 _INTEGER_TOL = 1e-12
 
@@ -201,11 +200,12 @@ def asymptotic_variance(
     At ``hurst = 1/2`` the increments are independent, every lag sum
     collapses to 1, and the series sums to Var(|N|**p) exactly.
 
-    One evaluation holds two ``lag_cutoff``-length arrays, ``rho**2`` and
-    its running power (16 MB at the default 10**6 lags), plus the blocks of
-    :func:`~roughpvar.fbm.fgn_autocovariance`. For even integer p the
-    series ends after ``p / 2`` lag passes. Results are cached per process,
-    keyed by ``(p, hurst)`` and the truncation orders.
+    One evaluation holds ``rho**2``, one ``lag_cutoff``-length array
+    (8 MB at the default 10**6 lags) filled block by block, and from q = 2
+    on a second one for its running power; a series that ends at q = 1
+    (p = 2) never allocates it. For even integer p the series ends after
+    ``p / 2`` lag passes. Results are cached per process, keyed by
+    ``(p, hurst)`` and the truncation orders.
     """
     if truncation is None:
         truncation = TruncationSpec()
@@ -227,11 +227,12 @@ def validate_variance_domain(p: float, hurst: float) -> None:
 @lru_cache(maxsize=128)
 def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int) -> float:
     validate_variance_domain(p, hurst)
-    rho_sq = fgn_autocovariance(np.arange(1.0, cutoff + 1.0), hurst)
+    rho_sq = np.empty(cutoff)
+    fill_fgn_autocovariance(rho_sq, 1, hurst)
     rho_sq *= rho_sq
-    # The q = 1 power, rho^2 itself; these two arrays are all the lag pass
-    # holds.
-    power = rho_sq.copy()
+    # The q = 1 power is rho^2 itself; a second array holds the powers from
+    # q = 2 on, which a series that ends at q = 1 never allocates.
+    power = rho_sq
 
     total = 0.0
     kept = 0.0
@@ -245,7 +246,9 @@ def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int)
         if weight == 0.0:
             # Even p: the series has ended, and a zero term adds nothing.
             break
-        if q > 1:
+        if q == 2:
+            power = rho_sq * rho_sq
+        elif q > 2:
             power *= rho_sq
         lag_sum = 1.0 + 2.0 * float(power.sum())
         kept += weight
@@ -298,6 +301,10 @@ def hermite_coeffs_numeric(f, order: int, nodes: int | None = None) -> np.ndarra
         nodes = max(160, 4 * order)
     if nodes < 4 * order and order > 0:
         raise ValueError(f"need at least {4 * order} quadrature nodes, got {nodes}")
+    # Imported here, its only user, so a run that never asks for the
+    # quadrature does not load numpy.polynomial.
+    from numpy.polynomial.hermite import hermgauss
+
     x_phys, w_phys = hermgauss(nodes)
     # Physicists' weight exp(-x^2): substitute u = sqrt(2) x to integrate
     # against the standard normal density.

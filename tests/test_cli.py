@@ -763,7 +763,8 @@ _MAIN_THEN_MODULES = f"""
 import json, sys
 from roughpvar import cli
 code = cli.main(sys.argv[1:])
-optional = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma")
+optional = sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m in ("numpy.ma", "numpy.polynomial"))
 print(json.dumps([code, [m for m in {_HEAVY_MODULES!r} if m in sys.modules], optional]))
 """
 
@@ -772,7 +773,8 @@ def _fresh_main(argv, optional=False):
     """Run cli.main in a fresh interpreter; its exit code and heavy modules.
 
     With ``optional`` the modules are every scipy module the run loaded,
-    and numpy.ma (which np.median imports) if it did.
+    and numpy.ma (which np.median imports) and numpy.polynomial (which
+    the Gauss-Hermite quadrature imports) if it did.
     """
     # the child imports the package under test, wherever pytest found it
     paths = (str(Path(roughpvar.__file__).parents[1]), os.environ.get("PYTHONPATH"))
@@ -818,8 +820,9 @@ class TestColdStart:
         ],
     )
     def test_limit_check_loads_no_scipy(self, tmp_path, regime):
-        # Phi and Gamma up to 33 are the package's own ports of scipy's, and
-        # the medians skip np.median's import of numpy.ma
+        # Phi and Gamma up to 33 are the package's own ports of scipy's, the
+        # medians skip np.median's import of numpy.ma, and σ² needs no
+        # quadrature, so numpy.polynomial stays unloaded too
         out = tmp_path / "lc"
         argv = ["limit-check", *regime, "--n", "32,64", "--replicas", "10", "--seed", "3",
                 "--ks-threshold", "0.9", "--median-tol", "0.9", "--workers", "1",

@@ -6,7 +6,8 @@ Covers:
   2. Remainders: exact zeros on polynomial tuples, closed-form small cases,
      and the exact midpoint decomposition identity on random level tuples,
      pinned and as a Hypothesis property with nonzero offsets.
-  3. Function families and the iterated-field polynomials.
+  3. Function families and the iterated-field polynomials; polynomial
+     families give the bits of numpy's polyval, as a Hypothesis property.
   4. Composition through smooth functions (Faa di Bruno levels), and the
      chain rule for its first levels as a Hypothesis property on random
      polynomial families and random level tuples.
@@ -14,7 +15,8 @@ Covers:
      as a Hypothesis property on random polynomial integrands, its coarse
      view, and the marginal-order warning.
   6. The one-step scheme for dy = b(y) dt + V(y) dx: exactly integrable
-     cases, a deterministic-driver convergence check, and the blow-up guard.
+     cases, a deterministic-driver convergence check, the blow-up guard,
+     and levels bit-identical to polyval-evaluated fields (Hypothesis).
   7. Coarsening a controlled path onto every k-th node.
   8. Constant levels given as scalars store no row: the closed-form
      builders' stored row counts, and a Hypothesis property that such a
@@ -60,6 +62,17 @@ def _canonical(x, ell):
     rows = [x.values, np.ones_like(x.values)]
     rows += [np.zeros_like(x.values)] * (ell - 2)
     return ControlledPath(x, rows[:ell])
+
+
+def _polyval_family(coeffs, order):
+    """``FunctionFamily.polynomial`` with every derivative evaluated by
+    ``np.polynomial.polynomial.polyval``."""
+    funcs = []
+    current = np.asarray(coeffs, dtype=float)
+    for _ in range(order):
+        funcs.append(lambda y, c=current: P.polyval(np.asarray(y, dtype=float), c))
+        current = P.polyder(current) if len(current) > 1 else np.zeros(1)
+    return FunctionFamily(funcs=tuple(funcs))
 
 
 def _line_driver(n):
@@ -235,6 +248,22 @@ class TestFunctionFamily:
         assert np.allclose(fam.deriv(1)(y), 2.0 + 6.0 * y, atol=0.0)
         assert np.allclose(fam.deriv(2)(y), 6.0, atol=0.0)
         assert np.allclose(fam.deriv(3)(y), 0.0, atol=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(width=64), min_size=1, max_size=7),
+        ys=st.lists(st.floats(width=64), min_size=1, max_size=5),
+    )
+    def test_polynomial_is_polyval_bit_for_bit(self, coeffs, ys):
+        # Horner on Python floats in polyval's order, on a Python float, a
+        # 0-d and a 1-d array; the draws include infinities, NaN and overflow
+        with np.errstate(all="ignore"):
+            fam = FunctionFamily.polynomial(coeffs, order=1)
+            for y in (ys[0], np.array(ys[0]), np.array(ys)):
+                want = P.polyval(np.asarray(y, dtype=float), np.array(coeffs))
+                got = fam.deriv(0)(y)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), y
 
     def test_exponential_family(self):
         fam = FunctionFamily.exponential(rate=1.3, order=4)
@@ -483,6 +512,29 @@ class TestSolveRde:
         assert out.n == 64
         assert out.fine is not None
         assert np.array_equal(out.level(0), out.fine.level(0)[::8])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        field=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+        drift=st.none() | st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+        y0=st.floats(-1.0, 1.0),
+        ell=st.integers(2, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_polynomial_fields_match_polyval_bit_for_bit(self, field, drift, y0, ell, seed):
+        # the same fields evaluated by np.polynomial.polynomial.polyval give
+        # the same levels, or the same blow-up, bit for bit
+        x = sample_fbm(FbmSpec(hurst=0.3, n=128, seed=seed))
+
+        def solve(family):
+            drift_family = family(drift, 2) if drift is not None else None
+            try:
+                cp = solve_rde(drift_family, family(field, ell), y0, x, ell)
+            except RuntimeError as err:
+                return str(err)
+            return [np.asarray(cp.level(j)).tobytes() for j in range(cp.ell)]
+
+        assert solve(FunctionFamily.polynomial) == solve(_polyval_family)
 
     def test_blow_up_guard(self):
         x = sample_fbm(FbmSpec(hurst=0.5, n=256, seed=29))

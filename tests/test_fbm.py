@@ -4,17 +4,21 @@ Covers:
   1. Covariance / autocovariance closed forms against hand-evaluated values.
   2. Numerical stability of the autocovariance at huge lags, the
      telescoping truncated-sum identity, and blockwise evaluation: any
-     split of the lags gives the same bits as one call.
+     split of the lags gives the same bits as one call, and so does
+     filling a caller's array with a lag range.
   3. Distributional checks of sampled paths: increment variance,
      whiteness at hurst = 1/2, and the full empirical covariance matrix.
   4. Determinism, method forcing, the derived-stream layout, and the size
      cap of the dense Cholesky oracle.
   5. The per-(n, H) spectrum cache: draws bit-identical to the uncached
-     formula, one entry per Hurst value, read-only entries.
+     formula, one entry per Hurst value, read-only entries, frozen bits
+     of the draw scale, and its peak memory.
   6. The CSV dump round trip.
 """
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +149,21 @@ def test_autocovariance_split_matches_one_call_bit_for_bit(seed, rows, cols, cut
     assert grid.shape == (rows, cols)
     assert grid.tobytes() == whole.tobytes()
     assert fgn_autocovariance(lags[-1], hurst).hex() == float(whole[-1]).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    first=st.integers(0, 10**7),
+    size=st.integers(0, 3 * fbm._LAG_BLOCK),
+    hurst=st.floats(0.01, 0.99),
+)
+def test_fill_matches_one_call_bit_for_bit(first, size, hurst):
+    # a lag range from 0 or 1 (the direct branch) or far out, over up to
+    # three blocks, written into a caller's array
+    out = np.empty(size)
+    fbm.fill_fgn_autocovariance(out, first, hurst)
+    want = fgn_autocovariance(np.arange(first, first + size), hurst)
+    assert out.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +343,32 @@ def test_cached_scale_is_read_only():
     assert not scale.flags.writeable
     with pytest.raises(ValueError):
         scale[0] = 0.0
+
+
+def test_spectrum_frozen_bits():
+    # one sha256 over the draw scale at 28 (n, H), odd and even n around a
+    # block boundary among them: building the spectrum in other steps must
+    # not move a single bit
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 32767, 32768, 32769, 262144):
+        for hurst in (0.1, 0.25, 0.4, 0.7):
+            scale = fbm._draw_scale.__wrapped__(_circulant_eigenvalues, n, hurst)
+            digest.update(scale.tobytes())
+    assert digest.hexdigest() == "f1bd419c7b9d39e991154b644cd5250764969e28a8189cdb82b528c78d45fc63"
+
+
+def test_draw_scale_peak_memory():
+    # uncached: the 2n embedding row next to the n + 1 complex eigenvalues
+    # is the peak, 32 (n + 1) bytes; 2 MiB covers the autocovariance blocks
+    n = 2**20
+    tracemalloc.start()
+    try:
+        fbm._draw_scale.__wrapped__(_circulant_eigenvalues, n, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"  peak {peak / 2**20:.1f} MiB at n = {n}")
+    assert peak <= 32 * (n + 1) + 2 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,21 @@ class TestAsymptoticVariance:
         print(f"  peak {peak / 2**20:.1f} MiB at p = {p}")
         assert peak <= 2 * 8 * cutoff + 4 * 2**20
 
+    def test_series_that_ends_at_q1_holds_one_lag_array(self):
+        # uncached at p = 2, where the series has one term: rho^2 is the
+        # only cutoff-length array, and 4 MiB covers the blocks
+        cutoff = 10**6
+        tracemalloc.start()
+        try:
+            _asymptotic_variance_cached.__wrapped__(
+                2.0, 0.25, TruncationSpec().hermite_terms, cutoff
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        print(f"  peak {peak / 2**20:.1f} MiB")
+        assert peak <= 8 * cutoff + 4 * 2**20
+
     def test_positive_and_cached(self):
         first = asymptotic_variance(2.0, 0.35)
         second = asymptotic_variance(2.0, 0.35)
