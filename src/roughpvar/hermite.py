@@ -24,6 +24,9 @@ import numpy as np
 from .fbm import fill_fgn_autocovariance
 
 _INTEGER_TOL = 1e-12
+# Lags per leaf of the σ² lag sums: two 64 KB arrays, each under glibc's
+# default 128 KiB mmap threshold.
+_SUM_LEAF = 2**13
 
 # Cephes tables, highest power first. A table whose leading coefficient is 1
 # holds it explicitly: 1.0 * x is exact, so Cephes' p1evl is _polevl.
@@ -200,12 +203,13 @@ def asymptotic_variance(
     At ``hurst = 1/2`` the increments are independent, every lag sum
     collapses to 1, and the series sums to Var(|N|**p) exactly.
 
-    One evaluation holds ``rho**2``, one ``lag_cutoff``-length array
-    (8 MB at the default 10**6 lags) filled block by block, and from q = 2
-    on a second one for its running power; a series that ends at q = 1
-    (p = 2) never allocates it. For even integer p the series ends after
-    ``p / 2`` lag passes. Results are cached per process, keyed by
-    ``(p, hurst)`` and the truncation orders.
+    No ``lag_cutoff``-length array exists: the lags are taken one leaf of
+    at most ``2**13`` at a time (``rho**2`` and its running power, 64 KB
+    each), and each term's leaf sums are added up the pairwise tree that
+    ``np.sum`` uses, so every lag sum has the bits of ``np.sum`` over the
+    whole lag range. For even integer p the series ends after ``p / 2``
+    terms. Results are cached per process, keyed by ``(p, hurst)`` and the
+    truncation orders.
     """
     if truncation is None:
         truncation = TruncationSpec()
@@ -227,18 +231,9 @@ def validate_variance_domain(p: float, hurst: float) -> None:
 @lru_cache(maxsize=128)
 def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int) -> float:
     validate_variance_domain(p, hurst)
-    rho_sq = np.empty(cutoff)
-    fill_fgn_autocovariance(rho_sq, 1, hurst)
-    rho_sq *= rho_sq
-    # The q = 1 power is rho^2 itself; a second array holds the powers from
-    # q = 2 on, which a series that ends at q = 1 never allocates.
-    power = rho_sq
-
-    total = 0.0
-    kept = 0.0
-    lag_tail = 0.0
     # (2q)! coeff_q^2 = moment^2 * (prod_{i<q} (p - 2i))^2 / (2q)!; built
     # iteratively so neither factor overflows on its own.
+    weights = []
     weight = gaussian_abs_moment(p) ** 2
     for q in range(1, terms + 1):
         weight *= (p - 2.0 * (q - 1)) ** 2
@@ -246,11 +241,31 @@ def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int)
         if weight == 0.0:
             # Even p: the series has ended, and a zero term adds nothing.
             break
-        if q == 2:
-            power = rho_sq * rho_sq
-        elif q > 2:
-            power *= rho_sq
-        lag_sum = 1.0 + 2.0 * float(power.sum())
+        weights.append(weight)
+
+    def leaf_sums(start: int, n: int) -> np.ndarray:
+        # sum_k rho(k)^(2q) over the lags 1 + start, ..., start + n for each
+        # kept q; the q = 1 power is rho^2 itself, and a second array holds
+        # the powers from q = 2 on
+        rho_sq = np.empty(n)
+        fill_fgn_autocovariance(rho_sq, 1 + start, hurst)
+        rho_sq *= rho_sq
+        sums = np.empty(len(weights))
+        power = rho_sq
+        for i in range(len(weights)):
+            if i == 1:
+                power = rho_sq * rho_sq
+            elif i > 1:
+                power *= rho_sq
+            sums[i] = power.sum()
+        return sums
+
+    total = 0.0
+    kept = 0.0
+    lag_tail = 0.0
+    power_sums = _pairwise_sum(leaf_sums, 0, cutoff)
+    for q, (weight, power_sum) in enumerate(zip(weights, power_sums), start=1):
+        lag_sum = 1.0 + 2.0 * float(power_sum)
         kept += weight
         total += weight * lag_sum
         lag_tail += weight * _lag_tail_estimate(hurst, q, cutoff)
@@ -269,6 +284,25 @@ def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int)
             stacklevel=3,
         )
     return total
+
+
+def _pairwise_sum(leaf_sum, start: int, n: int):
+    """``np.sum`` over the n items from ``start``, bit for bit, one leaf at a time.
+
+    numpy sums a contiguous float64 array pairwise: a run of more than 128
+    items splits at ``n // 2`` rounded down to a multiple of 8, and the sums
+    of the two halves are added. This recursion makes the same splits down
+    to runs of at most ``_SUM_LEAF`` items and adds the partial sums back up
+    the same tree; ``leaf_sum(start, n)`` must return ``np.sum`` of one such
+    run (or an array of such sums, added elementwise). A partial sum can
+    differ only in the sign of a zero: numpy starts each ``np.sum`` from
+    +0.0, so a zero leaf is +0.0 here, and a zero total is +0.0 either way.
+    """
+    if n <= _SUM_LEAF:
+        return leaf_sum(start, n)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(leaf_sum, start, half) + _pairwise_sum(leaf_sum, start + half, n - half)
 
 
 def _lag_tail_estimate(hurst: float, q: int, cutoff: int) -> float:

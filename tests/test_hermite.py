@@ -9,12 +9,14 @@ Covers:
      alternating projection sum and vs Gauss-Hermite quadrature.
   4. The asymptotic variance series: independent-increment exact values,
      a hand-built lag-sum oracle for p = 2, a closed-form oracle for other
-     p through 2F1, frozen bits, the memory bound of one evaluation,
-     domain errors, and the truncation-tail warning, whose estimate covers
-     the Hermite mass the series drops.
+     p through 2F1, frozen bits at and away from the default cutoff, the
+     memory bound of one evaluation, domain errors, and the truncation-tail
+     warning, whose estimate covers the Hermite mass the series drops; the
+     leaf-by-leaf lag sum against ``np.sum``, bit for bit.
   5. The absolute-power derivative family.
 """
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -37,7 +39,13 @@ from roughpvar import (
     hermite_coeffs_numeric,
 )
 from roughpvar.fbm import fgn_autocovariance
-from roughpvar.hermite import _asymptotic_variance_cached, gamma, ndtr
+from roughpvar.hermite import (
+    _SUM_LEAF,
+    _asymptotic_variance_cached,
+    _pairwise_sum,
+    gamma,
+    ndtr,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +335,28 @@ class TestAsymptoticVariance:
         # or shortening the lag pass must not move a single bit
         assert asymptotic_variance(p, hurst).hex() == bits
 
+    # σ² away from the default cutoff, where the lag sums' pairwise trees
+    # have odd splits and single leaves; the digest was read before the lag
+    # sums were split into leaves, so a change of summation order fails here
+    def test_frozen_bits_across_cutoffs(self):
+        cutoffs = (1, 7, 8, 9, 128, 129, 8192, 8193, 32769, 65537, 100003, 999999)
+        pairs = ((2.0, 0.25), (3.0, 0.3), (2.5, 0.1), (4.0, 0.2), (1.5, 0.45))
+        terms = TruncationSpec().hermite_terms
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            bits = [
+                _asymptotic_variance_cached.__wrapped__(p, hurst, terms, cutoff).hex()
+                for p, hurst in pairs
+                for cutoff in cutoffs
+            ]
+        digest = hashlib.sha256(" ".join(bits).encode()).hexdigest()
+        assert digest == "6ce639c4162b7acf86f2903718131c92c56be68a8b85b732dcd7ebae730fef92"
+
     @pytest.mark.parametrize("p", [2.0, 3.0])
-    def test_one_evaluation_holds_two_lag_arrays(self, p):
-        # uncached, so the lag pass runs; the autocovariance and its powers
-        # take two cutoff-length arrays, and 4 MiB covers the blocks
+    def test_lag_pass_holds_no_cutoff_length_array(self, p):
+        # uncached, so the lag pass runs; it holds one leaf of 2**13 lags at
+        # a time (ρ², its power and their block temporaries), not 8 MB a lag
+        # array, whether the series ends at q = 1 (p = 2) or not
         cutoff = 10**6
         tracemalloc.start()
         try:
@@ -340,23 +366,8 @@ class TestAsymptoticVariance:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        print(f"  peak {peak / 2**20:.1f} MiB at p = {p}")
-        assert peak <= 2 * 8 * cutoff + 4 * 2**20
-
-    def test_series_that_ends_at_q1_holds_one_lag_array(self):
-        # uncached at p = 2, where the series has one term: rho^2 is the
-        # only cutoff-length array, and 4 MiB covers the blocks
-        cutoff = 10**6
-        tracemalloc.start()
-        try:
-            _asymptotic_variance_cached.__wrapped__(
-                2.0, 0.25, TruncationSpec().hermite_terms, cutoff
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        print(f"  peak {peak / 2**20:.1f} MiB")
-        assert peak <= 8 * cutoff + 4 * 2**20
+        print(f"  peak {peak / 2**20:.2f} MiB at p = {p}")
+        assert peak <= 2**20
 
     def test_positive_and_cached(self):
         first = asymptotic_variance(2.0, 0.35)
@@ -402,6 +413,51 @@ class TestAsymptoticVariance:
             TruncationSpec(hermite_terms=0)
         with pytest.raises(ValueError):
             TruncationSpec(lag_cutoff=0)
+
+
+# numpy's pairwise tree has a leaf below 8 items, an 8-accumulator loop up
+# to 128, and halves rounded to multiples of 8 above; the lengths straddle
+# each of these and the helper's own leaf
+_TREE_LENGTHS = st.one_of(
+    st.integers(1, 7),
+    st.integers(8, 128),
+    st.sampled_from(
+        [_SUM_LEAF - 1, _SUM_LEAF, _SUM_LEAF + 1, 2 * _SUM_LEAF - 1, 2 * _SUM_LEAF, 2 * _SUM_LEAF + 1]
+    ),
+    st.integers(1, 300_000 // 8).map(lambda k: 8 * k),
+    st.integers(0, 150_000).map(lambda k: 2 * k + 1),
+)
+_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=_TREE_LENGTHS,
+    seed=st.integers(0, 2**32 - 1),
+    center=st.integers(-300, 300),
+    spread=st.integers(0, 6),
+    specials=st.lists(st.sampled_from(_SPECIALS), max_size=4),
+    zeros=st.booleans(),
+)
+def test_pairwise_sum_is_np_sum_bit_for_bit(n, seed, center, spread, specials, zeros):
+    # magnitudes around 10**center, from 1e-300 to 1e300, within a few
+    # decades of each other so that every rounding counts, of both signs
+    # (or signed zeros only, whose total is a zero of either sign), with
+    # signed zeros, infinities and NaN at random places; the tree, summed
+    # leaf by leaf, must give the bits of one np.sum over the whole array.
+    # float.hex() tells every finite value, zero sign and infinity apart;
+    # a NaN's sign is whichever operand the compiled add keeps, so NaN
+    # compares as NaN
+    rng = np.random.default_rng(seed)
+    exponents = center + spread * rng.uniform(-0.5, 0.5, n)
+    values = rng.choice([-1.0, 1.0], n) * 10.0**exponents
+    if zeros:
+        values = np.copysign(0.0, values)
+    values[rng.integers(0, n, len(specials))] = specials
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN here, as in np.sum
+        got = _pairwise_sum(lambda start, m: np.sum(values[start : start + m]), 0, n)
+        want = np.sum(values)
+    assert float(got).hex() == float(want).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ run, a blow-up, a failing rate fit, a rank-1 scaling fit (window target 1),
 refused configs (NaN or negative gates and windows among them),
 ``constants`` at p = 3 and 2.5 (the Hermite terms past q = 1), at p = 40
 (Gamma past 33, computed by scipy) and with a truncation-tail warning on
-stderr, and a critical ``limit-check`` at p = 4 (the drift's third level
-and σ² past q = 1). It takes about 20 s on two cores and is not part of the
-test suite.
+stderr, ``constants`` at lag cutoffs whose pairwise lag-sum trees have
+several leaves and odd splits (100,003 and 65,537), and a critical
+``limit-check`` at p = 4 (the drift's third level and σ² past q = 1). It
+takes about 20 s on two cores and is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ RUNS = (
     ("constants-p2.5", ["constants", "--p", "2.5", "--hurst", "0.1"]),
     ("constants-tail", ["constants", "--p", "2", "--hurst", "0.7", "--lag-cutoff", "17"]),
     ("constants-p40", ["constants", "--p", "40", "--hurst", "0.3"]),
+    ("constants-odd-tree", ["constants", "--p", "3", "--hurst", "0.3", "--lag-cutoff", "100003"]),
+    ("constants-odd-tree-p2", ["constants", "--p", "2", "--hurst", "0.25",
+                               "--lag-cutoff", "65537"]),
     ("pvar", ["pvar", "--process", "sq", "--hurst", "0.2", "--p", "2", "--n", "256",
               "--seed", "3"]),
     ("mixed", ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "256,512",
