@@ -8,7 +8,6 @@ from .fbm import (
     FbmSpec,
     fbm_covariance,
     fgn_autocovariance,
-    path_from_csv,
     path_to_csv,
     rng_for_spec,
     sample_fbm,
@@ -25,7 +24,6 @@ from .hermite import (
 from .controlled import (
     ControlledPath,
     FunctionFamily,
-    compose,
     field_iterate_polynomials,
     remainder,
     remainder_decomposition_residual,
@@ -52,7 +50,6 @@ from .processes import build_controlled_process
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
-    JointCheckReport,
     RateFitConfig,
     RateFitResult,
     ScalingConfig,
@@ -64,7 +61,6 @@ from .harness import (
     rate_fit,
     run_regime_check,
     scaling_exponent_check,
-    stable_joint_check,
     validate_p_range,
 )
 

@@ -4,8 +4,8 @@ A controlled path bundles the driver, a tuple of level processes
 (the path itself plus its successive Gubinelli-type derivative levels), and
 the Hölder exponent attributed to the driver. Its constructor takes the raw
 levels; the stored rows are normalized to start at 0,
-with the initial values kept as offsets, and all evaluation (remainders,
-composition, quadrature) uses the unshifted values ``offset + array``. A
+with the initial values kept as offsets, and all evaluation (remainders and
+quadrature) uses the unshifted values ``offset + array``. A
 level given as a scalar is constant: after the last level given as an array
 no row is stored, and such a level reads as its offset. Given ``offsets``
 as well, the constructor takes the stored form back as it is, which is what
@@ -14,14 +14,13 @@ Every builder works on the grid of its driver; :func:`subsample_controlled`
 is the one coarsening step, and it attaches the fine path for quadrature.
 
 The module provides the structural operations: order-k remainders, the
-decomposition identity residual, function families, composition with a
-smooth function, the compensated-sum rough integral, and a first-order
-rough-differential-equation solver with iterated vector-field levels.
+decomposition identity residual, function families, the compensated-sum
+rough integral, and a first-order rough-differential-equation solver with
+iterated vector-field levels.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -383,55 +382,6 @@ def _dp_eval(poly: dict, deriv_values: Sequence) -> float | np.ndarray:
             term = term * deriv_values[a]
         total = total + term
     return total
-
-
-# ---------------------------------------------------------------------------
-# composition
-
-
-def compose(family: FunctionFamily, cp: ControlledPath) -> ControlledPath:
-    """Push a controlled path through a smooth function.
-
-    The output level r collects the Faà di Bruno terms
-
-        sum_{i=1}^{r} f^(i)(y)/i! sum_{j_1+...+j_i=r} r!/(j_1! ... j_i!)
-                                                     y^(j_1) ... y^(j_i)
-
-    over ordered compositions with parts between 1 and the available level
-    count; level 0 is f(y). The output order is min(family order, ell). A
-    path with a fine companion is composed on the fine grid and coarsened.
-    """
-    if cp.fine is not None:
-        return subsample_controlled(compose(family, cp.fine), cp.fine_factor)
-    ell_out = min(family.order, cp.ell)
-    y = cp.level(0)
-    raw = [np.asarray(family.deriv(0)(y), dtype=float)]
-    part_values = [None] + [cp.level_value(j) for j in range(1, cp.ell)]
-    for r in range(1, ell_out):
-        acc = np.zeros_like(y)
-        for i in range(1, r + 1):
-            inner = np.zeros_like(y)
-            for comp in _ordered_compositions(r, i, ell_out - 1):
-                weight = math.factorial(r)
-                prod = np.ones_like(y)
-                for j_m in comp:
-                    weight //= math.factorial(j_m)
-                    prod = prod * part_values[j_m]
-                inner = inner + weight * prod
-            acc = acc + np.asarray(family.deriv(i)(y), dtype=float) / math.factorial(i) * inner
-        raw.append(acc)
-    return ControlledPath(cp.x, raw, alpha=cp.alpha)
-
-
-def _ordered_compositions(total: int, parts: int, max_part: int):
-    """Ordered tuples of ``parts`` integers in [1, max_part] summing to total."""
-    if parts == 1:
-        if 1 <= total <= max_part:
-            yield (total,)
-        return
-    for first in range(1, min(total - parts + 1, max_part) + 1):
-        for rest in _ordered_compositions(total - first, parts - 1, max_part):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

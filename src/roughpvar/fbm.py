@@ -346,11 +346,3 @@ def path_to_csv(path: FbmPath) -> str:
         lines.append(f"{i / n:.17g},{value:.17g}")
     return "\n".join(lines) + "\n"
 
-
-def path_from_csv(text: str, spec: FbmSpec) -> FbmPath:
-    """Rebuild a path from a ``t,x`` dump produced by :func:`path_to_csv`."""
-    rows = text.strip().splitlines()
-    if rows[0] != "t,x":
-        raise ValueError("expected a 't,x' header")
-    values = np.array([float(row.split(",")[1]) for row in rows[1:]])
-    return FbmPath(spec, values)

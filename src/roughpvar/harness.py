@@ -5,8 +5,8 @@ evaluate the centered statistic together with its per-path limit
 ingredients, and aggregate into regime-specific diagnostics: KS distances
 against the standard normal for the distributional regimes, location/MSE
 tracking of the probability limit in the degenerate regime, rate fits of
-the error decay, two-way scaling-exponent fits for windowed weighted sums,
-and a binned joint-stability check.
+the error decay, and two-way scaling-exponent fits for windowed weighted
+sums.
 
 Replica streams are derived from the master seed through SeedSequence spawn
 keys indexed by (resolution, replica), so results are bit-identical for a
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, ClassVar
@@ -41,10 +40,8 @@ from .stats import (
     REGIME_CRITICAL,
     REGIME_DEGENERATE,
     REGIME_MIXED,
-    RegimeError,
     StatConfig,
     classify_regime,
-    integrate_grid,
     limit_cond_std,
     limit_drift,
     pvar_statistic,
@@ -89,8 +86,9 @@ class ExperimentConfig:
     threshold (0.07 at the critical index, 0.05 otherwise). An ``ell`` below
     2 is refused, and so is a (regime, p) outside the guaranteed range
     unless ``force=True``, which runs it and stamps outputs as unguaranteed.
-    A KS threshold outside (0, 1] and a median tolerance below 0 are refused,
-    NaN included.
+    A p below 2 is refused at and below the critical index even then: the
+    drift there needs phi'' of ``|y|**p``. A KS threshold outside (0, 1]
+    and a median tolerance below 0 are refused, NaN included.
     """
 
     hurst: float
@@ -124,6 +122,11 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         regime = classify_regime(self.hurst)
         StatConfig(p=self.p, t=self.t, quadrature=self.quadrature)
+        if regime != REGIME_MIXED and self.p < 2.0:
+            raise ValueError(
+                f"p={self.p} is refused in the {regime} regime, even with force: "
+                "its drift needs phi'' of |y|**p, which is unbounded at 0 for p < 2"
+            )
         if not self.force:
             validate_p_range(self.hurst, self.p)
         if self.fine_factor is None:
@@ -215,6 +218,10 @@ def _parallel_starmap(fn: Callable, tasks: list[tuple], workers: int | None) -> 
     count = resolve_workers(workers)
     if count == 1 or len(tasks) <= 1:
         return [fn(*task) for task in tasks]
+    # A serial run never loads the pool's modules (multiprocessing and the
+    # socket, subprocess and logging machinery under it).
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(tasks) // (count * 8))
     with ProcessPoolExecutor(max_workers=count) as pool:
         return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
@@ -604,89 +611,5 @@ def _scaling_fit(scfg: ScalingConfig, l1: np.ndarray) -> ScalingFitResult:
         table=tuple(rows),
         target=scfg.target,
         window_target=scfg.window_target,
-        passed=passed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# joint stability check
-
-
-@dataclass(frozen=True)
-class JointCheckReport:
-    """Independence diagnostics of the normalized statistic from its driver."""
-
-    corr_endpoint: float
-    corr_integral: float
-    corr_threshold: float
-    bin_ks: np.ndarray
-    bin_threshold: float
-    excluded: int
-    passed: bool
-
-
-def _driver_summary(cfg: ExperimentConfig, n: int, replica: int) -> tuple[float, float]:
-    """Endpoint and trapezoid time integral of one replica's fine driver."""
-    x_values = _replica_driver(cfg, n, replica).values
-    step = 1.0 / (n * cfg.fine_factor)
-    return float(x_values[-1]), integrate_grid(x_values, step, "trapezoid")
-
-
-def stable_joint_check(
-    cfg: ExperimentConfig, workers: int | None = None, bins: int = 5
-) -> JointCheckReport:
-    """Check that the normalized fluctuation decouples from the driver.
-
-    Uses the largest resolution in the grid. The normalized statistic must
-    be uncorrelated with the driver endpoint and its time integral (within
-    3 / sqrt(replicas)) and its law must stay standard normal within each
-    driver-endpoint quantile bin (KS below 2.72 / sqrt(bin size), twice the
-    asymptotic 95% band). Replicas whose conditional scale degenerates to
-    zero are excluded and reported. The driver summaries come from a
-    driver-only pass over the same replica streams.
-    """
-    if cfg.replicas < 1000:
-        raise ValueError("joint checks need at least 1000 replicas")
-    if cfg.regime == REGIME_DEGENERATE:
-        raise RegimeError("joint checks apply to the distributional regimes only")
-    if bins < 2:
-        raise ValueError("need at least two bins")
-    n_top = max(cfg.n_grid)
-    sub = replace(cfg, n_grid=(n_top,))
-    rows = collect_rows(sub, workers)
-    tasks = [(sub, n_top, r) for r in range(sub.replicas)]
-    driver = np.array(_parallel_starmap(_driver_summary, tasks, workers), dtype=float)
-
-    cond = rows[:, 4]
-    good = cond > 1e-12 * float(np.nanmedian(cond))
-    excluded = int(np.sum(~good))
-    z = rows[good, 5]
-    x_end = driver[good, 0]
-    x_int = driver[good, 1]
-    m = z.size
-    corr_threshold = 3.0 / math.sqrt(m)
-    corr_end = float(abs(np.corrcoef(z, x_end)[0, 1]))
-    corr_int = float(abs(np.corrcoef(z, x_int)[0, 1]))
-
-    order = np.argsort(x_end)
-    edges = np.linspace(0, m, bins + 1).astype(int)
-    bin_ks = np.empty(bins)
-    bin_sizes = np.diff(edges)
-    for b in range(bins):
-        members = order[edges[b] : edges[b + 1]]
-        bin_ks[b] = ks_statistic(z[members], ndtr)
-    bin_threshold = 2.72 / math.sqrt(float(np.min(bin_sizes)))
-    passed = (
-        corr_end < corr_threshold
-        and corr_int < corr_threshold
-        and bool(np.all(bin_ks < bin_threshold))
-    )
-    return JointCheckReport(
-        corr_endpoint=corr_end,
-        corr_integral=corr_int,
-        corr_threshold=corr_threshold,
-        bin_ks=bin_ks,
-        bin_threshold=bin_threshold,
-        excluded=excluded,
         passed=passed,
     )

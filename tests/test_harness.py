@@ -6,7 +6,8 @@ Covers:
    package's port of ``scipy.special.ndtr``, gives the same bits as that
    function and as ``scipy.stats.norm.cdf``.
 2. Guaranteed-range validation of the power exponent per regime.
-3. ExperimentConfig validation, resolved defaults, and identifier format.
+3. ExperimentConfig validation, resolved defaults, and identifier format;
+   a p below 2 refused where the drift enters, even when forced.
 4. Replica path construction: determinism, stream separation, fine wiring.
 5. Row collection: ordering, determinism, serial/parallel bit equality,
    per-regime column arithmetic, and replica independence.
@@ -21,9 +22,6 @@ Covers:
 10. Two-way scaling fits: the config's refusals and exponent targets, exact
     exponent recovery of the regression on an exact power-law table, and
     the coarse driver the windowed sums read.
-11. The joint stability check (decoupling of the normalized statistic from
-    its driver) with a calibrated seed; its driver-only pass draws the
-    drivers the rows were built on.
 """
 
 import dataclasses
@@ -41,10 +39,8 @@ from roughpvar import (
     ExperimentConfig,
     ExperimentResult,
     FbmSpec,
-    JointCheckReport,
     RateFitConfig,
     RateFitResult,
-    RegimeError,
     ScalingConfig,
     ScalingFitResult,
     UnsupportedRangeError,
@@ -52,20 +48,17 @@ from roughpvar import (
     build_replica_path,
     collect_rows,
     hermite,
-    integrate_grid,
     ks_statistic,
     limit_cond_std,
     rate_fit,
     run_regime_check,
     sample_fbm,
     scaling_exponent_check,
-    stable_joint_check,
     validate_p_range,
     weighted_increment_sum,
 )
 from roughpvar.harness import (
     WORKERS_ENV,
-    _driver_summary,
     _log_slope,
     _median,
     _median_errors,
@@ -243,6 +236,14 @@ class TestExperimentConfig:
         kwargs.update(overrides)
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize("hurst", [0.25, 0.15])
+    def test_p_below_two_refused_where_the_drift_enters(self, hurst, force):
+        # the drift reads phi'' of |y|**p, unbounded at 0 for p < 2
+        with pytest.raises(ValueError, match="even with force"):
+            ExperimentConfig(hurst=hurst, p=1.5, process="sq", force=force)
+        ExperimentConfig(hurst=0.35, p=1.5, process="sq", force=True)
 
     def test_config_is_immutable(self):
         cfg = ExperimentConfig(hurst=0.35, p=2.0)
@@ -829,60 +830,3 @@ class TestScalingExponentCheck:
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64, 128), replicas=2)
         with pytest.raises(TypeError):
             ScalingConfig(cfg, rank, (0.125, 0.25), 0.25)
-
-
-# ---------------------------------------------------------------------------
-# joint stability check
-
-
-class TestStableJointCheck:
-    """Decoupling of the normalized statistic from its own driver."""
-
-    def test_driver_decoupling_at_calibrated_seed(self):
-        cfg = ExperimentConfig(
-            hurst=0.5, p=2.0, n_grid=(1024,), replicas=2000, master_seed=2024
-        )
-        report = stable_joint_check(cfg)
-        print(
-            f"corr(endpoint)={report.corr_endpoint:.4f} "
-            f"corr(integral)={report.corr_integral:.4f} "
-            f"(threshold {report.corr_threshold:.4f}); "
-            f"max bin KS={float(np.max(report.bin_ks)):.4f} "
-            f"(threshold {report.bin_threshold:.4f})"
-        )
-        assert isinstance(report, JointCheckReport)
-        assert report.passed, "calibrated joint check should pass"
-        assert report.excluded == 0
-        assert report.corr_threshold == pytest.approx(3.0 / math.sqrt(2000))
-        assert report.bin_ks.shape == (5,)
-        assert report.bin_threshold == pytest.approx(2.72 / math.sqrt(400))
-        assert report.corr_endpoint < 0.05 and report.corr_integral < 0.05
-
-    @pytest.mark.parametrize("process, factor", [("fbm", 1), ("sq", 4)])
-    def test_driver_pass_matches_replica_path(self, process, factor):
-        # The driver-only pass draws the same fine driver the rows were built on.
-        cfg = ExperimentConfig(
-            hurst=0.35, p=3.0, process=process, n_grid=(64,), replicas=2,
-            master_seed=3, fine_factor=factor,
-        )
-        for replica in range(2):
-            quad = build_replica_path(cfg, 64, replica).quadrature_path()
-            x_end, x_integral = _driver_summary(cfg, 64, replica)
-            assert x_end == quad.x.values[-1], "x_end mismatch"
-            expected = integrate_grid(quad.x.values, 1.0 / quad.n, "trapezoid")
-            assert x_integral == expected, "x_integral mismatch"
-
-    def test_needs_enough_replicas(self):
-        cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=500)
-        with pytest.raises(ValueError, match="at least 1000"):
-            stable_joint_check(cfg)
-
-    def test_degenerate_regime_rejected(self):
-        cfg = ExperimentConfig(hurst=0.2, p=2.0, n_grid=(64,), replicas=1000)
-        with pytest.raises(RegimeError, match="distributional"):
-            stable_joint_check(cfg)
-
-    def test_needs_two_bins(self):
-        cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=1000)
-        with pytest.raises(ValueError, match="two bins"):
-            stable_joint_check(cfg, bins=1)

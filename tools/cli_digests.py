@@ -18,7 +18,8 @@ directory (``no-out-dir`` when it created none). Comparing two checkouts is
 
 The set covers every subcommand, every closed-form process, ``exp-rde``, a
 ``--workers 2`` run, a manifest replay, the dense Cholesky oracle, a forced
-run, a blow-up, a failing rate fit, a rank-1 scaling fit (window target 1),
+run, a forced p < 2 at the critical index (refused: its drift needs
+phi''), a blow-up, a failing rate fit, a rank-1 scaling fit (window target 1),
 refused configs (NaN or negative gates and windows among them),
 ``constants`` at p = 3 and 2.5 (the Hermite terms past q = 1), at p = 40
 (Gamma past 33, computed by scipy) and with a truncation-tail warning on
@@ -73,6 +74,8 @@ RUNS = (
                  "--n", "64,128", "--replicas", "30", "--seed", "2"]),
     ("forced", ["limit-check", "--hurst", "0.35", "--p", "2.5", "--n", "64",
                 "--replicas", "20", "--seed", "1", "--force"]),
+    ("forced-p-below-2", ["limit-check", "--process", "sq", "--hurst", "0.25", "--p", "1.5",
+                          "--n", "64,128", "--replicas", "10", "--force"]),
     ("rate-fit", ["rate-fit", "--hurst", "0.4", "--p", "2", "--n", "256,512,1024",
                   "--replicas", "60", "--seed", "5"]),
     ("scaling", ["scaling-check", "--hurst", "0.4", "--rank", "3", "--n", "256,512",
