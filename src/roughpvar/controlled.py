@@ -2,14 +2,11 @@
 
 A controlled path bundles the driver, a tuple of level processes
 (the path itself plus its successive Gubinelli-type derivative levels), and
-the Hölder exponent attributed to the driver. Its constructor takes the raw
-levels; the stored rows are normalized to start at 0,
-with the initial values kept as offsets, and all evaluation (remainders and
-quadrature) uses the unshifted values ``offset + array``. A
-level given as a scalar is constant: after the last level given as an array
-no row is stored, and such a level reads as its offset. Given ``offsets``
-as well, the constructor takes the stored form back as it is, which is what
-``dataclasses.replace`` passes.
+the Hölder exponent attributed to the driver. Each level is stored exactly as
+given. A level given as a scalar is constant: after the last level given as
+an array no row is stored, and such a level is kept as a scalar in
+``constants``; the constructor reads ``levels`` and ``constants`` as one
+level list, so ``dataclasses.replace`` passes them back as they are.
 Every builder works on the grid of its driver; :func:`subsample_controlled`
 is the one coarsening step, and it attaches the fine path for quadrature.
 
@@ -40,15 +37,11 @@ _BLOWUP_GUARD = 1e12
 class ControlledPath:
     """A path with derivative levels, controlled by a sampled driver.
 
-    Built from the raw levels: ``ControlledPath(x, levels)`` stacks them
-    into one fresh read-only array, keeps their initial values as
-    ``offsets`` and stores every row minus its initial value. A scalar
-    level is constant; the rows after the last array level are not stored.
-    ``ControlledPath(x, levels, offsets=offsets)`` takes the stored form
-    instead: rows that start at 0, and one offset per level. So
-    ``dataclasses.replace`` keeps every level and offset, and refuses new
-    ``levels`` whose rows do not start at 0 unless ``offsets=None`` is
-    passed with them.
+    ``ControlledPath(x, levels, constants=constants)`` reads
+    ``[*levels, *constants]`` as one list of levels, each an array of length
+    ``n + 1`` or a scalar constant. The levels up to the last array level are
+    stacked into one fresh read-only array, and the scalars after it are kept
+    in ``constants``; so ``dataclasses.replace`` keeps every level.
 
     Attributes
     ----------
@@ -56,10 +49,9 @@ class ControlledPath:
         The driver, sampled on the uniform grid with ``x.n`` cells.
     levels : np.ndarray
         Shape ``(stored, n + 1)``; row i is the i-th level process (row 0
-        the path itself) minus its initial value. Given as ``ell`` raw
-        levels, each an array of length ``n + 1`` or a scalar constant;
-        ``stored`` runs up to the last array level (at least 1), and a
-        scalar before it is stored as a constant row.
+        the path itself) as given. ``stored`` runs up to the last array
+        level (at least 1), and a scalar before it is stored as a constant
+        row.
     alpha : float
         Hölder exponent attributed to the driver; defaults to the driver's
         Hurst index.
@@ -68,22 +60,21 @@ class ControlledPath:
         quadrature of limit functionals. :func:`subsample_controlled`
         attaches it; the coarse rows are then exactly the fine rows
         subsampled.
-    offsets : np.ndarray
-        Shape ``(ell,)``; initial values of the raw levels, including the
-        levels that store no row. Derived from raw levels when not given.
+    constants : tuple of float
+        The values of the levels after the last stored row.
     """
 
     x: FbmPath
     levels: np.ndarray
     alpha: float | None = None
     fine: "ControlledPath | None" = None
-    offsets: np.ndarray | None = None
+    constants: tuple = ()
 
     def __post_init__(self) -> None:
         nodes = self.x.n + 1
         if isinstance(self.levels, np.ndarray) and self.levels.ndim != 2:
             raise ValueError(f"a levels array must be 2-d, got shape {self.levels.shape}")
-        given = [np.asarray(level, dtype=float) for level in self.levels]
+        given = [np.asarray(level, dtype=float) for level in [*self.levels, *self.constants]]
         if not given or any(level.shape not in ((), (nodes,)) for level in given):
             shapes = [level.shape for level in given]
             raise ValueError(
@@ -99,45 +90,32 @@ class ControlledPath:
         levels = np.empty((stored, nodes))
         for row, level in zip(levels, given):
             row[...] = level
-        if self.offsets is None:
-            offsets = np.array([level.flat[0] for level in given])
-            levels -= offsets[:stored, None]
-        else:
-            offsets = np.array(self.offsets, dtype=float)
-            if offsets.ndim != 1 or offsets.size < stored or np.any(levels[:, 0] != 0.0):
-                raise ValueError(
-                    "with offsets, levels must be stored rows that start at 0, "
-                    f"at most one per offset; got {stored} row(s) starting at "
-                    f"{levels[:, 0].tolist()} and offsets of shape {offsets.shape}"
-                )
         levels.setflags(write=False)
-        offsets.setflags(write=False)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "constants", tuple(float(c) for c in given[stored:]))
 
     @property
     def ell(self) -> int:
         """Declared level count; rows are stored only for the first
         ``levels.shape[0]`` of them."""
-        return self.offsets.shape[0]
+        return self.levels.shape[0] + len(self.constants)
 
     @property
     def n(self) -> int:
         return self.x.n
 
     def level(self, i: int) -> np.ndarray:
-        """Unshifted values of level i: offset + normalized row, or the
-        constant row of a level that stores none."""
+        """Values of level i: its stored read-only row, or the constant row
+        of a level that stores none."""
         value = self.level_value(i)
         return value if np.ndim(value) else np.full(self.n + 1, value)
 
     def level_value(self, i: int):
         """Level i as :meth:`level` gives it, or, for a level that stores no
         row, its constant value as a scalar."""
-        if i < self.levels.shape[0]:
-            return self.offsets[i] + self.levels[i]
-        return self.offsets[i] + 0.0
+        stored = self.levels.shape[0]
+        return self.levels[i] if i < stored else self.constants[i - stored]
 
     @property
     def fine_factor(self) -> int:
@@ -181,19 +159,13 @@ def remainder(cp: ControlledPath, k: int, s, t):
 
 def _remainder_by_index(cp: ControlledPath, k: int, i, j):
     dx = cp.x.values[j] - cp.x.values[i]
-    out = _row_at(cp, k, j) - _row_at(cp, k, i)
+    level = cp.level(k)
+    out = level[j] - level[i]
     power = np.ones_like(np.asarray(dx, dtype=float))
     for m in range(1, cp.ell - k):
         power = power * dx / m
-        out = out - (cp.offsets[k + m] + _row_at(cp, k + m, i)) * power
+        out = out - cp.level(k + m)[i] * power
     return out
-
-
-def _row_at(cp: ControlledPath, k: int, idx):
-    """Normalized row k at the indices ``idx``; 0 where no row is stored."""
-    if k < cp.levels.shape[0]:
-        return cp.levels[k][idx]
-    return np.zeros(np.shape(idx))
 
 
 def remainder_decomposition_residual(cp: ControlledPath, s, u, t) -> float:
@@ -424,10 +396,10 @@ def rough_integral(z: ControlledPath, x: FbmPath) -> ControlledPath:
 def subsample_controlled(fine_cp: ControlledPath, factor: int) -> ControlledPath:
     """Coarse view on every ``factor``-th node, with ``fine_cp`` attached.
 
-    The only place a fine companion is attached. The coarse raw rows are
-    ``offset + row[::factor]`` of the fine path, so the coarse levels are
-    exact subsamples of the fine ones; a level without a row stays one. A
-    factor of 1 returns ``fine_cp``.
+    The only place a fine companion is attached. The coarse rows are
+    ``row[::factor]`` of the fine path, so the coarse levels are exact
+    subsamples of the fine ones; a level without a row stays one. A factor
+    of 1 returns ``fine_cp``.
     """
     if factor < 1 or fine_cp.n % factor != 0:
         raise ValueError(f"factor must divide the resolution {fine_cp.n}")
@@ -438,10 +410,9 @@ def subsample_controlled(fine_cp: ControlledPath, factor: int) -> ControlledPath
         spec=replace(fine_cp.x.spec, n=n_coarse),
         values=fine_cp.x.values[::factor],
     )
-    stored = fine_cp.levels.shape[0]
-    rows = fine_cp.offsets[:stored, None] + fine_cp.levels[:, ::factor]
-    constants = fine_cp.offsets[stored:] + 0.0
-    return ControlledPath(coarse_x, [*rows, *constants], alpha=fine_cp.alpha, fine=fine_cp)
+    return ControlledPath(
+        coarse_x, fine_cp.levels[:, ::factor], fine_cp.alpha, fine_cp, fine_cp.constants
+    )
 
 
 # ---------------------------------------------------------------------------

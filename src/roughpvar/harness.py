@@ -41,6 +41,8 @@ from .stats import (
     REGIME_DEGENERATE,
     REGIME_MIXED,
     StatConfig,
+    _snap_count,
+    _window_cells,
     classify_regime,
     limit_cond_std,
     limit_drift,
@@ -88,7 +90,8 @@ class ExperimentConfig:
     unless ``force=True``, which runs it and stamps outputs as unguaranteed.
     A p below 2 is refused at and below the critical index even then: the
     drift there needs phi'' of ``|y|**p``. A KS threshold outside (0, 1]
-    and a median tolerance below 0 are refused, NaN included.
+    and a median tolerance below 0 are refused, NaN included, and so is a
+    resolution with no whole cell below ``t``, where every statistic is 0.
     """
 
     hurst: float
@@ -122,6 +125,9 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         regime = classify_regime(self.hurst)
         StatConfig(p=self.p, t=self.t, quadrature=self.quadrature)
+        empty = [n for n in self.n_grid if _snap_count(self.t, n) == 0]
+        if empty:
+            raise ValueError(f"t={self.t} holds no whole grid cell at n={empty}")
         if regime != REGIME_MIXED and self.p < 2.0:
             raise ValueError(
                 f"p={self.p} is refused in the {regime} regime, even with force: "
@@ -470,7 +476,8 @@ class ScalingConfig:
     """A two-way scaling fit of windowed Hermite sums, refused at construction.
 
     Refused: fewer than two resolutions or two window lengths, a window
-    [start, start + delta) outside [0, 1] (NaN included), a Hermite rank
+    [start, start + delta) outside [0, 1] (NaN included) or holding no
+    increment at some resolution (every sum there is 0), a Hermite rank
     below 1, and a degenerate fit (rank * H < 1/2) whose closed-form weight
     has an identically zero rank-th level: ``fbm`` at rank >= 2, ``sq`` at
     rank >= 3, ``cube`` at rank >= 4. There the limit integral is 0 and
@@ -496,6 +503,14 @@ class ScalingConfig:
         if not (all(d > 0.0 for d in deltas) and 0.0 <= self.start
                 and self.start + max(deltas) <= 1.0):
             raise ValueError("windows must lie inside [0, 1]")
+        empty = [
+            (n, delta) for n in self.experiment.n_grid for delta in deltas
+            if not _window_cells(self.start, self.start + delta, n)
+        ]
+        if empty:
+            raise ValueError(
+                f"windows from start={self.start} hold no increment at (n, delta) = {empty}"
+            )
         if rank < 1:
             raise ValueError("Hermite rank must be >= 1")
         process, hurst = self.experiment.process, self.experiment.hurst

@@ -100,6 +100,11 @@ def _snap_count(t: float, n: int) -> int:
     return min(int(math.floor(t * n + 1e-9)), n)
 
 
+def _window_cells(s: float, t: float, n: int) -> range:
+    """Indices of the increments of an n-cell grid that start in [s, t)."""
+    return range(int(math.ceil(s * n - 1e-9)), _snap_count(t, n))
+
+
 def integrate_grid(values: np.ndarray, step: float, rule: Quadrature = "trapezoid") -> float:
     """Integrate node samples over a uniform grid by the requested rule.
 
@@ -239,12 +244,12 @@ def weighted_increment_sum(
             f"nodes, got {weight_values.shape}"
         )
     n = x.n
-    lo = int(math.ceil(s * n - 1e-9))
-    hi = _snap_count(t, n)
-    if hi <= lo:
+    cells = _window_cells(s, t, n)
+    if not cells:
         return 0.0
-    scaled = float(n) ** x.hurst * np.diff(x.values)[lo:hi]
-    return float(np.sum(weight_values[lo:hi] * np.asarray(f(scaled), dtype=float)))
+    window = slice(cells.start, cells.stop)
+    scaled = float(n) ** x.hurst * np.diff(x.values)[window]
+    return float(np.sum(weight_values[window] * np.asarray(f(scaled), dtype=float)))
 
 
 def riemann_correction_sum(

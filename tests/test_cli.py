@@ -13,8 +13,9 @@ Covers:
 7. scaling-check: output schema, manifest replay, and a pass field that is
    the library's verdict.
 8. Exit codes: 0 pass, 1 failed check, 2 usage/domain errors (a
-   scaling-check without an established target, and NaN or negative gates
-   and windows, included), 70 any other exception, and a refused config
+   scaling-check without an established target, NaN or negative gates
+   and windows, a t below one grid cell and a window holding no increment
+   included), 70 any other exception, and a refused config
    writes nothing; a libc without mallopt changes no exit code; 17
    significant digit float formatting throughout.
 9. The config -> manifest -> config round trip as a fixed point, on drawn
@@ -269,6 +270,12 @@ class TestMainErrors:
             ["pvar", "--process", "sq", "--hurst", "0.25", "--p", "1.5", "--force"],
             ["pvar", "--process", "sq", "--hurst", "0.15", "--p", "1.5", "--force"],
             ["rate-fit", "--process", "sq", "--hurst", "0.15", "--p", "1.5", "--force"],
+            # t below one cell, and a window with no increment at n = 32
+            ["limit-check", "--process", "sq", "--hurst", "0.15", "--p", "2", "--t", "0.001",
+             "--n", "256,512", "--replicas", "20"],
+            ["pvar", "--process", "sq", "--hurst", "0.3", "--p", "2", "--t", "0.001",
+             "--n", "256"],
+            ["scaling-check", "--hurst", "0.4", "--n", "32,64", "--replicas", "5"],
         ],
     )
     def test_refused_config_writes_nothing(self, tmp_path, argv):
@@ -704,10 +711,16 @@ def _configs(draw, subcommand):
         for key in CUSTOM_RDE_DEFAULTS:
             if draw(st.booleans()):
                 cfg[key] = draw(_VALUES[key])
+    merged = {**SCHEMA[subcommand], **cfg}
+    if "t" in merged:
+        # a resolution with no whole cell below t is refused before its manifest
+        grid = merged["n"] if isinstance(merged["n"], list) else [merged["n"]]
+        assume(all(math.floor(merged["t"] * n + 1e-9) > 0 for n in grid))
     if subcommand == "scaling-check":
-        # a weight with no established target is refused before its manifest
-        merged = {**SCHEMA[subcommand], **cfg}
-        experiment = ExperimentConfig(hurst=cfg["hurst"], p=2.0, process=merged["process"])
+        # so is a weight with no established target, or a window holding no
+        # increment at one of the resolutions
+        experiment = ExperimentConfig(hurst=cfg["hurst"], p=2.0, process=merged["process"],
+                                      n_grid=tuple(merged["n"]))
         try:
             ScalingConfig(experiment, merged["rank"], merged["delta"], merged["start"])
         except ValueError:

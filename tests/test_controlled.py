@@ -1,11 +1,12 @@
 """Tests for controlled paths, remainders, the rough integral and the solver.
 
 Covers:
-  1. Construction from raw levels and validation of the level/offset
-     representation.
+  1. Construction from raw levels and validation of the level
+     representation; stored levels read back as given, bit for bit and
+     without a copy, at the fine grid and subsampled (Hypothesis).
   2. Remainders: exact zeros on polynomial tuples, closed-form small cases,
      and the exact midpoint decomposition identity on random level tuples,
-     pinned and as a Hypothesis property with nonzero offsets.
+     pinned and as a Hypothesis property with rows that start anywhere.
   3. Function families and the iterated-field polynomials; polynomial
      families give the bits of numpy's polyval, as a Hypothesis property.
   4. The compensated-sum rough integral: polynomial exactness, pinned and
@@ -18,8 +19,8 @@ Covers:
   7. Constant levels given as scalars store no row: the closed-form
      builders' stored row counts, and a Hypothesis property that such a
      path agrees bit for bit with the one that stores every row.
-  8. ``dataclasses.replace`` keeps every level and offset, as a Hypothesis
-     property, and refuses raw levels unless the offsets are dropped too.
+  8. ``dataclasses.replace`` keeps every level and constant, as a
+     Hypothesis property.
 """
 
 import dataclasses
@@ -82,16 +83,16 @@ def _line_driver(n):
 
 
 class TestControlledPath:
-    """Level/offset representation invariants."""
+    """Level representation invariants."""
 
     def test_from_raw_levels_normalizes(self):
         x = sample_fbm(FbmSpec(hurst=0.4, n=16, seed=1))
         raw = [3.0 + x.values, 2.0 * np.ones_like(x.values)]
         cp = ControlledPath(x, raw)
-        assert np.array_equal(cp.offsets, [3.0, 2.0])
-        assert cp.levels[0][0] == 0.0 and cp.levels[1][0] == 0.0
-        assert np.allclose(cp.level(0), 3.0 + x.values, atol=0.0)
-        assert np.allclose(cp.level(1), 2.0, atol=0.0)
+        assert cp.constants == () and cp.levels.shape == (2, 17)
+        assert cp.levels.tobytes() == np.array(raw).tobytes()
+        assert np.array_equal(cp.level(0), 3.0 + x.values)
+        assert np.array_equal(cp.level(1), np.full(17, 2.0))
         assert cp.ell == 2 and cp.n == 16
         assert cp.alpha == x.hurst
         assert not cp.levels.flags.writeable
@@ -114,6 +115,43 @@ class TestControlledPath:
         cp = _canonical(x, 2)
         assert cp.quadrature_path() is cp
         assert cp.fine_factor == 1
+
+    @pytest.mark.parametrize("tag", ["fbm", "sq", "exp-rde"])
+    def test_stored_levels_are_read_without_a_copy(self, tag):
+        x_fine = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=2))
+        coarse = build_controlled_process(tag, x_fine, 4, {"ell": 3})
+        for cp in (coarse, coarse.fine):
+            for i in range(cp.levels.shape[0]):
+                assert np.shares_memory(cp.level_value(i), cp.levels), (cp.n, i)
+                assert np.shares_memory(cp.level(i), cp.levels), (cp.n, i)
+                assert not cp.level(i).flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ell=st.integers(1, 6),
+        n=st.integers(2, 24),
+        factor=st.sampled_from([1, 2, 4]),
+        exp_like=st.booleans(),
+    )
+    def test_levels_read_back_as_given(self, seed, ell, n, factor, exp_like):
+        # Rows start anywhere. Exp-like rows start at 1 with entries exp(2N),
+        # the shape of exp-rde's levels.
+        rng = np.random.default_rng(seed)
+        cells = n * factor
+        steps = rng.normal(size=cells) / math.sqrt(cells)
+        x = FbmPath(FbmSpec(hurst=0.3, n=cells), np.concatenate([[0.0], np.cumsum(steps)]))
+        if exp_like:
+            rows = [np.exp(2.0 * rng.normal(size=cells + 1)) for _ in range(ell)]
+            for row in rows:
+                row[0] = 1.0
+        else:
+            rows = [rng.uniform(-100.0, 100.0) + rng.normal(size=cells + 1) for _ in range(ell)]
+        fine = ControlledPath(x, rows)
+        coarse = subsample_controlled(fine, factor)
+        for i, row in enumerate(rows):
+            assert _same_bits(fine.level(i), row), i
+            assert _same_bits(coarse.level(i), row[::factor]), i
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +243,14 @@ class TestDecompositionIdentity:
         ),
     )
     def test_random_raw_levels_with_offsets(self, seed, ell, n, offsets):
-        # raw rows start at nonzero values, so the constructor's offset split
-        # is exercised together with the remainder arithmetic
+        # raw rows start at nonzero values, which the remainder arithmetic
+        # reads as they are
         rng = np.random.default_rng(seed)
         values = np.concatenate([[0.0], np.cumsum(rng.normal(size=n))]) / math.sqrt(n)
         x = FbmPath(FbmSpec(hurst=0.3, n=n, seed=0), values)
         raw = [offsets[m] + rng.normal(size=n + 1) for m in range(ell)]
         cp = ControlledPath(x, raw)
-        assert np.array_equal(cp.offsets, [row[0] for row in raw])
+        assert cp.constants == () and _same_bits(cp.levels, raw)
 
         idx = np.sort(rng.integers(0, n + 1, size=(40, 3)), axis=1)
         i, u, j = idx[:, 0], idx[:, 1], idx[:, 2]
@@ -519,8 +557,8 @@ def test_subsample_controlled_consistency():
 def test_closed_forms_store_only_non_constant_rows(tag, stored):
     x_fine = sample_fbm(FbmSpec(hurst=0.3, n=256, seed=31))
     cp = build_controlled_process(tag, x_fine, 4, {"ell": 6})
-    assert cp.ell == 6 and cp.offsets.shape == (6,)
-    assert cp.fine.ell == 6 and cp.fine.offsets.shape == (6,)
+    assert cp.ell == 6 and len(cp.constants) == 6 - stored
+    assert cp.fine.ell == 6 and cp.fine.constants == cp.constants
     assert cp.fine.levels.shape == (stored, 257)
     assert cp.levels.shape == (stored, 65)
 
@@ -529,8 +567,8 @@ def test_scalar_before_an_array_level_is_stored():
     x = _line_driver(8)
     cp = ControlledPath(x, [x.values, 2.0, x.values, 0.0])
     assert cp.ell == 4 and cp.levels.shape == (3, 9)
-    assert np.array_equal(cp.offsets, [0.0, 2.0, 0.0, 0.0])
-    assert np.array_equal(cp.levels[1], np.zeros(9))
+    assert cp.constants == (0.0,)
+    assert np.array_equal(cp.levels[1], np.full(9, 2.0))
     assert np.array_equal(cp.level(3), np.zeros(9))
 
 
@@ -540,11 +578,8 @@ def _same_bits(a, b):
 
 
 def _same_paths(a, b):
-    return (
-        a.ell == b.ell
-        and _same_bits(a.offsets, b.offsets)
-        and all(_same_bits(a.level(i), b.level(i)) for i in range(a.ell))
-    )
+    """Every level bit for bit, whether it is stored as a row or a constant."""
+    return a.ell == b.ell and all(_same_bits(a.level(i), b.level(i)) for i in range(a.ell))
 
 
 class TestLevelsWithoutRows:
@@ -630,17 +665,7 @@ class TestReplace:
         copy = dataclasses.replace(cp, alpha=alpha)
         assert copy.alpha == alpha and copy.fine is cp.fine and copy.x is cp.x
         assert _same_bits(copy.levels, cp.levels)
+        assert _same_bits(copy.constants, cp.constants)
         assert _same_paths(copy, cp)
         if cp.fine is not None:
             assert _same_paths(dataclasses.replace(cp.fine), cp.fine)
-
-    def test_raw_levels_need_the_offsets_dropped(self):
-        x = sample_fbm(FbmSpec(hurst=0.25, n=32, seed=3))
-        cp = build_controlled_process("sq", x)
-        raw = [1.0 + x.values, np.ones_like(x.values), 1.0]
-        with pytest.raises(ValueError, match="start at 0"):
-            dataclasses.replace(cp, levels=raw)
-        rebuilt = dataclasses.replace(cp, levels=raw, offsets=None)
-        assert _same_paths(rebuilt, ControlledPath(x, raw))
-        with pytest.raises(ValueError, match="one per offset"):
-            ControlledPath(x, np.zeros((3, 33)), offsets=[0.0, 1.0])

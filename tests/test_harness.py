@@ -229,6 +229,8 @@ class TestExperimentConfig:
             ({"ks_threshold": 1.5}, "ks_threshold"),
             ({"median_tol": -1.0}, "median_tol"),
             ({"median_tol": math.nan}, "median_tol"),
+            # t below one cell at every resolution: every statistic would be 0
+            ({"t": 0.001, "n_grid": (256, 512)}, r"no whole grid cell at n=\[256, 512\]"),
         ],
     )
     def test_validation_errors(self, overrides, match):
@@ -734,6 +736,14 @@ class TestScalingConfig:
         scfg = ScalingConfig(ExperimentConfig(hurst=hurst, p=2.0, process="cube"), rank,
                              (0.125, 0.25), 0.25)
         assert scfg.window_target == pytest.approx(expected)
+
+    def test_window_without_an_increment_is_refused(self):
+        # [0.25, 0.2578125) holds no increment at n = 64 and one at n = 128:
+        # every windowed sum at n = 64 would be 0, and its log -inf
+        cfg = ExperimentConfig(hurst=0.4, p=2.0, n_grid=(64, 128), replicas=2)
+        with pytest.raises(ValueError, match=r"\(n, delta\) = \[\(64, 0.0078125\)\]"):
+            ScalingConfig(cfg, 1, (0.0078125, 0.25), 0.25)
+        ScalingConfig(dataclasses.replace(cfg, n_grid=(128, 256)), 1, (0.0078125, 0.25), 0.25)
 
 
 def _power_law_fit(hurst=0.5, rank=1):

@@ -25,8 +25,11 @@ refused configs (NaN or negative gates and windows among them),
 (Gamma past 33, computed by scipy) and with a truncation-tail warning on
 stderr, ``constants`` at lag cutoffs whose pairwise lag-sum trees have
 several leaves and odd splits (100,003 and 65,537), and a critical
-``limit-check`` at p = 4 (the drift's third level and σ² past q = 1). It
-takes about 20 s on two cores and is not part of the test suite.
+``limit-check`` at p = 4 (the drift's third level and σ² past q = 1), a
+``custom-rde`` solve from y0 = 2 (stored levels that start away from 0), and
+the refusals of a t below one grid cell and of a scaling window that holds
+no increment. It takes about 20 s on two cores and is not part of the test
+suite.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ RUNS = (
                                "--lag-cutoff", "65537"]),
     ("pvar", ["pvar", "--process", "sq", "--hurst", "0.2", "--p", "2", "--n", "256",
               "--seed", "3"]),
+    ("pvar-custom-rde", ["pvar", "--process", "custom-rde", "--y0", "2", "--field-coeffs",
+                         "0.5,1", "--hurst", "0.3", "--p", "3", "--n", "256"]),
     ("mixed", ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "256,512",
                "--replicas", "100", "--seed", "11"]),
     ("critical", ["limit-check", "--process", "sq", "--hurst", "0.25", "--p", "2",
@@ -106,6 +111,10 @@ RUNS = (
                            "--replicas", "5", "--delta", "nan,0.25"]),
     ("refused-start-nan", ["scaling-check", "--hurst", "0.3", "--n", "64,128",
                            "--replicas", "5", "--start", "nan"]),
+    ("refused-t-below-a-cell", ["limit-check", "--process", "sq", "--hurst", "0.15", "--p", "2",
+                                "--t", "0.001", "--n", "256,512", "--replicas", "20"]),
+    ("refused-empty-window", ["scaling-check", "--hurst", "0.4", "--n", "32,64",
+                              "--replicas", "5"]),
 )
 
 _SOURCE_LINE = re.compile(rb"(<checkout>/\S+\.py):\d+:")
