@@ -17,10 +17,10 @@ count never affects results.
 Exit codes: 0 on success/pass, 1 when a check ran but failed, 2 on usage or
 domain errors, 70 (``EX_SOFTWARE``) with a traceback on any other exception.
 A config refused while it is resolved, while its library objects are built
-(level count, power exponent, KS threshold and median tolerance, the rate
-fit's grid and tolerance, the scaling fit's grid, windows, rank and target
-included) or by a library check (worker count, seed, variance domain) exits
-2 and writes nothing.
+(level count, custom-rde inputs, power exponent, KS threshold and median
+tolerance, the rate fit's grid and tolerance, the scaling fit's grid,
+windows, rank and target included) or by a library check (worker count,
+seed, variance domain) exits 2 and writes nothing.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ _PVAR_KEYS = {
     "seed": 0,
     "t": 1.0,
     "fine_factor": "auto",
-    "quadrature": "trapezoid",
     "force": False,
     "id": "",
 }
@@ -132,7 +131,6 @@ KEY_KINDS = {
     "replicas": "int",
     "t": "float",
     "fine_factor": "int_or_auto",
-    "quadrature": "str",
     "force": "bool",
     "id": "str",
     "ks_threshold": "float_or_auto",

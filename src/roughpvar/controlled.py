@@ -1,12 +1,13 @@
 """Controlled paths over a fractional Brownian driver.
 
-A controlled path bundles the driver, a tuple of level processes
-(the path itself plus its successive Gubinelli-type derivative levels), and
-the Hölder exponent attributed to the driver. Each level is stored exactly as
-given. A level given as a scalar is constant: after the last level given as
-an array no row is stored, and such a level is kept as a scalar in
-``constants``; the constructor reads ``levels`` and ``constants`` as one
-level list, so ``dataclasses.replace`` passes them back as they are.
+A controlled path bundles the driver and a tuple of level processes (the
+path itself plus its successive Gubinelli-type derivative levels); every
+statistic of it is normalized by the driver's Hurst index. Each level is
+stored exactly as given. A level given as a scalar is constant: after the
+last level given as an array no row is stored, and such a level is kept as
+a scalar in ``constants``; the constructor reads ``levels`` and
+``constants`` as one level list, so ``dataclasses.replace`` passes them
+back as they are.
 Every builder works on the grid of its driver; :func:`subsample_controlled`
 is the one coarsening step, and it attaches the fine path for quadrature.
 
@@ -52,9 +53,6 @@ class ControlledPath:
         the path itself) as given. ``stored`` runs up to the last array
         level (at least 1), and a scalar before it is stored as a constant
         row.
-    alpha : float
-        Hölder exponent attributed to the driver; defaults to the driver's
-        Hurst index.
     fine : ControlledPath or None
         The same construction at a multiple of the resolution, used for
         quadrature of limit functionals. :func:`subsample_controlled`
@@ -66,7 +64,6 @@ class ControlledPath:
 
     x: FbmPath
     levels: np.ndarray
-    alpha: float | None = None
     fine: "ControlledPath | None" = None
     constants: tuple = ()
 
@@ -82,9 +79,6 @@ class ControlledPath:
             )
         arrays = [i for i, level in enumerate(given) if level.ndim == 1]
         stored = arrays[-1] + 1 if arrays else 1
-        alpha = self.x.hurst if self.alpha is None else self.alpha
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         if self.fine is not None and self.fine.n % self.x.n != 0:
             raise ValueError("fine companion resolution must be a multiple of n")
         levels = np.empty((stored, nodes))
@@ -92,7 +86,6 @@ class ControlledPath:
             row[...] = level
         levels.setflags(write=False)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "constants", tuple(float(c) for c in given[stored:]))
 
     @property
@@ -221,8 +214,7 @@ class FunctionFamily:
 
     ``funcs[j]`` evaluates the j-th derivative; the family order is the
     number of callables. Helpers build the families used throughout:
-    polynomials (exact derivative coefficients), exponentials, identity and
-    constants.
+    polynomials (exact derivative coefficients), identity and constants.
     """
 
     funcs: tuple
@@ -263,11 +255,6 @@ class FunctionFamily:
         return cls(funcs=tuple(funcs), name=f"poly{list(map(float, base))}")
 
     @classmethod
-    def exponential(cls, rate: float = 1.0, order: int = 8) -> "FunctionFamily":
-        funcs = tuple(_exp_callable(rate, j) for j in range(order))
-        return cls(funcs=funcs, name=f"exp(rate={rate})")
-
-    @classmethod
     def identity(cls, order: int = 8) -> "FunctionFamily":
         return cls.polynomial([0.0, 1.0], order=order)
 
@@ -291,15 +278,6 @@ def _poly_callable(coeffs: np.ndarray) -> Callable:
         for c in rest:
             acc = c + acc * y
         return acc
-
-    return _eval
-
-
-def _exp_callable(rate: float, j: int) -> Callable:
-    scale = rate**j
-
-    def _eval(y):
-        return scale * np.exp(rate * np.asarray(y, dtype=float))
 
     return _eval
 
@@ -371,10 +349,10 @@ def rough_integral(z: ControlledPath, x: FbmPath) -> ControlledPath:
     """
     if z.x.n != x.n or not np.array_equal(z.x.values, x.values):
         raise ValueError("integrand and driver must share the same sampled path")
-    if (z.ell + 1) * z.alpha <= 1.0:
+    if (z.ell + 1) * x.hurst <= 1.0:
         warnings.warn(
-            f"integrand order {z.ell} is marginal for alpha={z.alpha}: "
-            f"(ell + 1) * alpha <= 1, remainder bounds degrade",
+            f"integrand order {z.ell} is marginal for hurst={x.hurst}: "
+            f"(ell + 1) * hurst <= 1, remainder bounds degrade",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -390,7 +368,7 @@ def rough_integral(z: ControlledPath, x: FbmPath) -> ControlledPath:
     np.cumsum(contrib, out=integral[1:])
 
     levels = [integral] + [z.level_value(i) for i in range(z.ell)]
-    return ControlledPath(x, levels, alpha=z.alpha)
+    return ControlledPath(x, levels)
 
 
 def subsample_controlled(fine_cp: ControlledPath, factor: int) -> ControlledPath:
@@ -410,9 +388,7 @@ def subsample_controlled(fine_cp: ControlledPath, factor: int) -> ControlledPath
         spec=replace(fine_cp.x.spec, n=n_coarse),
         values=fine_cp.x.values[::factor],
     )
-    return ControlledPath(
-        coarse_x, fine_cp.levels[:, ::factor], fine_cp.alpha, fine_cp, fine_cp.constants
-    )
+    return ControlledPath(coarse_x, fine_cp.levels[:, ::factor], fine_cp, fine_cp.constants)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ from typing import Callable, Literal
 
 import numpy as np
 
-Method = Literal["auto", "circulant-embedding", "cholesky"]
+Method = Literal["auto", "cholesky"]
 
-_METHODS = ("auto", "circulant-embedding", "cholesky")
+_METHODS = ("auto", "cholesky")
 
 # Largest n that method='cholesky' accepts: its dense covariance and factor
 # take 8 n**2 bytes each.
@@ -147,8 +147,8 @@ class FbmSpec:
     seed : int
         Seed used when no generator is supplied to :func:`sample_fbm`.
     method : str
-        One of ``auto`` (the circulant embedding), ``circulant-embedding``,
-        ``cholesky`` (n up to 4096 only).
+        ``auto`` (the circulant embedding) or ``cholesky`` (n up to 4096
+        only).
     """
 
     hurst: float
@@ -224,9 +224,8 @@ def sample_fbm(spec: FbmSpec, rng: np.random.Generator | None = None) -> FbmPath
 
     The increments are unit-variance fractional Gaussian noise scaled by
     ``n**-hurst`` (self-similarity on the unit interval). ``method='auto'``
-    and ``circulant-embedding`` both use the circulant embedding and raise
-    :class:`RuntimeError` if it is not nonnegative definite; ``cholesky``
-    factors the dense covariance.
+    uses the circulant embedding and raises :class:`RuntimeError` if it is
+    not nonnegative definite; ``cholesky`` factors the dense covariance.
     """
     if rng is None:
         rng = rng_for_spec(spec)

@@ -30,11 +30,15 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .controlled import ControlledPath, validate_ell
+from .controlled import ControlledPath
 from .fbm import FbmPath, FbmSpec, sample_fbm
 from .hermite import hermite, ndtr
 from .processes import (
-    DEFAULT_ELL, PROCESS_TAGS, build_controlled_process, default_fine_factor, first_zero_level
+    PROCESS_TAGS,
+    build_controlled_process,
+    default_fine_factor,
+    first_zero_level,
+    resolve_process_params,
 )
 from .stats import (
     REGIME_CRITICAL,
@@ -85,10 +89,12 @@ class ExperimentConfig:
     """Full description of one Monte Carlo experiment, resolved and refused
     at construction: ``fine_factor=None`` (the CLI's ``auto``) becomes the
     process's default fine factor and ``ks_threshold=None`` the regime's KS
-    threshold (0.07 at the critical index, 0.05 otherwise). An ``ell`` below
-    2 is refused, and so is a (regime, p) outside the guaranteed range
-    unless ``force=True``, which runs it and stamps outputs as unguaranteed.
-    A p below 2 is refused at and below the critical index even then: the
+    threshold (0.07 at the critical index, 0.05 otherwise). Refused: what
+    :func:`~roughpvar.processes.resolve_process_params` refuses (an ``ell``
+    below 2, an unknown key, a ``y0`` or coefficient that is not finite), a
+    p that is not finite, NaN included, and a (regime, p) outside the
+    guaranteed range unless ``force=True``, which runs it and stamps outputs
+    as unguaranteed. A p below 2 is refused at and below the critical index even then: the
     drift there needs phi'' of ``|y|**p``. A KS threshold outside (0, 1]
     and a median tolerance below 0 are refused, NaN included, and so is a
     resolution with no whole cell below ``t``, where every statistic is 0.
@@ -102,7 +108,6 @@ class ExperimentConfig:
     master_seed: int = 0
     t: float = 1.0
     fine_factor: int | None = None
-    quadrature: str = "trapezoid"
     force: bool = False
     process_params: dict = field(default_factory=dict)
     ks_threshold: float | None = None
@@ -112,7 +117,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.process not in PROCESS_TAGS:
             raise ValueError(f"unknown process {self.process!r}; known: {PROCESS_TAGS}")
-        validate_ell(self.process_params.get("ell", DEFAULT_ELL))
+        resolve_process_params(self.process, self.process_params)
         if len(self.n_grid) < 1 or any(n < 2 for n in self.n_grid):
             raise ValueError("n_grid must list resolutions >= 2")
         if len(set(self.n_grid)) != len(self.n_grid):
@@ -124,7 +129,7 @@ class ExperimentConfig:
             raise ValueError("fine_factor must be >= 1")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         regime = classify_regime(self.hurst)
-        StatConfig(p=self.p, t=self.t, quadrature=self.quadrature)
+        StatConfig(p=self.p, t=self.t)
         empty = [n for n in self.n_grid if _snap_count(self.t, n) == 0]
         if empty:
             raise ValueError(f"t={self.t} holds no whole grid cell at n={empty}")
@@ -192,15 +197,15 @@ def build_replica_path(cfg: ExperimentConfig, n: int, replica: int) -> Controlle
 def _replica_row(cfg: ExperimentConfig, n: int, replica: int) -> tuple:
     """``(n, replica, stat, drift, cond_std, z)``, the columns of results.csv."""
     cp = build_replica_path(cfg, n, replica)
-    stat = pvar_statistic(cp, StatConfig(p=cfg.p, t=cfg.t, quadrature=cfg.quadrature))
+    stat = pvar_statistic(cp, StatConfig(p=cfg.p, t=cfg.t))
     regime = cfg.regime
 
     drift = 0.0
     cond = math.nan
     if regime in (REGIME_CRITICAL, REGIME_DEGENERATE):
-        drift = limit_drift(cp, cfg.p, cfg.t, cfg.quadrature)
+        drift = limit_drift(cp, cfg.p, cfg.t)
     if regime in (REGIME_MIXED, REGIME_CRITICAL):
-        cond = limit_cond_std(cp, cfg.p, cfg.hurst, cfg.t, cfg.quadrature)
+        cond = limit_cond_std(cp, cfg.p, cfg.hurst, cfg.t)
 
     if regime == REGIME_MIXED:
         z = math.sqrt(n) * stat / cond if cond > 0.0 else math.nan

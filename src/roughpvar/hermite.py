@@ -220,8 +220,11 @@ def asymptotic_variance(
 
 def validate_variance_domain(p: float, hurst: float) -> None:
     """Reject (p, hurst) outside the domain of the asymptotic variance series."""
-    if p < 1.0:
-        raise ValueError(f"power variation exponent must satisfy p >= 1, got {p}")
+    # written so that a NaN p fails it
+    if not 1.0 <= p < math.inf:
+        raise ValueError(
+            f"power variation exponent must satisfy p >= 1 and be finite, got {p}"
+        )
     if not 0.0 < hurst < 0.75:
         raise ValueError(
             f"variance series converges only for hurst in (0, 3/4), got {hurst}"

@@ -52,6 +52,27 @@ def first_zero_level(tag: str) -> int | None:
     return None if levels is None else len(levels)
 
 
+def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
+    """The level count and the options of process ``tag``, with the
+    ``custom-rde`` defaults filled in.
+
+    Refuses an ``ell`` below 2, a key the process does not take, and a
+    ``y0`` or coefficient that is not finite.
+    """
+    params = dict(params or {})
+    ell = int(params.pop("ell", DEFAULT_ELL))
+    validate_ell(ell)
+    options = CUSTOM_RDE_DEFAULTS if tag == "custom-rde" else {}
+    unknown = sorted(set(params) - set(options))
+    if unknown:
+        raise ValueError(f"unknown parameters for process {tag!r}: {unknown}")
+    params = {**options, **params}
+    for key, value in params.items():
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{key} must be finite, got {value}")
+    return ell, params
+
+
 def build_controlled_process(
     tag: str,
     x_fine: FbmPath,
@@ -76,22 +97,14 @@ def build_controlled_process(
         for every tag; ``y0``, ``drift_coeffs``, ``field_coeffs`` for
         ``custom-rde``, defaulting to :data:`CUSTOM_RDE_DEFAULTS`.
     """
-    params = dict(params or {})
-    ell = int(params.pop("ell", DEFAULT_ELL))
-    validate_ell(ell)
+    ell, params = resolve_process_params(tag, params)
     # Checked here as well as in subsample_controlled, so that a bad factor
     # is refused before a custom-rde solve.
     if fine_factor < 1 or x_fine.n % fine_factor != 0:
         raise ValueError(
             f"fine_factor must divide the fine resolution {x_fine.n}, got {fine_factor}"
         )
-    options = CUSTOM_RDE_DEFAULTS if tag == "custom-rde" else {}
-    unknown = sorted(set(params) - set(options))
-    if unknown:
-        raise ValueError(f"unknown parameters for process {tag!r}: {unknown}")
-
     if tag == "custom-rde":
-        params = {**options, **params}
         y0 = float(params["y0"])
         drift_coeffs = params["drift_coeffs"]
         field_coeffs = params["field_coeffs"]

@@ -23,14 +23,7 @@ import numpy as np
 
 from .controlled import ControlledPath
 from .fbm import FbmPath
-from .hermite import (
-    AbsPowerFamily,
-    TruncationSpec,
-    asymptotic_variance,
-    gaussian_abs_moment,
-)
-
-Quadrature = Literal["trapezoid", "midpoint"]
+from .hermite import AbsPowerFamily, asymptotic_variance, gaussian_abs_moment
 
 REGIME_MIXED = "mixed-gaussian"
 REGIME_CRITICAL = "critical"
@@ -50,28 +43,23 @@ class StatConfig:
     Attributes
     ----------
     p : float
-        Power-variation exponent, >= 1.
+        Power-variation exponent, finite and >= 1.
     t : float
         Endpoint in (0, 1]; snapped down to the grid.
-    quadrature : str
-        Rule for the compensator integral: ``trapezoid`` (default) or
-        ``midpoint`` (composite over pairs of fine cells).
     fine_factor : int
         Not read: the quadrature uses the fine companion the path carries.
     """
 
     p: float
     t: float = 1.0
-    quadrature: Quadrature = "trapezoid"
     fine_factor: int = 16
 
     def __post_init__(self) -> None:
-        if self.p < 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        # written so that a NaN p fails it
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError(f"p must be >= 1 and finite, got {self.p}")
         if not 0.0 < self.t <= 1.0:
             raise ValueError(f"t must lie in (0, 1], got {self.t}")
-        if self.quadrature not in ("trapezoid", "midpoint"):
-            raise ValueError(f"unknown quadrature rule {self.quadrature!r}")
         if self.fine_factor < 1:
             raise ValueError("fine_factor must be >= 1")
 
@@ -105,27 +93,14 @@ def _window_cells(s: float, t: float, n: int) -> range:
     return range(int(math.ceil(s * n - 1e-9)), _snap_count(t, n))
 
 
-def integrate_grid(values: np.ndarray, step: float, rule: Quadrature = "trapezoid") -> float:
-    """Integrate node samples over a uniform grid by the requested rule.
-
-    ``midpoint`` treats consecutive pairs of cells as one midpoint cell
-    (weight 2*step on odd nodes); it needs an even cell count and falls back
-    to trapezoid with a warning otherwise.
-    """
+def integrate_grid(values: np.ndarray, step: float) -> float:
+    """Integrate node samples over a uniform grid by the trapezoid rule."""
     values = np.asarray(values, dtype=float)
     cells = len(values) - 1
     if cells < 0:
         raise ValueError("need at least one node")
     if cells == 0:
         return 0.0
-    if rule == "midpoint":
-        if cells % 2 == 0:
-            return float(2.0 * step * values[1::2].sum())
-        warnings.warn(
-            "midpoint rule needs an even cell count; falling back to trapezoid",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return float(step * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
@@ -136,35 +111,33 @@ def _fine_grid(cp: ControlledPath, t: float) -> tuple[ControlledPath, int, float
     return cp.quadrature_path(), _snap_count(t, cp.n) * factor, 1.0 / (cp.n * factor)
 
 
-def _compensator(cp: ControlledPath, p: float, t: float, rule: Quadrature) -> float:
+def _compensator(cp: ControlledPath, p: float, t: float) -> float:
     """Integral of |y'|**p over [0, t_snapped] on the finest available grid."""
     if cp.ell < 2:
         raise ValueError("the compensator needs the first derivative level")
     quad_cp, mf, step = _fine_grid(cp, t)
     yprime = quad_cp.level(1)[: mf + 1]
-    return integrate_grid(np.abs(yprime) ** p, step, rule)
+    return integrate_grid(np.abs(yprime) ** p, step)
 
 
 def pvar_statistic(cp: ControlledPath, cfg: StatConfig) -> float:
     """Centered power-variation statistic of a controlled path.
 
-    The sum part uses the coarse grid; the compensator integrates the first
-    derivative level over the fine companion (when present) with the
-    configured quadrature rule. Exactly centered in expectation when the
-    path is the driver itself.
+    The sum part uses the coarse grid and is scaled by the driver's Hurst
+    index; the compensator integrates the first derivative level over the
+    fine companion (when present) by the trapezoid rule. Exactly centered in
+    expectation when the path is the driver itself.
     """
     n = cp.n
-    hurst = cp.alpha
+    hurst = cp.x.hurst
     m = _snap_count(cfg.t, n)
     dy = np.diff(cp.levels[0][: m + 1]) if m > 0 else np.empty(0)
     sum_part = float(n ** (cfg.p * hurst - 1.0) * np.sum(np.abs(dy) ** cfg.p))
-    compensator = _compensator(cp, cfg.p, cfg.t, cfg.quadrature)
+    compensator = _compensator(cp, cfg.p, cfg.t)
     return sum_part - gaussian_abs_moment(cfg.p) * compensator
 
 
-def limit_drift(
-    cp: ControlledPath, p: float, t: float = 1.0, rule: Quadrature = "trapezoid"
-) -> float:
+def limit_drift(cp: ControlledPath, p: float, t: float = 1.0) -> float:
     """Drift functional of the critical and degenerate regimes.
 
     Evaluates
@@ -197,35 +170,31 @@ def limit_drift(
     yppp = level_or_zero(3)
     family = AbsPowerFamily(p)
     moment = gaussian_abs_moment(p)
-    first = integrate_grid(family.eval(2, yp) * ypp**2, step, rule)
-    second = integrate_grid(family.eval(1, yp) * yppp, step, rule)
+    first = integrate_grid(family.eval(2, yp) * ypp**2, step)
+    second = integrate_grid(family.eval(1, yp) * yppp, step)
     return -moment / 8.0 * first + (p - 2.0) * moment / 24.0 * second
 
 
 def limit_cond_std(
-    cp: ControlledPath,
-    p: float,
-    hurst: float | None = None,
-    t: float = 1.0,
-    rule: Quadrature = "trapezoid",
-    truncation: TruncationSpec | None = None,
+    cp: ControlledPath, p: float, hurst: float | None = None, t: float = 1.0
 ) -> float:
     """Conditional standard deviation of the mixed Gaussian limit.
 
     ``sigma(p, H) * sqrt(int_0^t |y'_u|**(2p) du)`` with sigma the square
-    root of the asymptotic variance series. Raises :class:`RegimeError`
-    below the critical index, where the limit is not distributional.
+    root of the asymptotic variance series and H the driver's Hurst index
+    unless ``hurst`` is given. Raises :class:`RegimeError` below the
+    critical index, where the limit is not distributional.
     """
     if hurst is None:
-        hurst = cp.alpha
+        hurst = cp.x.hurst
     if classify_regime(hurst) == REGIME_DEGENERATE:
         raise RegimeError(
             f"no conditional std below the critical index (hurst={hurst})"
         )
     quad_cp, mf, step = _fine_grid(cp, t)
     yprime = quad_cp.level(1)[: mf + 1]
-    scale = integrate_grid(np.abs(yprime) ** (2.0 * p), step, rule)
-    return math.sqrt(asymptotic_variance(p, hurst, truncation)) * math.sqrt(scale)
+    scale = integrate_grid(np.abs(yprime) ** (2.0 * p), step)
+    return math.sqrt(asymptotic_variance(p, hurst)) * math.sqrt(scale)
 
 
 def weighted_increment_sum(
@@ -253,7 +222,7 @@ def weighted_increment_sum(
 
 
 def riemann_correction_sum(
-    cp: ControlledPath, t: float = 1.0, rule: Quadrature = "midpoint"
+    cp: ControlledPath, t: float = 1.0, rule: Literal["midpoint", "trapezoid"] = "midpoint"
 ) -> float:
     """Weighted sum of local driver-integral corrections.
 

@@ -14,8 +14,9 @@ Covers:
    the library's verdict.
 8. Exit codes: 0 pass, 1 failed check, 2 usage/domain errors (a
    scaling-check without an established target, NaN or negative gates
-   and windows, a t below one grid cell and a window holding no increment
-   included), 70 any other exception, and a refused config
+   and windows, a t below one grid cell, a window holding no increment, a
+   p that is not finite and non-finite custom-rde inputs included), 70 any
+   other exception, and a refused config
    writes nothing; a libc without mallopt changes no exit code; 17
    significant digit float formatting throughout.
 9. The config -> manifest -> config round trip as a fixed point, on drawn
@@ -94,7 +95,7 @@ class TestResolveConfig:
         # it, and _experiment_config writes the resolved value back.
         assert cfg["fine_factor"] is None
         assert cfg["ks_threshold"] is None
-        assert cfg["t"] == 1.0 and cfg["quadrature"] == "trapezoid"
+        assert cfg["t"] == 1.0 and "quadrature" not in cfg
         _experiment_config(cfg)
         assert cfg["fine_factor"] == 16, "auto fine factor is 16 off the plain driver"
         assert cfg["ks_threshold"] == 0.07, "auto KS threshold at the critical index"
@@ -148,6 +149,8 @@ class TestResolveConfig:
             ("hurst=abc p=2", "bad value for 'hurst'"),
             ("hurst:0.3", "malformed config entry"),
             ("force=maybe hurst=0.3 p=2", "bad value for 'force'"),
+            # every limit integral is a trapezoid sum; the key is gone
+            ("quadrature=trapezoid hurst=0.3 p=2", "unknown config key 'quadrature'"),
         ],
     )
     def test_config_file_rejections(self, tmp_path, content, match):
@@ -276,6 +279,22 @@ class TestMainErrors:
             ["pvar", "--process", "sq", "--hurst", "0.3", "--p", "2", "--t", "0.001",
              "--n", "256"],
             ["scaling-check", "--hurst", "0.4", "--n", "32,64", "--replicas", "5"],
+            # a p that is not finite, at every regime, forced or not
+            ["limit-check", "--process", "sq", "--hurst", "0.25", "--p", "inf", "--n", "64",
+             "--replicas", "5"],
+            ["pvar", "--process", "sq", "--hurst", "0.15", "--p", "inf", "--n", "64"],
+            ["limit-check", "--process", "sq", "--hurst", "0.4", "--p", "inf", "--n", "64",
+             "--replicas", "5"],
+            ["limit-check", "--process", "sq", "--hurst", "0.15", "--p", "nan", "--force"],
+            ["constants", "--p", "inf", "--hurst", "0.3"],
+            ["constants", "--p", "nan", "--hurst", "0.3"],
+            # custom-rde inputs that are not finite
+            ["pvar", "--process", "custom-rde", "--y0", "nan", "--hurst", "0.3", "--p", "2",
+             "--n", "64"],
+            ["pvar", "--process", "custom-rde", "--field-coeffs", "0,nan", "--hurst", "0.3",
+             "--p", "2", "--n", "64"],
+            ["pvar", "--process", "custom-rde", "--drift-coeffs", "inf", "--hurst", "0.3",
+             "--p", "2", "--n", "64"],
         ],
     )
     def test_refused_config_writes_nothing(self, tmp_path, argv):
@@ -671,7 +690,6 @@ _VALUES = {
     "replicas": st.integers(1, 500),
     "t": st.floats(0.01, 1.0),
     "fine_factor": st.one_of(st.just("auto"), st.integers(1, 32)),
-    "quadrature": st.sampled_from(["trapezoid", "midpoint"]),
     "force": st.booleans(),
     "id": st.one_of(st.just(""), st.from_regex(r"[a-z][a-z0-9_-]{0,11}", fullmatch=True)),
     "ks_threshold": st.one_of(st.just("auto"), _FRACTION),
@@ -680,7 +698,7 @@ _VALUES = {
     "rank": st.integers(1, 4),
     "delta": st.lists(st.floats(0.01, 0.5), min_size=2, max_size=4, unique=True),
     "start": st.floats(0.0, 0.5),
-    "method": st.sampled_from(["auto", "circulant-embedding", "cholesky"]),
+    "method": st.sampled_from(["auto", "cholesky"]),
     "hermite_terms": st.integers(1, 60),
     "lag_cutoff": st.integers(1, 10**6),
     "process": st.sampled_from(PROCESS_TAGS),

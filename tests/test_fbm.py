@@ -243,13 +243,13 @@ def test_cholesky_refuses_n_above_4096():
     assert FbmSpec(hurst=0.3, n=4096, method="cholesky").n == 4096
     with pytest.raises(ValueError, match="n <= 4096"):
         FbmSpec(hurst=0.3, n=4097, method="cholesky")
-    assert FbmSpec(hurst=0.3, n=4097, method="circulant-embedding").n == 4097
+    assert FbmSpec(hurst=0.3, n=4097, method="auto").n == 4097
 
 
 def test_cholesky_and_circulant_agree_in_law():
     hurst, n, replicas = 0.3, 32, 10**4
     var_by_method = {}
-    for method in ("cholesky", "circulant-embedding"):
+    for method in ("cholesky", "auto"):
         spec = FbmSpec(hurst=hurst, n=n, seed=99, method=method)
         rng = rng_for_spec(spec)
         ends = [sample_fbm(spec, rng).values[-1] for _ in range(replicas)]
@@ -259,7 +259,7 @@ def test_cholesky_and_circulant_agree_in_law():
         assert abs(var - 1.0) < 4 * se, f"{method}: terminal var {var:.4f}"
 
 
-@pytest.mark.parametrize("method", ["auto", "circulant-embedding"])
+@pytest.mark.parametrize("method", ["auto"])
 def test_indefinite_embedding_raises(monkeypatch, method):
     # No Cholesky fallback: an indefinite embedding is an error under auto.
     monkeypatch.setattr(fbm, "_circulant_eigenvalues", lambda n, hurst: None)
@@ -267,7 +267,7 @@ def test_indefinite_embedding_raises(monkeypatch, method):
         sample_fbm(FbmSpec(hurst=0.3, n=32, method=method))
 
 
-@pytest.mark.parametrize("method", ["auto", "circulant-embedding"])
+@pytest.mark.parametrize("method", ["auto"])
 def test_indefinite_embedding_raises_after_a_cached_draw(monkeypatch, method):
     # A draw at (32, 0.3) fills the spectrum cache first; the replaced
     # eigenvalue function must still take effect, on every call.

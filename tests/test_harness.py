@@ -10,7 +10,8 @@ Covers:
    a p below 2 refused where the drift enters, even when forced.
 4. Replica path construction: determinism, stream separation, fine wiring.
 5. Row collection: ordering, determinism, serial/parallel bit equality,
-   per-regime column arithmetic, and replica independence.
+   per-regime column arithmetic, replica independence, and the pinned bits
+   of one row per regime and process.
 6. The summary/rate error metrics and the log-log slope fit on synthetic
    rows with hand-computed medians; the metrics' median against np.median
    bit for bit.
@@ -62,6 +63,7 @@ from roughpvar.harness import (
     _log_slope,
     _median,
     _median_errors,
+    _replica_row,
     _scaling_fit,
     log_log_csv,
     replica_rng,
@@ -221,7 +223,7 @@ class TestExperimentConfig:
             ({"master_seed": -1}, "master_seed"),
             ({"hurst": 0.8}, "covers hurst"),
             ({"p": 0.5}, "p must be >= 1"),
-            ({"quadrature": "simpson"}, "unknown quadrature"),
+            ({"p": math.inf}, "finite"),
             ({"fine_factor": 0}, "fine_factor must be >= 1"),
             ({"process_params": {"ell": 1}}, "at least two levels"),
             ({"p": 2.5}, "force=True"),
@@ -231,6 +233,12 @@ class TestExperimentConfig:
             ({"median_tol": math.nan}, "median_tol"),
             # t below one cell at every resolution: every statistic would be 0
             ({"t": 0.001, "n_grid": (256, 512)}, r"no whole grid cell at n=\[256, 512\]"),
+            # NaN passes a plain p < 1 test, so force must not let it through
+            ({"p": math.nan, "force": True}, "finite"),
+            ({"process": "custom-rde", "process_params": {"y0": math.nan}}, "y0 must be finite"),
+            ({"process": "custom-rde", "process_params": {"field_coeffs": (0.0, math.inf)}},
+             "field_coeffs must be finite"),
+            ({"process": "sq", "process_params": {"y0": 1.0}}, "unknown parameters"),
         ],
     )
     def test_validation_errors(self, overrides, match):
@@ -404,6 +412,41 @@ class TestCollectRows:
             assert math.isnan(cond), "degenerate rows have no conditional scale"
             assert drift == pytest.approx(-0.25, rel=1e-12), "sq drift at p = 2 is -t/4"
             assert z == pytest.approx(n ** 0.3 * stat - drift, rel=1e-12)
+
+    # Replica 0 at n = 64 and master seed 0, one row per regime and process;
+    # each value's float.hex(). Only a change that is meant to move the
+    # numbers may change these.
+    @pytest.mark.parametrize(
+        "process, hurst, p, fine_factor, columns",
+        [
+            ("fbm", 0.4, 2.0, None,
+             ["0x1.a083ccd571868p-3", "0x0.0p+0", "0x1.70fef4a7d0bd6p+0",
+              "0x1.20f7a901960b1p+0"]),
+            ("sq", 0.25, 2.0, None,
+             ["0x1.8a9d3351d3340p-5", "-0x1.0000000000000p-2", "0x1.11e870c307af8p+0",
+              "0x1.3009e2b931a00p-1"]),
+            ("sq", 0.25, 4.0, None,
+             ["-0x1.4b7ff4e11a1c0p-5", "-0x1.2ca10c6a6ad8dp+1", "0x1.400e15ba4e109p+3",
+              "0x1.9ea2a2d20c934p-3"]),
+            ("cube", 0.25, 2.0, None,
+             ["-0x1.c951d45abeea8p-7", "-0x1.0b39d225b44eep-3", "0x1.782b117fc23a3p-2",
+              "0x1.a3ef8eb0ec3a7p-5"]),
+            ("sq", 0.15, 2.0, None,
+             ["-0x1.8239859b723ccp-4", "-0x1.0000000000000p-2", "nan",
+              "-0x1.40e999cad9d8cp-4"]),
+            ("exp-rde", 0.15, 2.0, 4,
+             ["-0x1.4eb1b3a9c5c18p+1", "-0x1.d488f8b3c4295p+0", "nan",
+              "-0x1.d19a43c1c131fp+2"]),
+        ],
+    )
+    def test_pinned_row_bits(self, process, hurst, p, fine_factor, columns):
+        cfg = ExperimentConfig(
+            hurst=hurst, p=p, process=process, n_grid=(64,), replicas=1,
+            fine_factor=fine_factor,
+        )
+        row = _replica_row(cfg, 64, 0)
+        want = ["0x1.0000000000000p+6", "0x0.0p+0", *columns]  # n, replica
+        assert [value.hex() for value in row] == want
 
     def test_replica_statistics_uncorrelated(self):
         # Lag-1 sample autocorrelation of an iid sequence of length M has

@@ -26,9 +26,12 @@ refused configs (NaN or negative gates and windows among them),
 stderr, ``constants`` at lag cutoffs whose pairwise lag-sum trees have
 several leaves and odd splits (100,003 and 65,537), and a critical
 ``limit-check`` at p = 4 (the drift's third level and σ² past q = 1), a
-``custom-rde`` solve from y0 = 2 (stored levels that start away from 0), and
+``custom-rde`` solve from y0 = 2 (stored levels that start away from 0),
 the refusals of a t below one grid cell and of a scaling window that holds
-no increment. It takes about 20 s on two cores and is not part of the test
+no increment, the refusals of a p that is not finite (in every regime, forced,
+and in ``constants``) and of ``custom-rde`` inputs that are not finite, and
+a run that passes the removed ``--quadrature`` flag (refused by the argument
+parser). It takes about 25 s on two cores and is not part of the test
 suite.
 """
 
@@ -115,6 +118,24 @@ RUNS = (
                                 "--t", "0.001", "--n", "256,512", "--replicas", "20"]),
     ("refused-empty-window", ["scaling-check", "--hurst", "0.4", "--n", "32,64",
                               "--replicas", "5"]),
+    ("refused-p-inf-critical", ["limit-check", "--process", "sq", "--hurst", "0.25",
+                                "--p", "inf", "--n", "64", "--replicas", "5"]),
+    ("refused-p-inf-pvar", ["pvar", "--process", "sq", "--hurst", "0.15", "--p", "inf",
+                            "--n", "64"]),
+    ("refused-p-inf-mixed", ["limit-check", "--process", "sq", "--hurst", "0.4",
+                             "--p", "inf", "--n", "64", "--replicas", "5"]),
+    ("refused-p-nan-forced", ["limit-check", "--process", "sq", "--hurst", "0.15",
+                              "--p", "nan", "--force"]),
+    ("refused-constants-p-inf", ["constants", "--p", "inf", "--hurst", "0.3"]),
+    ("refused-constants-p-nan", ["constants", "--p", "nan", "--hurst", "0.3"]),
+    ("refused-y0-nan", ["pvar", "--process", "custom-rde", "--y0", "nan", "--hurst", "0.3",
+                        "--p", "2", "--n", "64"]),
+    ("refused-field-nan", ["pvar", "--process", "custom-rde", "--field-coeffs", "0,nan",
+                           "--hurst", "0.3", "--p", "2", "--n", "64"]),
+    ("refused-drift-inf", ["pvar", "--process", "custom-rde", "--drift-coeffs", "inf",
+                           "--hurst", "0.3", "--p", "2", "--n", "64"]),
+    ("quadrature-flag", ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "256,512",
+                         "--replicas", "100", "--seed", "11", "--quadrature", "trapezoid"]),
 )
 
 _SOURCE_LINE = re.compile(rb"(<checkout>/\S+\.py):\d+:")
