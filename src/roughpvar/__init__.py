@@ -13,9 +13,7 @@ from .fbm import (
     sample_fbm,
 )
 from .hermite import (
-    AbsPowerFamily,
     TruncationSpec,
-    abs_power_hermite_coeff,
     asymptotic_variance,
     gaussian_abs_moment,
     hermite,

@@ -226,8 +226,9 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def _parallel_starmap(fn: Callable, tasks: list[tuple], workers: int | None) -> list:
-    count = resolve_workers(workers)
-    if count == 1 or len(tasks) <= 1:
+    # A pool starts all its workers at once, so never more than there are tasks.
+    count = min(resolve_workers(workers), len(tasks))
+    if count <= 1:
         return [fn(*task) for task in tasks]
     # A serial run never loads the pool's modules (multiprocessing and the
     # socket, subprocess and logging machinery under it).

@@ -1,10 +1,11 @@
 """Hermite-expansion constants for absolute-power functionals of Gaussians.
 
 Everything here is deterministic scalar machinery: probabilists' Hermite
-polynomials, absolute moments of the standard normal, the even Hermite
-coefficients of ``|x|**p``, the asymptotic variance of centered power
-variation over correlated Gaussian increments, and the derivative family of
-``|x|**p``.
+polynomials, absolute moments of the standard normal, the weights
+``(2q)! c_q**2`` that the even Hermite coefficients ``c_q`` of ``|x|**p``
+give the asymptotic variance, that variance over correlated Gaussian
+increments, and a Gauss-Hermite projection that tests check the weights
+against.
 
 The standard normal CDF ``ndtr`` and Gamma up to 33 are pure-Python ports of
 the Cephes code that ``scipy.special`` runs (Moshier, *Methods and Programs
@@ -23,7 +24,6 @@ import numpy as np
 
 from .fbm import fill_fgn_autocovariance
 
-_INTEGER_TOL = 1e-12
 # Lags per leaf of the σ² lag sums: two 64 KB arrays, each under glibc's
 # default 128 KiB mmap threshold.
 _SUM_LEAF = 2**13
@@ -144,27 +144,25 @@ def gaussian_abs_moment(p: float) -> float:
     return 2.0 ** (p / 2.0) * gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
-def abs_power_hermite_coeff(p: float, q: int) -> float:
-    """Hermite coefficient of ``|x|**p`` at even degree ``2q``.
+def variance_weights(p: float, terms: int) -> list[float]:
+    """The weights ``(2q)! c_q**2`` of the asymptotic variance, q = 1..terms.
 
-    The expansion of ``|x|**p`` over probabilists' Hermite polynomials has
-    only even terms; this evaluates the closed form
-
-        coeff = E|N|**p * p (p-2) (p-4) ... (p - 2q + 2) / (2q)!
-
-    which equals the projection E[|N|**p He_{2q}(N)] / (2q)! but, unlike the
-    alternating-sum expression for that projection, does not cancel, so it
-    stays accurate for large q. For even integer p the product hits an exact
-    zero once 2q exceeds p, matching the finite polynomial expansion.
+    ``c_q`` is the Hermite coefficient of ``|x|**p`` at degree ``2q``,
+    ``E|N|**p * p (p-2) ... (p-2q+2) / (2q)!``, so a weight is
+    ``(E|N|**p)**2 * (prod_{i<q} (p - 2i))**2 / (2q)!``, built iteratively
+    so that neither factor overflows on its own. For even integer p the
+    list ends before the first zero weight, after q = p / 2.
     """
-    if q < 0:
-        raise ValueError("coefficient index must be nonnegative")
-    if q == 0:
-        return gaussian_abs_moment(p)
-    coeff = gaussian_abs_moment(p)
-    for i in range(q):
-        coeff *= p - 2.0 * i
-    return coeff / math.factorial(2 * q)
+    weights = []
+    weight = gaussian_abs_moment(p) ** 2
+    for q in range(1, terms + 1):
+        weight *= (p - 2.0 * (q - 1)) ** 2
+        weight /= (2.0 * q - 1.0) * (2.0 * q)
+        if weight == 0.0:
+            # Even p: the series has ended, and a zero term adds nothing.
+            break
+        weights.append(weight)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -234,17 +232,7 @@ def validate_variance_domain(p: float, hurst: float) -> None:
 @lru_cache(maxsize=128)
 def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int) -> float:
     validate_variance_domain(p, hurst)
-    # (2q)! coeff_q^2 = moment^2 * (prod_{i<q} (p - 2i))^2 / (2q)!; built
-    # iteratively so neither factor overflows on its own.
-    weights = []
-    weight = gaussian_abs_moment(p) ** 2
-    for q in range(1, terms + 1):
-        weight *= (p - 2.0 * (q - 1)) ** 2
-        weight /= (2.0 * q - 1.0) * (2.0 * q)
-        if weight == 0.0:
-            # Even p: the series has ended, and a zero term adds nothing.
-            break
-        weights.append(weight)
+    weights = variance_weights(p, terms)
 
     def leaf_sums(start: int, n: int) -> np.ndarray:
         # sum_k rho(k)^(2q) over the lags 1 + start, ..., start + n for each
@@ -323,21 +311,17 @@ def _lag_tail_estimate(hurst: float, q: int, cutoff: int) -> float:
     return 2.0 * amp ** (2 * q) * cutoff ** (-decay) / decay
 
 
-def hermite_coeffs_numeric(f, order: int, nodes: int | None = None) -> np.ndarray:
+def hermite_coeffs_numeric(f, order: int) -> np.ndarray:
     """Hermite coefficients of ``f`` against N(0,1) by Gauss-Hermite quadrature.
 
-    Returns ``E[f(N) He_q(N)] / q!`` for q = 0..order. This is the
-    independent projection route used to cross-check the closed forms; it
-    makes no assumption about the parity or smoothness of ``f`` beyond
-    integrability. The node count defaults to max(160, 4 * order); passing
-    fewer than 4 * order nodes is rejected.
+    Returns ``E[f(N) He_q(N)] / q!`` for q = 0..order, on max(160, 4 * order)
+    nodes. This is the independent projection route that tests check
+    :func:`variance_weights` against; it makes no assumption about the
+    parity or smoothness of ``f`` beyond integrability.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if nodes is None:
-        nodes = max(160, 4 * order)
-    if nodes < 4 * order and order > 0:
-        raise ValueError(f"need at least {4 * order} quadrature nodes, got {nodes}")
+    nodes = max(160, 4 * order)
     # Imported here, its only user, so a run that never asks for the
     # quadrature does not load numpy.polynomial.
     from numpy.polynomial.hermite import hermgauss
@@ -352,58 +336,3 @@ def hermite_coeffs_numeric(f, order: int, nodes: int | None = None) -> np.ndarra
     for q in range(order + 1):
         out[q] = float(np.sum(weights * fu * hermite(q, u))) / math.factorial(q)
     return out
-
-
-@dataclass(frozen=True)
-class AbsPowerFamily:
-    """Derivative family of ``|x|**p``.
-
-    For even integer p the function is the plain polynomial ``x**p`` and every
-    derivative order is defined (identically zero beyond order p). For other
-    p only orders up to floor(p) stay locally bounded and higher orders are
-    rejected. For odd integer p the order-p derivative at 0 is taken to be 0
-    (the convention ``sign(0) = 0``), the symmetric choice for the jump
-    there; callers integrate the family against densities, where the single
-    point carries no mass.
-    """
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if self.p < 1.0:
-            raise ValueError(f"absolute-power family requires p >= 1, got {self.p}")
-
-    @property
-    def is_even_integer(self) -> bool:
-        return _is_integer(self.p) and int(round(self.p)) % 2 == 0
-
-    def eval(self, j: int, x):
-        if j < 0:
-            raise ValueError("derivative order must be nonnegative")
-        if not self.is_even_integer and j > math.floor(self.p):
-            raise ValueError(
-                f"derivative order {j} exceeds floor(p) = {math.floor(self.p)} "
-                f"for non-even p = {self.p}"
-            )
-        x_arr = np.asarray(x, dtype=float)
-        k_j = _falling_factorial(self.p, j)
-        if self.is_even_integer:
-            p_int = int(round(self.p))
-            if j > p_int:
-                out = np.zeros_like(x_arr)
-            else:
-                out = k_j * x_arr ** (p_int - j)
-        else:
-            out = k_j * np.abs(x_arr) ** (self.p - j) * np.sign(x_arr) ** j
-        return float(out) if x_arr.ndim == 0 else out
-
-
-def _falling_factorial(p: float, j: int) -> float:
-    out = 1.0
-    for m in range(j):
-        out *= p - m
-    return out
-
-
-def _is_integer(p: float) -> bool:
-    return abs(p - round(p)) < _INTEGER_TOL

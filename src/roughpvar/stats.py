@@ -9,7 +9,9 @@ whose fluctuations obey a three-regime limit theorem in the Hurst index:
 mixed Gaussian above 1/4, mixed Gaussian plus a deterministic-variance drift
 at 1/4, and a pure probability-limit drift below 1/4. The drift and
 conditional standard deviation functionals are quadratures of derivative
-levels over the fine grid carried by the controlled path.
+levels over the fine grid carried by the controlled path; the drift reads
+the first two derivatives of ``phi = |.|**p``, and the conditional standard
+deviation the asymptotic variance from :mod:`roughpvar.hermite`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .controlled import ControlledPath
 from .fbm import FbmPath
-from .hermite import AbsPowerFamily, asymptotic_variance, gaussian_abs_moment
+from .hermite import asymptotic_variance, gaussian_abs_moment
 
 REGIME_MIXED = "mixed-gaussian"
 REGIME_CRITICAL = "critical"
@@ -137,6 +139,26 @@ def pvar_statistic(cp: ControlledPath, cfg: StatConfig) -> float:
     return sum_part - gaussian_abs_moment(cfg.p) * compensator
 
 
+def _abs_power_derivatives(p: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi'(y) and phi''(y) for phi = |.|**p, p >= 2.
+
+    For even integer p, phi is the polynomial y**p. Otherwise phi'' carries
+    sign(y)**2, which is 0 at y = 0 where |y|**(p - 2) is too; below p = 2
+    phi'' is unbounded at 0, and such a p is refused.
+    """
+    # written so that a NaN p fails it
+    if not 2.0 <= p < math.inf:
+        raise ValueError(f"the drift needs phi'' of |y|**p: p must be >= 2 and finite, got {p}")
+    if p % 2.0 == 0.0:
+        p_int = int(p)
+        return p * y ** (p_int - 1), p * (p - 1.0) * y ** (p_int - 2)
+    sign = np.sign(y)
+    return (
+        p * np.abs(y) ** (p - 1.0) * sign,
+        p * (p - 1.0) * np.abs(y) ** (p - 2.0) * sign**2,
+    )
+
+
 def limit_drift(cp: ControlledPath, p: float, t: float = 1.0) -> float:
     """Drift functional of the critical and degenerate regimes.
 
@@ -168,10 +190,10 @@ def limit_drift(cp: ControlledPath, p: float, t: float = 1.0) -> float:
     yp = np.broadcast_to(level_or_zero(1), mf + 1)
     ypp = level_or_zero(2)
     yppp = level_or_zero(3)
-    family = AbsPowerFamily(p)
+    dphi, d2phi = _abs_power_derivatives(p, yp)
     moment = gaussian_abs_moment(p)
-    first = integrate_grid(family.eval(2, yp) * ypp**2, step)
-    second = integrate_grid(family.eval(1, yp) * yppp, step)
+    first = integrate_grid(d2phi * ypp**2, step)
+    second = integrate_grid(dphi * yppp, step)
     return -moment / 8.0 * first + (p - 2.0) * moment / 24.0 * second
 
 

@@ -4,9 +4,10 @@ One test per acceptance criterion, each printing a single
 ``criterion N: PASS/FAIL`` line before its assertions, so a verbose run
 doubles as an acceptance report. Covered:
 
-  1. Closed-form constants: absolute Gaussian moments, Hermite expansion
-     coefficients of |u|**p against a Gauss-Hermite quadrature oracle, and
-     the limit variance at the independent-increment point.
+  1. Closed-form constants: absolute Gaussian moments, the limit variance
+     at the independent-increment point, and the weights (2q)! c_q**2 that
+     the limit variance sums, against (2q)! c_q**2 from a Gauss-Hermite
+     quadrature oracle (even p) and an adaptive-quadrature oracle (p = 3).
   2. The three-point remainder decomposition of controlled paths holds to
      machine precision on random time triples for the registry processes.
   3. Construction oracles: the compensated integral of x dx reproduces
@@ -40,9 +41,11 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
+import scipy.integrate
 from scipy.stats import norm
 
 import roughpvar
@@ -54,12 +57,12 @@ from roughpvar import (
     FunctionFamily,
     RateFitConfig,
     ScalingConfig,
-    abs_power_hermite_coeff,
     asymptotic_variance,
     build_controlled_process,
     build_replica_path,
     collect_rows,
     gaussian_abs_moment,
+    hermite,
     hermite_coeffs_numeric,
     ks_statistic,
     rate_fit,
@@ -73,6 +76,7 @@ from roughpvar import (
     subsample_controlled,
     weighted_increment_sum,
 )
+from roughpvar.hermite import variance_weights
 
 MASTER_SEED = 2024
 
@@ -100,17 +104,42 @@ def test_criterion_01_closed_form_constants():
         "abs moment p=2": abs(gaussian_abs_moment(2.0) - 1.0) <= 1e-12,
         "abs moment p=4": abs(gaussian_abs_moment(4.0) - 3.0) <= 1e-12 * 3.0,
         "variance at independence": abs(asymptotic_variance(2.0, 0.5) - 2.0) <= 1e-8,
-        "coeff p=2 q=1": abs(abs_power_hermite_coeff(2.0, 1) - 1.0) <= 1e-10,
-        "coeff p=2 q=2": abs(abs_power_hermite_coeff(2.0, 2)) <= 1e-10,
     }
-    # independent quadrature route: Gauss-Hermite is exact on polynomials,
-    # so even integer powers admit a tight dual-route bound
+    # the weights (2q)! c_q^2 that the limit variance sums, against an
+    # independent quadrature route. Gauss-Hermite is exact on polynomials,
+    # so even powers admit a tight bound: each weight within 1e-10 relative,
+    # and past the series' end (q > p / 2) the coefficient within 1e-10 of 0
     for p in (2.0, 4.0):
         numeric = hermite_coeffs_numeric(lambda u, p=p: np.abs(u) ** p, 8)
+        weights = variance_weights(p, 4)
         for q in (1, 2, 3, 4):
-            closed = abs_power_hermite_coeff(p, q)
-            err = abs(numeric[2 * q] - closed)
-            checks[f"quadrature p={p} q={q}"] = err <= 1e-10 * max(1.0, abs(closed))
+            if q <= p / 2.0:
+                oracle = math.factorial(2 * q) * numeric[2 * q] ** 2
+                good = q <= len(weights) and abs(weights[q - 1] - oracle) <= 1e-10 * oracle
+            else:
+                good = q > len(weights) and abs(numeric[2 * q]) <= 1e-10
+            checks[f"weight p={p} q={q}"] = good
+    # p = 3 has a kink at 0, so its oracle is adaptive quadrature on the
+    # half line: |c_q| from the weight within 1e-8 relative (1e-12 absolute)
+    # of the quadrature's, whose error bound must be below 1e-10
+    weights = variance_weights(3.0, 4)
+    for q in (1, 2, 3, 4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+            val, err = scipy.integrate.quad(
+                lambda x, q=q: 2.0 * x**3 * hermite(2 * q, x) * math.exp(-0.5 * x * x)
+                / math.sqrt(2.0 * math.pi),
+                0.0,
+                np.inf,
+                epsabs=1e-13,
+                epsrel=1e-13,
+            )
+        oracle = abs(val) / math.factorial(2 * q)
+        coeff = math.sqrt(weights[q - 1] / math.factorial(2 * q))
+        checks[f"weight p=3.0 q={q}"] = (
+            err / math.factorial(2 * q) < 1e-10
+            and abs(coeff - oracle) <= max(1e-8 * oracle, 1e-12)
+        )
     ok = all(checks.values())
     _report(1, ok, f"{sum(checks.values())}/{len(checks)} constant identities")
     failed = [name for name, good in checks.items() if not good]

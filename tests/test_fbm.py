@@ -259,19 +259,17 @@ def test_cholesky_and_circulant_agree_in_law():
         assert abs(var - 1.0) < 4 * se, f"{method}: terminal var {var:.4f}"
 
 
-@pytest.mark.parametrize("method", ["auto"])
-def test_indefinite_embedding_raises(monkeypatch, method):
+def test_indefinite_embedding_raises(monkeypatch):
     # No Cholesky fallback: an indefinite embedding is an error under auto.
     monkeypatch.setattr(fbm, "_circulant_eigenvalues", lambda n, hurst: None)
     with pytest.raises(RuntimeError, match="not nonnegative definite"):
-        sample_fbm(FbmSpec(hurst=0.3, n=32, method=method))
+        sample_fbm(FbmSpec(hurst=0.3, n=32, method="auto"))
 
 
-@pytest.mark.parametrize("method", ["auto"])
-def test_indefinite_embedding_raises_after_a_cached_draw(monkeypatch, method):
+def test_indefinite_embedding_raises_after_a_cached_draw(monkeypatch):
     # A draw at (32, 0.3) fills the spectrum cache first; the replaced
     # eigenvalue function must still take effect, on every call.
-    spec = FbmSpec(hurst=0.3, n=32, method=method)
+    spec = FbmSpec(hurst=0.3, n=32, method="auto")
     sample_fbm(spec)
     monkeypatch.setattr(fbm, "_circulant_eigenvalues", lambda n, hurst: None)
     for _ in range(2):

@@ -9,8 +9,8 @@ Covers:
 3. ExperimentConfig validation, resolved defaults, and identifier format;
    a p below 2 refused where the drift enters, even when forced.
 4. Replica path construction: determinism, stream separation, fine wiring.
-5. Row collection: ordering, determinism, serial/parallel bit equality,
-   per-regime column arithmetic, replica independence, and the pinned bits
+5. Row collection: ordering, determinism, serial/parallel bit equality, a
+   pool no larger than the task count, per-regime column arithmetic, replica independence, and the pinned bits
    of one row per regime and process.
 6. The summary/rate error metrics and the log-log slope fit on synthetic
    rows with hand-computed medians; the metrics' median against np.median
@@ -25,6 +25,7 @@ Covers:
     the coarse driver the windowed sums read.
 """
 
+import concurrent.futures
 import dataclasses
 import math
 from functools import lru_cache
@@ -367,6 +368,33 @@ class TestCollectRows:
         serial = collect_rows(cfg, workers=1)
         monkeypatch.setenv(WORKERS_ENV, "2")
         assert np.array_equal(serial, collect_rows(cfg))
+
+    def test_pool_size_is_capped_at_the_task_count(self, monkeypatch):
+        # A pool forks all its workers up front, so it must ask for no more
+        # than there are tasks. The stand-in records the size it was asked
+        # for and maps serially, so no process starts.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        for n_grid, replicas, workers, size in (((64,), 3, 64, 3), ((64, 128), 80, 2, 2)):
+            cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=n_grid, replicas=replicas)
+            rows = collect_rows(cfg, workers=workers)
+            assert sizes.pop() == size
+            assert np.array_equal(rows, collect_rows(cfg, workers=1))
+        assert sizes == []
 
     def test_invalid_worker_count_rejected(self):
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=2)

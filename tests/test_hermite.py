@@ -5,15 +5,17 @@ Covers:
   2. Gaussian absolute moments: exact small cases, the p -> p+2 recurrence,
      and a quadrature cross-check; the in-package ports of scipy's ``ndtr``
      and Gamma, and the moments built on them, bit for bit against scipy.
-  3. Expansion coefficients of |x|^p: closed product form vs the literal
-     alternating projection sum and vs Gauss-Hermite quadrature.
+  3. The weights (2q)! c_q^2 that the asymptotic variance sums, from the
+     even Hermite coefficients c_q of |x|^p: against the literal
+     alternating projection sum, Gauss-Hermite quadrature for even p and
+     adaptive quadrature for kinked powers.
   4. The asymptotic variance series: independent-increment exact values,
      a hand-built lag-sum oracle for p = 2, a closed-form oracle for other
      p through 2F1, frozen bits at and away from the default cutoff, the
      memory bound of one evaluation, domain errors, and the truncation-tail
      warning, whose estimate covers the Hermite mass the series drops; the
      leaf-by-leaf lag sum against ``np.sum``, bit for bit.
-  5. The absolute-power derivative family.
+  5. The first two derivatives of |x|^p that the drift reads.
 """
 
 import hashlib
@@ -30,9 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughpvar import (
-    AbsPowerFamily,
     TruncationSpec,
-    abs_power_hermite_coeff,
     asymptotic_variance,
     gaussian_abs_moment,
     hermite,
@@ -45,7 +45,9 @@ from roughpvar.hermite import (
     _pairwise_sum,
     gamma,
     ndtr,
+    variance_weights,
 )
+from roughpvar.stats import _abs_power_derivatives
 
 
 # ---------------------------------------------------------------------------
@@ -188,40 +190,51 @@ def _coeff_by_alternating_sum(p, q):
     return total
 
 
+def _coeff_from_weight(weights, q):
+    # |c_q| from the weight (2q)! c_q^2, and 0 once the list has ended
+    if q > len(weights):
+        return 0.0
+    return math.sqrt(weights[q - 1] / math.factorial(2 * q))
+
+
 def test_coeff_known_values():
-    # |x|^2 = He_2(x) + 1: unit coefficients at degrees 0 and 2, nothing above
-    assert abs_power_hermite_coeff(2.0, 0) == pytest.approx(1.0, rel=1e-14)
-    assert abs_power_hermite_coeff(2.0, 1) == pytest.approx(1.0, rel=1e-14)
-    assert abs_power_hermite_coeff(2.0, 2) == 0.0
-    assert abs_power_hermite_coeff(2.0, 7) == 0.0
-    # |x|^3 at degree 2: 3/2 * E|N|^3 = 3 E|N|
-    assert abs_power_hermite_coeff(3.0, 1) == pytest.approx(
-        3.0 * gaussian_abs_moment(1.0), rel=1e-13
-    )
-    # x^4 = He_4 + 6 He_2 + 3
-    assert abs_power_hermite_coeff(4.0, 0) == pytest.approx(3.0, rel=1e-14)
-    assert abs_power_hermite_coeff(4.0, 1) == pytest.approx(6.0, rel=1e-14)
-    assert abs_power_hermite_coeff(4.0, 2) == pytest.approx(1.0, rel=1e-14)
-    assert abs_power_hermite_coeff(4.0, 3) == 0.0
+    # |x|^2 = He_2(x) + 1: the weight 2! * 1^2 at q = 1, nothing above
+    assert variance_weights(2.0, 40) == [pytest.approx(2.0, rel=1e-14)]
+    # |x|^3 at degree 2: c_1 = 3/2 * E|N|^3 = 3 E|N| = 3 sqrt(2 / pi)
+    assert variance_weights(3.0, 1) == [pytest.approx(2.0 * 9.0 * 2.0 / math.pi, rel=1e-13)]
+    # x^4 = He_4 + 6 He_2 + 3: 2! * 6^2 and 4! * 1^2, nothing above
+    assert variance_weights(4.0, 40) == [
+        pytest.approx(72.0, rel=1e-14),
+        pytest.approx(24.0, rel=1e-14),
+    ]
+    assert len(variance_weights(2.5, 40)) == 40
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
 def test_coeff_product_form_vs_alternating_sum(p):
     # the alternating route cancels, so its exact zeros come out as roundoff
-    # dust; compare with an absolute floor at that scale
-    for q in range(9):
-        lit = _coeff_by_alternating_sum(p, q)
-        got = abs_power_hermite_coeff(p, q)
+    # dust; compare |c_q| with an absolute floor at that scale
+    weights = variance_weights(p, 8)
+    for q in range(1, 9):
+        lit = abs(_coeff_by_alternating_sum(p, q))
+        got = _coeff_from_weight(weights, q)
         assert got == pytest.approx(lit, rel=1e-8, abs=1e-13), (p, q, got, lit)
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_coeff_vs_gauss_hermite_for_polynomials(p):
-    # Gauss-Hermite is exact on polynomials, so even p admits a tight bound
+    # Gauss-Hermite is exact on polynomials, so even p admits a tight bound:
+    # each weight within 1e-10 relative of (2q)! c_q^2, and the coefficients
+    # past the list's end within 1e-10 of zero
     numeric = hermite_coeffs_numeric(lambda u: np.abs(u) ** p, 12)
-    for q in range(7):
-        closed = abs_power_hermite_coeff(p, q)
-        assert numeric[2 * q] == pytest.approx(closed, rel=1e-10, abs=1e-10), (p, q)
+    weights = variance_weights(p, 6)
+    assert len(weights) == int(p) // 2
+    for q in range(1, 7):
+        if q <= len(weights):
+            oracle = math.factorial(2 * q) * numeric[2 * q] ** 2
+            assert weights[q - 1] == pytest.approx(oracle, rel=1e-10), (p, q)
+        else:
+            assert abs(numeric[2 * q]) <= 1e-10, (p, q)
     odd = np.max(np.abs(numeric[1::2]))
     assert odd < 1e-10, f"odd coefficients of an even function: {odd:.2e}"
 
@@ -232,35 +245,33 @@ def test_coeff_vs_adaptive_quadrature_for_kinked_powers(p):
     # adaptive quadrature on the half line (integrands are even); quad may
     # flag roundoff while refining the oscillatory high-degree integrands,
     # and the achieved error bound is asserted on below regardless
-    for q in range(5):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-            val, err = scipy.integrate.quad(
-                lambda x: 2.0
-                * x**p
-                * hermite(2 * q, x)
-                * math.exp(-0.5 * x * x)
-                / math.sqrt(2.0 * math.pi),
-                0.0,
-                np.inf,
-                epsabs=1e-13,
-                epsrel=1e-13,
-            )
-        oracle = val / math.factorial(2 * q)
-        assert err / math.factorial(2 * q) < 1e-10
-        closed = abs_power_hermite_coeff(p, q)
-        assert closed == pytest.approx(oracle, rel=1e-8, abs=1e-12), (p, q)
+    weights = variance_weights(p, 4)
+    for q in range(1, 5):
+        oracle, err = _coeff_by_adaptive_quadrature(p, q)
+        assert err < 1e-10
+        got = _coeff_from_weight(weights, q)
+        assert got == pytest.approx(abs(oracle), rel=1e-8, abs=1e-12), (p, q)
+
+
+def _coeff_by_adaptive_quadrature(p, q):
+    # E[|N|^p He_2q(N)] / (2q)! and its error bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        val, err = scipy.integrate.quad(
+            lambda x: 2.0 * x**p * hermite(2 * q, x) * math.exp(-0.5 * x * x)
+            / math.sqrt(2.0 * math.pi),
+            0.0,
+            np.inf,
+            epsabs=1e-13,
+            epsrel=1e-13,
+        )
+    return val / math.factorial(2 * q), err / math.factorial(2 * q)
 
 
 def test_coeffs_numeric_recovers_hermite_basis():
     numeric = hermite_coeffs_numeric(lambda u: hermite(3, u), 6)
     expected = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     assert np.allclose(numeric, expected, atol=1e-10), numeric
-
-
-def test_coeffs_numeric_node_validation():
-    with pytest.raises(ValueError):
-        hermite_coeffs_numeric(np.abs, 10, nodes=20)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +438,7 @@ class TestAsymptoticVariance:
         "p, hurst, terms", [(1.5, 0.35, 40), (2.5, 0.2, 4), (3.0, 0.1, 2), (5.5, 0.3, 3)]
     )
     def test_tail_estimate_covers_the_lag0_remainder(self, p, hurst, terms):
-        kept = sum(
-            math.factorial(2 * q) * abs_power_hermite_coeff(p, q) ** 2
-            for q in range(1, terms + 1)
-        )
+        kept = sum(variance_weights(p, terms))
         remainder = gaussian_abs_moment(2.0 * p) - gaussian_abs_moment(p) ** 2 - kept
         with pytest.warns(RuntimeWarning, match="truncation tail") as record:
             _asymptotic_variance_cached.__wrapped__(p, hurst, terms, 10**6)
@@ -492,44 +500,47 @@ def test_pairwise_sum_is_np_sum_bit_for_bit(n, seed, center, spread, specials, z
 
 
 # ---------------------------------------------------------------------------
-# absolute-power derivative family
+# the derivatives of |x|^p that the drift reads
 # ---------------------------------------------------------------------------
 
 
 class TestAbsPowerFamily:
-    """Derivatives of |x|^p used by the drift functionals."""
+    """phi' and phi'' of phi = |x|^p, from ``stats._abs_power_derivatives``."""
 
     def test_even_integer_cases(self):
-        fam = AbsPowerFamily(2.0)
-        assert fam.eval(0, -3.0) == pytest.approx(9.0, abs=0.0)
-        assert fam.eval(1, -3.0) == pytest.approx(-6.0, abs=0.0)
-        assert fam.eval(2, 0.0) == pytest.approx(2.0, abs=0.0)
-        assert fam.eval(3, 5.0) == 0.0
+        dphi, d2phi = _abs_power_derivatives(2.0, np.array([-3.0, 0.0, 5.0]))
+        assert dphi.tolist() == [-6.0, 0.0, 10.0]
+        assert d2phi.tolist() == [2.0, 2.0, 2.0]
+        dphi, d2phi = _abs_power_derivatives(4.0, np.array([-2.0, 0.0]))
+        assert dphi.tolist() == [-32.0, 0.0]
+        assert d2phi.tolist() == [48.0, 0.0]
 
     def test_odd_integer_sign_convention(self):
-        fam = AbsPowerFamily(3.0)
-        assert fam.eval(0, -2.0) == pytest.approx(8.0, abs=0.0)
-        assert fam.eval(1, -2.0) == pytest.approx(-12.0, abs=0.0)  # 3x|x|, x<0
-        assert fam.eval(3, 2.0) == pytest.approx(6.0, abs=0.0)
-        assert fam.eval(3, -2.0) == pytest.approx(-6.0, abs=0.0)
-        assert fam.eval(3, 0.0) == 0.0  # symmetric choice at the kink
+        dphi, d2phi = _abs_power_derivatives(3.0, np.array([-2.0, 0.0, 2.0]))
+        assert dphi.tolist() == [-12.0, 0.0, 12.0]  # 3x|x|
+        assert d2phi.tolist() == [12.0, 0.0, 12.0]  # 6|x|, 0 at the kink
 
     def test_fractional_order_limit(self):
-        fam = AbsPowerFamily(2.5)
-        assert fam.eval(2, 4.0) == pytest.approx(2.5 * 1.5 * 2.0, rel=1e-13)
-        with pytest.raises(ValueError):
-            fam.eval(3, 1.0)
+        dphi, d2phi = _abs_power_derivatives(2.5, np.array([-4.0, 0.0, 4.0]))
+        assert dphi == pytest.approx([-2.5 * 8.0, 0.0, 2.5 * 8.0], rel=1e-13)
+        assert d2phi[0] == pytest.approx(2.5 * 1.5 * 2.0, rel=1e-13)
+        assert d2phi[1] == 0.0
+        assert d2phi[2] == pytest.approx(2.5 * 1.5 * 2.0, rel=1e-13)
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
     def test_first_derivative_by_finite_differences(self, p):
-        fam = AbsPowerFamily(p)
         h = 1e-6
-        for x in (-1.7, -0.4, 0.9, 2.3):
-            fd = (fam.eval(0, x + h) - fam.eval(0, x - h)) / (2.0 * h)
-            assert fam.eval(1, x) == pytest.approx(fd, rel=1e-7), (p, x)
+        x = np.array([-1.7, -0.4, 0.9, 2.3])
+        dphi, d2phi = _abs_power_derivatives(p, x)
+        fd = (np.abs(x + h) ** p - np.abs(x - h) ** p) / (2.0 * h)
+        assert dphi == pytest.approx(fd, rel=1e-7), p
+        fd2 = (_abs_power_derivatives(p, x + h)[0] - _abs_power_derivatives(p, x - h)[0]) / (
+            2.0 * h
+        )
+        assert d2phi == pytest.approx(fd2, rel=1e-7), p
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            AbsPowerFamily(0.5)
-        with pytest.raises(ValueError):
-            AbsPowerFamily(2.0).eval(-1, 0.0)
+        # phi'' is unbounded at 0 below p = 2
+        for p in (1.0, 1.5, 1.99, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                _abs_power_derivatives(p, np.zeros(3))

@@ -25,13 +25,16 @@ refused configs (NaN or negative gates and windows among them),
 (Gamma past 33, computed by scipy) and with a truncation-tail warning on
 stderr, ``constants`` at lag cutoffs whose pairwise lag-sum trees have
 several leaves and odd splits (100,003 and 65,537), and a critical
-``limit-check`` at p = 4 (the drift's third level and σ² past q = 1), a
+``limit-check`` at p = 4 (the drift's third level and σ² past q = 1), the
+same for ``cube``, whose third level is not 0, a forced degenerate ``sq``
+run at p = 2.5 (the drift's phi' and phi'' off the even-integer branch), a
+two-task ``limit-check`` at ``--workers 3`` (one process per task), a
 ``custom-rde`` solve from y0 = 2 (stored levels that start away from 0),
 the refusals of a t below one grid cell and of a scaling window that holds
 no increment, the refusals of a p that is not finite (in every regime, forced,
 and in ``constants``) and of ``custom-rde`` inputs that are not finite, and
 a run that passes the removed ``--quadrature`` flag (refused by the argument
-parser). It takes about 25 s on two cores and is not part of the test
+parser). It takes about 30 s on two cores and is not part of the test
 suite.
 """
 
@@ -69,8 +72,12 @@ RUNS = (
     ("critical-workers2", ["limit-check", "--process", "sq", "--hurst", "0.25", "--p", "2",
                            "--n", "64,128", "--replicas", "60", "--seed", "4",
                            "--workers", "2"]),
+    ("two-tasks-workers3", ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "256",
+                            "--replicas", "2", "--seed", "11", "--workers", "3"]),
     ("critical-p4", ["limit-check", "--process", "sq", "--hurst", "0.25", "--p", "4",
                      "--n", "64,128", "--replicas", "60", "--seed", "4"]),
+    ("critical-cube-p4", ["limit-check", "--process", "cube", "--hurst", "0.25", "--p", "4",
+                          "--n", "64,128", "--replicas", "30", "--seed", "6"]),
     ("replay", ["limit-check", "--config", "{critical}/manifest.json"]),
     ("degenerate", ["limit-check", "--process", "sq", "--hurst", "0.15", "--p", "2",
                     "--n", "128,256", "--replicas", "40", "--seed", "9", "--fine-factor", "4"]),
@@ -82,6 +89,9 @@ RUNS = (
                  "--n", "64,128", "--replicas", "30", "--seed", "2"]),
     ("forced", ["limit-check", "--hurst", "0.35", "--p", "2.5", "--n", "64",
                 "--replicas", "20", "--seed", "1", "--force"]),
+    ("forced-degenerate-p2.5", ["limit-check", "--process", "sq", "--hurst", "0.15",
+                                "--p", "2.5", "--n", "128,256", "--replicas", "20", "--seed", "9",
+                                "--fine-factor", "4", "--force"]),
     ("forced-p-below-2", ["limit-check", "--process", "sq", "--hurst", "0.25", "--p", "1.5",
                           "--n", "64,128", "--replicas", "10", "--force"]),
     ("rate-fit", ["rate-fit", "--hurst", "0.4", "--p", "2", "--n", "256,512,1024",
