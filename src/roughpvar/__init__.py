@@ -21,7 +21,6 @@ from .hermite import (
 )
 from .controlled import (
     ControlledPath,
-    FunctionFamily,
     field_iterate_polynomials,
     remainder,
     remainder_decomposition_residual,

@@ -18,9 +18,10 @@ Exit codes: 0 on success/pass, 1 when a check ran but failed, 2 on usage or
 domain errors, 70 (``EX_SOFTWARE``) with a traceback on any other exception.
 A config refused while it is resolved, while its library objects are built
 (level count, custom-rde inputs, power exponent, KS threshold and median
-tolerance, the rate fit's grid and tolerance, the scaling fit's grid,
-windows, rank and target included) or by a library check (worker count,
-seed, variance domain) exits 2 and writes nothing.
+tolerance, experiment id, the rate fit's grid and tolerance, the scaling
+fit's grid, windows, rank and target included) or by a library check
+(worker count, seed, variance domain) exits 2 and writes nothing.
+``simulate`` and ``constants`` collect no replicas and take no ``--workers``.
 """
 
 from __future__ import annotations
@@ -478,12 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", help="key=value file, JSON config, or manifest")
         sub.add_argument("--out", help="output directory")
-        sub.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="worker processes (never affects results)",
-        )
+        if name not in ("simulate", "constants"):
+            sub.add_argument("--workers", type=int, help="worker processes (never affects results)")
         for key in keys:
             if key == "force":
                 sub.add_argument("--force", action="store_true", default=None)

@@ -12,9 +12,9 @@ Every builder works on the grid of its driver; :func:`subsample_controlled`
 is the one coarsening step, and it attaches the fine path for quadrature.
 
 The module provides the structural operations: order-k remainders, the
-decomposition identity residual, function families, the compensated-sum
-rough integral, and a first-order rough-differential-equation solver with
-iterated vector-field levels.
+decomposition identity residual, the compensated-sum rough integral, and a
+first-order rough-differential-equation solver with polynomial coefficients
+and iterated vector-field levels.
 """
 
 from __future__ import annotations
@@ -205,62 +205,7 @@ def _decomposition_residuals(cp: ControlledPath, i, u, j):
 
 
 # ---------------------------------------------------------------------------
-# function families
-
-
-@dataclass(frozen=True)
-class FunctionFamily:
-    """A function together with its derivatives, as vectorized callables.
-
-    ``funcs[j]`` evaluates the j-th derivative; the family order is the
-    number of callables. Helpers build the families used throughout:
-    polynomials (exact derivative coefficients), identity and constants.
-    """
-
-    funcs: tuple
-    name: str = "family"
-
-    def __post_init__(self) -> None:
-        if len(self.funcs) < 1:
-            raise ValueError("a function family needs at least the 0th derivative")
-        for fn in self.funcs:
-            if not callable(fn):
-                raise TypeError("family entries must be callable")
-
-    @property
-    def order(self) -> int:
-        return len(self.funcs)
-
-    def deriv(self, j: int) -> Callable:
-        if j < 0:
-            raise ValueError("derivative order must be nonnegative")
-        if j >= len(self.funcs):
-            raise ValueError(
-                f"family '{self.name}' provides derivatives up to order "
-                f"{len(self.funcs) - 1}, requested {j}"
-            )
-        return self.funcs[j]
-
-    @classmethod
-    def polynomial(cls, coeffs: Sequence[float], order: int = 8) -> "FunctionFamily":
-        """Family of a polynomial given by ascending coefficients."""
-        base = np.asarray(coeffs, dtype=float)
-        if base.ndim != 1 or len(base) == 0:
-            raise ValueError("coeffs must be a nonempty 1-d sequence")
-        funcs = []
-        current = base
-        for _ in range(order):
-            funcs.append(_poly_callable(current))
-            current = np.polynomial.polynomial.polyder(current) if len(current) > 1 else np.zeros(1)
-        return cls(funcs=tuple(funcs), name=f"poly{list(map(float, base))}")
-
-    @classmethod
-    def identity(cls, order: int = 8) -> "FunctionFamily":
-        return cls.polynomial([0.0, 1.0], order=order)
-
-    @classmethod
-    def constant(cls, value: float, order: int = 8) -> "FunctionFamily":
-        return cls.polynomial([value], order=order)
+# polynomials
 
 
 def _poly_callable(coeffs: np.ndarray) -> Callable:
@@ -280,6 +225,19 @@ def _poly_callable(coeffs: np.ndarray) -> Callable:
         return acc
 
     return _eval
+
+
+def _poly_derivatives(coeffs: Sequence[float], count: int) -> list[Callable]:
+    """The polynomial with ascending ``coeffs`` and its derivatives up to
+    order ``count - 1``, each evaluated by :func:`_poly_callable`."""
+    current = np.asarray(coeffs, dtype=float)
+    if current.ndim != 1 or len(current) == 0:
+        raise ValueError("coeffs must be a nonempty 1-d sequence")
+    funcs = []
+    for _ in range(count):
+        funcs.append(_poly_callable(current))
+        current = np.polynomial.polynomial.polyder(current) if len(current) > 1 else np.zeros(1)
+    return funcs
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +275,6 @@ def field_iterate_polynomials(count: int) -> list[dict]:
         polys.append(current)
         current = _dp_multiply_by_base(_dp_derivative(current))
     return polys
-
-
-def _dp_max_order(polys: Sequence[dict]) -> int:
-    orders = [max(orders_tuple) for poly in polys for orders_tuple in poly]
-    return max(orders, default=0)
 
 
 def _dp_eval(poly: dict, deriv_values: Sequence) -> float | np.ndarray:
@@ -396,15 +349,16 @@ def subsample_controlled(fine_cp: ControlledPath, factor: int) -> ControlledPath
 
 
 def solve_rde(
-    drift_family: FunctionFamily | None,
-    field_family: FunctionFamily,
+    drift_coeffs: Sequence[float] | None,
+    field_coeffs: Sequence[float],
     y0: float,
     x: FbmPath,
     ell: int,
 ) -> ControlledPath:
     """One-step scheme for dy = b(y) dt + V(y) dx with iterated-field terms.
 
-    Each step advances
+    The drift b (None for none) and the field V are polynomials given by
+    ascending coefficients. Each step advances
 
         y_next = y + b(y) h + sum_{i=1}^{ell-1} g_{i-1}(y) (delta x)^i / i!
 
@@ -419,14 +373,9 @@ def solve_rde(
     """
     validate_ell(ell)
     polys = field_iterate_polynomials(ell - 1)
-    max_order = _dp_max_order(polys)
-    if max_order >= field_family.order:
-        raise ValueError(
-            f"need field derivatives up to order {max_order}, family "
-            f"'{field_family.name}' provides {field_family.order - 1}"
-        )
-    drift = drift_family.deriv(0) if drift_family is not None else None
-    fields = [field_family.deriv(a) for a in range(max_order + 1)]
+    drift = _poly_derivatives(drift_coeffs, 1)[0] if drift_coeffs is not None else None
+    # g_0 ... g_{ell-2} read the field's derivatives up to order ell - 2
+    fields = _poly_derivatives(field_coeffs, ell - 1)
 
     n = x.n
     h = 1.0 / n

@@ -96,8 +96,9 @@ class ExperimentConfig:
     guaranteed range unless ``force=True``, which runs it and stamps outputs
     as unguaranteed. A p below 2 is refused at and below the critical index even then: the
     drift there needs phi'' of ``|y|**p``. A KS threshold outside (0, 1]
-    and a median tolerance below 0 are refused, NaN included, and so is a
-    resolution with no whole cell below ``t``, where every statistic is 0.
+    and a median tolerance below 0 are refused, NaN included, and so are a
+    resolution with no whole cell below ``t``, where every statistic is 0,
+    and an ``experiment_id`` that would break the CSV rows it starts.
     """
 
     hurst: float
@@ -149,6 +150,10 @@ class ExperimentConfig:
             raise ValueError(f"ks_threshold must lie in (0, 1], got {self.ks_threshold}")
         if not self.median_tol >= 0.0:
             raise ValueError(f"median_tol must be >= 0, got {self.median_tol}")
+        if any(c in self.experiment_id for c in ',"\r\n'):
+            raise ValueError(
+                f"experiment_id must hold no comma, quote or line break: {self.experiment_id!r}"
+            )
 
     @property
     def regime(self) -> str:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .controlled import (
     ControlledPath,
-    FunctionFamily,
     solve_rde,
     subsample_controlled,
     validate_ell,
@@ -56,8 +55,9 @@ def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
     """The level count and the options of process ``tag``, with the
     ``custom-rde`` defaults filled in.
 
-    Refuses an ``ell`` below 2, a key the process does not take, and a
-    ``y0`` or coefficient that is not finite.
+    Refuses an ``ell`` below 2, a key the process does not take, a
+    coefficient list that is empty or not 1-d, and a ``y0`` or coefficient
+    that is not finite.
     """
     params = dict(params or {})
     ell = int(params.pop("ell", DEFAULT_ELL))
@@ -68,7 +68,11 @@ def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
         raise ValueError(f"unknown parameters for process {tag!r}: {unknown}")
     params = {**options, **params}
     for key, value in params.items():
-        if value is not None and not np.isfinite(value).all():
+        if value is None:
+            continue
+        if key.endswith("_coeffs") and (np.ndim(value) != 1 or len(value) == 0):
+            raise ValueError(f"{key} must be a nonempty 1-d sequence, got {value}")
+        if not np.isfinite(value).all():
             raise ValueError(f"{key} must be finite, got {value}")
     return ell, params
 
@@ -105,16 +109,7 @@ def build_controlled_process(
             f"fine_factor must divide the fine resolution {x_fine.n}, got {fine_factor}"
         )
     if tag == "custom-rde":
-        y0 = float(params["y0"])
-        drift_coeffs = params["drift_coeffs"]
-        field_coeffs = params["field_coeffs"]
-        drift = (
-            FunctionFamily.polynomial(drift_coeffs, order=2)
-            if drift_coeffs is not None
-            else None
-        )
-        field = FunctionFamily.polynomial(field_coeffs, order=ell)
-        fine_cp = solve_rde(drift, field, y0, x_fine, ell=ell)
+        fine_cp = solve_rde(x=x_fine, ell=ell, **params)
     elif tag == "exp-rde":
         fine_cp = ControlledPath(x_fine, [np.exp(x_fine.values)] * ell)
     elif tag in _CLOSED_FORM_LEVELS:

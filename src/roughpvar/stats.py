@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -243,15 +243,14 @@ def weighted_increment_sum(
     return float(np.sum(weight_values[window] * np.asarray(f(scaled), dtype=float)))
 
 
-def riemann_correction_sum(
-    cp: ControlledPath, t: float = 1.0, rule: Literal["midpoint", "trapezoid"] = "midpoint"
-) -> float:
+def riemann_correction_sum(cp: ControlledPath, t: float = 1.0) -> float:
     """Weighted sum of local driver-integral corrections.
 
     Computes sum_{t_k < t} y_{t_k} * int_{t_k}^{t_{k+1}} (x_u - x_{t_k}) du
-    with the inner integral evaluated on the fine grid (midpoint rule by
-    default, per-cell trapezoid as fallback/alternative). Without a fine
-    companion the inner integral degrades to the two-endpoint trapezoid.
+    with the inner integral evaluated on the fine grid by the midpoint rule,
+    or by the per-cell trapezoid rule, with a warning, where the fine factor
+    is odd. Without a fine companion the inner integral degrades to the
+    two-endpoint trapezoid.
     """
     n = cp.n
     m = _snap_count(t, n)
@@ -261,16 +260,15 @@ def riemann_correction_sum(
     factor = mf // m
     xf = quad_cp.x.values[: mf + 1]
 
-    if rule == "midpoint" and factor % 2 == 0:
+    if factor % 2 == 0:
         mids = xf[1:mf:2].reshape(m, factor // 2)
         cell_integrals = 2.0 * hf * mids.sum(axis=1)
     else:
-        if rule == "midpoint":
-            warnings.warn(
-                "midpoint rule needs an even fine factor; using trapezoid",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        warnings.warn(
+            "midpoint rule needs an even fine factor; using trapezoid",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         per_fine_cell = 0.5 * hf * (xf[:-1] + xf[1:])
         cell_integrals = per_fine_cell.reshape(m, factor).sum(axis=1)
 

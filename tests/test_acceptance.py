@@ -54,7 +54,6 @@ from roughpvar import (
     ExperimentConfig,
     FbmPath,
     FbmSpec,
-    FunctionFamily,
     RateFitConfig,
     ScalingConfig,
     asymptotic_variance,
@@ -224,7 +223,7 @@ def test_criterion_03_construction_oracles():
                 )
                 # solver half: one-step scheme for dy = y dx against exp(x)
                 sol = subsample_controlled(
-                    solve_rde(None, FunctionFamily.identity(), 1.0, x_f, ell=ell), factor
+                    solve_rde(None, [0.0, 1.0], 1.0, x_f, ell=ell), factor
                 )
                 errs.append(np.max(np.abs(sol.level(0) - truth)))
                 # integral half: the compensated sum of x dx telescopes to

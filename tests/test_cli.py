@@ -295,13 +295,36 @@ class TestMainErrors:
              "--p", "2", "--n", "64"],
             ["pvar", "--process", "custom-rde", "--drift-coeffs", "inf", "--hurst", "0.3",
              "--p", "2", "--n", "64"],
+            # empty coefficient lists, which only a JSON config can give
+            ["pvar", "--config", {"process": "custom-rde", "field_coeffs": [], "hurst": 0.3,
+                                  "p": 2, "n": 64}],
+            ["pvar", "--config", {"process": "custom-rde", "drift_coeffs": [], "hurst": 0.3,
+                                  "p": 2, "n": 64}],
+            # an id that would add a field or a line to every CSV row
+            ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "64", "--replicas", "5",
+             "--id", "a,b"],
+            ["pvar", "--hurst", "0.4", "--p", "2", "--n", "64", "--id", "a\nb"],
         ],
     )
     def test_refused_config_writes_nothing(self, tmp_path, argv):
+        if isinstance(argv[-1], dict):  # a JSON config file that holds it
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(argv[-1]))
+            argv = argv[:-1] + [str(config)]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         assert not (out / "manifest.json").exists()
         assert not out.exists(), "a refused config must not create its output directory"
+
+    @pytest.mark.parametrize(
+        "argv", [["simulate", "--hurst", "0.3"], ["constants", "--p", "2", "--hurst", "0.3"]]
+    )
+    def test_workers_flag_refused_where_no_replicas_are_collected(self, tmp_path, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--workers", "2", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert not out.exists()
 
     def test_non_finite_blow_up_exits_1(self, tmp_path, capsys):
         # dy = 5 y^8 dx from 1e13 overflows to inf and then NaN in one step.

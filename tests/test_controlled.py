@@ -7,14 +7,15 @@ Covers:
   2. Remainders: exact zeros on polynomial tuples, closed-form small cases,
      and the exact midpoint decomposition identity on random level tuples,
      pinned and as a Hypothesis property with rows that start anywhere.
-  3. Function families and the iterated-field polynomials; polynomial
-     families give the bits of numpy's polyval, as a Hypothesis property.
+  3. The solver's polynomial derivatives and the iterated-field
+     polynomials; the polynomials give the bits of numpy's polyval, as a
+     Hypothesis property.
   4. The compensated-sum rough integral: polynomial exactness, pinned and
      as a Hypothesis property on random polynomial integrands, its coarse
      view, and the marginal-order warning.
   5. The one-step scheme for dy = b(y) dt + V(y) dx: exactly integrable
      cases, a deterministic-driver convergence check, the blow-up guard,
-     the refusal of non-finite inputs before the solve, and levels
+     the refusal of non-finite or empty inputs before the solve, and levels
      bit-identical to polyval-evaluated fields (Hypothesis).
   6. Coarsening a controlled path onto every k-th node.
   7. Constant levels given as scalars store no row: the closed-form
@@ -38,7 +39,6 @@ from roughpvar import (
     ControlledPath,
     FbmPath,
     FbmSpec,
-    FunctionFamily,
     StatConfig,
     build_controlled_process,
     field_iterate_polynomials,
@@ -52,7 +52,8 @@ from roughpvar import (
     solve_rde,
     subsample_controlled,
 )
-from roughpvar.controlled import _decomposition_residuals
+from roughpvar import controlled
+from roughpvar.controlled import _decomposition_residuals, _poly_derivatives
 
 
 def _canonical(x, ell):
@@ -62,15 +63,10 @@ def _canonical(x, ell):
     return ControlledPath(x, rows[:ell])
 
 
-def _polyval_family(coeffs, order):
-    """``FunctionFamily.polynomial`` with every derivative evaluated by
+def _polyval_callable(coeffs):
+    """``controlled._poly_callable`` evaluated by
     ``np.polynomial.polynomial.polyval``."""
-    funcs = []
-    current = np.asarray(coeffs, dtype=float)
-    for _ in range(order):
-        funcs.append(lambda y, c=current: P.polyval(np.asarray(y, dtype=float), c))
-        current = P.polyder(current) if len(current) > 1 else np.zeros(1)
-    return FunctionFamily(funcs=tuple(funcs))
+    return lambda y: P.polyval(np.asarray(y, dtype=float), coeffs)
 
 
 def _line_driver(n):
@@ -266,20 +262,21 @@ class TestDecompositionIdentity:
 
 
 # ---------------------------------------------------------------------------
-# function families and field iterates
+# polynomial derivatives and field iterates
 # ---------------------------------------------------------------------------
 
 
-class TestFunctionFamily:
-    """Vectorized derivative families."""
+class TestPolyDerivatives:
+    """The solver's polynomial evaluators."""
 
     def test_polynomial_derivatives(self):
-        fam = FunctionFamily.polynomial([1.0, 2.0, 3.0])  # 1 + 2y + 3y^2
+        funcs = _poly_derivatives([1.0, 2.0, 3.0], 4)  # 1 + 2y + 3y^2
         y = np.array([-1.0, 0.0, 2.0])
-        assert np.allclose(fam.deriv(0)(y), 1.0 + 2.0 * y + 3.0 * y * y, atol=0.0)
-        assert np.allclose(fam.deriv(1)(y), 2.0 + 6.0 * y, atol=0.0)
-        assert np.allclose(fam.deriv(2)(y), 6.0, atol=0.0)
-        assert np.allclose(fam.deriv(3)(y), 0.0, atol=0.0)
+        assert len(funcs) == 4
+        assert np.allclose(funcs[0](y), 1.0 + 2.0 * y + 3.0 * y * y, atol=0.0)
+        assert np.allclose(funcs[1](y), 2.0 + 6.0 * y, atol=0.0)
+        assert np.allclose(funcs[2](y), 6.0, atol=0.0)
+        assert np.allclose(funcs[3](y), 0.0, atol=0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -290,32 +287,22 @@ class TestFunctionFamily:
         # Horner on Python floats in polyval's order, on a Python float, a
         # 0-d and a 1-d array; the draws include infinities, NaN and overflow
         with np.errstate(all="ignore"):
-            fam = FunctionFamily.polynomial(coeffs, order=1)
+            (poly,) = _poly_derivatives(coeffs, 1)
             for y in (ys[0], np.array(ys[0]), np.array(ys)):
                 want = P.polyval(np.asarray(y, dtype=float), np.array(coeffs))
-                got = fam.deriv(0)(y)
+                got = poly(y)
                 assert np.shape(got) == np.shape(want)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), y
 
-    def test_identity_and_constant(self):
-        ident = FunctionFamily.identity()
-        const = FunctionFamily.constant(4.0)
-        assert ident.deriv(0)(3.0) == 3.0
-        assert ident.deriv(1)(3.0) == 1.0
-        assert const.deriv(0)(3.0) == 4.0
-        assert const.deriv(1)(3.0) == 0.0
-
-    def test_order_and_errors(self):
-        fam = FunctionFamily.polynomial([0.0, 1.0], order=3)
-        assert fam.order == 3
-        with pytest.raises(ValueError):
-            fam.deriv(3)
-        with pytest.raises(ValueError):
-            fam.deriv(-1)
-        with pytest.raises(ValueError):
-            FunctionFamily.polynomial([])
-        with pytest.raises(ValueError):
-            FunctionFamily(funcs=())
+    def test_refuses_empty_coefficients(self):
+        x = _line_driver(8)
+        for coeffs in ([], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="nonempty 1-d"):
+                _poly_derivatives(coeffs, 1)
+            with pytest.raises(ValueError, match="nonempty 1-d"):
+                solve_rde(None, coeffs, 1.0, x, ell=2)
+            with pytest.raises(ValueError, match="nonempty 1-d"):
+                solve_rde(coeffs, [1.0], 1.0, x, ell=2)
 
 
 def test_field_iterate_polynomials_literal():
@@ -428,28 +415,26 @@ class TestSolveRde:
 
     def test_constant_field_is_exact(self):
         x = sample_fbm(FbmSpec(hurst=0.3, n=256, seed=25))
-        out = solve_rde(None, FunctionFamily.constant(1.0), 2.0, x, ell=3)
+        out = solve_rde(None, [1.0], 2.0, x, ell=3)
         assert np.allclose(out.level(0), 2.0 + x.values, atol=1e-14)
 
     def test_pure_drift_is_exact(self):
         x = sample_fbm(FbmSpec(hurst=0.3, n=256, seed=26))
-        out = solve_rde(
-            FunctionFamily.constant(1.0), FunctionFamily.constant(0.0), 0.5, x, ell=2
-        )
+        out = solve_rde([1.0], [0.0], 0.5, x, ell=2)
         assert np.allclose(out.level(0), 0.5 + x.times, atol=1e-13)
 
     def test_linear_field_on_line_driver(self):
         # dy = y dx with x_t = t integrates to e^t; six levels on 64 cells
         # leave a global error around h^5 / 5!
         x = _line_driver(64)
-        out = solve_rde(None, FunctionFamily.identity(), 1.0, x, ell=6)
+        out = solve_rde(None, [0.0, 1.0], 1.0, x, ell=6)
         worst = np.max(np.abs(out.level(0) - np.exp(x.times)))
         print(f"  sup error vs exp(t): {worst:.2e}")
         assert worst < 1e-10
 
     def test_solution_levels_are_field_iterates(self):
         x = sample_fbm(FbmSpec(hurst=0.4, n=128, seed=27))
-        out = solve_rde(None, FunctionFamily.identity(), 1.0, x, ell=4)
+        out = solve_rde(None, [0.0, 1.0], 1.0, x, ell=4)
         y = out.level(0)
         for i in range(1, 4):
             assert np.array_equal(out.level(i), y), i
@@ -457,7 +442,7 @@ class TestSolveRde:
     def test_refine_attaches_fine_solution(self):
         x_fine = sample_fbm(FbmSpec(hurst=0.4, n=512, seed=28))
         out = subsample_controlled(
-            solve_rde(None, FunctionFamily.identity(), 1.0, x_fine, ell=3), 8
+            solve_rde(None, [0.0, 1.0], 1.0, x_fine, ell=3), 8
         )
         assert out.n == 64
         assert out.fine is not None
@@ -476,26 +461,22 @@ class TestSolveRde:
         # the same levels, or the same blow-up, bit for bit
         x = sample_fbm(FbmSpec(hurst=0.3, n=128, seed=seed))
 
-        def solve(family):
-            drift_family = family(drift, 2) if drift is not None else None
+        def solve():
             try:
-                cp = solve_rde(drift_family, family(field, ell), y0, x, ell)
+                cp = solve_rde(drift, field, y0, x, ell)
             except RuntimeError as err:
                 return str(err)
             return [np.asarray(cp.level(j)).tobytes() for j in range(cp.ell)]
 
-        assert solve(FunctionFamily.polynomial) == solve(_polyval_family)
+        horner = solve()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(controlled, "_poly_callable", _polyval_callable)
+            assert solve() == horner
 
     def test_blow_up_guard(self):
         x = sample_fbm(FbmSpec(hurst=0.5, n=256, seed=29))
         with pytest.raises(RuntimeError, match="blow-up"):
-            solve_rde(
-                FunctionFamily.polynomial([0.0, 0.0, 1.0]),
-                FunctionFamily.constant(0.0),
-                1e9,
-                x,
-                ell=2,
-            )
+            solve_rde([0.0, 0.0, 1.0], [0.0], 1e9, x, ell=2)
 
     def test_blow_up_guard_catches_non_finite_state(self):
         # From 1e13 the field iterates of V(y) = 5 y^8 overflow to +inf from
@@ -504,21 +485,17 @@ class TestSolveRde:
         # numpy's default error handling, with every warning turned into an
         # error, the guard's RuntimeError must be the only report.
         x = FbmPath(FbmSpec(hurst=0.5, n=8, seed=0), np.linspace(0.0, -1.0, 9))
-        field = FunctionFamily.polynomial([0.0] * 8 + [5.0], order=6)
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError, match="blow-up guard"):
-                solve_rde(None, field, 1e13, x, ell=6)
+                solve_rde(None, [0.0] * 8 + [5.0], 1e13, x, ell=6)
 
     def test_validation(self):
         x = sample_fbm(FbmSpec(hurst=0.5, n=256, seed=29))
-        ident = FunctionFamily.identity()
         with pytest.raises(ValueError):
-            solve_rde(None, ident, 1.0, x, ell=1)
+            solve_rde(None, [0.0, 1.0], 1.0, x, ell=1)
         with pytest.raises(ValueError, match="divide"):
             build_controlled_process("custom-rde", x, fine_factor=7)
-        with pytest.raises(ValueError):
-            solve_rde(None, FunctionFamily.identity(order=2), 1.0, x, ell=5)
 
     @pytest.mark.parametrize(
         "params, match",

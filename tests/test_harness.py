@@ -240,6 +240,15 @@ class TestExperimentConfig:
             ({"process": "custom-rde", "process_params": {"field_coeffs": (0.0, math.inf)}},
              "field_coeffs must be finite"),
             ({"process": "sq", "process_params": {"y0": 1.0}}, "unknown parameters"),
+            ({"process": "custom-rde", "process_params": {"field_coeffs": []}},
+             "field_coeffs must be a nonempty 1-d sequence"),
+            ({"process": "custom-rde", "process_params": {"drift_coeffs": ()}},
+             "drift_coeffs must be a nonempty 1-d sequence"),
+            # the id starts every CSV row, so it must hold no field or line break
+            ({"experiment_id": "a,b"}, "experiment_id"),
+            ({"experiment_id": 'a"b'}, "experiment_id"),
+            ({"experiment_id": "a\rb"}, "experiment_id"),
+            ({"experiment_id": "a\nb"}, "experiment_id"),
         ],
     )
     def test_validation_errors(self, overrides, match):

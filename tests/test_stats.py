@@ -329,19 +329,20 @@ class TestRiemannCorrectionSum:
             xf = sample_fbm(FbmSpec(hurst=0.3, n=256 * 16, seed=509), rng)
             ones = np.ones_like(xf.values)
             fine_cp = ControlledPath(xf, [ones, np.zeros_like(ones)])
-            vals[r] = riemann_correction_sum(
-                subsample_controlled(fine_cp, 16), rule="midpoint"
-            )
+            vals[r] = riemann_correction_sum(subsample_controlled(fine_cp, 16))
         mean = float(np.mean(vals))
         se = float(np.std(vals)) / math.sqrt(len(vals))
         print(f"  correction sum: mean {mean:.2e}, se {se:.2e}")
         assert abs(mean) < 4.0 * se
 
     def test_rules_agree_to_quadrature_accuracy(self):
+        # the midpoint sum against the per-fine-cell trapezoid rule
         xf = sample_fbm(FbmSpec(hurst=0.3, n=128 * 16, seed=57))
         cp = build_controlled_process("fbm", xf, fine_factor=16)
-        a = riemann_correction_sum(cp, rule="midpoint")
-        b = riemann_correction_sum(cp, rule="trapezoid")
+        a = riemann_correction_sum(cp)
+        v, h = xf.values, 1.0 / xf.n
+        cells = (0.5 * h * (v[:-1] + v[1:])).reshape(128, 16).sum(axis=1)
+        b = float(np.sum(cp.level(0)[:-1] * (cells - cp.x.values[:-1] / 128)))
         print(f"  midpoint {a:.4e}, trapezoid {b:.4e}")
         assert a == pytest.approx(b, rel=0.15)
         assert np.sign(a) == np.sign(b)
@@ -350,7 +351,7 @@ class TestRiemannCorrectionSum:
         xf = sample_fbm(FbmSpec(hurst=0.3, n=64 * 3, seed=58))
         cp = build_controlled_process("fbm", xf, fine_factor=3)
         with pytest.warns(RuntimeWarning, match="even fine factor"):
-            riemann_correction_sum(cp, rule="midpoint")
+            riemann_correction_sum(cp)
 
     def test_zero_window(self):
         x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=58))

@@ -32,10 +32,12 @@ two-task ``limit-check`` at ``--workers 3`` (one process per task), a
 ``custom-rde`` solve from y0 = 2 (stored levels that start away from 0),
 the refusals of a t below one grid cell and of a scaling window that holds
 no increment, the refusals of a p that is not finite (in every regime, forced,
-and in ``constants``) and of ``custom-rde`` inputs that are not finite, and
+and in ``constants``) and of ``custom-rde`` inputs that are not finite,
 a run that passes the removed ``--quadrature`` flag (refused by the argument
-parser). It takes about 30 s on two cores and is not part of the test
-suite.
+parser), a ``custom-rde`` solve with a drift and a quadratic field at
+``--ell 6``, the refusal of an ``--id`` with a comma, and a ``simulate``
+run that passes ``--workers`` (refused by the argument parser). It takes
+about 30 s on two cores and is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -146,6 +148,12 @@ RUNS = (
                            "--hurst", "0.3", "--p", "2", "--n", "64"]),
     ("quadrature-flag", ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "256,512",
                          "--replicas", "100", "--seed", "11", "--quadrature", "trapezoid"]),
+    ("pvar-custom-rde-drift", ["pvar", "--process", "custom-rde", "--drift-coeffs", "0.5,-1",
+                               "--field-coeffs", "0,1,0.5", "--y0", "0.3", "--ell", "6",
+                               "--hurst", "0.3", "--p", "2", "--n", "256"]),
+    ("refused-id-comma", ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "64",
+                          "--replicas", "5", "--id", "a,b"]),
+    ("simulate-workers-flag", ["simulate", "--hurst", "0.3", "--n", "64", "--workers", "2"]),
 )
 
 _SOURCE_LINE = re.compile(rb"(<checkout>/\S+\.py):\d+:")
