@@ -21,7 +21,6 @@ from .hermite import (
 )
 from .controlled import (
     ControlledPath,
-    field_iterate_polynomials,
     remainder,
     remainder_decomposition_residual,
     rough_integral,

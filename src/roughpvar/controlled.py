@@ -19,6 +19,7 @@ and iterated vector-field levels.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -120,11 +121,15 @@ class ControlledPath:
         return self.fine if self.fine is not None else self
 
 
-def validate_ell(ell: int) -> None:
-    """Refuse fewer than two levels: every process needs its path and the
-    field level (the first derivative level)."""
+def validate_ell(ell: int) -> int:
+    """The level count ``ell`` as an int. Refuses one that is not an integer,
+    and fewer than two levels: every process needs its path and the field
+    level (the first derivative level)."""
+    if not (isinstance(ell, numbers.Real) and float(ell).is_integer()):
+        raise ValueError(f"ell must be an integer, got {ell!r}")
     if ell < 2:
         raise ValueError(f"processes need at least two levels, got ell={ell}")
+    return int(ell)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +213,18 @@ def _decomposition_residuals(cp: ControlledPath, i, u, j):
 # polynomials
 
 
-def _poly_callable(coeffs: np.ndarray) -> Callable:
+def _poly_callable(coeffs: Sequence[float]) -> Callable:
     """The polynomial with ascending ``coeffs``, at a float or float array.
 
     Horner's rule in ``np.polynomial.polynomial.polyval``'s order,
     ``c[-1] + y*0`` and then ``c + acc*y``: polyval's bits without its
-    per-call set-up, which dominated an RDE step.
+    per-call set-up, which dominated an RDE step. Refuses ``coeffs`` that
+    are empty or not 1-d.
     """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 1 or len(coeffs) == 0:
+        raise ValueError("coeffs must be a nonempty 1-d sequence")
     top, *rest = [float(c) for c in reversed(coeffs)]
-    rest = tuple(rest)
 
     def _eval(y):
         acc = top + y * 0
@@ -227,64 +235,22 @@ def _poly_callable(coeffs: np.ndarray) -> Callable:
     return _eval
 
 
-def _poly_derivatives(coeffs: Sequence[float], count: int) -> list[Callable]:
-    """The polynomial with ascending ``coeffs`` and its derivatives up to
-    order ``count - 1``, each evaluated by :func:`_poly_callable`."""
-    current = np.asarray(coeffs, dtype=float)
-    if current.ndim != 1 or len(current) == 0:
-        raise ValueError("coeffs must be a nonempty 1-d sequence")
-    funcs = []
+def _field_iterates(field_coeffs: Sequence[float], count: int) -> list[Callable]:
+    """The first ``count`` iterates g_0 = V, g_{m+1} = V g_m' of the field V
+    with ascending ``field_coeffs``, each by :func:`_poly_callable`.
+
+    Each iterate's coefficients are built once, with ``polyder`` and
+    ``polymul``; once an iterate is constant, the rest are the zero
+    polynomial.
+    """
+    poly = np.polynomial.polynomial  # imported on first access: only an RDE loads it
+    field = np.asarray(field_coeffs, dtype=float)
+    current = field
+    iterates = []
     for _ in range(count):
-        funcs.append(_poly_callable(current))
-        current = np.polynomial.polynomial.polyder(current) if len(current) > 1 else np.zeros(1)
-    return funcs
-
-
-# ---------------------------------------------------------------------------
-# iterated vector-field polynomials
-#
-# Monomials in the derivatives of a single function V are encoded as sorted
-# tuples of derivative orders, e.g. (0, 0, 2) for V * V * V''. The iterates
-# applied here are g_0 = V and g_{m+1} = V * d/dy g_m, whose evaluations at
-# the current state supply both the solver step terms and the derivative
-# levels of solutions.
-
-
-def _dp_derivative(poly: dict) -> dict:
-    out: dict = {}
-    for orders, coeff in poly.items():
-        for pos in range(len(orders)):
-            bumped = list(orders)
-            bumped[pos] += 1
-            key = tuple(sorted(bumped))
-            out[key] = out.get(key, 0.0) + coeff
-    return out
-
-
-def _dp_multiply_by_base(poly: dict) -> dict:
-    return {tuple(sorted(orders + (0,))): coeff for orders, coeff in poly.items()}
-
-
-def field_iterate_polynomials(count: int) -> list[dict]:
-    """The first ``count`` iterates g_0 = V, g_{m+1} = V (g_m)'."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    polys = []
-    current = {(0,): 1.0}
-    for _ in range(count):
-        polys.append(current)
-        current = _dp_multiply_by_base(_dp_derivative(current))
-    return polys
-
-
-def _dp_eval(poly: dict, deriv_values: Sequence) -> float | np.ndarray:
-    total = 0.0
-    for orders, coeff in poly.items():
-        term = coeff
-        for a in orders:
-            term = term * deriv_values[a]
-        total = total + term
-    return total
+        iterates.append(_poly_callable(current))
+        current = poly.polymul(field, poly.polyder(current)) if len(current) > 1 else np.zeros(1)
+    return iterates
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +337,9 @@ def solve_rde(
     not finite; the steps run with numpy's overflow and invalid-value
     warnings off, so that error is the only report of a blow-up.
     """
-    validate_ell(ell)
-    polys = field_iterate_polynomials(ell - 1)
-    drift = _poly_derivatives(drift_coeffs, 1)[0] if drift_coeffs is not None else None
-    # g_0 ... g_{ell-2} read the field's derivatives up to order ell - 2
-    fields = _poly_derivatives(field_coeffs, ell - 1)
+    ell = validate_ell(ell)
+    iterates = _field_iterates(field_coeffs, ell - 1)
+    drift = _poly_callable(drift_coeffs) if drift_coeffs is not None else None
 
     n = x.n
     h = 1.0 / n
@@ -387,24 +351,18 @@ def solve_rde(
         acc = acc * dx / i
         powers[i - 1] = acc
 
-    compiled = [list(poly.items()) for poly in polys]
     y = np.empty(n + 1)
     y[0] = float(y0)
     state = float(y0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            derivs = [float(field(state)) for field in fields]
+        # One column of powers per step as Python floats: numpy scalars would
+        # double the step's cost, and every column at once raises peak RSS.
+        for k, column in enumerate(powers.T):
             step = 0.0
-            for i, poly_items in enumerate(compiled):
-                gi = 0.0
-                for orders, coeff in poly_items:
-                    term = coeff
-                    for a in orders:
-                        term *= derivs[a]
-                    gi += term
-                step += gi * powers[i, k]
+            for g, power in zip(iterates, column.tolist()):
+                step += g(state) * power
             if drift is not None:
-                step += float(drift(state)) * h
+                step += drift(state) * h
             state += step
             if not abs(state) <= _BLOWUP_GUARD:
                 raise RuntimeError(
@@ -413,9 +371,4 @@ def solve_rde(
                 )
             y[k + 1] = state
 
-    derivs_path = [field(y) for field in fields]
-    raw = [y] + [
-        np.broadcast_to(np.asarray(_dp_eval(poly, derivs_path), dtype=float), y.shape)
-        for poly in polys
-    ]
-    return ControlledPath(x, raw)
+    return ControlledPath(x, [y] + [g(y) for g in iterates])

@@ -11,6 +11,8 @@ the rough-differential-equation solver.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .controlled import (
@@ -55,20 +57,21 @@ def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
     """The level count and the options of process ``tag``, with the
     ``custom-rde`` defaults filled in.
 
-    Refuses an ``ell`` below 2, a key the process does not take, a
-    coefficient list that is empty or not 1-d, and a ``y0`` or coefficient
-    that is not finite.
+    Refuses an ``ell`` that is not an integer of at least 2, a key the
+    process does not take, a ``y0`` that is not one finite number, and a
+    coefficient list that is empty, not 1-d or not finite.
     """
     params = dict(params or {})
-    ell = int(params.pop("ell", DEFAULT_ELL))
-    validate_ell(ell)
+    ell = validate_ell(params.pop("ell", DEFAULT_ELL))
     options = CUSTOM_RDE_DEFAULTS if tag == "custom-rde" else {}
     unknown = sorted(set(params) - set(options))
     if unknown:
         raise ValueError(f"unknown parameters for process {tag!r}: {unknown}")
     params = {**options, **params}
     for key, value in params.items():
-        if value is None:
+        if key == "y0" and not isinstance(value, numbers.Real):
+            raise ValueError(f"y0 must be one number, got {value!r}")
+        if key == "drift_coeffs" and value is None:
             continue
         if key.endswith("_coeffs") and (np.ndim(value) != 1 or len(value) == 0):
             raise ValueError(f"{key} must be a nonempty 1-d sequence, got {value}")

@@ -7,16 +7,16 @@ Covers:
   2. Remainders: exact zeros on polynomial tuples, closed-form small cases,
      and the exact midpoint decomposition identity on random level tuples,
      pinned and as a Hypothesis property with rows that start anywhere.
-  3. The solver's polynomial derivatives and the iterated-field
-     polynomials; the polynomials give the bits of numpy's polyval, as a
-     Hypothesis property.
+  3. The solver's polynomials give the bits of numpy's polyval, and its
+     field iterates follow the chain rule, both as Hypothesis properties.
   4. The compensated-sum rough integral: polynomial exactness, pinned and
      as a Hypothesis property on random polynomial integrands, its coarse
      view, and the marginal-order warning.
   5. The one-step scheme for dy = b(y) dt + V(y) dx: exactly integrable
      cases, a deterministic-driver convergence check, the blow-up guard,
-     the refusal of non-finite or empty inputs before the solve, and levels
-     bit-identical to polyval-evaluated fields (Hypothesis).
+     the refusal of non-finite, empty or malformed inputs (a list y0, a
+     non-integral ell) before the solve, and levels bit-identical to
+     polyval-evaluated fields (Hypothesis).
   6. Coarsening a controlled path onto every k-th node.
   7. Constant levels given as scalars store no row: the closed-form
      builders' stored row counts, and a Hypothesis property that such a
@@ -41,7 +41,6 @@ from roughpvar import (
     FbmSpec,
     StatConfig,
     build_controlled_process,
-    field_iterate_polynomials,
     limit_cond_std,
     limit_drift,
     pvar_statistic,
@@ -53,7 +52,7 @@ from roughpvar import (
     subsample_controlled,
 )
 from roughpvar import controlled
-from roughpvar.controlled import _decomposition_residuals, _poly_derivatives
+from roughpvar.controlled import _decomposition_residuals, _field_iterates, _poly_callable
 
 
 def _canonical(x, ell):
@@ -262,21 +261,13 @@ class TestDecompositionIdentity:
 
 
 # ---------------------------------------------------------------------------
-# polynomial derivatives and field iterates
+# polynomials and field iterates
 # ---------------------------------------------------------------------------
 
 
 class TestPolyDerivatives:
-    """The solver's polynomial evaluators."""
-
-    def test_polynomial_derivatives(self):
-        funcs = _poly_derivatives([1.0, 2.0, 3.0], 4)  # 1 + 2y + 3y^2
-        y = np.array([-1.0, 0.0, 2.0])
-        assert len(funcs) == 4
-        assert np.allclose(funcs[0](y), 1.0 + 2.0 * y + 3.0 * y * y, atol=0.0)
-        assert np.allclose(funcs[1](y), 2.0 + 6.0 * y, atol=0.0)
-        assert np.allclose(funcs[2](y), 6.0, atol=0.0)
-        assert np.allclose(funcs[3](y), 0.0, atol=0.0)
+    """The solver's polynomial evaluator, and the field iterates it builds
+    from derivatives."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -287,7 +278,7 @@ class TestPolyDerivatives:
         # Horner on Python floats in polyval's order, on a Python float, a
         # 0-d and a 1-d array; the draws include infinities, NaN and overflow
         with np.errstate(all="ignore"):
-            (poly,) = _poly_derivatives(coeffs, 1)
+            poly = _poly_callable(coeffs)
             for y in (ys[0], np.array(ys[0]), np.array(ys)):
                 want = P.polyval(np.asarray(y, dtype=float), np.array(coeffs))
                 got = poly(y)
@@ -298,22 +289,42 @@ class TestPolyDerivatives:
         x = _line_driver(8)
         for coeffs in ([], [[1.0, 2.0]]):
             with pytest.raises(ValueError, match="nonempty 1-d"):
-                _poly_derivatives(coeffs, 1)
+                _poly_callable(coeffs)
             with pytest.raises(ValueError, match="nonempty 1-d"):
                 solve_rde(None, coeffs, 1.0, x, ell=2)
             with pytest.raises(ValueError, match="nonempty 1-d"):
                 solve_rde(coeffs, [1.0], 1.0, x, ell=2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        field=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+        y=st.floats(-2.0, 2.0),
+    )
+    def test_field_iterates_follow_the_chain_rule(self, field, y):
+        # g_1 = V V', g_2 = V V'^2 + V^2 V'', g_3 = V V'^3 + 4 V^2 V' V'' + V^3 V'''
+        def chain_rule_terms(coeffs, at):
+            v = [P.polyval(at, P.polyder(coeffs, m)) for m in range(4)]
+            return [
+                [v[0] * v[1]],
+                [v[0] * v[1] ** 2, v[0] ** 2 * v[2]],
+                [v[0] * v[1] ** 3, 4 * v[0] ** 2 * v[1] * v[2], v[0] ** 3 * v[3]],
+            ]
 
-def test_field_iterate_polynomials_literal():
-    # g_0 = V, g_1 = V V', g_2 = V (V')^2 + V^2 V''
-    polys = field_iterate_polynomials(3)
-    assert polys[0] == {(0,): 1.0}
-    assert polys[1] == {(0, 1): 1.0}
-    assert polys[2] == {(0, 1, 1): 1.0, (0, 0, 2): 1.0}
-    assert field_iterate_polynomials(0) == []
-    with pytest.raises(ValueError):
-        field_iterate_polynomials(-1)
+        iterates = _field_iterates(field, 4)
+        assert iterates[0](y) == P.polyval(y, field)
+        # Horner's rounding is relative to the polynomial at |coefficients|
+        # and |y|, so the terms at those are the scale of each error; below
+        # the smallest normal float, rounding is absolute.
+        scales = chain_rule_terms(np.abs(field), abs(y))
+        for m, (terms, scale) in enumerate(zip(chain_rule_terms(field, y), scales), 1):
+            err = abs(iterates[m](y) - sum(terms))
+            assert err <= 1e-12 * sum(scale) + np.finfo(float).tiny, (m, err)
+
+    @given(value=st.floats(-10.0, 10.0), y=st.floats(-10.0, 10.0))
+    def test_constant_field_has_zero_iterates(self, value, y):
+        iterates = _field_iterates([value], 5)
+        assert iterates[0](y) == value
+        assert [g(y) for g in iterates[1:]] == [0.0] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +505,9 @@ class TestSolveRde:
         x = sample_fbm(FbmSpec(hurst=0.5, n=256, seed=29))
         with pytest.raises(ValueError):
             solve_rde(None, [0.0, 1.0], 1.0, x, ell=1)
+        with pytest.raises(ValueError, match="ell must be an integer, got 2.5"):
+            solve_rde(None, [0.0, 1.0], 1.0, x, ell=2.5)
+        assert solve_rde(None, [0.0, 1.0], 1.0, x, ell=3.0).ell == 3
         with pytest.raises(ValueError, match="divide"):
             build_controlled_process("custom-rde", x, fine_factor=7)
 
@@ -512,6 +526,29 @@ class TestSolveRde:
         x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=29))
         with pytest.raises(ValueError, match=match):
             build_controlled_process("custom-rde", x, params=params)
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"y0": [1.0, 2.0]}, r"y0 must be one number, got \[1.0, 2.0\]"),
+            ({"y0": None}, "y0 must be one number"),
+            ({"field_coeffs": None}, "field_coeffs must be a nonempty 1-d sequence"),
+            ({"ell": 2.7}, "ell must be an integer, got 2.7"),
+            ({"ell": math.nan}, "ell must be an integer"),
+        ],
+    )
+    def test_malformed_inputs_refused_before_the_solve(self, params, match):
+        # Before the refusal, a list y0 raised TypeError inside the solve, an
+        # ell of 2.7 ran with 2 levels, and a field of None reached the solver.
+        x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=29))
+        with pytest.raises(ValueError, match=match):
+            build_controlled_process("custom-rde", x, params=params)
+
+    @pytest.mark.parametrize("ell", [3, 3.0, np.int64(3)])
+    def test_integral_ell_accepted(self, ell):
+        # a manifest may hold the level count as a float
+        x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=29))
+        assert build_controlled_process("custom-rde", x, params={"ell": ell}).ell == 3
 
 
 # ---------------------------------------------------------------------------

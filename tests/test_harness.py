@@ -10,8 +10,9 @@ Covers:
    a p below 2 refused where the drift enters, even when forced.
 4. Replica path construction: determinism, stream separation, fine wiring.
 5. Row collection: ordering, determinism, serial/parallel bit equality, a
-   pool no larger than the task count, per-regime column arithmetic, replica independence, and the pinned bits
-   of one row per regime and process.
+   pool no larger than the task count, per-regime column arithmetic, replica
+   independence, and the pinned bits of one row per regime and process, and
+   of two custom-rde rows.
 6. The summary/rate error metrics and the log-log slope fit on synthetic
    rows with hand-computed medians; the metrics' median against np.median
    bit for bit.
@@ -249,6 +250,9 @@ class TestExperimentConfig:
             ({"experiment_id": 'a"b'}, "experiment_id"),
             ({"experiment_id": "a\rb"}, "experiment_id"),
             ({"experiment_id": "a\nb"}, "experiment_id"),
+            ({"process_params": {"ell": 2.7}}, "ell must be an integer"),
+            ({"process": "custom-rde", "process_params": {"y0": [1.0, 2.0]}},
+             "y0 must be one number"),
         ],
     )
     def test_validation_errors(self, overrides, match):
@@ -480,6 +484,28 @@ class TestCollectRows:
         cfg = ExperimentConfig(
             hurst=hurst, p=p, process=process, n_grid=(64,), replicas=1,
             fine_factor=fine_factor,
+        )
+        row = _replica_row(cfg, 64, 0)
+        want = ["0x1.0000000000000p+6", "0x0.0p+0", *columns]  # n, replica
+        assert [value.hex() for value in row] == want
+
+    # The same pins for the RDE solve, at ell 6 from y0 = 1: dy = y dx in the
+    # critical regime and dy = (0.5 + y) dx in the mixed one.
+    @pytest.mark.parametrize(
+        "hurst, field, columns",
+        [
+            (0.25, (0.0, 1.0),
+             ["-0x1.2789f13c4db20p+0", "-0x1.9a524cdbeabd4p+0", "0x1.8feb841cfb181p+3",
+              "-0x1.38b36957e921bp-1"]),
+            (0.35, (0.5, 1.0),
+             ["-0x1.887788bdba200p-1", "0x0.0p+0", "0x1.5412db7fd23aap+4",
+              "-0x1.2770c4e410a29p-2"]),
+        ],
+    )
+    def test_pinned_custom_rde_row_bits(self, hurst, field, columns):
+        cfg = ExperimentConfig(
+            hurst=hurst, p=2.0, process="custom-rde", n_grid=(64,), replicas=1,
+            fine_factor=4, process_params={"ell": 6, "field_coeffs": field},
         )
         row = _replica_row(cfg, 64, 0)
         want = ["0x1.0000000000000p+6", "0x0.0p+0", *columns]  # n, replica
