@@ -13,7 +13,6 @@ from .fbm import (
     sample_fbm,
 )
 from .hermite import (
-    TruncationSpec,
     asymptotic_variance,
     gaussian_abs_moment,
     hermite,

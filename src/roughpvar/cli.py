@@ -50,7 +50,8 @@ from .harness import (
     validate_master_seed,
 )
 from .hermite import (
-    TruncationSpec,
+    HERMITE_TERMS,
+    LAG_CUTOFF,
     asymptotic_variance,
     gaussian_abs_moment,
     validate_variance_domain,
@@ -99,8 +100,8 @@ SCHEMA = {
     "constants": {
         "p": REQUIRED,
         "hurst": REQUIRED,
-        "hermite_terms": 40,
-        "lag_cutoff": 1000000,
+        "hermite_terms": HERMITE_TERMS,
+        "lag_cutoff": LAG_CUTOFF,
     },
     "pvar": {**_PVAR_KEYS, **_PROCESS_KEYS},
     "limit-check": {**_CHECK_KEYS, **_PROCESS_KEYS},
@@ -356,13 +357,11 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 def _run_constants(args: argparse.Namespace) -> int:
     cfg = resolve_config("constants", args)
-    truncation = TruncationSpec(
-        hermite_terms=cfg["hermite_terms"], lag_cutoff=cfg["lag_cutoff"]
-    )
-    validate_variance_domain(cfg["p"], cfg["hurst"])
+    series = (cfg["p"], cfg["hurst"], cfg["hermite_terms"], cfg["lag_cutoff"])
+    validate_variance_domain(*series)
     out = _write_manifest(args, "constants", cfg, ["manifest.json", "constants.csv"])
     moment = gaussian_abs_moment(cfg["p"])
-    variance = asymptotic_variance(cfg["p"], cfg["hurst"], truncation)
+    variance = asymptotic_variance(*series)
     row = ",".join(map(_fmt_float, (cfg["p"], cfg["hurst"], moment, variance)))
     header = "p,hurst,abs_moment,asymptotic_variance"
     (out / "constants.csv").write_text(f"{header}\n{row}\n")

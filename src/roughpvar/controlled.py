@@ -334,8 +334,7 @@ def solve_rde(
     to :func:`subsample_controlled` for a coarse view with it attached.
 
     Raises RuntimeError if the state exceeds 1e12 in absolute value or is
-    not finite; the steps run with numpy's overflow and invalid-value
-    warnings off, so that error is the only report of a blow-up.
+    not finite.
     """
     ell = validate_ell(ell)
     iterates = _field_iterates(field_coeffs, ell - 1)
@@ -354,21 +353,20 @@ def solve_rde(
     y = np.empty(n + 1)
     y[0] = float(y0)
     state = float(y0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # One column of powers per step as Python floats: numpy scalars would
-        # double the step's cost, and every column at once raises peak RSS.
-        for k, column in enumerate(powers.T):
-            step = 0.0
-            for g, power in zip(iterates, column.tolist()):
-                step += g(state) * power
-            if drift is not None:
-                step += drift(state) * h
-            state += step
-            if not abs(state) <= _BLOWUP_GUARD:
-                raise RuntimeError(
-                    f"solution exceeded the blow-up guard {_BLOWUP_GUARD:g} at step "
-                    f"{k + 1} of {n}"
-                )
-            y[k + 1] = state
+    # One column of powers per step as Python floats: numpy scalars would
+    # double the step's cost, and every column at once raises peak RSS.
+    for k, column in enumerate(powers.T):
+        step = 0.0
+        for g, power in zip(iterates, column.tolist()):
+            step += g(state) * power
+        if drift is not None:
+            step += drift(state) * h
+        state += step
+        if not abs(state) <= _BLOWUP_GUARD:
+            raise RuntimeError(
+                f"solution exceeded the blow-up guard {_BLOWUP_GUARD:g} at step "
+                f"{k + 1} of {n}"
+            )
+        y[k + 1] = state
 
     return ControlledPath(x, [y] + [g(y) for g in iterates])

@@ -205,19 +205,13 @@ def _replica_row(cfg: ExperimentConfig, n: int, replica: int) -> tuple:
     stat = pvar_statistic(cp, StatConfig(p=cfg.p, t=cfg.t))
     regime = cfg.regime
 
-    drift = 0.0
-    cond = math.nan
-    if regime in (REGIME_CRITICAL, REGIME_DEGENERATE):
-        drift = limit_drift(cp, cfg.p, cfg.t)
-    if regime in (REGIME_MIXED, REGIME_CRITICAL):
-        cond = limit_cond_std(cp, cfg.p, cfg.hurst, cfg.t)
-
-    if regime == REGIME_MIXED:
-        z = math.sqrt(n) * stat / cond if cond > 0.0 else math.nan
-    elif regime == REGIME_CRITICAL:
-        z = (math.sqrt(n) * stat - drift) / cond if cond > 0.0 else math.nan
-    else:
+    drift = 0.0 if regime == REGIME_MIXED else limit_drift(cp, cfg.p, cfg.t)
+    if regime == REGIME_DEGENERATE:
         z = float(n) ** (2.0 * cfg.hurst) * stat - drift
+        return (float(n), float(replica), stat, drift, math.nan, z)
+    # Mixed and critical; the mixed drift is 0.0, and x - 0.0 is x bit for bit.
+    cond = limit_cond_std(cp, cfg.p, cfg.hurst, cfg.t)
+    z = (math.sqrt(n) * stat - drift) / cond if cond > 0.0 else math.nan
     return (float(n), float(replica), stat, drift, cond, z)
 
 

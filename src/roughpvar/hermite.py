@@ -5,7 +5,9 @@ polynomials, absolute moments of the standard normal, the weights
 ``(2q)! c_q**2`` that the even Hermite coefficients ``c_q`` of ``|x|**p``
 give the asymptotic variance, that variance over correlated Gaussian
 increments, and a Gauss-Hermite projection that tests check the weights
-against.
+against. The variance σ²(p, H) is one cached function whose two truncation
+orders are keyword arguments, defaulting to ``HERMITE_TERMS`` and
+``LAG_CUTOFF``; the CLI's ``constants`` defaults read the same constants.
 
 The standard normal CDF ``ndtr`` and Gamma up to 33 are pure-Python ports of
 the Cephes code that ``scipy.special`` runs (Moshier, *Methods and Programs
@@ -17,12 +19,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .fbm import fill_fgn_autocovariance
+
+# Default truncation orders of the asymptotic variance: Hermite terms kept,
+# and the largest lag in each lag sum.
+HERMITE_TERMS = 40
+LAG_CUTOFF = 10**6
 
 # Lags per leaf of the σ² lag sums: two 64 KB arrays, each under glibc's
 # default 128 KiB mmap threshold.
@@ -165,59 +171,15 @@ def variance_weights(p: float, terms: int) -> list[float]:
     return weights
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Truncation orders for the asymptotic variance series.
-
-    Attributes
-    ----------
-    hermite_terms : int
-        Number of even Hermite terms kept (the series index runs up to this).
-    lag_cutoff : int
-        Largest increment-autocovariance lag included in each lag sum.
-    """
-
-    hermite_terms: int = 40
-    lag_cutoff: int = 10**6
-
-    def __post_init__(self) -> None:
-        if self.hermite_terms < 1:
-            raise ValueError("hermite_terms must be >= 1")
-        if self.lag_cutoff < 1:
-            raise ValueError("lag_cutoff must be >= 1")
-
-
-def asymptotic_variance(
-    p: float, hurst: float, truncation: TruncationSpec | None = None
-) -> float:
-    """Limit variance of centered, normalized power variation.
-
-    Evaluates ``sum_{q>=1} (2q)! coeff_q^2 * sum_{|k| <= K} rho(k)**(2q)``
-    with ``rho`` the unit-variance increment autocovariance for the given
-    Hurst index and ``coeff_q`` the even Hermite coefficients of ``|x|**p``.
-    Both truncations are estimated for their leftover mass; a warning is
-    issued if the combined tail estimate exceeds 1e-6 of the value.
-
-    At ``hurst = 1/2`` the increments are independent, every lag sum
-    collapses to 1, and the series sums to Var(|N|**p) exactly.
-
-    No ``lag_cutoff``-length array exists: the lags are taken one leaf of
-    at most ``2**13`` at a time (``rho**2`` and its running power, 64 KB
-    each), and each term's leaf sums are added up the pairwise tree that
-    ``np.sum`` uses, so every lag sum has the bits of ``np.sum`` over the
-    whole lag range. For even integer p the series ends after ``p / 2``
-    terms. Results are cached per process, keyed by ``(p, hurst)`` and the
-    truncation orders.
-    """
-    if truncation is None:
-        truncation = TruncationSpec()
-    return _asymptotic_variance_cached(
-        float(p), float(hurst), truncation.hermite_terms, truncation.lag_cutoff
-    )
-
-
-def validate_variance_domain(p: float, hurst: float) -> None:
-    """Reject (p, hurst) outside the domain of the asymptotic variance series."""
+def validate_variance_domain(
+    p: float, hurst: float, hermite_terms: int, lag_cutoff: int
+) -> None:
+    """Reject truncation orders below 1, then (p, hurst) outside the domain
+    of the asymptotic variance series."""
+    if hermite_terms < 1:
+        raise ValueError("hermite_terms must be >= 1")
+    if lag_cutoff < 1:
+        raise ValueError("lag_cutoff must be >= 1")
     # written so that a NaN p fails it
     if not 1.0 <= p < math.inf:
         raise ValueError(
@@ -230,9 +192,31 @@ def validate_variance_domain(p: float, hurst: float) -> None:
 
 
 @lru_cache(maxsize=128)
-def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int) -> float:
-    validate_variance_domain(p, hurst)
-    weights = variance_weights(p, terms)
+def asymptotic_variance(
+    p: float, hurst: float, hermite_terms: int = HERMITE_TERMS, lag_cutoff: int = LAG_CUTOFF
+) -> float:
+    """Limit variance of centered, normalized power variation.
+
+    Evaluates ``sum_{q>=1} (2q)! coeff_q^2 * sum_{|k| <= K} rho(k)**(2q)``
+    with ``rho`` the unit-variance increment autocovariance for the given
+    Hurst index, ``coeff_q`` the even Hermite coefficients of ``|x|**p``,
+    q up to ``hermite_terms`` and K = ``lag_cutoff``. Both truncations are
+    estimated for their leftover mass; a warning is issued if the combined
+    tail estimate exceeds 1e-6 of the value.
+
+    At ``hurst = 1/2`` the increments are independent, every lag sum
+    collapses to 1, and the series sums to Var(|N|**p) exactly.
+
+    No ``lag_cutoff``-length array exists: the lags are taken one leaf of
+    at most ``2**13`` at a time (``rho**2`` and its running power, 64 KB
+    each), and each term's leaf sums are added up the pairwise tree that
+    ``np.sum`` uses, so every lag sum has the bits of ``np.sum`` over the
+    whole lag range. For even integer p the series ends after ``p / 2``
+    terms. Results are cached per process, keyed by the arguments;
+    ``asymptotic_variance.__wrapped__`` is the uncached series.
+    """
+    validate_variance_domain(p, hurst, hermite_terms, lag_cutoff)
+    weights = variance_weights(p, hermite_terms)
 
     def leaf_sums(start: int, n: int) -> np.ndarray:
         # sum_k rho(k)^(2q) over the lags 1 + start, ..., start + n for each
@@ -254,12 +238,12 @@ def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int)
     total = 0.0
     kept = 0.0
     lag_tail = 0.0
-    power_sums = _pairwise_sum(leaf_sums, 0, cutoff)
+    power_sums = _pairwise_sum(leaf_sums, 0, lag_cutoff)
     for q, (weight, power_sum) in enumerate(zip(weights, power_sums), start=1):
         lag_sum = 1.0 + 2.0 * float(power_sum)
         kept += weight
         total += weight * lag_sum
-        lag_tail += weight * _lag_tail_estimate(hurst, q, cutoff)
+        lag_tail += weight * _lag_tail_estimate(hurst, q, lag_cutoff)
 
     # The weights sum to Var|N|**p (Parseval), so the dropped ones sum to
     # what the kept ones leave of it. Lag sums fall in q because |rho| <= 1,
@@ -272,7 +256,7 @@ def _asymptotic_variance_cached(p: float, hurst: float, terms: int, cutoff: int)
             f"asymptotic variance truncation tail ~{tail:.3g} exceeds 1e-6 of "
             f"the value {total:.6g}; increase the truncation orders",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return total
 

@@ -59,7 +59,7 @@ def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
 
     Refuses an ``ell`` that is not an integer of at least 2, a key the
     process does not take, a ``y0`` that is not one finite number, and a
-    coefficient list that is empty, not 1-d or not finite.
+    coefficient list that is empty, not 1-d, not all numbers or not finite.
     """
     params = dict(params or {})
     ell = validate_ell(params.pop("ell", DEFAULT_ELL))
@@ -73,8 +73,11 @@ def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
             raise ValueError(f"y0 must be one number, got {value!r}")
         if key == "drift_coeffs" and value is None:
             continue
-        if key.endswith("_coeffs") and (np.ndim(value) != 1 or len(value) == 0):
-            raise ValueError(f"{key} must be a nonempty 1-d sequence, got {value}")
+        if key.endswith("_coeffs"):
+            if np.ndim(value) != 1 or len(value) == 0:
+                raise ValueError(f"{key} must be a nonempty 1-d sequence, got {value}")
+            if not all(isinstance(c, numbers.Real) for c in value):
+                raise ValueError(f"{key} must hold numbers, got {value!r}")
         if not np.isfinite(value).all():
             raise ValueError(f"{key} must be finite, got {value}")
     return ell, params

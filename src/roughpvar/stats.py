@@ -11,7 +11,10 @@ at 1/4, and a pure probability-limit drift below 1/4. The drift and
 conditional standard deviation functionals are quadratures of derivative
 levels over the fine grid carried by the controlled path; the drift reads
 the first two derivatives of ``phi = |.|**p``, and the conditional standard
-deviation the asymptotic variance from :mod:`roughpvar.hermite`.
+deviation the cached asymptotic variance from :mod:`roughpvar.hermite` at
+its default truncation. Every grid integral here is a trapezoid sum, except
+the Riemann correction's inner driver integrals, which take the midpoint
+rule on the fine grid and so need an even fine factor.
 """
 
 from __future__ import annotations
@@ -247,31 +250,20 @@ def riemann_correction_sum(cp: ControlledPath, t: float = 1.0) -> float:
     """Weighted sum of local driver-integral corrections.
 
     Computes sum_{t_k < t} y_{t_k} * int_{t_k}^{t_{k+1}} (x_u - x_{t_k}) du
-    with the inner integral evaluated on the fine grid by the midpoint rule,
-    or by the per-cell trapezoid rule, with a warning, where the fine factor
-    is odd. Without a fine companion the inner integral degrades to the
-    two-endpoint trapezoid.
+    with the inner integral evaluated on the fine grid by the midpoint rule.
+    Refuses an odd fine factor, which has no fine-grid midpoints; a path
+    without a fine companion has factor 1. An empty window gives 0.
     """
     n = cp.n
     m = _snap_count(t, n)
     if m == 0:
         return 0.0
-    quad_cp, mf, hf = _fine_grid(cp, t)
-    factor = mf // m
-    xf = quad_cp.x.values[: mf + 1]
-
-    if factor % 2 == 0:
-        mids = xf[1:mf:2].reshape(m, factor // 2)
-        cell_integrals = 2.0 * hf * mids.sum(axis=1)
-    else:
-        warnings.warn(
-            "midpoint rule needs an even fine factor; using trapezoid",
-            RuntimeWarning,
-            stacklevel=2,
+    if cp.fine_factor % 2:
+        raise ValueError(
+            f"the midpoint rule needs an even fine factor, got {cp.fine_factor}"
         )
-        per_fine_cell = 0.5 * hf * (xf[:-1] + xf[1:])
-        cell_integrals = per_fine_cell.reshape(m, factor).sum(axis=1)
-
-    x_coarse = cp.x.values[:m]
-    corrections = cell_integrals - x_coarse / n
+    quad_cp, mf, hf = _fine_grid(cp, t)
+    mids = quad_cp.x.values[1:mf:2].reshape(m, cp.fine_factor // 2)
+    cell_integrals = 2.0 * hf * mids.sum(axis=1)
+    corrections = cell_integrals - cp.x.values[:m] / n
     return float(np.sum(cp.level(0)[:m] * corrections))

@@ -253,6 +253,19 @@ class TestExperimentConfig:
             ({"process_params": {"ell": 2.7}}, "ell must be an integer"),
             ({"process": "custom-rde", "process_params": {"y0": [1.0, 2.0]}},
              "y0 must be one number"),
+            # entries that are not numbers raised TypeError from np.isfinite
+            ({"process": "custom-rde", "process_params": {"field_coeffs": ["a"]}},
+             "field_coeffs must hold numbers"),
+            ({"process": "custom-rde", "process_params": {"field_coeffs": [None]}},
+             "field_coeffs must hold numbers"),
+            ({"process": "custom-rde", "process_params": {"field_coeffs": [1.0, "x"]}},
+             "field_coeffs must hold numbers"),
+            ({"process": "custom-rde", "process_params": {"drift_coeffs": ["a"]}},
+             "drift_coeffs must hold numbers"),
+            ({"process": "custom-rde", "process_params": {"drift_coeffs": [None]}},
+             "drift_coeffs must hold numbers"),
+            ({"process": "custom-rde", "process_params": {"drift_coeffs": [1.0, "x"]}},
+             "drift_coeffs must hold numbers"),
         ],
     )
     def test_validation_errors(self, overrides, match):

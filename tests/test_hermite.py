@@ -32,7 +32,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughpvar import (
-    TruncationSpec,
     asymptotic_variance,
     gaussian_abs_moment,
     hermite,
@@ -41,7 +40,8 @@ from roughpvar import (
 from roughpvar.fbm import fgn_autocovariance
 from roughpvar.hermite import (
     _SUM_LEAF,
-    _asymptotic_variance_cached,
+    HERMITE_TERMS,
+    LAG_CUTOFF,
     _pairwise_sum,
     gamma,
     ndtr,
@@ -292,9 +292,9 @@ class TestAsymptoticVariance:
 
     def test_independent_increments_cubic(self):
         # Var(|N|^3) = 15 - 8/pi; infinite series, generous truncation
-        spec = TruncationSpec(hermite_terms=120, lag_cutoff=1000)
+        got = asymptotic_variance(3.0, 0.5, hermite_terms=120, lag_cutoff=1000)
         expected = 15.0 - 8.0 / math.pi
-        assert asymptotic_variance(3.0, 0.5, spec) == pytest.approx(expected, rel=1e-7)
+        assert got == pytest.approx(expected, rel=1e-7)
 
     def test_quadratic_correlated_vs_lag_sum_oracle(self):
         # for p = 2 the series is the single term 2 * sum_k rho(k)^2,
@@ -302,7 +302,7 @@ class TestAsymptoticVariance:
         hurst, cutoff = 0.25, 10**6
         rho = fgn_autocovariance(np.arange(1, cutoff + 1), hurst)
         oracle = 2.0 * (1.0 + 2.0 * float(np.sum(rho * rho)))
-        got = asymptotic_variance(2.0, hurst, TruncationSpec(lag_cutoff=cutoff))
+        got = asymptotic_variance(2.0, hurst, lag_cutoff=cutoff)
         print(f"  sigma^2(2, 0.25): series {got:.10f}, oracle {oracle:.10f}")
         assert got == pytest.approx(oracle, rel=1e-10)
 
@@ -314,16 +314,13 @@ class TestAsymptoticVariance:
     # the series does not warn about at the default truncation.
     @pytest.mark.parametrize("p, hurst", [(2.5, 0.1), (3.0, 0.3), (4.0, 0.2), (5.0, 0.4)])
     def test_series_vs_hypergeometric_oracle(self, p, hurst):
-        spec = TruncationSpec()
-        rho = fgn_autocovariance(np.arange(1, spec.lag_cutoff + 1), hurst)
+        rho = fgn_autocovariance(np.arange(1, LAG_CUTOFF + 1), hurst)
         m_p = gaussian_abs_moment(p)
         excess = scipy.special.hyp2f1(-p / 2.0, -p / 2.0, 0.5, rho * rho) - 1.0
         oracle = gaussian_abs_moment(2.0 * p) - m_p**2 + 2.0 * m_p**2 * float(excess.sum())
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _asymptotic_variance_cached.__wrapped__(
-                p, hurst, spec.hermite_terms, spec.lag_cutoff
-            )
+            got = asymptotic_variance.__wrapped__(p, hurst)
         print(f"  sigma^2({p}, {hurst}): series {got!r}, oracle {oracle!r}")
         assert got == pytest.approx(oracle, rel=1e-6)
 
@@ -346,17 +343,28 @@ class TestAsymptoticVariance:
         # or shortening the lag pass must not move a single bit
         assert asymptotic_variance(p, hurst).hex() == bits
 
+    # σ² at orders other than the defaults, passed as keywords; both values
+    # were read while the orders still travelled in one config object
+    @pytest.mark.parametrize(
+        "p, hurst, orders, bits",
+        [
+            (3.0, 0.5, {"hermite_terms": 120, "lag_cutoff": 1000}, "0x1.8e833e423aa39p+3"),
+            (2.0, 0.25, {"lag_cutoff": 8193}, "0x1.2dc226109e656p+1"),
+        ],
+    )
+    def test_frozen_bits_through_keywords(self, p, hurst, orders, bits):
+        assert asymptotic_variance(p, hurst, **orders).hex() == bits
+
     # σ² away from the default cutoff, where the lag sums' pairwise trees
     # have odd splits and single leaves; the digest was read before the lag
     # sums were split into leaves, so a change of summation order fails here
     def test_frozen_bits_across_cutoffs(self):
         cutoffs = (1, 7, 8, 9, 128, 129, 8192, 8193, 32769, 65537, 100003, 999999)
         pairs = ((2.0, 0.25), (3.0, 0.3), (2.5, 0.1), (4.0, 0.2), (1.5, 0.45))
-        terms = TruncationSpec().hermite_terms
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             bits = [
-                _asymptotic_variance_cached.__wrapped__(p, hurst, terms, cutoff).hex()
+                asymptotic_variance.__wrapped__(p, hurst, lag_cutoff=cutoff).hex()
                 for p, hurst in pairs
                 for cutoff in cutoffs
             ]
@@ -371,9 +379,7 @@ class TestAsymptoticVariance:
         cutoff = 10**6
         tracemalloc.start()
         try:
-            _asymptotic_variance_cached.__wrapped__(
-                p, 0.3, TruncationSpec().hermite_terms, cutoff
-            )
+            asymptotic_variance.__wrapped__(p, 0.3, lag_cutoff=cutoff)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -387,9 +393,7 @@ class TestAsymptoticVariance:
         cutoff = 10**6
         tracemalloc.start()
         try:
-            _asymptotic_variance_cached.__wrapped__(
-                p, 0.3, TruncationSpec().hermite_terms, cutoff
-            )
+            asymptotic_variance.__wrapped__(p, 0.3, lag_cutoff=cutoff)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -402,9 +406,7 @@ class TestAsymptoticVariance:
         cutoff = 10**6
         tracemalloc.start()
         try:
-            _asymptotic_variance_cached.__wrapped__(
-                2.0, 0.25, TruncationSpec().hermite_terms, cutoff
-            )
+            asymptotic_variance.__wrapped__(2.0, 0.25, lag_cutoff=cutoff)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -429,7 +431,7 @@ class TestAsymptoticVariance:
         # near hurst = 3/4 the lag sums decay like k^{-0.4}; a cutoff of 17
         # lags leaves visible mass behind and must be reported
         with pytest.warns(RuntimeWarning, match="truncation tail"):
-            asymptotic_variance(2.0, 0.7, TruncationSpec(lag_cutoff=17))
+            asymptotic_variance(2.0, 0.7, lag_cutoff=17)
 
     # The weights (2q)! c_q^2 sum to Var|N|^p (Parseval) and every lag sum
     # is at least 1, so a series cut after `terms` terms drops at least what
@@ -441,17 +443,21 @@ class TestAsymptoticVariance:
         kept = sum(variance_weights(p, terms))
         remainder = gaussian_abs_moment(2.0 * p) - gaussian_abs_moment(p) ** 2 - kept
         with pytest.warns(RuntimeWarning, match="truncation tail") as record:
-            _asymptotic_variance_cached.__wrapped__(p, hurst, terms, 10**6)
+            asymptotic_variance.__wrapped__(p, hurst, hermite_terms=terms)
         reported = re.search(r"tail ~(\S+) exceeds", str(record[0].message)).group(1)
         print(f"  ({p}, {hurst}, {terms}): reported {reported}, remainder {remainder:.3g}")
         # the message rounds to 3 digits, so compare after the same rounding
         assert float(reported) >= float(f"{remainder:.3g}")
 
-    def test_truncation_spec_validation(self):
-        with pytest.raises(ValueError):
-            TruncationSpec(hermite_terms=0)
-        with pytest.raises(ValueError):
-            TruncationSpec(lag_cutoff=0)
+    def test_truncation_order_refusals(self):
+        # the orders are checked before (p, hurst), so an order below 1 is
+        # named even where p is refused too
+        with pytest.raises(ValueError, match="hermite_terms must be >= 1"):
+            asymptotic_variance(2.0, 0.3, hermite_terms=0)
+        with pytest.raises(ValueError, match="lag_cutoff must be >= 1"):
+            asymptotic_variance(2.0, 0.3, lag_cutoff=0)
+        with pytest.raises(ValueError, match="lag_cutoff must be >= 1"):
+            asymptotic_variance(0.5, 0.3, lag_cutoff=0)
 
 
 # numpy's pairwise tree has a leaf below 8 items, an 8-accumulator loop up

@@ -347,11 +347,13 @@ class TestRiemannCorrectionSum:
         assert a == pytest.approx(b, rel=0.15)
         assert np.sign(a) == np.sign(b)
 
-    def test_odd_fine_factor_warns(self):
-        xf = sample_fbm(FbmSpec(hurst=0.3, n=64 * 3, seed=58))
-        cp = build_controlled_process("fbm", xf, fine_factor=3)
-        with pytest.warns(RuntimeWarning, match="even fine factor"):
-            riemann_correction_sum(cp)
+    def test_odd_fine_factor_refused(self):
+        # an odd factor has no fine-grid midpoints; no fine companion is factor 1
+        for factor in (3, 1):
+            xf = sample_fbm(FbmSpec(hurst=0.3, n=64 * factor, seed=58))
+            cp = build_controlled_process("fbm", xf, fine_factor=factor)
+            with pytest.raises(ValueError, match=f"even fine factor, got {factor}"):
+                riemann_correction_sum(cp)
 
     def test_zero_window(self):
         x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=58))

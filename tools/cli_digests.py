@@ -35,9 +35,11 @@ no increment, the refusals of a p that is not finite (in every regime, forced,
 and in ``constants``) and of ``custom-rde`` inputs that are not finite,
 a run that passes the removed ``--quadrature`` flag (refused by the argument
 parser), a ``custom-rde`` solve with a drift and a quadratic field at
-``--ell 6``, the refusal of an ``--id`` with a comma, and a ``simulate``
-run that passes ``--workers`` (refused by the argument parser). It takes
-about 30 s on two cores and is not part of the test suite.
+``--ell 6``, the refusal of an ``--id`` with a comma, a ``simulate``
+run that passes ``--workers`` (refused by the argument parser), and
+``constants`` with both truncation orders set and with a lag cutoff of 0
+(refused). It takes about 30 s on two cores and is not part of the test
+suite.
 """
 
 from __future__ import annotations
@@ -154,6 +156,9 @@ RUNS = (
     ("refused-id-comma", ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "64",
                           "--replicas", "5", "--id", "a,b"]),
     ("simulate-workers-flag", ["simulate", "--hurst", "0.3", "--n", "64", "--workers", "2"]),
+    ("constants-orders", ["constants", "--p", "3", "--hurst", "0.5", "--hermite-terms", "120",
+                          "--lag-cutoff", "1000"]),
+    ("refused-lag-cutoff", ["constants", "--p", "2", "--hurst", "0.3", "--lag-cutoff", "0"]),
 )
 
 _SOURCE_LINE = re.compile(rb"(<checkout>/\S+\.py):\d+:")
