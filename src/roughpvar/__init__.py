@@ -9,7 +9,6 @@ from .fbm import (
     fbm_covariance,
     fgn_autocovariance,
     path_to_csv,
-    rng_for_spec,
     sample_fbm,
 )
 from .hermite import (

@@ -145,7 +145,8 @@ class FbmSpec:
     n : int
         Number of grid cells; the path is returned at t_k = k / n.
     seed : int
-        Seed used when no generator is supplied to :func:`sample_fbm`.
+        Not read (``harness.replica_rng`` derives every replica stream);
+        kept because the benchmark script passes it.
     method : str
         ``auto`` (the circulant embedding) or ``cholesky`` (n up to 4096
         only).
@@ -160,8 +161,6 @@ class FbmSpec:
         _check_hurst(self.hurst)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.method == "cholesky" and self.n > _CHOLESKY_MAX_N:
@@ -213,22 +212,14 @@ class FbmPath:
         return np.arange(self.spec.n + 1) / self.spec.n
 
 
-def rng_for_spec(spec: FbmSpec) -> np.random.Generator:
-    """Default generator for a spec: counter-based, so streams derived from
-    distinct seeds never overlap."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
-
-
-def sample_fbm(spec: FbmSpec, rng: np.random.Generator | None = None) -> FbmPath:
-    """Draw one exact fractional Brownian path at resolution ``spec.n``.
+def sample_fbm(spec: FbmSpec, rng: np.random.Generator) -> FbmPath:
+    """Draw one exact fractional Brownian path at resolution ``spec.n`` from ``rng``.
 
     The increments are unit-variance fractional Gaussian noise scaled by
     ``n**-hurst`` (self-similarity on the unit interval). ``method='auto'``
     uses the circulant embedding and raises :class:`RuntimeError` if it is
     not nonnegative definite; ``cholesky`` factors the dense covariance.
     """
-    if rng is None:
-        rng = rng_for_spec(spec)
     n = spec.n
 
     if spec.method == "cholesky":

@@ -480,9 +480,10 @@ def rate_fit(rcfg: RateFitConfig, workers: int | None = None) -> RateFitResult:
 class ScalingConfig:
     """A two-way scaling fit of windowed Hermite sums, refused at construction.
 
-    Refused: fewer than two resolutions or two window lengths, a window
-    [start, start + delta) outside [0, 1] (NaN included) or holding no
-    increment at some resolution (every sum there is 0), a Hermite rank
+    Refused: fewer than two resolutions or two window lengths, a repeated
+    window length (it leaves the fit's log-window column constant), a
+    window [start, start + delta) outside [0, 1] (NaN included) or holding
+    no increment at some resolution (every sum there is 0), a Hermite rank
     below 1, and a degenerate fit (rank * H < 1/2) whose closed-form weight
     has an identically zero rank-th level: ``fbm`` at rank >= 2, ``sq`` at
     rank >= 3, ``cube`` at rank >= 4. There the limit integral is 0 and
@@ -504,6 +505,8 @@ class ScalingConfig:
         object.__setattr__(self, "delta_grid", deltas)
         if len(deltas) < 2 or len(self.experiment.n_grid) < 2:
             raise ValueError("need at least two resolutions and two window lengths")
+        if len(set(deltas)) != len(deltas):
+            raise ValueError("delta_grid entries must be distinct")
         # written so that a NaN window fails it
         if not (all(d > 0.0 for d in deltas) and 0.0 <= self.start
                 and self.start + max(deltas) <= 1.0):

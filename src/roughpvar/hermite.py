@@ -18,6 +18,7 @@ scipy's bits without importing scipy. Gamma above 33 imports scipy's own.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from functools import lru_cache
 
@@ -174,12 +175,14 @@ def variance_weights(p: float, terms: int) -> list[float]:
 def validate_variance_domain(
     p: float, hurst: float, hermite_terms: int, lag_cutoff: int
 ) -> None:
-    """Reject truncation orders below 1, then (p, hurst) outside the domain
-    of the asymptotic variance series."""
-    if hermite_terms < 1:
-        raise ValueError("hermite_terms must be >= 1")
-    if lag_cutoff < 1:
-        raise ValueError("lag_cutoff must be >= 1")
+    """Reject truncation orders that are not integers (NaN included) or are
+    below 1, then (p, hurst) outside the domain of the asymptotic variance
+    series."""
+    for name, order in (("hermite_terms", hermite_terms), ("lag_cutoff", lag_cutoff)):
+        if not isinstance(order, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {order!r}")
+        if order < 1:
+            raise ValueError(f"{name} must be >= 1")
     # written so that a NaN p fails it
     if not 1.0 <= p < math.inf:
         raise ValueError(

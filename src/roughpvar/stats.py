@@ -216,9 +216,7 @@ def limit_cond_std(
         raise RegimeError(
             f"no conditional std below the critical index (hurst={hurst})"
         )
-    quad_cp, mf, step = _fine_grid(cp, t)
-    yprime = quad_cp.level(1)[: mf + 1]
-    scale = integrate_grid(np.abs(yprime) ** (2.0 * p), step)
+    scale = _compensator(cp, 2.0 * p, t)
     return math.sqrt(asymptotic_variance(p, hurst)) * math.sqrt(scale)
 
 

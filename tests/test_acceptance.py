@@ -76,17 +76,13 @@ from roughpvar import (
     weighted_increment_sum,
 )
 from roughpvar.hermite import variance_weights
+from streams import philox
 
 MASTER_SEED = 2024
 
 
 def _report(label, ok, detail):
     print(f"criterion {label}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def _philox(seed, spawn_key=()):
-    seq = np.random.SeedSequence(seed, spawn_key=spawn_key)
-    return np.random.Generator(np.random.Philox(seq))
 
 
 def _signed_cube(u):
@@ -180,8 +176,8 @@ def test_criterion_02_remainder_decomposition():
     n = 512
     worst = 0.0
     for tag, ell, hurst, seed in combos:
-        rng = _philox(seed)
-        x = sample_fbm(FbmSpec(hurst=hurst, n=n, seed=seed), rng)
+        rng = philox(seed)
+        x = sample_fbm(FbmSpec(hurst=hurst, n=n), rng)
         cp = build_controlled_process(tag, x, params={"ell": ell})
         idx = rng.integers(0, n + 1, size=(1000, 3))
         idx.sort(axis=1)
@@ -211,14 +207,14 @@ def test_criterion_03_construction_oracles():
     for hurst, ell in ((0.35, 6), (0.5, 4)):
         ratios = []
         for rep in range(paths):
-            rng = _philox(seed, spawn_key=(rep,))
-            x16 = sample_fbm(FbmSpec(hurst=hurst, n=base * 16, seed=seed), rng)
+            rng = philox(seed, spawn_key=(rep,))
+            x16 = sample_fbm(FbmSpec(hurst=hurst, n=base * 16), rng)
             truth = np.exp(x16.values[::16])
             errs = []
             for factor in factors:
                 step = 16 // factor
                 x_f = FbmPath(
-                    FbmSpec(hurst=hurst, n=base * factor, seed=seed),
+                    FbmSpec(hurst=hurst, n=base * factor),
                     x16.values[::step],
                 )
                 # solver half: one-step scheme for dy = y dx against exp(x)
@@ -412,8 +408,8 @@ def test_criterion_09_sign_weighted_limit():
     n = 16384
     sums = []
     for rep in range(500):
-        rng = _philox(MASTER_SEED, spawn_key=(n, rep))
-        x = sample_fbm(FbmSpec(hurst=hurst, n=n, seed=MASTER_SEED), rng)
+        rng = philox(MASTER_SEED, spawn_key=(n, rep))
+        x = sample_fbm(FbmSpec(hurst=hurst, n=n), rng)
         sums.append(weighted_increment_sum(x, _signed_cube, x.values, 0.0, 1.0))
     med = float(np.median(n ** (hurst - 1.0) * np.array(sums)))
     target = -1.5

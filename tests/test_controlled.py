@@ -53,6 +53,7 @@ from roughpvar import (
 )
 from roughpvar import controlled
 from roughpvar.controlled import _decomposition_residuals, _field_iterates, _poly_callable
+from streams import philox
 
 
 def _canonical(x, ell):
@@ -70,7 +71,7 @@ def _polyval_callable(coeffs):
 
 def _line_driver(n):
     """Deterministic unit-slope driver wrapped as a sampled path."""
-    return FbmPath(FbmSpec(hurst=0.5, n=n, seed=0), np.linspace(0.0, 1.0, n + 1))
+    return FbmPath(FbmSpec(hurst=0.5, n=n), np.linspace(0.0, 1.0, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ class TestControlledPath:
     """Level representation invariants."""
 
     def test_from_raw_levels_normalizes(self):
-        x = sample_fbm(FbmSpec(hurst=0.4, n=16, seed=1))
+        x = sample_fbm(FbmSpec(hurst=0.4, n=16), philox(1))
         raw = [3.0 + x.values, 2.0 * np.ones_like(x.values)]
         cp = ControlledPath(x, raw)
         assert cp.constants == () and cp.levels.shape == (2, 17)
@@ -93,25 +94,25 @@ class TestControlledPath:
         assert not cp.levels.flags.writeable
 
     def test_validation_errors(self):
-        x = sample_fbm(FbmSpec(hurst=0.4, n=16, seed=1))
+        x = sample_fbm(FbmSpec(hurst=0.4, n=16), philox(1))
         good_row = np.zeros(17)
         with pytest.raises(ValueError):
             ControlledPath(x, np.zeros((1, 5)))
         with pytest.raises(ValueError):
             ControlledPath(x, np.zeros((0, 17)))
-        odd_fine = _canonical(sample_fbm(FbmSpec(hurst=0.4, n=24, seed=1)), 1)
+        odd_fine = _canonical(sample_fbm(FbmSpec(hurst=0.4, n=24), philox(1)), 1)
         with pytest.raises(ValueError):
             ControlledPath(x, [good_row], fine=odd_fine)
 
     def test_quadrature_path_defaults_to_self(self):
-        x = sample_fbm(FbmSpec(hurst=0.4, n=16, seed=1))
+        x = sample_fbm(FbmSpec(hurst=0.4, n=16), philox(1))
         cp = _canonical(x, 2)
         assert cp.quadrature_path() is cp
         assert cp.fine_factor == 1
 
     @pytest.mark.parametrize("tag", ["fbm", "sq", "exp-rde"])
     def test_stored_levels_are_read_without_a_copy(self, tag):
-        x_fine = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=2))
+        x_fine = sample_fbm(FbmSpec(hurst=0.3, n=64), philox(2))
         coarse = build_controlled_process(tag, x_fine, 4, {"ell": 3})
         for cp in (coarse, coarse.fine):
             for i in range(cp.levels.shape[0]):
@@ -156,14 +157,14 @@ class TestRemainder:
     """Taylor-type remainders of the level expansion."""
 
     def test_exact_zero_for_driver_tuple(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=64, seed=5))
+        x = sample_fbm(FbmSpec(hurst=0.35, n=64), philox(5))
         cp = _canonical(x, 2)
         s = np.arange(64) / 64.0
         t = np.arange(1, 65) / 64.0
         assert np.max(np.abs(remainder(cp, 0, s, t))) == 0.0
 
     def test_exact_zero_for_square_tuple(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=64, seed=6))
+        x = sample_fbm(FbmSpec(hurst=0.35, n=64), philox(6))
         cp = build_controlled_process("sq", x, params={"ell": 3})
         s = np.zeros(16)
         t = np.arange(1, 17) / 64.0
@@ -174,21 +175,21 @@ class TestRemainder:
     def test_truncated_square_tuple_has_explicit_remainder(self):
         # with levels (x^2/2, x) the expansion stops one term early and the
         # remainder over any cell is exactly (dx)^2 / 2
-        x = sample_fbm(FbmSpec(hurst=0.35, n=64, seed=7))
+        x = sample_fbm(FbmSpec(hurst=0.35, n=64), philox(7))
         cp = ControlledPath(x, [0.5 * x.values**2, x.values])
         dx = x.values[40] - x.values[8]
         got = remainder(cp, 0, 8 / 64.0, 40 / 64.0)
         assert got == pytest.approx(0.5 * dx * dx, rel=1e-12)
 
     def test_top_level_remainder_is_plain_increment(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=64, seed=8))
+        x = sample_fbm(FbmSpec(hurst=0.35, n=64), philox(8))
         cp = build_controlled_process("exp-rde", x, params={"ell": 3})
         got = remainder(cp, 2, 0.25, 1.0)
         expected = math.exp(x.values[64]) - math.exp(x.values[16])
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_level_index_domain(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=64, seed=8))
+        x = sample_fbm(FbmSpec(hurst=0.35, n=64), philox(8))
         cp = _canonical(x, 2)
         with pytest.raises(ValueError):
             remainder(cp, 2, 0.0, 1.0)
@@ -204,7 +205,7 @@ class TestDecompositionIdentity:
         # the identity is structural: it holds for arbitrary level rows,
         # whether or not they satisfy any analytic remainder bound
         rng = np.random.default_rng(100 + ell)
-        x = sample_fbm(FbmSpec(hurst=0.3, n=256, seed=9))
+        x = sample_fbm(FbmSpec(hurst=0.3, n=256), philox(9))
         raw = [rng.normal(size=257) for _ in range(ell)]
         cp = ControlledPath(x, raw)
 
@@ -240,7 +241,7 @@ class TestDecompositionIdentity:
         # reads as they are
         rng = np.random.default_rng(seed)
         values = np.concatenate([[0.0], np.cumsum(rng.normal(size=n))]) / math.sqrt(n)
-        x = FbmPath(FbmSpec(hurst=0.3, n=n, seed=0), values)
+        x = FbmPath(FbmSpec(hurst=0.3, n=n), values)
         raw = [offsets[m] + rng.normal(size=n + 1) for m in range(ell)]
         cp = ControlledPath(x, raw)
         assert cp.constants == () and _same_bits(cp.levels, raw)
@@ -253,7 +254,7 @@ class TestDecompositionIdentity:
         assert not np.any(bad), f"{int(np.sum(bad))} residuals above 1e-12 * scale"
 
     def test_scalar_form(self):
-        x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=10))
+        x = sample_fbm(FbmSpec(hurst=0.3, n=64), philox(10))
         cp = build_controlled_process("exp-rde", x, params={"ell": 4})
         res = remainder_decomposition_residual(cp, 0.125, 0.5, 0.875)
         assert isinstance(res, float)
@@ -341,7 +342,7 @@ class TestRoughIntegral:
     """Compensated-sum integration against the driver."""
 
     def test_driver_against_itself_is_exact(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=128, seed=18))
+        x = sample_fbm(FbmSpec(hurst=0.35, n=128), philox(18))
         out = rough_integral(_canonical(x, 2), x)
         expected = 0.5 * x.values**2
         worst = np.max(np.abs(out.level(0) - expected))
@@ -350,21 +351,21 @@ class TestRoughIntegral:
         assert out.ell == 3
 
     def test_square_tuple_integrates_to_cube(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=128, seed=19))
+        x = sample_fbm(FbmSpec(hurst=0.35, n=128), philox(19))
         cp = build_controlled_process("sq", x, params={"ell": 3})
         out = rough_integral(cp, x)
         worst = np.max(np.abs(out.level(0) - x.values**3 / 6.0))
         assert worst < 1e-14
 
     def test_constant_integrand(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=128, seed=20))
+        x = sample_fbm(FbmSpec(hurst=0.35, n=128), philox(20))
         ones = np.ones_like(x.values)
         cp = ControlledPath(x, [ones, np.zeros_like(ones)])
         out = rough_integral(cp, x)
         assert np.allclose(out.level(0), x.values, atol=1e-15)
 
     def test_refine_returns_coarse_view(self):
-        x_fine = sample_fbm(FbmSpec(hurst=0.35, n=512, seed=21))
+        x_fine = sample_fbm(FbmSpec(hurst=0.35, n=512), philox(21))
         out = subsample_controlled(rough_integral(_canonical(x_fine, 2), x_fine), 4)
         assert out.n == 128
         assert out.fine is not None and out.fine.n == 512
@@ -390,7 +391,7 @@ class TestRoughIntegral:
         # each cell's expansion is the full Taylor sum of F with F' = f, so
         # the compensated sum telescopes to F(x_t) - F(0) up to rounding.
         f = np.array(coeffs[:ell])
-        x = sample_fbm(FbmSpec(hurst=hurst, n=n, seed=seed))
+        x = sample_fbm(FbmSpec(hurst=hurst, n=n), philox(seed))
         levels = [P.polyval(x.values, P.polyder(f, j)) for j in range(ell)]
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "integrand order", RuntimeWarning)
@@ -409,13 +410,13 @@ class TestRoughIntegral:
         assert np.all(error <= 1e-12 * scale), f"worst relative error {np.max(error / scale):.2e}"
 
     def test_driver_mismatch_rejected(self):
-        x1 = sample_fbm(FbmSpec(hurst=0.35, n=64, seed=22))
-        x2 = sample_fbm(FbmSpec(hurst=0.35, n=64, seed=23))
+        x1 = sample_fbm(FbmSpec(hurst=0.35, n=64), philox(22))
+        x2 = sample_fbm(FbmSpec(hurst=0.35, n=64), philox(23))
         with pytest.raises(ValueError):
             rough_integral(_canonical(x1, 2), x2)
 
     def test_marginal_order_warns(self):
-        x = sample_fbm(FbmSpec(hurst=0.5, n=64, seed=24))
+        x = sample_fbm(FbmSpec(hurst=0.5, n=64), philox(24))
         z = ControlledPath(x, [x.values])
         with pytest.warns(RuntimeWarning, match="marginal"):
             rough_integral(z, x)
@@ -430,12 +431,12 @@ class TestSolveRde:
     """One-step scheme with iterated-field terms."""
 
     def test_constant_field_is_exact(self):
-        x = sample_fbm(FbmSpec(hurst=0.3, n=256, seed=25))
+        x = sample_fbm(FbmSpec(hurst=0.3, n=256), philox(25))
         out = solve_rde(None, [1.0], 2.0, x, ell=3)
         assert np.allclose(out.level(0), 2.0 + x.values, atol=1e-14)
 
     def test_pure_drift_is_exact(self):
-        x = sample_fbm(FbmSpec(hurst=0.3, n=256, seed=26))
+        x = sample_fbm(FbmSpec(hurst=0.3, n=256), philox(26))
         out = solve_rde([1.0], [0.0], 0.5, x, ell=2)
         assert np.allclose(out.level(0), 0.5 + x.times, atol=1e-13)
 
@@ -449,14 +450,14 @@ class TestSolveRde:
         assert worst < 1e-10
 
     def test_solution_levels_are_field_iterates(self):
-        x = sample_fbm(FbmSpec(hurst=0.4, n=128, seed=27))
+        x = sample_fbm(FbmSpec(hurst=0.4, n=128), philox(27))
         out = solve_rde(None, [0.0, 1.0], 1.0, x, ell=4)
         y = out.level(0)
         for i in range(1, 4):
             assert np.array_equal(out.level(i), y), i
 
     def test_refine_attaches_fine_solution(self):
-        x_fine = sample_fbm(FbmSpec(hurst=0.4, n=512, seed=28))
+        x_fine = sample_fbm(FbmSpec(hurst=0.4, n=512), philox(28))
         out = subsample_controlled(
             solve_rde(None, [0.0, 1.0], 1.0, x_fine, ell=3), 8
         )
@@ -475,7 +476,7 @@ class TestSolveRde:
     def test_polynomial_fields_match_polyval_bit_for_bit(self, field, drift, y0, ell, seed):
         # the same fields evaluated by np.polynomial.polynomial.polyval give
         # the same levels, or the same blow-up, bit for bit
-        x = sample_fbm(FbmSpec(hurst=0.3, n=128, seed=seed))
+        x = sample_fbm(FbmSpec(hurst=0.3, n=128), philox(seed))
 
         def solve():
             try:
@@ -490,7 +491,7 @@ class TestSolveRde:
             assert solve() == horner
 
     def test_blow_up_guard(self):
-        x = sample_fbm(FbmSpec(hurst=0.5, n=256, seed=29))
+        x = sample_fbm(FbmSpec(hurst=0.5, n=256), philox(29))
         with pytest.raises(RuntimeError, match="blow-up"):
             solve_rde([0.0, 0.0, 1.0], [0.0], 1e9, x, ell=2)
 
@@ -500,14 +501,14 @@ class TestSolveRde:
         # the first step is inf - inf = NaN, which exceeds no guard. Under
         # numpy's default error handling, with every warning turned into an
         # error, the guard's RuntimeError must be the only report.
-        x = FbmPath(FbmSpec(hurst=0.5, n=8, seed=0), np.linspace(0.0, -1.0, 9))
+        x = FbmPath(FbmSpec(hurst=0.5, n=8), np.linspace(0.0, -1.0, 9))
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError, match="blow-up guard"):
                 solve_rde(None, [0.0] * 8 + [5.0], 1e13, x, ell=6)
 
     def test_validation(self):
-        x = sample_fbm(FbmSpec(hurst=0.5, n=256, seed=29))
+        x = sample_fbm(FbmSpec(hurst=0.5, n=256), philox(29))
         with pytest.raises(ValueError):
             solve_rde(None, [0.0, 1.0], 1.0, x, ell=1)
         with pytest.raises(ValueError, match="ell must be an integer, got 2.5"):
@@ -528,7 +529,7 @@ class TestSolveRde:
     def test_non_finite_inputs_refused_before_the_solve(self, params, match):
         # Before the refusal, these reached the solver and stopped at its
         # blow-up guard, reported as a blow-up at step 1.
-        x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=29))
+        x = sample_fbm(FbmSpec(hurst=0.3, n=64), philox(29))
         with pytest.raises(ValueError, match=match):
             build_controlled_process("custom-rde", x, params=params)
 
@@ -545,14 +546,14 @@ class TestSolveRde:
     def test_malformed_inputs_refused_before_the_solve(self, params, match):
         # Before the refusal, a list y0 raised TypeError inside the solve, an
         # ell of 2.7 ran with 2 levels, and a field of None reached the solver.
-        x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=29))
+        x = sample_fbm(FbmSpec(hurst=0.3, n=64), philox(29))
         with pytest.raises(ValueError, match=match):
             build_controlled_process("custom-rde", x, params=params)
 
     @pytest.mark.parametrize("ell", [3, 3.0, np.int64(3)])
     def test_integral_ell_accepted(self, ell):
         # a manifest may hold the level count as a float
-        x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=29))
+        x = sample_fbm(FbmSpec(hurst=0.3, n=64), philox(29))
         assert build_controlled_process("custom-rde", x, params={"ell": ell}).ell == 3
 
 
@@ -562,7 +563,7 @@ class TestSolveRde:
 
 
 def test_subsample_controlled_consistency():
-    x_fine = sample_fbm(FbmSpec(hurst=0.35, n=1024, seed=30))
+    x_fine = sample_fbm(FbmSpec(hurst=0.35, n=1024), philox(30))
     fine_cp = build_controlled_process("sq", x_fine)
     coarse = subsample_controlled(fine_cp, 8)
     assert coarse.n == 128
@@ -582,7 +583,7 @@ def test_subsample_controlled_consistency():
 
 @pytest.mark.parametrize("tag, stored", [("fbm", 1), ("sq", 2), ("cube", 3), ("exp-rde", 6)])
 def test_closed_forms_store_only_non_constant_rows(tag, stored):
-    x_fine = sample_fbm(FbmSpec(hurst=0.3, n=256, seed=31))
+    x_fine = sample_fbm(FbmSpec(hurst=0.3, n=256), philox(31))
     cp = build_controlled_process(tag, x_fine, 4, {"ell": 6})
     assert cp.ell == 6 and len(cp.constants) == 6 - stored
     assert cp.fine.ell == 6 and cp.fine.constants == cp.constants

@@ -31,11 +31,11 @@ from roughpvar import (
     fbm_covariance,
     fgn_autocovariance,
     path_to_csv,
-    rng_for_spec,
     sample_fbm,
 )
 from roughpvar import fbm
 from roughpvar.fbm import _circulant_eigenvalues
+from streams import philox
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +172,16 @@ def test_fill_matches_one_call_bit_for_bit(first, size, hurst):
 
 
 def test_sample_determinism():
-    spec = FbmSpec(hurst=0.3, n=128, seed=12)
-    a = sample_fbm(spec)
-    b = sample_fbm(spec)
+    spec = FbmSpec(hurst=0.3, n=128)
+    a = sample_fbm(spec, philox(12))
+    b = sample_fbm(spec, philox(12))
     assert np.array_equal(a.values, b.values)
-    c = sample_fbm(FbmSpec(hurst=0.3, n=128, seed=13))
+    c = sample_fbm(spec, philox(13))
     assert not np.array_equal(a.values, c.values)
 
 
 def test_path_invariants():
-    path = sample_fbm(FbmSpec(hurst=0.7, n=64, seed=5))
+    path = sample_fbm(FbmSpec(hurst=0.7, n=64), philox(5))
     assert path.values[0] == 0.0
     assert len(path.values) == 65
     assert not path.values.flags.writeable
@@ -190,8 +190,8 @@ def test_path_invariants():
 @pytest.mark.parametrize("hurst", [0.15, 0.3, 0.5, 0.8])
 def test_increment_variance_matches_self_similarity(hurst):
     n, replicas = 16, 10**4
-    spec = FbmSpec(hurst=hurst, n=n, seed=303)
-    rng = rng_for_spec(spec)
+    spec = FbmSpec(hurst=hurst, n=n)
+    rng = philox(303)
     acc = np.zeros(n)
     for _ in range(replicas):
         acc += np.diff(sample_fbm(spec, rng).values) ** 2
@@ -206,8 +206,8 @@ def test_increment_variance_matches_self_similarity(hurst):
 
 def test_half_hurst_increments_are_white():
     n, replicas = 1024, 50
-    spec = FbmSpec(hurst=0.5, n=n, seed=7)
-    rng = rng_for_spec(spec)
+    spec = FbmSpec(hurst=0.5, n=n)
+    rng = philox(7)
     acfs = []
     for _ in range(replicas):
         d = np.diff(sample_fbm(spec, rng).values)
@@ -221,8 +221,8 @@ def test_half_hurst_increments_are_white():
 def test_empirical_covariance_matrix():
     # full Gaussian law check at n=64 over 2e4 replicas, entrywise 4 SE
     hurst, n, replicas = 0.35, 64, 2 * 10**4
-    spec = FbmSpec(hurst=hurst, n=n, seed=42)
-    rng = rng_for_spec(spec)
+    spec = FbmSpec(hurst=hurst, n=n)
+    rng = philox(42)
     paths = np.empty((replicas, n))
     for r in range(replicas):
         paths[r] = sample_fbm(spec, rng).values[1:]
@@ -250,8 +250,8 @@ def test_cholesky_and_circulant_agree_in_law():
     hurst, n, replicas = 0.3, 32, 10**4
     var_by_method = {}
     for method in ("cholesky", "auto"):
-        spec = FbmSpec(hurst=hurst, n=n, seed=99, method=method)
-        rng = rng_for_spec(spec)
+        spec = FbmSpec(hurst=hurst, n=n, method=method)
+        rng = philox(99)
         ends = [sample_fbm(spec, rng).values[-1] for _ in range(replicas)]
         var_by_method[method] = float(np.var(ends))
     for method, var in var_by_method.items():
@@ -263,18 +263,18 @@ def test_indefinite_embedding_raises(monkeypatch):
     # No Cholesky fallback: an indefinite embedding is an error under auto.
     monkeypatch.setattr(fbm, "_circulant_eigenvalues", lambda n, hurst: None)
     with pytest.raises(RuntimeError, match="not nonnegative definite"):
-        sample_fbm(FbmSpec(hurst=0.3, n=32, method="auto"))
+        sample_fbm(FbmSpec(hurst=0.3, n=32, method="auto"), philox(0))
 
 
 def test_indefinite_embedding_raises_after_a_cached_draw(monkeypatch):
     # A draw at (32, 0.3) fills the spectrum cache first; the replaced
     # eigenvalue function must still take effect, on every call.
     spec = FbmSpec(hurst=0.3, n=32, method="auto")
-    sample_fbm(spec)
+    sample_fbm(spec, philox(0))
     monkeypatch.setattr(fbm, "_circulant_eigenvalues", lambda n, hurst: None)
     for _ in range(2):
         with pytest.raises(RuntimeError, match="not nonnegative definite"):
-            sample_fbm(spec)
+            sample_fbm(spec, philox(0))
 
 
 def test_circulant_eigenvalues_nonnegative_across_hurst():
@@ -288,9 +288,7 @@ def test_derived_streams_differ_by_spawn_key():
     base = 77
     streams = []
     for key in ((64, 0), (64, 1), (128, 0)):
-        seq = np.random.SeedSequence(base, spawn_key=key)
-        rng = np.random.Generator(np.random.Philox(seq))
-        streams.append(sample_fbm(FbmSpec(hurst=0.4, n=64, seed=base), rng).values)
+        streams.append(sample_fbm(FbmSpec(hurst=0.4, n=64), philox(base, key)).values)
     assert not np.array_equal(streams[0], streams[1])
     assert not np.array_equal(streams[0], streams[2])
 
@@ -319,9 +317,8 @@ def _reference_fgn(n, hurst, rng):
 def test_cached_draw_matches_reference_formula_bit_for_bit(n, hurst):
     fbm._draw_scale.cache_clear()
     for replica, expect_hits in enumerate((0, 1)):
-        seq = np.random.SeedSequence(11, spawn_key=(n, replica))
-        want = _reference_fgn(n, hurst, np.random.Generator(np.random.Philox(seq)))
-        got = fbm._fgn_circulant(n, hurst, np.random.Generator(np.random.Philox(seq)))
+        want = _reference_fgn(n, hurst, philox(11, (n, replica)))
+        got = fbm._fgn_circulant(n, hurst, philox(11, (n, replica)))
         info = fbm._draw_scale.cache_info()
         assert (info.misses, info.hits) == (1, expect_hits)
         assert got.tobytes() == want.tobytes(), f"replica {replica}"
@@ -375,8 +372,7 @@ def test_draw_scale_peak_memory():
 
 
 def test_csv_round_trip():
-    spec = FbmSpec(hurst=0.45, n=37, seed=8)
-    path = sample_fbm(spec)
+    path = sample_fbm(FbmSpec(hurst=0.45, n=37), philox(8))
     text = path_to_csv(path)
     assert text.splitlines()[0] == "t,x"
     back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)

@@ -72,13 +72,10 @@ from roughpvar.harness import (
     rows_to_csv,
 )
 from roughpvar.harness import ndtr as package_ndtr
+from streams import philox
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def _philox(seed):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 # Drift-only differential equation dy = 1 dt + 0 dx: the solution y = t is
@@ -104,14 +101,14 @@ class TestKsStatistic:
     """Sup distance between the empirical CDF and a reference CDF."""
 
     def test_matches_scipy_on_normal_sample(self):
-        sample = _philox(42).normal(size=2000)
+        sample = philox(42).normal(size=2000)
         mine = ks_statistic(sample, norm.cdf)
         ref = kstest(sample, "norm").statistic
         print(f"normal sample: mine={mine:.12f} scipy={ref:.12f}")
         assert abs(mine - ref) < 1e-15, f"KS mismatch: {mine} vs scipy {ref}"
 
     def test_matches_scipy_on_uniform_sample(self):
-        sample = _philox(43).uniform(size=777)
+        sample = philox(43).uniform(size=777)
         mine = ks_statistic(sample, uniform.cdf)
         ref = kstest(sample, "uniform").statistic
         assert abs(mine - ref) < 1e-15, f"KS mismatch: {mine} vs scipy {ref}"
@@ -945,6 +942,7 @@ class TestScalingExponentCheck:
             ({"delta_grid": (0.125, 0.25), "hurst": 0.15, "process": "fbm"}, "no scaling target"),
             ({"delta_grid": (0.125, 0.25), "hurst": 0.15, "process": "sq", "rank": 3},
              "no scaling target"),
+            ({"delta_grid": (0.25, 0.25)}, "distinct"),
         ],
     )
     def test_input_validation(self, kwargs, match):

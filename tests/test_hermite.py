@@ -45,6 +45,7 @@ from roughpvar.hermite import (
     _pairwise_sum,
     gamma,
     ndtr,
+    validate_variance_domain,
     variance_weights,
 )
 from roughpvar.stats import _abs_power_derivatives
@@ -458,6 +459,14 @@ class TestAsymptoticVariance:
             asymptotic_variance(2.0, 0.3, lag_cutoff=0)
         with pytest.raises(ValueError, match="lag_cutoff must be >= 1"):
             asymptotic_variance(0.5, 0.3, lag_cutoff=0)
+        # an order that is not an integer is refused before it reaches
+        # range(), np.empty or the pairwise lag-sum recursion; numpy
+        # integers are integers
+        for name, order in (("hermite_terms", 2.5), ("hermite_terms", math.nan),
+                            ("lag_cutoff", 1000.5), ("lag_cutoff", math.nan)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                asymptotic_variance(2.0, 0.3, **{name: order})
+        validate_variance_domain(2.0, 0.3, np.int64(2), np.int64(1000))
 
 
 # numpy's pairwise tree has a leaf below 8 items, an 8-accumulator loop up

@@ -42,10 +42,7 @@ from roughpvar import (
     subsample_controlled,
     weighted_increment_sum,
 )
-
-
-def _philox(seed, *key):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+from streams import philox
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +109,8 @@ class TestPvarStatistic:
     def test_driver_statistic_is_exactly_centered(self):
         # for y = x the sum part has expectation E|N|^p at every n, matching
         # the compensator exactly; the Monte Carlo mean must sit at 0
-        rng = _philox(505)
-        spec = FbmSpec(hurst=0.35, n=256, seed=505)
+        rng = philox(505)
+        spec = FbmSpec(hurst=0.35, n=256)
         cfg = StatConfig(p=2.0)
         stats = np.empty(10000)
         for r in range(10000):
@@ -126,7 +123,7 @@ class TestPvarStatistic:
         assert abs(mean) < 4.0 * se
 
     def test_manual_evaluation_with_snapping(self):
-        xf = sample_fbm(FbmSpec(hurst=0.35, n=64 * 4, seed=40))
+        xf = sample_fbm(FbmSpec(hurst=0.35, n=64 * 4), philox(40))
         cp = build_controlled_process("sq", xf, fine_factor=4)
         cfg = StatConfig(p=2.0, t=0.5, fine_factor=4)
         got = pvar_statistic(cp, cfg)
@@ -141,7 +138,7 @@ class TestPvarStatistic:
         # one driver at fine factor 64, and the same driver on every 4th
         # node at fine factor 16: the coarse paths agree, so the two
         # statistics differ only by the compensator's quadrature error
-        x64 = sample_fbm(FbmSpec(hurst=0.35, n=1024 * 64, seed=508), _philox(508))
+        x64 = sample_fbm(FbmSpec(hurst=0.35, n=1024 * 64), philox(508))
         x16 = FbmPath(spec=FbmSpec(hurst=0.35, n=1024 * 16), values=x64.values[::4])
         cfg = StatConfig(p=2.0)
         a = pvar_statistic(build_controlled_process("sq", x16, fine_factor=16), cfg)
@@ -170,14 +167,14 @@ class TestLimitDrift:
     """Second-order drift of the critical and degenerate regimes."""
 
     def test_driver_has_zero_drift(self):
-        x = sample_fbm(FbmSpec(hurst=0.25, n=256, seed=41))
+        x = sample_fbm(FbmSpec(hurst=0.25, n=256), philox(41))
         cp = build_controlled_process("fbm", x, params={"ell": 4})
         assert limit_drift(cp, 2.0) == 0.0
 
     def test_square_quadratic_drift_is_minus_quarter_t(self):
         # y' = x, y'' = 1, y''' = 0 and phi'' = 2: the functional collapses
         # to -(1/8) * 2 * t = -t/4, independent of the path
-        xf = sample_fbm(FbmSpec(hurst=0.25, n=64 * 16, seed=42))
+        xf = sample_fbm(FbmSpec(hurst=0.25, n=64 * 16), philox(42))
         cp = build_controlled_process("sq", xf, fine_factor=16, params={"ell": 4})
         assert limit_drift(cp, 2.0) == pytest.approx(-0.25, rel=1e-12)
         # t snaps down to the coarse grid: 44 of 64 cells
@@ -185,7 +182,7 @@ class TestLimitDrift:
 
     def test_cube_quadratic_drift_tracks_the_path(self):
         # y' = x^2/2, y'' = x, y''' = 1, p = 2: drift = -(1/4) int x^2 du
-        xf = sample_fbm(FbmSpec(hurst=0.25, n=64 * 16, seed=43))
+        xf = sample_fbm(FbmSpec(hurst=0.25, n=64 * 16), philox(43))
         cp = build_controlled_process("cube", xf, fine_factor=16)
         expected = -0.25 * integrate_grid(xf.values**2, 1.0 / xf.n)
         assert limit_drift(cp, 2.0) == pytest.approx(expected, rel=1e-12)
@@ -193,13 +190,13 @@ class TestLimitDrift:
     def test_cube_quartic_drift_combines_both_terms(self):
         # p = 4: phi''(x^2/2) x^2 = 3 x^6 and phi'(x^2/2) = x^6/2, so
         # -(3/8) * 3 + (2 * 3/24) * (1/2) = -1 times int x^6 du
-        xf = sample_fbm(FbmSpec(hurst=0.25, n=64 * 16, seed=44))
+        xf = sample_fbm(FbmSpec(hurst=0.25, n=64 * 16), philox(44))
         cp = build_controlled_process("cube", xf, fine_factor=16)
         expected = -integrate_grid(xf.values**6, 1.0 / xf.n)
         assert limit_drift(cp, 4.0) == pytest.approx(expected, rel=1e-12)
 
     def test_missing_levels_warn(self):
-        x = sample_fbm(FbmSpec(hurst=0.25, n=64, seed=45))
+        x = sample_fbm(FbmSpec(hurst=0.25, n=64), philox(45))
         cp = build_controlled_process("fbm", x, params={"ell": 2})
         with pytest.warns(RuntimeWarning, match="levels"):
             got = limit_drift(cp, 2.0)
@@ -208,7 +205,7 @@ class TestLimitDrift:
     def test_missing_third_level_warns_only_where_it_counts(self):
         # Level 3 enters with coefficient (p - 2) E|N|^p / 24: dropping it
         # changes nothing at p = 2 and is worth a warning at p = 4.
-        x = sample_fbm(FbmSpec(hurst=0.25, n=64, seed=45))
+        x = sample_fbm(FbmSpec(hurst=0.25, n=64), philox(45))
         cp = build_controlled_process("sq", x, params={"ell": 3})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -230,7 +227,7 @@ class TestLimitCondStd:
     """Mixed-regime conditional scale."""
 
     def test_driver_at_half(self):
-        x = sample_fbm(FbmSpec(hurst=0.5, n=128, seed=46))
+        x = sample_fbm(FbmSpec(hurst=0.5, n=128), philox(46))
         cp = build_controlled_process("fbm", x)
         assert limit_cond_std(cp, 2.0) == pytest.approx(math.sqrt(2.0), abs=1e-8)
         assert limit_cond_std(cp, 2.0, t=0.25) == pytest.approx(
@@ -238,7 +235,7 @@ class TestLimitCondStd:
         )
 
     def test_zero_derivative_gives_zero(self):
-        x = sample_fbm(FbmSpec(hurst=0.4, n=64, seed=47))
+        x = sample_fbm(FbmSpec(hurst=0.4, n=64), philox(47))
         ones = np.ones_like(x.values)
         cp = ControlledPath(x, [ones, np.zeros_like(ones)])
         assert limit_cond_std(cp, 2.0) == 0.0
@@ -246,7 +243,7 @@ class TestLimitCondStd:
     def test_square_process_scale(self):
         from roughpvar import asymptotic_variance
 
-        xf = sample_fbm(FbmSpec(hurst=0.35, n=64 * 16, seed=48))
+        xf = sample_fbm(FbmSpec(hurst=0.35, n=64 * 16), philox(48))
         cp = build_controlled_process("sq", xf, fine_factor=16)
         expected = math.sqrt(asymptotic_variance(2.0, 0.35)) * math.sqrt(
             integrate_grid(np.abs(xf.values) ** 4, 1.0 / xf.n)
@@ -254,12 +251,14 @@ class TestLimitCondStd:
         assert limit_cond_std(cp, 2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_regime_rejected(self):
-        x = sample_fbm(FbmSpec(hurst=0.2, n=64, seed=49))
+        x = sample_fbm(FbmSpec(hurst=0.2, n=64), philox(49))
         cp = build_controlled_process("fbm", x)
         with pytest.raises(RegimeError):
             limit_cond_std(cp, 2.0)
         # explicit override beats the path's own index
         assert limit_cond_std(cp, 2.0, hurst=0.3) > 0.0
+        with pytest.raises(ValueError, match="first derivative level"):
+            limit_cond_std(ControlledPath(x, [x.values]), 2.0, hurst=0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +270,7 @@ class TestWeightedIncrementSum:
     """sum_k weight_k f(n^H delta x_k) over grid windows."""
 
     def test_unit_functional_counts_cells(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=64, seed=53))
+        x = sample_fbm(FbmSpec(hurst=0.35, n=64), philox(53))
         ones = np.ones_like(x.values)
         count = lambda u: np.ones_like(u)
         assert weighted_increment_sum(x, count, ones) == pytest.approx(64.0, abs=0.0)
@@ -282,8 +281,8 @@ class TestWeightedIncrementSum:
 
     def test_second_hermite_is_centered_at_half(self):
         # f = He_2: with independent increments each term has mean zero
-        rng = _philox(507)
-        spec = FbmSpec(hurst=0.5, n=256, seed=507)
+        rng = philox(507)
+        spec = FbmSpec(hurst=0.5, n=256)
         ones = np.ones(257)
         vals = np.empty(2000)
         for r in range(2000):
@@ -298,18 +297,18 @@ class TestWeightedIncrementSum:
         assert var == pytest.approx(2.0, rel=0.1)
 
     def test_weight_shape_validation(self):
-        x = sample_fbm(FbmSpec(hurst=0.35, n=64, seed=53))
+        x = sample_fbm(FbmSpec(hurst=0.35, n=64), philox(53))
         with pytest.raises(ValueError):
             weighted_increment_sum(x, np.abs, np.ones(64))  # needs 65 nodes
 
     def test_first_hermite_on_driver_telescopes(self):
         # sum_k x_k dx_k = (x_t^2 - x_s^2) / 2 - sum_k dx_k^2 / 2 exactly
-        rng = _philox(509)
+        rng = philox(509)
         for case in range(20):
             hurst = float(rng.uniform(0.05, 0.5))
             n = int(rng.choice([64, 256, 1024, 4096]))
             lo, hi = sorted(int(k) for k in rng.choice(n + 1, size=2, replace=False))
-            x = sample_fbm(FbmSpec(hurst=hurst, n=n, seed=509), rng)
+            x = sample_fbm(FbmSpec(hurst=hurst, n=n), rng)
             v = x.values
             got = weighted_increment_sum(x, lambda u: hermite(1, u), v, lo / n, hi / n)
             squares = float(np.sum(np.diff(v[lo : hi + 1]) ** 2))
@@ -323,10 +322,10 @@ class TestRiemannCorrectionSum:
 
     def test_centered_for_constant_weight(self):
         # each correction integrates x_u - x_{t_k}, which has mean zero
-        rng = _philox(509)
+        rng = philox(509)
         vals = np.empty(400)
         for r in range(400):
-            xf = sample_fbm(FbmSpec(hurst=0.3, n=256 * 16, seed=509), rng)
+            xf = sample_fbm(FbmSpec(hurst=0.3, n=256 * 16), rng)
             ones = np.ones_like(xf.values)
             fine_cp = ControlledPath(xf, [ones, np.zeros_like(ones)])
             vals[r] = riemann_correction_sum(subsample_controlled(fine_cp, 16))
@@ -337,7 +336,7 @@ class TestRiemannCorrectionSum:
 
     def test_rules_agree_to_quadrature_accuracy(self):
         # the midpoint sum against the per-fine-cell trapezoid rule
-        xf = sample_fbm(FbmSpec(hurst=0.3, n=128 * 16, seed=57))
+        xf = sample_fbm(FbmSpec(hurst=0.3, n=128 * 16), philox(57))
         cp = build_controlled_process("fbm", xf, fine_factor=16)
         a = riemann_correction_sum(cp)
         v, h = xf.values, 1.0 / xf.n
@@ -350,12 +349,12 @@ class TestRiemannCorrectionSum:
     def test_odd_fine_factor_refused(self):
         # an odd factor has no fine-grid midpoints; no fine companion is factor 1
         for factor in (3, 1):
-            xf = sample_fbm(FbmSpec(hurst=0.3, n=64 * factor, seed=58))
+            xf = sample_fbm(FbmSpec(hurst=0.3, n=64 * factor), philox(58))
             cp = build_controlled_process("fbm", xf, fine_factor=factor)
             with pytest.raises(ValueError, match=f"even fine factor, got {factor}"):
                 riemann_correction_sum(cp)
 
     def test_zero_window(self):
-        x = sample_fbm(FbmSpec(hurst=0.3, n=64, seed=58))
+        x = sample_fbm(FbmSpec(hurst=0.3, n=64), philox(58))
         cp = build_controlled_process("fbm", x)
         assert riemann_correction_sum(cp, t=0.0) == 0.0

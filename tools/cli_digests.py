@@ -36,10 +36,10 @@ and in ``constants``) and of ``custom-rde`` inputs that are not finite,
 a run that passes the removed ``--quadrature`` flag (refused by the argument
 parser), a ``custom-rde`` solve with a drift and a quadratic field at
 ``--ell 6``, the refusal of an ``--id`` with a comma, a ``simulate``
-run that passes ``--workers`` (refused by the argument parser), and
+run that passes ``--workers`` (refused by the argument parser),
 ``constants`` with both truncation orders set and with a lag cutoff of 0
-(refused). It takes about 30 s on two cores and is not part of the test
-suite.
+(refused), and a scaling fit with a repeated window length (refused). It
+takes about 30 s on two cores and is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -159,6 +159,8 @@ RUNS = (
     ("constants-orders", ["constants", "--p", "3", "--hurst", "0.5", "--hermite-terms", "120",
                           "--lag-cutoff", "1000"]),
     ("refused-lag-cutoff", ["constants", "--p", "2", "--hurst", "0.3", "--lag-cutoff", "0"]),
+    ("refused-repeated-delta", ["scaling-check", "--hurst", "0.3", "--n", "256,512",
+                                "--delta", "0.25,0.25", "--replicas", "20"]),
 )
 
 _SOURCE_LINE = re.compile(rb"(<checkout>/\S+\.py):\d+:")
