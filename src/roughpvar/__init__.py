@@ -45,9 +45,7 @@ from .harness import (
     ExperimentConfig,
     ExperimentResult,
     RateFitConfig,
-    RateFitResult,
     ScalingConfig,
-    ScalingFitResult,
     UnsupportedRangeError,
     build_replica_path,
     collect_rows,

@@ -223,9 +223,8 @@ def _load_config_file(path: str) -> tuple[dict, str | None]:
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        # text that starts with "{" loads as an object or not at all
         data = json.loads(text)
-        if not isinstance(data, dict):
-            raise UsageError("JSON config must be an object")
         stored_sub = None
         if "config" in data and isinstance(data["config"], dict):
             stored_sub = data.get("subcommand")

@@ -4,19 +4,21 @@ Sampling goes through a circulant embedding of the stationary increment
 sequence, which reproduces the target covariance exactly (no spectral
 truncation). The embedding of fractional Gaussian noise was found
 nonnegative definite for every H in 0.01..0.99 and n up to 65,536, so an
-indefinite one raises instead of falling back: dense Cholesky at the fine
-sizes in use would not fit in memory (8 n**2 bytes, 512 GiB at n = 262,144).
-The dense Cholesky factorization stays available as ``method='cholesky'``,
-an independent oracle for n up to 4096, where the covariance and its factor
-take 128 MiB each.
+indefinite one raises where its spectrum is computed instead of falling
+back: dense Cholesky at the fine sizes in use would not fit in memory
+(8 n**2 bytes, 512 GiB at n = 262,144). The dense Cholesky factorization
+stays available as ``method='cholesky'``, an independent oracle for n up
+to 4096, where the covariance and its factor take 128 MiB each.
 
-Each process computes the embedding spectrum, in the scaled form a draw
-uses, once per (n, H) and reuses it for every later draw. The cache keeps
-the 8 most recent entries, read-only, and the drawn values are bit for bit
-those of the per-draw computation. The computation writes the lags into
-the 2n embedding row block by block, mirrors the row in place and frees it
-after the FFT, so it peaks at 32 n bytes: the row and the complex
-eigenvalues, which are then clipped and scaled without a temporary.
+One block routine evaluates the fGn autocovariance, for
+:func:`fgn_autocovariance` (and through it σ²) and for the spectrum. Each
+process computes the embedding spectrum, in the scaled form a draw uses,
+once per (n, H) and reuses it for every later draw. The cache keeps the 8
+most recent entries, read-only, and the drawn values are bit for bit those
+of the per-draw computation. The computation writes the lags into the 2n
+embedding row block by block, mirrors the row in place and frees it after
+the FFT, so it peaks at 32 n bytes: the row and the complex eigenvalues,
+which are then clipped and scaled without a temporary.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ _METHODS = ("auto", "cholesky")
 # take 8 n**2 bytes each.
 _CHOLESKY_MAX_N = 4096
 
-# Lags per block of fgn_autocovariance: each float64 temporary of a block
-# takes 256 KB, so the temporaries stay in L2.
+# Lags per autocovariance block: each float64 temporary of a block takes
+# 256 KB, so the temporaries stay in L2.
 _LAG_BLOCK = 2**15
 
 # Relative tolerance for clamping tiny negative embedding eigenvalues that are
@@ -94,32 +96,16 @@ def fgn_autocovariance(k, hurst: float):
     return float(out) if out.ndim == 0 else out
 
 
-def fill_fgn_autocovariance(out: np.ndarray, first: int, hurst: float) -> None:
-    """Write ``fgn_autocovariance(k, hurst)`` for k = first, first + 1, ...
-    into the 1-d float array ``out``, which it fills; ``first >= 0``.
-
-    The lags of each ``2**15`` block are one small ``np.arange``, so no
-    lag array of the full length exists; a block whose lags are all past 1
-    skips the small-lag mask. The bits are those of
-    :func:`fgn_autocovariance` on the same lags.
-    """
-    _check_hurst(hurst)
-    for start in range(0, out.size, _LAG_BLOCK):
-        dst = out[start : start + _LAG_BLOCK]
-        lag = first + start
-        k = np.arange(lag, lag + dst.size, dtype=float)
-        if lag > 1:
-            # through a temporary, as the masked path writes its result:
-            # writing with ``out=dst`` left the heap laid out differently and
-            # raised the peak RSS of a `limit-check` run by 0.2 to 0.35 MB
-            dst[...] = _large_lags(k, 2.0 * hurst)
-        else:
-            _autocovariance_block(k, hurst, dst)
-
-
 def _autocovariance_block(k_abs: np.ndarray, hurst: float, dst: np.ndarray) -> None:
-    """The autocovariance at the nonnegative float lags ``k_abs``, into ``dst``."""
+    """The autocovariance at the nonnegative float lags ``k_abs``, into ``dst``.
+
+    A block whose lags are all past 1 skips the small-lag mask; the
+    expression is the masked path's, elementwise, so the bits are the same.
+    """
     h2 = 2.0 * hurst
+    if k_abs.min() > 1.0:
+        dst[...] = _large_lags(k_abs, h2)
+        return
     small = k_abs <= 1.0
     ks = k_abs[small]
     dst[small] = 0.5 * ((ks + 1.0) ** h2 + np.abs(ks - 1.0) ** h2 - 2.0 * ks**h2)
@@ -226,11 +212,6 @@ def sample_fbm(spec: FbmSpec, rng: np.random.Generator) -> FbmPath:
         noise = _fgn_cholesky(n, spec.hurst, rng)
     else:
         noise = _fgn_circulant(n, spec.hurst, rng)
-        if noise is None:
-            raise RuntimeError(
-                "circulant embedding is not nonnegative definite for "
-                f"(hurst={spec.hurst}, n={n}); use method='cholesky'"
-            )
 
     values = np.empty(n + 1)
     values[0] = 0.0
@@ -251,26 +232,32 @@ def _time_to_index(t, n: int):
     return int(out) if out.ndim == 0 else out
 
 
-def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray | None:
-    """Eigenvalues of the 2n circulant embedding, or None if indefinite.
+def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
+    """Eigenvalues of the 2n circulant embedding; :class:`RuntimeError` if
+    it is not nonnegative definite.
 
     The result is the real part of the ``rfft`` output, a strided view.
     """
     row = np.empty(2 * n)
-    fill_fgn_autocovariance(row[: n + 1], 0, hurst)
+    for start in range(0, n + 1, _LAG_BLOCK):
+        stop = min(start + _LAG_BLOCK, n + 1)
+        _autocovariance_block(np.arange(start, stop, dtype=float), hurst, row[start:stop])
     row[n + 1 :] = row[n - 1 : 0 : -1]
     lam = np.fft.rfft(row).real
     # The row is spent; the peak is the row and the complex spectrum.
     del row
     floor = -_EIGEN_CLAMP_REL * lam.max()
     if lam.min() < floor:
-        return None
+        raise RuntimeError(
+            "circulant embedding is not nonnegative definite for "
+            f"(hurst={hurst}, n={n}); use method='cholesky'"
+        )
     return np.clip(lam, 0.0, None, out=lam)
 
 
 @functools.lru_cache(maxsize=8)
-def _draw_scale(eigenvalues: Callable, n: int, hurst: float) -> np.ndarray | None:
-    """Per-draw scale of the 2n circulant embedding, or None if indefinite.
+def _draw_scale(eigenvalues: Callable, n: int, hurst: float) -> np.ndarray:
+    """Per-draw scale of the 2n circulant embedding.
 
     With ``lam = eigenvalues(n, hurst)``, entries 0 and n are ``sqrt(lam[0])``
     and ``sqrt(lam[n])``, and entry k in 1..n-1 is ``sqrt(0.5 * lam[k])``.
@@ -279,8 +266,6 @@ def _draw_scale(eigenvalues: Callable, n: int, hurst: float) -> np.ndarray | Non
     :func:`_circulant_eigenvalues` never serves an entry it did not compute.
     """
     lam = eigenvalues(n, hurst)
-    if lam is None:
-        return None
     scale = np.empty(n + 1)
     scale[0] = np.sqrt(lam[0])
     scale[n] = np.sqrt(lam[n])
@@ -291,8 +276,8 @@ def _draw_scale(eigenvalues: Callable, n: int, hurst: float) -> np.ndarray | Non
     return scale
 
 
-def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray | None:
-    """Unit fractional Gaussian noise of length n, or None on embedding failure.
+def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    """Unit fractional Gaussian noise of length n.
 
     Uses 2n standard normal draws regardless of n, which keeps the draw
     pattern stable for stream-derivation purposes: z[0] and z[1] feed the
@@ -300,8 +285,6 @@ def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray
     complex normal.
     """
     scale = _draw_scale(_circulant_eigenvalues, n, hurst)
-    if scale is None:
-        return None
     z = rng.standard_normal(2 * n)
     half = np.empty(n + 1, dtype=complex)
     half[0] = scale[0] * z[0]

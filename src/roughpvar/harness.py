@@ -31,7 +31,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .controlled import ControlledPath
-from .fbm import FbmPath, FbmSpec, sample_fbm
+from .fbm import FbmSpec, sample_fbm
 from .hermite import hermite, ndtr
 from .processes import (
     PROCESS_TAGS,
@@ -186,16 +186,11 @@ def replica_rng(master_seed: int, n: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _replica_driver(cfg: ExperimentConfig, n: int, replica: int) -> FbmPath:
-    """The fine driver of one (resolution, replica) pair."""
-    spec = FbmSpec(hurst=cfg.hurst, n=n * cfg.fine_factor)
-    return sample_fbm(spec, replica_rng(cfg.master_seed, n, replica))
-
-
 def build_replica_path(cfg: ExperimentConfig, n: int, replica: int) -> ControlledPath:
     """Construct the controlled process for one (resolution, replica) pair."""
-    x_fine = _replica_driver(cfg, n, replica)
     factor = cfg.fine_factor
+    spec = FbmSpec(hurst=cfg.hurst, n=n * factor)
+    x_fine = sample_fbm(spec, replica_rng(cfg.master_seed, n, replica))
     return build_controlled_process(cfg.process, x_fine, factor, cfg.process_params)
 
 
@@ -480,14 +475,15 @@ def rate_fit(rcfg: RateFitConfig, workers: int | None = None) -> RateFitResult:
 class ScalingConfig:
     """A two-way scaling fit of windowed Hermite sums, refused at construction.
 
-    Refused: fewer than two resolutions or two window lengths, a repeated
-    window length (it leaves the fit's log-window column constant), a
-    window [start, start + delta) outside [0, 1] (NaN included) or holding
-    no increment at some resolution (every sum there is 0), a Hermite rank
-    below 1, and a degenerate fit (rank * H < 1/2) whose closed-form weight
-    has an identically zero rank-th level: ``fbm`` at rank >= 2, ``sq`` at
-    rank >= 3, ``cube`` at rank >= 4. There the limit integral is 0 and
-    neither exponent target is established.
+    Refused: fewer than two resolutions or two window lengths, a window
+    [start, start + delta) outside [0, 1] (NaN included) or holding no
+    increment at some resolution (every sum there is 0), two window lengths
+    that hold the same increments at every resolution (a repeated length
+    among them: both give the same sums, so the fit has no window axis), a
+    Hermite rank below 1, and a degenerate fit (rank * H < 1/2) whose
+    closed-form weight has an identically zero rank-th level: ``fbm`` at
+    rank >= 2, ``sq`` at rank >= 3, ``cube`` at rank >= 4. There the limit
+    integral is 0 and neither exponent target is established.
     """
 
     experiment: ExperimentConfig
@@ -505,20 +501,25 @@ class ScalingConfig:
         object.__setattr__(self, "delta_grid", deltas)
         if len(deltas) < 2 or len(self.experiment.n_grid) < 2:
             raise ValueError("need at least two resolutions and two window lengths")
-        if len(set(deltas)) != len(deltas):
-            raise ValueError("delta_grid entries must be distinct")
         # written so that a NaN window fails it
         if not (all(d > 0.0 for d in deltas) and 0.0 <= self.start
                 and self.start + max(deltas) <= 1.0):
             raise ValueError("windows must lie inside [0, 1]")
+        n_grid = self.experiment.n_grid
+        windows = [
+            tuple(_window_cells(self.start, self.start + delta, n) for n in n_grid)
+            for delta in deltas
+        ]
         empty = [
-            (n, delta) for n in self.experiment.n_grid for delta in deltas
-            if not _window_cells(self.start, self.start + delta, n)
+            (n, delta) for i, n in enumerate(n_grid)
+            for delta, cells in zip(deltas, windows) if not cells[i]
         ]
         if empty:
             raise ValueError(
                 f"windows from start={self.start} hold no increment at (n, delta) = {empty}"
             )
+        if len(set(windows)) != len(windows):
+            raise ValueError("delta_grid entries must be distinct")
         if rank < 1:
             raise ValueError("Hermite rank must be >= 1")
         process, hurst = self.experiment.process, self.experiment.hurst

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fbm import fill_fgn_autocovariance
+from .fbm import fgn_autocovariance
 
 # Default truncation orders of the asymptotic variance: Hermite terms kept,
 # and the largest lag in each lag sum.
@@ -225,8 +225,7 @@ def asymptotic_variance(
         # sum_k rho(k)^(2q) over the lags 1 + start, ..., start + n for each
         # kept q; the q = 1 power is rho^2 itself, and a second array holds
         # the powers from q = 2 on
-        rho_sq = np.empty(n)
-        fill_fgn_autocovariance(rho_sq, 1 + start, hurst)
+        rho_sq = fgn_autocovariance(np.arange(1 + start, 1 + start + n), hurst)
         rho_sq *= rho_sq
         sums = np.empty(len(weights))
         power = rho_sq
@@ -287,14 +286,13 @@ def _lag_tail_estimate(hurst: float, q: int, cutoff: int) -> float:
     """Integral estimate of the lag mass beyond the cutoff for one series term.
 
     Uses the power-law regime rho(k) ~ H(2H-1) k^(2H-2); exact enough for a
-    warning threshold.
+    warning threshold. The decay 2q(2 - 2H) - 1 is positive for q >= 1 on
+    the series' domain H < 3/4.
     """
     if hurst == 0.5:
         return 0.0
     amp = abs(hurst * (2.0 * hurst - 1.0))
     decay = 2.0 * q * (2.0 - 2.0 * hurst) - 1.0
-    if decay <= 0.0:
-        return math.inf
     return 2.0 * amp ** (2 * q) * cutoff ** (-decay) / decay
 
 

@@ -151,6 +151,13 @@ class TestResolveConfig:
             ("force=maybe hurst=0.3 p=2", "bad value for 'force'"),
             # every limit integral is a trapezoid sum; the key is gone
             ("quadrature=trapezoid hurst=0.3 p=2", "unknown config key 'quadrature'"),
+            ("=1 hurst=0.3 p=2", "malformed config entry '=1'"),
+            # a JSON array is not read as JSON: it is a malformed key=value file
+            ("[0.3, 2]", "malformed config entry"),
+            ('{"hurst": 0.3, "p": 2, "process": 3}', "bad value for 'process'"),
+            ('{"hurst": 0.3, "p": 2, "replicas": true}', "bad value for 'replicas'"),
+            ('{"hurst": 0.3, "p": 2, "n": [1024.5]}', "bad value for 'n'"),
+            ('{"hurst": true, "p": 2}', "bad value for 'hurst'"),
         ],
     )
     def test_config_file_rejections(self, tmp_path, content, match):
@@ -158,6 +165,13 @@ class TestResolveConfig:
         cfg_file.write_text(content)
         with pytest.raises(UsageError, match=match):
             resolve_config("limit-check", _parse(["limit-check", "--config", str(cfg_file)]))
+
+    @pytest.mark.parametrize("n", [[1024.0], 1024])
+    def test_json_integral_float_and_scalar_grid_accepted(self, tmp_path, n):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"hurst": 0.35, "p": 2, "n": n}))
+        cfg = resolve_config("limit-check", _parse(["limit-check", "--config", str(cfg_file)]))
+        assert cfg["n"] == [1024] and type(cfg["n"][0]) is int
 
     def test_missing_required_key(self):
         with pytest.raises(UsageError, match="missing required key 'p'"):

@@ -100,6 +100,8 @@ class TestControlledPath:
             ControlledPath(x, np.zeros((1, 5)))
         with pytest.raises(ValueError):
             ControlledPath(x, np.zeros((0, 17)))
+        with pytest.raises(ValueError, match="must be 2-d"):
+            ControlledPath(x, np.zeros((1, 2, 17)))
         odd_fine = _canonical(sample_fbm(FbmSpec(hurst=0.4, n=24), philox(1)), 1)
         with pytest.raises(ValueError):
             ControlledPath(x, [good_row], fine=odd_fine)
@@ -195,6 +197,10 @@ class TestRemainder:
             remainder(cp, 2, 0.0, 1.0)
         with pytest.raises(ValueError):
             remainder(cp, -1, 0.0, 1.0)
+        with pytest.raises(ValueError, match="does not lie on the grid"):
+            remainder(cp, 0, 0.3, 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            remainder(cp, 0, 0.0, 1.5)
 
 
 class TestDecompositionIdentity:
@@ -516,6 +522,8 @@ class TestSolveRde:
         assert solve_rde(None, [0.0, 1.0], 1.0, x, ell=3.0).ell == 3
         with pytest.raises(ValueError, match="divide"):
             build_controlled_process("custom-rde", x, fine_factor=7)
+        with pytest.raises(ValueError, match="unknown process tag 'ou'"):
+            build_controlled_process("ou", x)
 
     @pytest.mark.parametrize(
         "params, match",

@@ -4,8 +4,7 @@ Covers:
   1. Covariance / autocovariance closed forms against hand-evaluated values.
   2. Numerical stability of the autocovariance at huge lags, the
      telescoping truncated-sum identity, and blockwise evaluation: any
-     split of the lags gives the same bits as one call, and so does
-     filling a caller's array with a lag range.
+     split of the lags gives the same bits as one call.
   3. Distributional checks of sampled paths: increment variance,
      whiteness at hurst = 1/2, and the full empirical covariance matrix.
   4. Determinism, method forcing, the derived-stream layout, and the size
@@ -27,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughpvar import (
+    FbmPath,
     FbmSpec,
     fbm_covariance,
     fgn_autocovariance,
@@ -66,6 +66,8 @@ def test_covariance_symmetry_and_domain():
     )
     with pytest.raises(ValueError):
         fbm_covariance(0.5, 0.5, 1.2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fbm_covariance(-0.1, 0.5, 0.35)
 
 
 def test_autocovariance_known_values():
@@ -151,21 +153,6 @@ def test_autocovariance_split_matches_one_call_bit_for_bit(seed, rows, cols, cut
     assert fgn_autocovariance(lags[-1], hurst).hex() == float(whole[-1]).hex()
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    first=st.integers(0, 10**7),
-    size=st.integers(0, 3 * fbm._LAG_BLOCK),
-    hurst=st.floats(0.01, 0.99),
-)
-def test_fill_matches_one_call_bit_for_bit(first, size, hurst):
-    # a lag range from 0 or 1 (the direct branch) or far out, over up to
-    # three blocks, written into a caller's array
-    out = np.empty(size)
-    fbm.fill_fgn_autocovariance(out, first, hurst)
-    want = fgn_autocovariance(np.arange(first, first + size), hurst)
-    assert out.tobytes() == want.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # sampling law
 # ---------------------------------------------------------------------------
@@ -246,6 +233,21 @@ def test_cholesky_refuses_n_above_4096():
     assert FbmSpec(hurst=0.3, n=4097, method="auto").n == 4097
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: FbmSpec(hurst=0.3, n=0), "n must be >= 1"),
+        (lambda: FbmSpec(hurst=0.3, n=8, method="fft"), "method must be one of"),
+        (lambda: FbmPath(FbmSpec(hurst=0.3, n=8), np.zeros(8)), r"shape \(9,\)"),
+        (lambda: FbmPath(FbmSpec(hurst=0.3, n=8), np.ones(9)), "start at zero"),
+    ],
+    ids=["n-below-1", "unknown-method", "wrong-shape", "nonzero-start"],
+)
+def test_malformed_spec_or_path_refused(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_cholesky_and_circulant_agree_in_law():
     hurst, n, replicas = 0.3, 32, 10**4
     var_by_method = {}
@@ -261,7 +263,13 @@ def test_cholesky_and_circulant_agree_in_law():
 
 def test_indefinite_embedding_raises(monkeypatch):
     # No Cholesky fallback: an indefinite embedding is an error under auto.
-    monkeypatch.setattr(fbm, "_circulant_eigenvalues", lambda n, hurst: None)
+    # The row 1, -0.9, -0.9, ... has first eigenvalue 1 - 0.9 (2n - 1) < 0,
+    # so the spectrum's own check fires.
+    def indefinite_block(k_abs, hurst, dst):
+        dst[...] = np.where(k_abs == 0.0, 1.0, -0.9)
+
+    monkeypatch.setattr(fbm, "_autocovariance_block", indefinite_block)
+    fbm._draw_scale.cache_clear()
     with pytest.raises(RuntimeError, match="not nonnegative definite"):
         sample_fbm(FbmSpec(hurst=0.3, n=32, method="auto"), philox(0))
 
@@ -271,16 +279,22 @@ def test_indefinite_embedding_raises_after_a_cached_draw(monkeypatch):
     # eigenvalue function must still take effect, on every call.
     spec = FbmSpec(hurst=0.3, n=32, method="auto")
     sample_fbm(spec, philox(0))
-    monkeypatch.setattr(fbm, "_circulant_eigenvalues", lambda n, hurst: None)
+    calls = []
+
+    def indefinite(n, hurst):
+        calls.append((n, hurst))
+        raise RuntimeError("circulant embedding is not nonnegative definite")
+
+    monkeypatch.setattr(fbm, "_circulant_eigenvalues", indefinite)
     for _ in range(2):
         with pytest.raises(RuntimeError, match="not nonnegative definite"):
             sample_fbm(spec, philox(0))
+    assert calls == [(32, 0.3), (32, 0.3)]
 
 
 def test_circulant_eigenvalues_nonnegative_across_hurst():
     for hurst in (0.1, 0.25, 0.5, 0.75, 0.9):
         lam = _circulant_eigenvalues(256, hurst)
-        assert lam is not None, f"embedding failed at hurst={hurst}"
         assert np.all(lam >= 0.0)
 
 

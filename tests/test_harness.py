@@ -43,9 +43,7 @@ from roughpvar import (
     ExperimentResult,
     FbmSpec,
     RateFitConfig,
-    RateFitResult,
     ScalingConfig,
-    ScalingFitResult,
     UnsupportedRangeError,
     build_controlled_process,
     build_replica_path,
@@ -943,6 +941,7 @@ class TestScalingExponentCheck:
             ({"delta_grid": (0.125, 0.25), "hurst": 0.15, "process": "sq", "rank": 3},
              "no scaling target"),
             ({"delta_grid": (0.25, 0.25)}, "distinct"),
+            ({"delta_grid": (0.25, 0.25000000000000006)}, "distinct"),
         ],
     )
     def test_input_validation(self, kwargs, match):

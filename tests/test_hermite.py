@@ -273,6 +273,8 @@ def test_coeffs_numeric_recovers_hermite_basis():
     numeric = hermite_coeffs_numeric(lambda u: hermite(3, u), 6)
     expected = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     assert np.allclose(numeric, expected, atol=1e-10), numeric
+    with pytest.raises(ValueError, match="nonnegative"):
+        hermite_coeffs_numeric(lambda u: u, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,8 @@ class TestLimitDrift:
         assert limit_drift(cp, 2.0) == pytest.approx(-0.25, rel=1e-12)
         # t snaps down to the coarse grid: 44 of 64 cells
         assert limit_drift(cp, 2.0, t=0.7) == pytest.approx(-44.0 / 64.0 / 4.0, rel=1e-12)
+        with pytest.raises(ValueError, match="t must lie in"):
+            limit_drift(cp, 2.0, t=1.5)
 
     def test_cube_quadratic_drift_tracks_the_path(self):
         # y' = x^2/2, y'' = x, y''' = 1, p = 2: drift = -(1/4) int x^2 du

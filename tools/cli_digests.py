@@ -38,8 +38,9 @@ parser), a ``custom-rde`` solve with a drift and a quadratic field at
 ``--ell 6``, the refusal of an ``--id`` with a comma, a ``simulate``
 run that passes ``--workers`` (refused by the argument parser),
 ``constants`` with both truncation orders set and with a lag cutoff of 0
-(refused), and a scaling fit with a repeated window length (refused). It
-takes about 30 s on two cores and is not part of the test suite.
+(refused), and scaling fits with a repeated window length and with two
+lengths that hold the same increments at every resolution (both refused).
+It takes about 30 s on two cores and is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -161,6 +162,8 @@ RUNS = (
     ("refused-lag-cutoff", ["constants", "--p", "2", "--hurst", "0.3", "--lag-cutoff", "0"]),
     ("refused-repeated-delta", ["scaling-check", "--hurst", "0.3", "--n", "256,512",
                                 "--delta", "0.25,0.25", "--replicas", "20"]),
+    ("refused-near-equal-delta", ["scaling-check", "--hurst", "0.3", "--n", "256,512",
+                                  "--delta", "0.25,0.25000000000000006", "--replicas", "20"]),
 )
 
 _SOURCE_LINE = re.compile(rb"(<checkout>/\S+\.py):\d+:")
