@@ -8,7 +8,6 @@ from .fbm import (
     FbmSpec,
     fbm_covariance,
     fgn_autocovariance,
-    path_to_csv,
     sample_fbm,
 )
 from .hermite import (

@@ -7,12 +7,12 @@ builds the library objects that validate it (``ExperimentConfig`` and, for
 the fits, ``RateFitConfig`` or ``ScalingConfig``, which own the fit's
 refusals, targets and tolerance), writes a manifest with the fully
 materialized config before any computation, calls the library check once,
-and then formats its result into CSV outputs next to the manifest.
-``fine_factor`` and ``ks_threshold`` accept ``auto``: ``ExperimentConfig``
-resolves it at construction to the process's fine factor and the regime's
-KS threshold, and the manifest stores the resolved value. Re-running a
-subcommand from its manifest reproduces every output byte for byte; worker
-count never affects results.
+and writes the numbers it returns into CSV files next to the manifest, all
+through ``_write_csv``. ``fine_factor`` and ``ks_threshold`` accept
+``auto``: ``ExperimentConfig`` resolves it at construction to the process's
+fine factor and the regime's KS threshold, and the manifest stores the
+resolved value. Re-running a subcommand from its manifest reproduces every
+output byte for byte; worker count never affects results.
 
 Exit codes: 0 on success/pass, 1 when a check ran but failed, 2 on usage or
 domain errors, 70 (``EX_SOFTWARE``) with a traceback on any other exception.
@@ -21,7 +21,7 @@ A config refused while it is resolved, while its library objects are built
 tolerance, experiment id, the rate fit's grid and tolerance, the scaling
 fit's grid, windows, rank and target included) or by a library check
 (worker count, seed, variance domain) exits 2 and writes nothing.
-``simulate`` and ``constants`` collect no replicas and take no ``--workers``.
+``simulate``, ``constants`` and ``pvar`` (one replica) take no ``--workers``.
 """
 
 from __future__ import annotations
@@ -29,21 +29,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .fbm import FbmSpec, path_to_csv, sample_fbm
+from .fbm import FbmSpec, sample_fbm
 from .harness import (
     ExperimentConfig,
     RateFitConfig,
     ScalingConfig,
-    _fmt_float,
-    log_log_csv,
     rate_fit,
     replica_rng,
     resolve_workers,
-    rows_to_csv,
     run_regime_check,
     scaling_exponent_check,
     collect_rows,
@@ -335,6 +333,26 @@ def _write_manifest(
     return out
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``header``, then one comma-joined line per row: floats at 17
+    significant digits, which read back to the same bits, anything else as text."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _write_rows(path: Path, exp_id: str, rows) -> None:
+    """results.csv and pvar.csv: the id, then every column of ``collect_rows``."""
+    rows = ([exp_id, int(n), int(replica), *values] for n, replica, *values in rows)
+    _write_csv(path, "experiment_id,n,replica,stat,drift,cond_std,z", rows)
+
+
+def _log_log_rows(points):
+    """``(log n, log err)`` of the (n, err) pairs with a positive error."""
+    return ((math.log(n), math.log(err)) for n, err in points if err > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners
 
@@ -349,7 +367,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     out = _write_manifest(args, "simulate", cfg, ["manifest.json"] + names)
     for replica, name in enumerate(names):
         path = sample_fbm(spec, replica_rng(cfg["seed"], spec.n, replica))
-        (out / name).write_text(path_to_csv(path))
+        _write_csv(out / name, "t,x", ((i / spec.n, x) for i, x in enumerate(path.values)))
     print(f"simulate: wrote {cfg['replicas']} path(s) at n={spec.n} to {out}")
     return 0
 
@@ -361,9 +379,8 @@ def _run_constants(args: argparse.Namespace) -> int:
     out = _write_manifest(args, "constants", cfg, ["manifest.json", "constants.csv"])
     moment = gaussian_abs_moment(cfg["p"])
     variance = asymptotic_variance(*series)
-    row = ",".join(map(_fmt_float, (cfg["p"], cfg["hurst"], moment, variance)))
     header = "p,hurst,abs_moment,asymptotic_variance"
-    (out / "constants.csv").write_text(f"{header}\n{row}\n")
+    _write_csv(out / "constants.csv", header, [(cfg["p"], cfg["hurst"], moment, variance)])
     print(
         f"constants: p={cfg['p']} hurst={cfg['hurst']} "
         f"abs_moment={moment:.6g} asymptotic_variance={variance:.6g}"
@@ -374,10 +391,9 @@ def _run_constants(args: argparse.Namespace) -> int:
 def _run_pvar(args: argparse.Namespace) -> int:
     cfg = resolve_config("pvar", args)
     econfig = _experiment_config(cfg, replicas=1)
-    workers = resolve_workers(args.workers)
     out = _write_manifest(args, "pvar", cfg, ["manifest.json", "pvar.csv"])
-    rows = collect_rows(econfig, workers=workers)
-    (out / "pvar.csv").write_text(rows_to_csv(econfig.resolved_id(), rows))
+    rows = collect_rows(econfig, workers=1)
+    _write_rows(out / "pvar.csv", econfig.resolved_id(), rows)
     print(
         f"pvar: {econfig.resolved_id()} n={cfg['n']} stat={rows[0, 2]:.6g} "
         f"z={rows[0, 5]:.6g}"
@@ -392,10 +408,13 @@ def _run_limit_check(args: argparse.Namespace) -> int:
     outputs = ["manifest.json", "results.csv", "summary.csv", "plot_data.csv"]
     out = _write_manifest(args, "limit-check", cfg, outputs)
     result = run_regime_check(econfig, workers=workers)
-    (out / "results.csv").write_text(result.results_csv())
-    (out / "summary.csv").write_text(result.summary_csv())
+    exp_id = econfig.resolved_id()
+    _write_rows(out / "results.csv", exp_id, result.rows)
+    summary = [(exp_id, e["n"], e["median_err"], e["ks"], result.slope, result.slope_se,
+                int(e["pass"])) for e in result.summary]
+    _write_csv(out / "summary.csv", "experiment_id,n,median_err,ks,slope,slope_se,pass", summary)
     points = ((entry["n"], entry["median_err"]) for entry in result.summary)
-    (out / "plot_data.csv").write_text(log_log_csv(points))
+    _write_csv(out / "plot_data.csv", "log_n,log_err", _log_log_rows(points))
     verdict = "pass" if result.passed else "FAIL"
     nonfinite = sum(entry["nonfinite"] for entry in result.summary)
     if nonfinite:
@@ -415,11 +434,11 @@ def _run_rate_fit(args: argparse.Namespace) -> int:
     outputs = ["manifest.json", "rate_fit.csv", "rate_summary.csv"]
     out = _write_manifest(args, "rate-fit", cfg, outputs)
     result = rate_fit(rcfg, workers=workers)
-    (out / "rate_fit.csv").write_text(log_log_csv(zip(econfig.n_grid, result.errors)))
-    fields = map(_fmt_float, (result.slope, result.slope_se, result.target, rcfg.tol))
-    row = ",".join([econfig.resolved_id(), *fields, str(int(result.passed))])
+    points = zip(econfig.n_grid, result.errors)
+    _write_csv(out / "rate_fit.csv", "log_n,log_err", _log_log_rows(points))
+    fields = (result.slope, result.slope_se, result.target, rcfg.tol, int(result.passed))
     header = "experiment_id,slope,slope_se,target,tol,pass"
-    (out / "rate_summary.csv").write_text(f"{header}\n{row}\n")
+    _write_csv(out / "rate_summary.csv", header, [(econfig.resolved_id(), *fields)])
     verdict = "pass" if result.passed else "FAIL"
     print(
         f"rate-fit: {econfig.resolved_id()} slope={result.slope:.4g} "
@@ -438,15 +457,11 @@ def _run_scaling_check(args: argparse.Namespace) -> int:
     outputs = ["manifest.json", "scaling.csv", "scaling_summary.csv"]
     out = _write_manifest(args, "scaling-check", cfg, outputs)
     result = scaling_exponent_check(scfg, workers=workers)
-    (out / "scaling.csv").write_text(result.csv())
+    _write_csv(out / "scaling.csv", "n,delta,l1_norm", result.table)
     values = (result.n_exponent, result.delta_exponent, result.n_se, result.delta_se)
-    targets = (result.target, result.window_target)
-    fields = map(_fmt_float, (cfg["hurst"], *values, *targets))
-    row = ",".join([str(cfg["rank"]), *fields, str(int(result.passed))])
-    (out / "scaling_summary.csv").write_text(
-        "rank,hurst,n_exponent,delta_exponent,n_se,delta_se,target,window_target,pass\n"
-        f"{row}\n"
-    )
+    row = (cfg["rank"], cfg["hurst"], *values, result.target, result.window_target)
+    header = "rank,hurst,n_exponent,delta_exponent,n_se,delta_se,target,window_target,pass"
+    _write_csv(out / "scaling_summary.csv", header, [(*row, int(result.passed))])
     verdict = "pass" if result.passed else "FAIL"
     print(
         f"scaling-check: rank={cfg['rank']} hurst={cfg['hurst']} "
@@ -477,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", help="key=value file, JSON config, or manifest")
         sub.add_argument("--out", help="output directory")
-        if name not in ("simulate", "constants"):
+        if name not in ("simulate", "constants", "pvar"):
             sub.add_argument("--workers", type=int, help="worker processes (never affects results)")
         for key in keys:
             if key == "force":

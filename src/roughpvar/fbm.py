@@ -24,6 +24,7 @@ which are then clipped and scaled without a temporary.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -145,6 +146,8 @@ class FbmSpec:
 
     def __post_init__(self) -> None:
         _check_hurst(self.hurst)
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.method not in _METHODS:
@@ -309,13 +312,3 @@ def _fgn_cholesky(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
 def _check_hurst(hurst: float) -> None:
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst index must lie in (0, 1), got {hurst}")
-
-
-def path_to_csv(path: FbmPath) -> str:
-    """Dump a path as CSV with header ``t,x``, 17 significant digits."""
-    lines = ["t,x"]
-    n = path.n
-    for i, value in enumerate(path.values):
-        lines.append(f"{i / n:.17g},{value:.17g}")
-    return "\n".join(lines) + "\n"
-

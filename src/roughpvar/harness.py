@@ -16,12 +16,14 @@ the theorem does not cover when it is constructed; the checks take it as is.
 The two fits wrap it the same way: ``RateFitConfig`` owns the rate fit's
 grid refusal and tolerance, ``ScalingConfig`` the scaling fit's grid, window
 and rank refusals, its exponent targets and its tolerance, and each fit's
-result carries its targets and verdict.
+result carries its targets and verdict. The checks return rows, summaries
+and fits as numbers; the CLI formats every output file.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, field, replace
@@ -92,6 +94,7 @@ class ExperimentConfig:
     threshold (0.07 at the critical index, 0.05 otherwise). Refused: what
     :func:`~roughpvar.processes.resolve_process_params` refuses (an ``ell``
     below 2, an unknown key, a ``y0`` or coefficient that is not finite), a
+    resolution, replica count, seed or fine factor that is not an integer, a
     p that is not finite, NaN included, and a (regime, p) outside the
     guaranteed range unless ``force=True``, which runs it and stamps outputs
     as unguaranteed. A p below 2 is refused at and below the critical index even then: the
@@ -119,6 +122,12 @@ class ExperimentConfig:
         if self.process not in PROCESS_TAGS:
             raise ValueError(f"unknown process {self.process!r}; known: {PROCESS_TAGS}")
         resolve_process_params(self.process, self.process_params)
+        integers = [("n_grid entry", n) for n in self.n_grid]
+        integers += [("replicas", self.replicas), ("master_seed", self.master_seed)]
+        integers += [("fine_factor", self.fine_factor)] * (self.fine_factor is not None)
+        for name, value in integers:
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if len(self.n_grid) < 1 or any(n < 2 for n in self.n_grid):
             raise ValueError("n_grid must list resolutions >= 2")
         if len(set(self.n_grid)) != len(self.n_grid):
@@ -213,7 +222,11 @@ def _replica_row(cfg: ExperimentConfig, n: int, replica: int) -> tuple:
 def resolve_workers(workers: int | None) -> int:
     """Worker count: ``workers``, else the environment's, else 1."""
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        text = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
     if workers < 1:
         raise ValueError("worker count must be >= 1")
     return workers
@@ -265,47 +278,11 @@ def ks_statistic(sample: np.ndarray, cdf: Callable) -> float:
 class ExperimentResult:
     """Rows plus per-resolution summary of one regime-check run."""
 
-    config: ExperimentConfig
     rows: np.ndarray
     summary: tuple
     slope: float
     slope_se: float
     passed: bool
-
-    def results_csv(self) -> str:
-        return rows_to_csv(self.config.resolved_id(), self.rows)
-
-    def summary_csv(self) -> str:
-        lines = ["experiment_id,n,median_err,ks,slope,slope_se,pass"]
-        exp_id = self.config.resolved_id()
-        for entry in self.summary:
-            lines.append(
-                f"{exp_id},{entry['n']},{_fmt_float(entry['median_err'])},"
-                f"{_fmt_float(entry['ks'])},{_fmt_float(self.slope)},"
-                f"{_fmt_float(self.slope_se)},{int(entry['pass'])}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def log_log_csv(points) -> str:
-    """``log_n,log_err`` lines of the (n, err) pairs with a positive error."""
-    lines = ["log_n,log_err"]
-    for n, err in points:
-        if err > 0.0:
-            lines.append(f"{_fmt_float(math.log(n))},{_fmt_float(math.log(err))}")
-    return "\n".join(lines) + "\n"
-
-
-def rows_to_csv(exp_id: str, rows: np.ndarray) -> str:
-    """results.csv: the id, then every column of the rows collect_rows returns."""
-    lines = ["experiment_id,n,replica,stat,drift,cond_std,z"]
-    for n, replica, *values in rows:
-        lines.append(",".join([exp_id, str(int(n)), str(int(replica)), *map(_fmt_float, values)]))
-    return "\n".join(lines) + "\n"
 
 
 def _median_errors(
@@ -403,7 +380,6 @@ def run_regime_check(
         inversions = int(np.sum(np.diff(seq) > 0.0))
         passed = passed and inversions <= 1
     return ExperimentResult(
-        config=cfg,
         rows=rows,
         summary=tuple(summary),
         slope=slope,
@@ -437,7 +413,6 @@ class RateFitConfig:
 class RateFitResult:
     """OLS fit of log median error against log resolution, with its verdict."""
 
-    config: RateFitConfig
     errors: np.ndarray
     slope: float
     slope_se: float
@@ -458,7 +433,6 @@ def rate_fit(rcfg: RateFitConfig, workers: int | None = None) -> RateFitResult:
     target = -rate_exponent(cfg.hurst)
     slope, slope_se = _log_slope(ns, errs)
     return RateFitResult(
-        config=rcfg,
         errors=errs,
         slope=slope,
         slope_se=slope_se,
@@ -568,12 +542,6 @@ class ScalingFitResult:
     target: float
     window_target: float
     passed: bool
-
-    def csv(self) -> str:
-        lines = ["n,delta,l1_norm"]
-        for n, delta, l1 in self.table:
-            lines.append(f"{int(n)},{_fmt_float(delta)},{_fmt_float(l1)}")
-        return "\n".join(lines) + "\n"
 
 
 def _scaling_row(scfg: ScalingConfig, n: int, replica: int) -> list:

@@ -24,11 +24,15 @@ Covers:
 10. Cold start: a complete limit-check run in a fresh interpreter never
     loads scipy.stats or scipy.linalg; the dense Cholesky oracle loads
     scipy.linalg when it runs.
+11. The one CSV writer: any float, ±0, ±inf and NaN included, reads back to
+    the same bits, strings and integers as written; results, summary,
+    log-log, scaling and path files checked against the library's numbers.
 """
 
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -42,9 +46,11 @@ from hypothesis import strategies as st
 import roughpvar
 from roughpvar import (
     ExperimentConfig,
+    FbmSpec,
     ScalingConfig,
     build_replica_path,
     run_regime_check,
+    sample_fbm,
     scaling_exponent_check,
 )
 from roughpvar import cli, harness
@@ -331,7 +337,13 @@ class TestMainErrors:
         assert not out.exists(), "a refused config must not create its output directory"
 
     @pytest.mark.parametrize(
-        "argv", [["simulate", "--hurst", "0.3"], ["constants", "--p", "2", "--hurst", "0.3"]]
+        "argv",
+        [
+            ["simulate", "--hurst", "0.3"],
+            ["constants", "--p", "2", "--hurst", "0.3"],
+            # one replica at one resolution: a pool would never start
+            ["pvar", "--hurst", "0.3", "--p", "2"],
+        ],
     )
     def test_workers_flag_refused_where_no_replicas_are_collected(self, tmp_path, argv):
         out = tmp_path / "out"
@@ -339,6 +351,21 @@ class TestMainErrors:
             main(argv + ["--workers", "2", "--out", str(out)])
         assert excinfo.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "2.0", ""])
+    def test_bad_workers_variable_is_named(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv(harness.WORKERS_ENV, value)
+        out = tmp_path / "out"
+        argv = ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "64", "--replicas", "4"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"ROUGHPVAR_WORKERS must be an integer, got {value!r}" in err
+        assert not out.exists()
+
+    def test_pvar_reads_no_workers_variable(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(harness.WORKERS_ENV, "abc")
+        argv = ["pvar", "--hurst", "0.3", "--p", "2", "--n", "64", "--out", str(tmp_path / "pv")]
+        assert main(argv) == 0
 
     def test_non_finite_blow_up_exits_1(self, tmp_path, capsys):
         # dy = 5 y^8 dx from 1e13 overflows to inf and then NaN in one step.
@@ -666,6 +693,133 @@ class TestScalingCheck:
         assert rc == (0 if result.passed else 1)
         assert float(fields[2]) == result.n_exponent
         assert float(fields[3]) == result.delta_exponent
+
+
+# ---------------------------------------------------------------------------
+# CSV outputs
+
+
+def _csv_fields(path):
+    """The fields of each line, split only where the writer joins."""
+    text = path.read_bytes().decode()
+    assert text.endswith("\n")
+    return [line.split(",") for line in text[:-1].split("\n")]
+
+
+def _same_float(text: str, value: float) -> bool:
+    back = float(text)
+    if math.isnan(value):
+        return math.isnan(back)
+    return struct.pack("<d", back) == struct.pack("<d", value)
+
+
+_FIELDS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.integers(),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=",")),
+)
+
+
+@pytest.fixture(scope="class")
+def mixed_run(tmp_path_factory):
+    """A calibrated mixed-regime limit-check run and the library's result."""
+    out = tmp_path_factory.mktemp("csv") / "lc"
+    assert main(["limit-check", "--hurst", "0.5", "--p", "2", "--n", "256,512",
+                 "--replicas", "600", "--seed", "11", "--out", str(out)]) == 0
+    cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(256, 512), replicas=600, master_seed=11)
+    return out, run_regime_check(cfg)
+
+
+class TestCsvOutputs:
+    """``cli._write_csv``, the writer of every output file."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(_FIELDS, min_size=1, max_size=6), max_size=4))
+    def test_fields_read_back_as_written(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            cli._write_csv(path, "a,b", rows)
+            lines = _csv_fields(path)
+        assert lines[0] == ["a", "b"] and len(lines) == 1 + len(rows)
+        for row, fields in zip(rows, lines[1:]):
+            assert len(fields) == len(row)
+            for value, text in zip(row, fields):
+                if isinstance(value, float):
+                    assert _same_float(text, value), f"{value!r} came back as {text!r}"
+                else:
+                    assert text == str(value)
+
+    def test_rows_csv_round_trip(self, mixed_run):
+        out, result = mixed_run
+        lines = _csv_fields(out / "results.csv")
+        assert lines[0] == "experiment_id,n,replica,stat,drift,cond_std,z".split(",")
+        assert len(lines) == 1 + result.rows.shape[0]
+        for fields, row in zip(lines[1:], result.rows):
+            assert fields[0] == "fbm-p2-h0_5-mixed-gaussian"
+            assert fields[1:3] == [str(int(row[0])), str(int(row[1]))]
+            for text, value in zip(fields[3:], row[2:]):
+                assert _same_float(text, value), f"field {text} does not round trip"
+
+    def test_rows_csv_formats_integers(self, tmp_path):
+        rows = np.array([[64.0, 3.0, 0.1, 0.0, 1.0, 0.5]])
+        cli._write_rows(tmp_path / "rows.csv", "demo", rows)
+        line = _read_lines(tmp_path / "rows.csv")[1]
+        assert line.startswith("demo,64,3,"), f"bad row line {line!r}"
+
+    def test_summary_layout(self, mixed_run):
+        out, result = mixed_run
+        lines = _csv_fields(out / "summary.csv")
+        assert lines[0] == "experiment_id,n,median_err,ks,slope,slope_se,pass".split(",")
+        assert len(lines) == 3
+        for fields, entry in zip(lines[1:], result.summary):
+            assert fields[0] == "fbm-p2-h0_5-mixed-gaussian"
+            assert fields[1] == str(entry["n"])
+            assert fields[6] == "1", "calibrated run should pass at every n"
+            values = (entry["median_err"], entry["ks"], result.slope, result.slope_se)
+            for text, value in zip(fields[2:6], values):
+                assert _same_float(text, value), f"field {text} does not round trip"
+
+    def test_plot_data_csv_is_log_log(self, mixed_run):
+        out, result = mixed_run
+        lines = _csv_fields(out / "plot_data.csv")
+        assert lines[0] == ["log_n", "log_err"]
+        assert len(lines) == 3
+        for (log_n, log_err), entry in zip(lines[1:], result.summary):
+            assert _same_float(log_n, math.log(entry["n"]))
+            assert _same_float(log_err, math.log(entry["median_err"]))
+
+    def test_log_log_rows_drop_nonpositive_errors(self, tmp_path):
+        points = [(64, 0.5), (128, 0.0), (256, -1.0), (512, math.nan), (1024, 0.25)]
+        cli._write_csv(tmp_path / "p.csv", "log_n,log_err", cli._log_log_rows(points))
+        assert _read_lines(tmp_path / "p.csv") == [
+            "log_n,log_err",
+            f"{math.log(64):.17g},{math.log(0.5):.17g}",
+            f"{math.log(1024):.17g},{math.log(0.25):.17g}",
+        ]
+
+    def test_scaling_csv_layout(self, tmp_path):
+        # the fit of an exact table L1 = 2 n delta: integer n, short floats
+        cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64, 128), replicas=2)
+        scfg = ScalingConfig(cfg, 1, (0.125, 0.25), 0.25)
+        result = harness._scaling_fit(scfg, 2.0 * np.outer(cfg.n_grid, scfg.delta_grid))
+        cli._write_csv(tmp_path / "scaling.csv", "n,delta,l1_norm", result.table)
+        lines = _read_lines(tmp_path / "scaling.csv")
+        assert lines[0] == "n,delta,l1_norm"
+        assert lines[1] == "64,0.125,16"
+        assert len(lines) == 5
+
+    def test_path_csv_round_trip(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--hurst", "0.45", "--n", "37", "--seed", "8",
+                     "--out", str(out)]) == 0
+        lines = _csv_fields(out / "path_0000.csv")
+        assert lines[0] == ["t", "x"]
+        path = sample_fbm(FbmSpec(hurst=0.45, n=37), harness.replica_rng(8, 37, 0))
+        assert len(lines) == 1 + path.values.size
+        for i, ((t, x), value) in enumerate(zip(lines[1:], path.values)):
+            assert _same_float(t, i / 37) and _same_float(x, value), "17g round trip"
 
 
 # ---------------------------------------------------------------------------

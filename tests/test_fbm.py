@@ -12,11 +12,11 @@ Covers:
   5. The per-(n, H) spectrum cache: draws bit-identical to the uncached
      formula, one entry per Hurst value, read-only entries, frozen bits
      of the draw scale, and its peak memory.
-  6. The CSV dump round trip.
+  6. Spec and path refusals: a size that is not an integer >= 1, an unknown
+     method, a malformed value array.
 """
 
 import hashlib
-import io
 import math
 import tracemalloc
 
@@ -30,7 +30,6 @@ from roughpvar import (
     FbmSpec,
     fbm_covariance,
     fgn_autocovariance,
-    path_to_csv,
     sample_fbm,
 )
 from roughpvar import fbm
@@ -237,15 +236,20 @@ def test_cholesky_refuses_n_above_4096():
     "build, match",
     [
         (lambda: FbmSpec(hurst=0.3, n=0), "n must be >= 1"),
+        (lambda: FbmSpec(hurst=0.3, n=64.5), "n must be an integer"),
         (lambda: FbmSpec(hurst=0.3, n=8, method="fft"), "method must be one of"),
         (lambda: FbmPath(FbmSpec(hurst=0.3, n=8), np.zeros(8)), r"shape \(9,\)"),
         (lambda: FbmPath(FbmSpec(hurst=0.3, n=8), np.ones(9)), "start at zero"),
     ],
-    ids=["n-below-1", "unknown-method", "wrong-shape", "nonzero-start"],
+    ids=["n-below-1", "n-not-integer", "unknown-method", "wrong-shape", "nonzero-start"],
 )
 def test_malformed_spec_or_path_refused(build, match):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+def test_numpy_integer_size_accepted():
+    assert FbmSpec(hurst=0.3, n=np.int64(64)).n == 64
 
 
 def test_cholesky_and_circulant_agree_in_law():
@@ -378,16 +382,3 @@ def test_draw_scale_peak_memory():
         tracemalloc.stop()
     print(f"  peak {peak / 2**20:.1f} MiB at n = {n}")
     assert peak <= 32 * (n + 1) + 2 * 2**20
-
-
-# ---------------------------------------------------------------------------
-# CSV dump
-# ---------------------------------------------------------------------------
-
-
-def test_csv_round_trip():
-    path = sample_fbm(FbmSpec(hurst=0.45, n=37), philox(8))
-    text = path_to_csv(path)
-    assert text.splitlines()[0] == "t,x"
-    back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
-    assert np.array_equal(back[:, 1], path.values), "17g round trip must be exact"

@@ -35,8 +35,8 @@ no increment, the refusals of a p that is not finite (in every regime, forced,
 and in ``constants``) and of ``custom-rde`` inputs that are not finite,
 a run that passes the removed ``--quadrature`` flag (refused by the argument
 parser), a ``custom-rde`` solve with a drift and a quadratic field at
-``--ell 6``, the refusal of an ``--id`` with a comma, a ``simulate``
-run that passes ``--workers`` (refused by the argument parser),
+``--ell 6``, the refusal of an ``--id`` with a comma, ``simulate`` and
+``pvar`` runs that pass ``--workers`` (refused by the argument parser),
 ``constants`` with both truncation orders set and with a lag cutoff of 0
 (refused), and scaling fits with a repeated window length and with two
 lengths that hold the same increments at every resolution (both refused).
@@ -164,6 +164,7 @@ RUNS = (
                                 "--delta", "0.25,0.25", "--replicas", "20"]),
     ("refused-near-equal-delta", ["scaling-check", "--hurst", "0.3", "--n", "256,512",
                                   "--delta", "0.25,0.25000000000000006", "--replicas", "20"]),
+    ("pvar-workers-flag", ["pvar", "--hurst", "0.3", "--p", "2", "--n", "64", "--workers", "2"]),
 )
 
 _SOURCE_LINE = re.compile(rb"(<checkout>/\S+\.py):\d+:")
