@@ -2,16 +2,19 @@
 
 Subcommands cover path simulation, limit constants, single-path statistics,
 regime checks, rate fits, and scaling-exponent fits. Every run resolves its
-configuration (file, then flag overrides, then the defaults in ``SCHEMA``),
-builds the library objects that validate it (``ExperimentConfig`` and, for
-the fits, ``RateFitConfig`` or ``ScalingConfig``, which own the fit's
+configuration (file, then flag overrides, then the subcommand's defaults in
+``SCHEMA``, which reads each experiment and fit default from the field of
+``ExperimentConfig``, ``RateFitConfig`` or ``ScalingConfig`` that declares
+it), builds the library objects that validate it (``ExperimentConfig`` and,
+for the fits, ``RateFitConfig`` or ``ScalingConfig``, which own the fit's
 refusals, targets and tolerance), writes a manifest with the fully
 materialized config before any computation, calls the library check once,
 and writes the numbers it returns into CSV files next to the manifest, all
 through ``_write_csv``. ``fine_factor`` and ``ks_threshold`` accept
-``auto``: ``ExperimentConfig`` resolves it at construction to the process's
-fine factor and the regime's KS threshold, and the manifest stores the
-resolved value. Re-running a subcommand from its manifest reproduces every
+``auto``, which parses to None, the library's own unresolved value:
+``ExperimentConfig`` resolves it at construction to the process's fine
+factor and the regime's KS threshold, and the manifest stores the resolved
+value. Re-running a subcommand from its manifest reproduces every
 output byte for byte; worker count never affects results.
 
 Exit codes: 0 on success/pass, 1 when a check ran but failed, 2 on usage or
@@ -56,44 +59,46 @@ from .hermite import (
 )
 from .processes import CUSTOM_RDE_DEFAULTS, DEFAULT_ELL, PROCESS_TAGS
 
-REQUIRED = ...  # marks a key that has no default
+REQUIRED = dataclasses.MISSING  # the default of a field that has none: a required key
 
-_PVAR_KEYS = {
-    "hurst": REQUIRED,
-    "p": REQUIRED,
-    "n": 1024,
-    "seed": 0,
-    "t": 1.0,
-    "fine_factor": "auto",
-    "force": False,
-    "id": "",
-}
+# Config keys named otherwise in the library's dataclasses.
+_FIELD_NAMES = {"seed": "master_seed", "id": "experiment_id", "n": "n_grid", "delta": "delta_grid"}
+
+
+def _defaults(cls, *keys: str) -> dict:
+    """``{key: default}`` of the fields of ``cls`` the keys name, in order; a
+    tuple default becomes a list, so a default grid reads as a grid."""
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
+    defaults = {key: fields[_FIELD_NAMES.get(key, key)] for key in keys}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in defaults.items()}
+
+
+_PVAR_KEYS = _defaults(
+    ExperimentConfig, "hurst", "p", "n", "seed", "t", "fine_factor", "force", "id"
+)
 _CHECK_KEYS = {
-    **_PVAR_KEYS,
-    "n": [256, 512, 1024],
-    "replicas": 200,
-    "ks_threshold": "auto",
-    "median_tol": 0.08,
+    **_PVAR_KEYS, **_defaults(ExperimentConfig, "replicas", "ks_threshold", "median_tol")
 }
+_FIT_GRID = [256, 512, 1024, 2048]
 # The custom-rde keys default to None, which resolves to CUSTOM_RDE_DEFAULTS
 # for that process and drops the key for every other one.
 _PROCESS_KEYS = {
-    "process": "fbm",
+    **_defaults(ExperimentConfig, "process"),
     "ell": DEFAULT_ELL,
-    "y0": None,
-    "drift_coeffs": None,
-    "field_coeffs": None,
+    **dict.fromkeys(CUSTOM_RDE_DEFAULTS),
 }
 
-# Subcommand -> {key: default}, in --help order. A list default makes "n" a
-# resolution grid rather than a single resolution.
+# Subcommand -> {key: default}, in --help order; an override keeps its key's
+# place. The literals are the CLI's own defaults: simulate's and constants'
+# keys, pvar's one resolution, the fits' grid and scaling-check's replica
+# count. A list default makes "n" a resolution grid rather than one resolution.
 SCHEMA = {
     "simulate": {
         "hurst": REQUIRED,
         "n": 1024,
         "seed": 0,
         "replicas": 1,
-        "method": "auto",
+        **_defaults(FbmSpec, "method"),
     },
     "constants": {
         "p": REQUIRED,
@@ -101,22 +106,14 @@ SCHEMA = {
         "hermite_terms": HERMITE_TERMS,
         "lag_cutoff": LAG_CUTOFF,
     },
-    "pvar": {**_PVAR_KEYS, **_PROCESS_KEYS},
+    "pvar": {**_PVAR_KEYS, "n": 1024, **_PROCESS_KEYS},
     "limit-check": {**_CHECK_KEYS, **_PROCESS_KEYS},
-    "rate-fit": {
-        **_CHECK_KEYS,
-        "n": [256, 512, 1024, 2048],
-        "tol": 0.1,
-        **_PROCESS_KEYS,
-    },
+    "rate-fit": {**_CHECK_KEYS, "n": _FIT_GRID, **_defaults(RateFitConfig, "tol"), **_PROCESS_KEYS},
     "scaling-check": {
-        "hurst": REQUIRED,
-        "n": [256, 512, 1024, 2048],
-        "seed": 0,
+        **_defaults(ExperimentConfig, "hurst", "n", "seed", "replicas"),
+        "n": _FIT_GRID,
         "replicas": 100,
-        "rank": 1,
-        "delta": [0.015625, 0.03125, 0.0625, 0.125, 0.25, 0.5],
-        "start": 0.25,
+        **_defaults(ScalingConfig, "rank", "delta", "start"),
         **_PROCESS_KEYS,
     },
 }
@@ -192,7 +189,7 @@ def _coerce_inner(value, kind: str):
         return float(str(value).strip())
     if kind.endswith("_or_auto"):
         if isinstance(value, str) and value.strip().lower() == "auto":
-            return "auto"
+            return None  # ExperimentConfig resolves it
         return _coerce_inner(value, kind.removesuffix("_or_auto"))
     if kind.endswith("_or_none"):
         if value is None or (isinstance(value, str) and value.strip().lower() == "none"):
@@ -243,10 +240,10 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> dict:
     """Merge config file, flag overrides, and defaults into a resolved dict.
 
     Unknown keys are errors; every key in the result is materialized, so the
-    dict can be stored in a manifest and replayed byte-identically. ``auto``
-    fine factors and KS thresholds become None, which
-    :func:`_experiment_config` resolves and writes back, and the custom-rde
-    keys the process defaults.
+    dict can be stored in a manifest and replayed byte-identically, except
+    the fine factor and KS threshold, which stay None (their default, and
+    what ``auto`` parses to) until :func:`_experiment_config` resolves them
+    and writes them back. The custom-rde keys take the process defaults.
     """
     schema = SCHEMA[subcommand]
     raw: dict = {}
@@ -273,9 +270,6 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> dict:
             cfg[key] = default
     if "process" in cfg and cfg["process"] not in PROCESS_TAGS:
         raise UsageError(f"unknown process {cfg['process']!r}; known: {PROCESS_TAGS}")
-    for key in ("fine_factor", "ks_threshold"):
-        if cfg.get(key) == "auto":
-            cfg[key] = None
     if cfg.get("process") == "custom-rde":
         for key, default in CUSTOM_RDE_DEFAULTS.items():
             if cfg[key] is None:
@@ -287,8 +281,6 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-# Config keys named otherwise in ExperimentConfig; "n" becomes its n_grid.
-_FIELD_NAMES = {"seed": "master_seed", "id": "experiment_id"}
 _EXPERIMENT_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
@@ -302,8 +294,8 @@ def _experiment_config(cfg: dict, **fixed) -> ExperimentConfig:
     fields = {_FIELD_NAMES.get(key, key): value for key, value in cfg.items()}
     kwargs = {name: fields[name] for name in _EXPERIMENT_FIELDS if name in fields}
     n = cfg["n"]
+    kwargs["n_grid"] = tuple(n) if isinstance(n, list) else (n,)
     econfig = ExperimentConfig(
-        n_grid=tuple(n) if isinstance(n, list) else (n,),
         process_params={k: cfg[k] for k in ("ell", *CUSTOM_RDE_DEFAULTS) if k in cfg},
         **kwargs,
         **fixed,

@@ -100,8 +100,9 @@ class ExperimentConfig:
     as unguaranteed. A p below 2 is refused at and below the critical index even then: the
     drift there needs phi'' of ``|y|**p``. A KS threshold outside (0, 1]
     and a median tolerance below 0 are refused, NaN included, and so are a
-    resolution with no whole cell below ``t``, where every statistic is 0,
-    and an ``experiment_id`` that would break the CSV rows it starts.
+    resolution with no whole cell below ``t``, where every statistic is 0, a
+    ``force`` that is not a bool, and an ``experiment_id`` that is not a
+    string or would break the CSV rows it starts.
     """
 
     hurst: float
@@ -128,6 +129,10 @@ class ExperimentConfig:
         for name, value in integers:
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.force, (bool, np.bool_)):
+            raise ValueError(f"force must be a bool, got {self.force!r}")
+        if not isinstance(self.experiment_id, str):
+            raise ValueError(f"experiment_id must be a string, got {self.experiment_id!r}")
         if len(self.n_grid) < 1 or any(n < 2 for n in self.n_grid):
             raise ValueError("n_grid must list resolutions >= 2")
         if len(set(self.n_grid)) != len(self.n_grid):
@@ -461,9 +466,9 @@ class ScalingConfig:
     """
 
     experiment: ExperimentConfig
-    rank: int
-    delta_grid: tuple[float, ...]
-    start: float
+    rank: int = 1
+    delta_grid: tuple[float, ...] = (0.015625, 0.03125, 0.0625, 0.125, 0.25, 0.5)
+    start: float = 0.25
 
     # Largest accepted distance of each fitted exponent from its target.
     TOL: ClassVar[float] = 0.15

@@ -27,8 +27,12 @@ Covers:
 11. The one CSV writer: any float, ±0, ±inf and NaN included, reads back to
     the same bits, strings and integers as written; results, summary,
     log-log, scaling and path files checked against the library's numbers.
+12. The one config schema: every experiment and fit default in ``SCHEMA``
+    is its dataclass field's, but for the named per-subcommand overrides;
+    manifests written before replay byte for byte.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -47,6 +51,7 @@ import roughpvar
 from roughpvar import (
     ExperimentConfig,
     FbmSpec,
+    RateFitConfig,
     ScalingConfig,
     build_replica_path,
     run_regime_check,
@@ -977,6 +982,124 @@ class TestConfigRoundTrip:
             for key, value in drawn.items():
                 if value not in ("auto", ""):
                     assert stored[key] == value, key
+
+
+# ---------------------------------------------------------------------------
+# one config schema
+
+# Config key -> the dataclass field it sets, where the names differ.
+_KEY_FIELDS = {"seed": "master_seed", "id": "experiment_id", "n": "n_grid", "delta": "delta_grid"}
+_FIELD_DEFAULTS = {
+    f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+    for cls in (ExperimentConfig, RateFitConfig, ScalingConfig)
+    for f in dataclasses.fields(cls)
+}
+# The defaults a subcommand sets over its field's, and what they are.
+_SCHEMA_OVERRIDES = {
+    ("pvar", "n"): 1024,
+    ("rate-fit", "n"): [256, 512, 1024, 2048],
+    ("scaling-check", "n"): [256, 512, 1024, 2048],
+    ("scaling-check", "replicas"): 100,
+}
+
+# Manifests of default runs (only the required keys given), as the CLI wrote
+# them before it read its defaults from the dataclasses. A version bump moves
+# their "version" line and nothing else.
+_EARLIER_MANIFESTS = {
+    "limit-check": """\
+{
+  "config": {
+    "ell": 6,
+    "fine_factor": 1,
+    "force": false,
+    "hurst": 0.4,
+    "id": "fbm-p2-h0_4-mixed-gaussian",
+    "ks_threshold": 0.05,
+    "median_tol": 0.08,
+    "n": [
+      256,
+      512,
+      1024
+    ],
+    "p": 2.0,
+    "process": "fbm",
+    "replicas": 200,
+    "seed": 0,
+    "t": 1.0
+  },
+  "outputs": [
+    "manifest.json",
+    "results.csv",
+    "summary.csv",
+    "plot_data.csv"
+  ],
+  "subcommand": "limit-check",
+  "version": "0.1.0"
+}
+""",
+    "scaling-check": """\
+{
+  "config": {
+    "delta": [
+      0.015625,
+      0.03125,
+      0.0625,
+      0.125,
+      0.25,
+      0.5
+    ],
+    "ell": 6,
+    "hurst": 0.4,
+    "n": [
+      256,
+      512,
+      1024,
+      2048
+    ],
+    "process": "fbm",
+    "rank": 1,
+    "replicas": 100,
+    "seed": 0,
+    "start": 0.25
+  },
+  "outputs": [
+    "manifest.json",
+    "scaling.csv",
+    "scaling_summary.csv"
+  ],
+  "subcommand": "scaling-check",
+  "version": "0.1.0"
+}
+""",
+}
+
+
+class TestOneSchema:
+    """The dataclasses declare every experiment and fit default; the CLI reads them."""
+
+    # simulate and constants build no config dataclass
+    @pytest.mark.parametrize("subcommand", ["pvar", "limit-check", "rate-fit", "scaling-check"])
+    def test_schema_defaults_are_the_field_defaults(self, subcommand):
+        checked = set()
+        for key, default in SCHEMA[subcommand].items():
+            field = _KEY_FIELDS.get(key, key)
+            if field not in _FIELD_DEFAULTS:
+                continue
+            expected = _SCHEMA_OVERRIDES.get((subcommand, key), _FIELD_DEFAULTS[field])
+            assert default == expected and type(default) is type(expected), key
+            checked.add(key)
+        assert {key for sub, key in _SCHEMA_OVERRIDES if sub == subcommand} <= checked
+
+    @pytest.mark.parametrize("subcommand", list(_EARLIER_MANIFESTS))
+    def test_earlier_manifest_replays_byte_for_byte(self, subcommand, tmp_path, monkeypatch):
+        for name in _COMPUTATIONS:
+            monkeypatch.setattr(cli, name, _stop)
+        source = tmp_path / "manifest.json"
+        source.write_text(_EARLIER_MANIFESTS[subcommand])
+        with pytest.raises(_Stopped):
+            main([subcommand, "--config", str(source), "--out", str(tmp_path / "replay")])
+        replayed = (tmp_path / "replay" / "manifest.json").read_text()
+        assert replayed == _EARLIER_MANIFESTS[subcommand]
 
 
 # ---------------------------------------------------------------------------

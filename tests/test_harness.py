@@ -264,6 +264,11 @@ class TestExperimentConfig:
             ({"replicas": 2.5}, "replicas must be an integer"),
             ({"master_seed": 1.5}, "master_seed must be an integer"),
             ({"fine_factor": 2.5}, "fine_factor must be an integer"),
+            # an id that is not a string failed on `in`; a truthy force was force
+            ({"experiment_id": 5}, "experiment_id must be a string"),
+            ({"force": "no"}, "force must be a bool"),
+            ({"force": 1}, "force must be a bool"),
+            ({"force": None}, "force must be a bool"),
         ],
     )
     def test_validation_errors(self, overrides, match):
@@ -284,6 +289,10 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(hurst=0.35, p=2.0, n_grid=(np.int64(64),), replicas=np.int32(2),
                                master_seed=np.uint8(1), fine_factor=np.int64(2))
         assert cfg.n_grid == (64,) and type(cfg.n_grid[0]) is int
+
+    def test_numpy_bool_force_accepted(self):
+        cfg = ExperimentConfig(hurst=0.35, p=2.5, force=np.bool_(True))
+        assert cfg.resolved_id().endswith("-unguaranteed")
 
     def test_config_is_immutable(self):
         cfg = ExperimentConfig(hurst=0.35, p=2.0)
@@ -612,9 +621,10 @@ class TestErrorMetrics:
     def test_median_is_np_median_bit_for_bit(self, values):
         # the error metrics' median, NaN payloads aside
         values = np.array(values)
-        with np.errstate(invalid="ignore"):
+        # the midpoint of two values near the float maximum overflows in both
+        with np.errstate(over="ignore", invalid="ignore"):
             expected = float(np.median(values))
-        got = _median(values)
+            got = _median(values)
         assert (math.isnan(got) and math.isnan(expected)) or got.hex() == expected.hex()
 
     def test_log_slope_recovers_exact_power_law(self):

@@ -38,9 +38,13 @@ parser), a ``custom-rde`` solve with a drift and a quadratic field at
 ``--ell 6``, the refusal of an ``--id`` with a comma, ``simulate`` and
 ``pvar`` runs that pass ``--workers`` (refused by the argument parser),
 ``constants`` with both truncation orders set and with a lag cutoff of 0
-(refused), and scaling fits with a repeated window length and with two
-lengths that hold the same increments at every resolution (both refused).
-It takes about 30 s on two cores and is not part of the test suite.
+(refused), scaling fits with a repeated window length and with two
+lengths that hold the same increments at every resolution (both refused),
+``pvar``, ``limit-check``, ``rate-fit`` and ``scaling-check`` runs given
+only their required keys (so each manifest pins every default; the scaling
+fit fails there, exit 1), and every subcommand's ``--help`` page, wrapped
+at ``COLUMNS=80`` (it pins the key order).
+It takes about 35 s on two cores and is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -165,6 +169,13 @@ RUNS = (
     ("refused-near-equal-delta", ["scaling-check", "--hurst", "0.3", "--n", "256,512",
                                   "--delta", "0.25,0.25000000000000006", "--replicas", "20"]),
     ("pvar-workers-flag", ["pvar", "--hurst", "0.3", "--p", "2", "--n", "64", "--workers", "2"]),
+    # Only the required keys: each manifest pins every default of its subcommand.
+    ("pvar-defaults", ["pvar", "--hurst", "0.4", "--p", "2"]),
+    ("limit-check-defaults", ["limit-check", "--hurst", "0.4", "--p", "2"]),
+    ("rate-fit-defaults", ["rate-fit", "--hurst", "0.4", "--p", "2"]),
+    ("scaling-check-defaults", ["scaling-check", "--hurst", "0.4"]),
+    *((f"{sub}-help", [sub, "--help"]) for sub in
+      ("simulate", "constants", "pvar", "limit-check", "rate-fit", "scaling-check")),
 )
 
 _SOURCE_LINE = re.compile(rb"(<checkout>/\S+\.py):\d+:")
@@ -180,6 +191,7 @@ def digest_runs(checkout: Path, work: Path) -> list[str]:
     """Run every entry of RUNS against ``checkout`` and return its lines."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("ROUGHPVAR_")}
     env["PYTHONPATH"] = str(checkout / "src")
+    env["COLUMNS"] = "80"  # argparse wraps --help pages to the terminal width
     outs: dict[str, str] = {}
     lines = []
     for name, argv in RUNS:
