@@ -210,30 +210,51 @@ def _coerce_list(value, item_kind: str) -> list:
     return [_coerce_inner(item, item_kind) for item in value]
 
 
+# The top-level keys of a manifest (see _write_manifest).
+_MANIFEST_KEYS = {"subcommand", "version", "config", "outputs"}
+
+
+def _unique_keys(pairs) -> dict:
+    """``dict(pairs)``, refusing a key given twice rather than keeping its
+    last value."""
+    mapping = {}
+    for key, value in pairs:
+        if key in mapping:
+            raise UsageError(f"repeated config key {key!r}")
+        mapping[key] = value
+    return mapping
+
+
 def _load_config_file(path: str) -> tuple[dict, str | None]:
     """Read a flat key=value file or JSON object; unwrap manifests.
 
-    Returns the raw mapping plus the manifest's subcommand when present.
+    Returns the raw mapping plus the manifest's subcommand when present. A
+    key given twice, at any depth, is refused, and so is a key beside a
+    manifest's ``config`` object that a manifest does not hold.
     """
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         # text that starts with "{" loads as an object or not at all
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
         stored_sub = None
         if "config" in data and isinstance(data["config"], dict):
+            extra = sorted(set(data) - _MANIFEST_KEYS)
+            if extra:
+                names = ", ".join(map(repr, extra))
+                raise UsageError(f"a manifest holds its keys in 'config', not at the top: {names}")
             stored_sub = data.get("subcommand")
             data = data["config"]
         return dict(data), stored_sub
-    mapping = {}
+    pairs = []
     for token in text.split():
         if "=" not in token:
             raise UsageError(f"malformed config entry {token!r} (expected key=value)")
         key, _, raw = token.partition("=")
         if not key:
             raise UsageError(f"malformed config entry {token!r}")
-        mapping[key] = raw
-    return mapping, None
+        pairs.append((key, raw))
+    return _unique_keys(pairs), None
 
 
 def resolve_config(subcommand: str, args: argparse.Namespace) -> dict:
@@ -486,12 +507,23 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", help="output directory")
         if name not in ("simulate", "constants", "pvar"):
             sub.add_argument("--workers", type=int, help="worker processes (never affects results)")
-        for key in keys:
+        for key, default in keys.items():
+            text = _key_help(key, default)
             if key == "force":
-                sub.add_argument("--force", action="store_true", default=None)
+                sub.add_argument("--force", action="store_true", default=None, help=text)
             else:
-                sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
+                sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, help=text)
     return parser
+
+
+def _key_help(key: str, default) -> str:
+    """A key's --help text: required, or its default as a manifest stores it
+    (``auto`` for the None that the library resolves)."""
+    if key in CUSTOM_RDE_DEFAULTS:
+        return f"custom-rde only (default: {json.dumps(CUSTOM_RDE_DEFAULTS[key])})"
+    if default is REQUIRED:
+        return "required"
+    return f"default: {'auto' if default is None else json.dumps(default)}"
 
 
 def _pin_malloc_thresholds() -> None:

@@ -246,6 +246,12 @@ def _parallel_starmap(fn: Callable, tasks: list[tuple], workers: int | None) -> 
     # socket, subprocess and logging machinery under it).
     from concurrent.futures import ProcessPoolExecutor
 
+    # Forked workers inherit what the parent has imported. Every row draws
+    # with numpy.random (which loads OpenSSL through secrets) and numpy.fft,
+    # so importing both here spares each worker the memory of its own copy.
+    import numpy.fft
+    import numpy.random
+
     chunk = max(1, len(tasks) // (count * 8))
     with ProcessPoolExecutor(max_workers=count) as pool:
         return list(pool.map(fn, *zip(*tasks), chunksize=chunk))

@@ -2,7 +2,9 @@
 
 Covers:
 1. Config resolution: key=value files, JSON files, manifest unwrapping,
-   flag-over-file precedence, defaults, and every rejection path.
+   flag-over-file precedence, defaults, and every rejection path (a
+   repeated key and a key beside a manifest's config included); each
+   key's --help text is "required" or its default as a manifest stores it.
 2. The simulate subcommand: outputs, CSV layout, byte-level determinism.
 3. The constants subcommand against known limit values.
 4. The pvar subcommand: row schema, guaranteed-range refusal, and the
@@ -23,7 +25,8 @@ Covers:
    configs of every subcommand, in key=value and JSON form.
 10. Cold start: a complete limit-check run in a fresh interpreter never
     loads scipy.stats or scipy.linalg; the dense Cholesky oracle loads
-    scipy.linalg when it runs.
+    scipy.linalg when it runs; pool workers inherit numpy.random and
+    numpy.fft from the parent.
 11. The one CSV writer: any float, ±0, ±inf and NaN included, reads back to
     the same bits, strings and integers as written; results, summary,
     log-log, scaling and path files checked against the library's numbers.
@@ -35,6 +38,7 @@ Covers:
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -169,6 +173,17 @@ class TestResolveConfig:
             ('{"hurst": 0.3, "p": 2, "replicas": true}', "bad value for 'replicas'"),
             ('{"hurst": 0.3, "p": 2, "n": [1024.5]}', "bad value for 'n'"),
             ('{"hurst": true, "p": 2}', "bad value for 'hurst'"),
+            # a repeated key would silently take its last value
+            ("hurst=0.4 p=2 hurst=0.3", "repeated config key 'hurst'"),
+            ('{"hurst": 0.4, "p": 2, "hurst": 0.3}', "repeated config key 'hurst'"),
+            ('{"subcommand": "limit-check", "config": {"hurst": 0.4, "p": 2, "p": 3}}',
+             "repeated config key 'p'"),
+            ('{"hurst": 0.4, "p": 2, "n": [{"a": 1, "a": 2}]}', "repeated config key 'a'"),
+            # a manifest's config would drop the keys beside it
+            ('{"config": {"hurst": 0.4, "p": 2, "replicas": 3}, "n": [32]}',
+             "not at the top: 'n'"),
+            ('{"config": {"hurst": 0.4, "p": 2}, "seed": 1, "n": [32]}',
+             "not at the top: 'n', 'seed'"),
         ],
     )
     def test_config_file_rejections(self, tmp_path, content, match):
@@ -176,6 +191,18 @@ class TestResolveConfig:
         cfg_file.write_text(content)
         with pytest.raises(UsageError, match=match):
             resolve_config("limit-check", _parse(["limit-check", "--config", str(cfg_file)]))
+
+    @pytest.mark.parametrize(
+        "content",
+        ["hurst=0.4 p=2 hurst=0.3", '{"config": {"hurst": 0.4, "p": 2}, "n": [32]}'],
+    )
+    def test_refused_config_file_exits_2_and_writes_nothing(self, tmp_path, capsys, content):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(content)
+        out = tmp_path / "out"
+        assert main(["limit-check", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [[1024.0], 1024])
     def test_json_integral_float_and_scalar_grid_accepted(self, tmp_path, n):
@@ -208,6 +235,30 @@ class TestResolveConfig:
         args = _parse(["pvar", "--hurst", "0.35", "--p", "2", "--process", "ou"])
         with pytest.raises(UsageError, match="unknown process"):
             resolve_config("pvar", args)
+
+    @pytest.mark.parametrize("subcommand", list(SCHEMA))
+    def test_help_shows_each_default_as_the_manifest_stores_it(self, subcommand):
+        required = [key for key, default in SCHEMA[subcommand].items() if default is REQUIRED]
+        argv = [subcommand]
+        for key in required:
+            argv += [f"--{key}", {"hurst": "0.3", "p": "2"}[key]]
+        stored = resolve_config(subcommand, _parse(argv))
+        if "process" in stored:
+            custom = resolve_config(subcommand, _parse(argv + ["--process", "custom-rde"]))
+            stored.update({key: custom[key] for key in CUSTOM_RDE_DEFAULTS})
+        page = build_parser()._subparsers._group_actions[0].choices[subcommand]
+        texts = {action.dest: action.help for action in page._actions}
+        for key in SCHEMA[subcommand]:
+            text = texts[key]
+            if key in required:
+                assert text == "required"
+                continue
+            if key in CUSTOM_RDE_DEFAULTS:
+                assert text.startswith("custom-rde only (default: ") and text.endswith(")")
+                text = text.removeprefix("custom-rde only (").removesuffix(")")
+            shown = text.removeprefix("default: ")
+            # fine_factor and ks_threshold: the library resolves None
+            assert (None if shown == "auto" else json.loads(shown)) == stored[key], key
 
     @pytest.mark.parametrize("hurst, threshold", [(0.25, 0.07), (0.35, 0.05)])
     def test_ks_threshold_auto_replays_to_regime_threshold(self, tmp_path, hurst, threshold):
@@ -1115,6 +1166,18 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
+# Which of numpy.random and numpy.fft a pool worker holds when its task starts.
+_STARMAP_PROBE = """
+import json, sys
+from roughpvar import harness
+
+def probe(task):
+    return [name for name in ("numpy.fft", "numpy.random") if name in sys.modules]
+
+print(json.dumps(harness._parallel_starmap(probe, [(0,), (1,)], 2)))
+"""
+
+
 def _heavy(module):
     return module in _HEAVY_MODULES
 
@@ -1130,16 +1193,21 @@ def _pool(module):
     return module.split(".")[0] in ("multiprocessing", "concurrent")
 
 
-def _fresh_main(argv, selected=_heavy):
-    """Run cli.main in a fresh interpreter; its exit code and the modules it
-    loaded that ``selected`` picks, sorted."""
-    # the child imports the package under test, wherever pytest found it
+def _fresh_env():
+    """The environment of a fresh interpreter that imports the package under
+    test, wherever pytest found it, and reads no ROUGHPVAR_ variable."""
     paths = (str(Path(roughpvar.__file__).parents[1]), os.environ.get("PYTHONPATH"))
     env = {key: value for key, value in os.environ.items() if not key.startswith("ROUGHPVAR_")}
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env
+
+
+def _fresh_main(argv, selected=_heavy):
+    """Run cli.main in a fresh interpreter; its exit code and the modules it
+    loaded that ``selected`` picks, sorted."""
     proc = subprocess.run(
         [sys.executable, "-c", _MAIN_THEN_MODULES, *argv],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_fresh_env(),
     )
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout.splitlines()[-1])
@@ -1212,6 +1280,19 @@ class TestColdStart:
         assert code == 0
         assert (out / "summary.csv").exists()
         assert {"concurrent.futures.process", "multiprocessing"} <= set(loaded), loaded
+
+    # the first start method listed is the platform's default
+    @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                        reason="only forked workers inherit the parent's modules")
+    def test_pool_workers_inherit_numpy_random_and_fft(self):
+        # Imported in the parent before the fork, so no worker loads its own
+        # copy (numpy.random loads OpenSSL through secrets).
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARMAP_PROBE], capture_output=True, text=True,
+            env=_fresh_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [["numpy.fft", "numpy.random"]] * 2
 
     def test_gamma_past_33_loads_special(self, tmp_path):
         # σ² at p = 40 reads E|N|^80, Gamma(40.5): scipy's Stirling branch
