@@ -8,13 +8,14 @@ configuration (file, then flag overrides, then the subcommand's defaults in
 it), builds the library objects that validate it (``ExperimentConfig`` and,
 for the fits, ``RateFitConfig`` or ``ScalingConfig``, which own the fit's
 refusals, targets and tolerance), writes a manifest with the fully
-materialized config before any computation, calls the library check once,
-and writes the numbers it returns into CSV files next to the manifest, all
-through ``_write_csv``. ``fine_factor`` and ``ks_threshold`` accept
-``auto``, which parses to None, the library's own unresolved value:
-``ExperimentConfig`` resolves it at construction to the process's fine
-factor and the regime's KS threshold, and the manifest stores the resolved
-value. Re-running a subcommand from its manifest reproduces every
+materialized config before any computation, draws the replica rows once
+(``harness.collect_rows``, for ``pvar``, ``limit-check`` and ``rate-fit``),
+calls the library check once on them, and writes the numbers it returns
+into CSV files next to the manifest, all through ``_write_csv``.
+``fine_factor`` and ``ks_threshold`` accept ``auto``, which parses to None,
+the library's own unresolved value: ``ExperimentConfig`` resolves it at
+construction to the process's fine factor and the regime's KS threshold,
+and the manifest stores the resolved value. Re-running a subcommand from its manifest reproduces every
 output byte for byte; worker count never affects results.
 
 Exit codes: 0 on success/pass, 1 when a check ran but failed, 2 on usage or
@@ -23,7 +24,9 @@ A config refused while it is resolved, while its library objects are built
 (level count, custom-rde inputs, power exponent, KS threshold and median
 tolerance, experiment id, the rate fit's grid and tolerance, the scaling
 fit's grid, windows, rank and target included) or by a library check
-(worker count, seed, variance domain) exits 2 and writes nothing.
+(worker count, seed, variance domain) exits 2 and writes nothing, and so
+does a ``--config`` that cannot be read or an ``--out`` that cannot be
+written.
 ``simulate``, ``constants`` and ``pvar`` (one replica) take no ``--workers``.
 """
 
@@ -36,7 +39,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, harness
 from .fbm import FbmSpec, sample_fbm
 from .harness import (
     ExperimentConfig,
@@ -47,7 +50,6 @@ from .harness import (
     resolve_workers,
     run_regime_check,
     scaling_exponent_check,
-    collect_rows,
     validate_master_seed,
 )
 from .hermite import (
@@ -232,7 +234,10 @@ def _load_config_file(path: str) -> tuple[dict, str | None]:
     key given twice, at any depth, is refused, and so is a key beside a
     manifest's ``config`` object that a manifest does not hold.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         # text that starts with "{" loads as an object or not at all
@@ -334,7 +339,6 @@ def _write_manifest(
 ) -> Path:
     """Create the output directory, write the manifest into it, return it."""
     out = Path(getattr(args, "out", None) or f"roughpvar_{subcommand.replace('-', '_')}")
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "subcommand": subcommand,
         "version": __version__,
@@ -342,7 +346,11 @@ def _write_manifest(
         "outputs": outputs,
     }
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    (out / "manifest.json").write_text(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "manifest.json").write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output directory {str(out)!r}: {exc.strerror}") from None
     return out
 
 
@@ -405,7 +413,7 @@ def _run_pvar(args: argparse.Namespace) -> int:
     cfg = resolve_config("pvar", args)
     econfig = _experiment_config(cfg, replicas=1)
     out = _write_manifest(args, "pvar", cfg, ["manifest.json", "pvar.csv"])
-    rows = collect_rows(econfig, workers=1)
+    rows = harness.collect_rows(econfig, workers=1)
     _write_rows(out / "pvar.csv", econfig.resolved_id(), rows)
     print(
         f"pvar: {econfig.resolved_id()} n={cfg['n']} stat={rows[0, 2]:.6g} "
@@ -420,9 +428,10 @@ def _run_limit_check(args: argparse.Namespace) -> int:
     workers = resolve_workers(args.workers)
     outputs = ["manifest.json", "results.csv", "summary.csv", "plot_data.csv"]
     out = _write_manifest(args, "limit-check", cfg, outputs)
-    result = run_regime_check(econfig, workers=workers)
+    rows = harness.collect_rows(econfig, workers)
+    result = run_regime_check(econfig, rows)
     exp_id = econfig.resolved_id()
-    _write_rows(out / "results.csv", exp_id, result.rows)
+    _write_rows(out / "results.csv", exp_id, rows)
     summary = [(exp_id, e["n"], e["median_err"], e["ks"], result.slope, result.slope_se,
                 int(e["pass"])) for e in result.summary]
     _write_csv(out / "summary.csv", "experiment_id,n,median_err,ks,slope,slope_se,pass", summary)
@@ -446,7 +455,7 @@ def _run_rate_fit(args: argparse.Namespace) -> int:
     workers = resolve_workers(args.workers)
     outputs = ["manifest.json", "rate_fit.csv", "rate_summary.csv"]
     out = _write_manifest(args, "rate-fit", cfg, outputs)
-    result = rate_fit(rcfg, workers=workers)
+    result = rate_fit(rcfg, harness.collect_rows(econfig, workers))
     points = zip(econfig.n_grid, result.errors)
     _write_csv(out / "rate_fit.csv", "log_n,log_err", _log_log_rows(points))
     fields = (result.slope, result.slope_se, result.target, rcfg.tol, int(result.passed))

@@ -98,27 +98,17 @@ def fgn_autocovariance(k, hurst: float):
 
 
 def _autocovariance_block(k_abs: np.ndarray, hurst: float, dst: np.ndarray) -> None:
-    """The autocovariance at the nonnegative float lags ``k_abs``, into ``dst``.
-
-    A block whose lags are all past 1 skips the small-lag mask; the
-    expression is the masked path's, elementwise, so the bits are the same.
-    """
+    """The autocovariance at the nonnegative float lags ``k_abs``, into ``dst``;
+    past lag 1 with ``|k|**(2H)`` factored out."""
     h2 = 2.0 * hurst
-    if k_abs.min() > 1.0:
-        dst[...] = _large_lags(k_abs, h2)
-        return
     small = k_abs <= 1.0
     ks = k_abs[small]
     dst[small] = 0.5 * ((ks + 1.0) ** h2 + np.abs(ks - 1.0) ** h2 - 2.0 * ks**h2)
     big = ~small
-    dst[big] = _large_lags(k_abs[big], h2)
-
-
-def _large_lags(kb: np.ndarray, h2: float) -> np.ndarray:
-    """The autocovariance at float lags ``kb > 1``, ``|k|**(2H)`` factored out."""
+    kb = k_abs[big]
     plus = np.expm1(h2 * np.log1p(1.0 / kb))
     minus = np.expm1(h2 * np.log1p(-1.0 / kb))
-    return 0.5 * kb**h2 * (plus + minus)
+    dst[big] = 0.5 * kb**h2 * (plus + minus)
 
 
 @dataclass(frozen=True)

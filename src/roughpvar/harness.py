@@ -16,8 +16,10 @@ the theorem does not cover when it is constructed; the checks take it as is.
 The two fits wrap it the same way: ``RateFitConfig`` owns the rate fit's
 grid refusal and tolerance, ``ScalingConfig`` the scaling fit's grid, window
 and rank refusals, its exponent targets and its tolerance, and each fit's
-result carries its targets and verdict. The checks return rows, summaries
-and fits as numbers; the CLI formats every output file.
+result carries its targets and verdict. :func:`collect_rows` draws the rows
+of a config; the regime check and the rate fit are pure functions of those
+rows, so one table can feed both. The checks return rows, summaries and fits
+as numbers; the CLI formats every output file.
 """
 
 from __future__ import annotations
@@ -287,9 +289,8 @@ def ks_statistic(sample: np.ndarray, cdf: Callable) -> float:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Rows plus per-resolution summary of one regime-check run."""
+    """Per-resolution summary of one regime check, with its verdict."""
 
-    rows: np.ndarray
     summary: tuple
     slope: float
     slope_se: float
@@ -352,10 +353,9 @@ def _log_slope(ns: np.ndarray, errs: np.ndarray) -> tuple[float, float]:
     return slope, se
 
 
-def run_regime_check(
-    cfg: ExperimentConfig, workers: int | None = None
-) -> ExperimentResult:
-    """Monte Carlo check of the limit theorem in the config's regime.
+def run_regime_check(cfg: ExperimentConfig, rows: np.ndarray) -> ExperimentResult:
+    """Check of the limit theorem in the config's regime on its rows, as
+    :func:`collect_rows` returns them.
 
     Distributional regimes (Hurst >= 1/4): per-resolution KS distance of the
     normalized statistic against N(0,1); passes when the largest resolution
@@ -366,7 +366,6 @@ def run_regime_check(
     replicas whose z is not finite (``nonfinite``); the distributional
     regimes leave them out of the KS test.
     """
-    rows = collect_rows(cfg, workers)
     ns, med_errs = _median_errors(cfg, rows, 5)
     slope, slope_se = _log_slope(ns, med_errs)
 
@@ -391,7 +390,6 @@ def run_regime_check(
         inversions = int(np.sum(np.diff(seq) > 0.0))
         passed = passed and inversions <= 1
     return ExperimentResult(
-        rows=rows,
         summary=tuple(summary),
         slope=slope,
         slope_se=slope_se,
@@ -431,15 +429,15 @@ class RateFitResult:
     passed: bool
 
 
-def rate_fit(rcfg: RateFitConfig, workers: int | None = None) -> RateFitResult:
-    """Fit the convergence-rate exponent of the statistic's error decay.
+def rate_fit(rcfg: RateFitConfig, rows: np.ndarray) -> RateFitResult:
+    """Fit the convergence-rate exponent of the statistic's error decay on
+    the experiment's rows, as :func:`collect_rows` returns them.
 
     The error is measured against the regime's own limit (zero / scaled
     drift) and compared to the theoretical exponent: -1/2 in the
     distributional regimes, -2H in the degenerate one.
     """
     cfg = rcfg.experiment
-    rows = collect_rows(cfg, workers)
     ns, errs = _median_errors(cfg, rows, 2)
     target = -rate_exponent(cfg.hurst)
     slope, slope_se = _log_slope(ns, errs)
@@ -595,12 +593,10 @@ def _scaling_fit(scfg: ScalingConfig, l1: np.ndarray) -> ScalingFitResult:
     design_arr = np.array(design)
     response_arr = np.array(response)
     coeffs, residuals, *_ = np.linalg.lstsq(design_arr, response_arr, rcond=None)
+    # ScalingConfig's grids give at least 4 rows of rank 3, so dof >= 1.
     dof = len(response) - 3
-    if dof > 0 and len(residuals) > 0:
-        cov = float(residuals[0]) / dof * np.linalg.inv(design_arr.T @ design_arr)
-        ses = np.sqrt(np.diag(cov))
-    else:
-        ses = np.full(3, math.nan)
+    cov = float(residuals[0]) / dof * np.linalg.inv(design_arr.T @ design_arr)
+    ses = np.sqrt(np.diag(cov))
     n_exponent, delta_exponent = float(coeffs[0]), float(coeffs[1])
     passed = (
         abs(n_exponent - scfg.target) <= scfg.TOL

@@ -14,7 +14,8 @@ doubles as an acceptance report. Covered:
      x**2 / 2 exactly, and the one-step scheme for dy = y dx converges to
      exp(x) at the expected per-doubling sup-error rate.
   4. Degenerate regime: the rescaled statistic concentrates at its limit,
-     with per-resolution medians shrinking as n grows.
+     with per-resolution medians shrinking as n grows; its rows are a slice
+     of criterion 7's degenerate collection, drawn once for both.
   5. Mixed-Gaussian regime: the normalized statistic is asymptotically
      standard normal with the predicted limit variance.
   6. Critical regime: the drift-corrected statistic passes its KS gate.
@@ -42,6 +43,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +81,23 @@ from roughpvar.hermite import variance_weights
 from streams import philox
 
 MASTER_SEED = 2024
+
+# Criterion 7's degenerate experiment. Its rows at n in {1024, 4096, 16384}
+# and replicas 0-199 are criterion 4's experiment, bit for bit (a row depends
+# only on its config, n and replica), so both criteria read one collection.
+_RATE_GRID = (512, 1024, 2048, 4096, 8192, 16384)
+_DEGENERATE_RATE = ExperimentConfig(
+    hurst=0.15, p=2.0, process="sq", n_grid=_RATE_GRID,
+    replicas=500, master_seed=MASTER_SEED,
+)
+
+
+@lru_cache(maxsize=1)
+def _degenerate_rate_rows():
+    """``collect_rows(_DEGENERATE_RATE)``, drawn once and read-only."""
+    rows = collect_rows(_DEGENERATE_RATE)
+    rows.flags.writeable = False
+    return rows
 
 
 def _report(label, ok, detail):
@@ -263,7 +282,10 @@ def test_criterion_04_degenerate_concentration():
         master_seed=MASTER_SEED,
         median_tol=0.08,
     )
-    result = run_regime_check(cfg)
+    # criterion 7's rows at this grid and replica count, in collect_rows order
+    rows = _degenerate_rate_rows()
+    keep = np.isin(rows[:, 0], cfg.n_grid) & (rows[:, 1] < cfg.replicas)
+    result = run_regime_check(cfg, rows[keep])
     meds = np.array([entry["median_err"] for entry in result.summary])
     # frozen medians at seed 2024: [0.0505, 0.0053, 0.0045]
     pinned = np.allclose(meds, [0.0505, 0.0053, 0.0045], atol=2e-3)
@@ -325,7 +347,7 @@ def test_criterion_06_critical_ks_gate():
         replicas=1000,
         master_seed=MASTER_SEED,
     )
-    result = run_regime_check(cfg)
+    result = run_regime_check(cfg, collect_rows(cfg))
     ks = result.summary[-1]["ks"]
     # frozen KS at seed 2024: 0.0276, against the 0.07 critical threshold
     pinned = abs(ks - 0.0276) <= 5e-3
@@ -341,21 +363,14 @@ def test_criterion_06_critical_ks_gate():
 
 
 def test_criterion_07_error_decay_rates():
-    n_grid = (512, 1024, 2048, 4096, 8192, 16384)
     # frozen slopes at seed 2024: mixed -0.5113 (target -0.5),
     # degenerate -0.3416 (target -2H = -0.3); the gate is +-0.1
-    mixed = rate_fit(RateFitConfig(
-        ExperimentConfig(
-            hurst=0.4, p=2.0, process="fbm", n_grid=n_grid,
-            replicas=500, master_seed=MASTER_SEED,
-        )
-    ))
-    degen = rate_fit(RateFitConfig(
-        ExperimentConfig(
-            hurst=0.15, p=2.0, process="sq", n_grid=n_grid,
-            replicas=500, master_seed=MASTER_SEED,
-        )
-    ))
+    mixed_cfg = ExperimentConfig(
+        hurst=0.4, p=2.0, process="fbm", n_grid=_RATE_GRID,
+        replicas=500, master_seed=MASTER_SEED,
+    )
+    mixed = rate_fit(RateFitConfig(mixed_cfg), collect_rows(mixed_cfg))
+    degen = rate_fit(RateFitConfig(_DEGENERATE_RATE), _degenerate_rate_rows())
     print(f"  mixed: slope {mixed.slope:.4f} (se {mixed.slope_se:.4f}) target {mixed.target}")
     print(f"  degenerate: slope {degen.slope:.4f} (se {degen.slope_se:.4f}) target {degen.target}")
     pinned = abs(mixed.slope - (-0.5113)) <= 0.02 and abs(degen.slope - (-0.3416)) <= 0.02

@@ -10,17 +10,21 @@ Covers:
 4. The pvar subcommand: row schema, guaranteed-range refusal, and the
    force escape hatch with its unguaranteed marker.
 5. limit-check: calibrated pass, forced failure, manifest replay byte
-   identity, worker-count invariance, and the non-finite z count.
+   identity, worker-count invariance, the non-finite z count, and one call
+   each of harness.collect_rows and cli.run_regime_check, the names that
+   perfbench's trace wraps.
 6. rate-fit: a calibrated pass and an exact deterministic failure.
 7. scaling-check: output schema, manifest replay, and a pass field that is
    the library's verdict.
 8. Exit codes: 0 pass, 1 failed check, 2 usage/domain errors (a
    scaling-check without an established target, NaN or negative gates
    and windows, a t below one grid cell, a window holding no increment, a
-   p that is not finite and non-finite custom-rde inputs included), 70 any
-   other exception, and a refused config
-   writes nothing; a libc without mallopt changes no exit code; 17
-   significant digit float formatting throughout.
+   p that is not finite and non-finite custom-rde inputs included, and an
+   unreadable --config or an --out that cannot take the manifest, each one
+   line naming the path), 70 any other exception (an OSError while the
+   results are written included), and a refused config writes nothing; a
+   libc without mallopt changes no exit code; 17 significant digit float
+   formatting throughout.
 9. The config -> manifest -> config round trip as a fixed point, on drawn
    configs of every subcommand, in key=value and JSON form.
 10. Cold start: a complete limit-check run in a fresh interpreter never
@@ -58,6 +62,7 @@ from roughpvar import (
     RateFitConfig,
     ScalingConfig,
     build_replica_path,
+    collect_rows,
     run_regime_check,
     sample_fbm,
     scaling_exponent_check,
@@ -393,6 +398,49 @@ class TestMainErrors:
         assert not out.exists(), "a refused config must not create its output directory"
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["limit-check", "--config", "{tmp}/missing.cfg"],
+             "cannot read config file '{tmp}/missing.cfg': No such file or directory"),
+            (["limit-check", "--config", "{tmp}"],
+             "cannot read config file '{tmp}': Is a directory"),
+            (["pvar", "--hurst", "0.4", "--p", "2", "--n", "64", "--out", "{tmp}/taken"],
+             "cannot write output directory '{tmp}/taken': File exists"),
+            (["pvar", "--hurst", "0.4", "--p", "2", "--n", "64", "--out", "{tmp}/full"],
+             "cannot write output directory '{tmp}/full': Is a directory"),
+            # a list flag that holds no entry
+            (["scaling-check", "--hurst", "0.4", "--delta", ","],
+             "bad value for 'delta': ',' (empty list)"),
+        ],
+    )
+    def test_refusal_is_one_line_and_writes_nothing(self, tmp_path, capsys, argv, message):
+        # An unreadable --config or an --out that cannot take the manifest
+        # is a usage error naming the path, not a bug: exit 2, one line and
+        # no traceback, nothing written. "taken" is a file; "full" holds a
+        # directory where the manifest goes.
+        (tmp_path / "taken").write_text("kept\n")
+        (tmp_path / "full" / "manifest.json").mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        argv = [item.replace("{tmp}", str(tmp_path)) for item in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
+    def test_output_error_after_the_manifest_exits_70(self, tmp_path, monkeypatch, capsys):
+        # Only the manifest's directory and file are usage errors; an OSError
+        # while writing the results is still a bug.
+        def broken(*args):
+            raise OSError("results not written")
+
+        monkeypatch.setattr(cli, "_write_rows", broken)
+        argv = ["pvar", "--hurst", "0.4", "--p", "2", "--n", "64", "--out", str(tmp_path / "pv")]
+        assert main(argv) == 70
+        assert "Traceback" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["simulate", "--hurst", "0.3"],
@@ -641,12 +689,32 @@ class TestLimitCheck:
                 f"{name} depends on the worker count"
             )
 
+    def test_trace_wrappers_see_each_call_once(self, tmp_path, monkeypatch):
+        # perfbench/child.py --trace 1 replaces harness.collect_rows and
+        # cli.run_regime_check by wrappers that record one span per call, so
+        # the runner must call both through those module attributes.
+        argv = ["limit-check", "--hurst", "0.5", "--p", "2", "--n", "64,128",
+                "--replicas", "20", "--seed", "3"]
+        plain, traced = tmp_path / "plain", tmp_path / "traced"
+        rc = main(argv + ["--out", str(plain)])
+        calls = []
+        for module, name in ((harness, "collect_rows"), (cli, "run_regime_check")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        assert main(argv + ["--out", str(traced)]) == rc
+        assert calls == ["collect_rows", "run_regime_check"]
+        for name in ("manifest.json", "results.csv", "summary.csv", "plot_data.csv"):
+            assert (plain / name).read_bytes() == (traced / name).read_bytes(), name
+
     def test_nonfinite_z_is_counted(self, tmp_path, capsys, monkeypatch):
         # A zero conditional scale leaves z undefined on every row; the KS
         # test drops those rows, and the count says how many.
         monkeypatch.setattr(harness, "limit_cond_std", lambda *args, **kwargs: 0.0)
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64, 128), replicas=5, master_seed=3)
-        result = run_regime_check(cfg, workers=1)
+        result = run_regime_check(cfg, collect_rows(cfg, workers=1))
         assert [entry["nonfinite"] for entry in result.summary] == [5, 5]
         assert all(math.isnan(entry["ks"]) for entry in result.summary)
         out = tmp_path / "lc"
@@ -780,12 +848,13 @@ _FIELDS = st.one_of(
 
 @pytest.fixture(scope="class")
 def mixed_run(tmp_path_factory):
-    """A calibrated mixed-regime limit-check run and the library's result."""
+    """A calibrated mixed-regime limit-check run, the library's rows and its result."""
     out = tmp_path_factory.mktemp("csv") / "lc"
     assert main(["limit-check", "--hurst", "0.5", "--p", "2", "--n", "256,512",
                  "--replicas", "600", "--seed", "11", "--out", str(out)]) == 0
     cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(256, 512), replicas=600, master_seed=11)
-    return out, run_regime_check(cfg)
+    rows = collect_rows(cfg)
+    return out, rows, run_regime_check(cfg, rows)
 
 
 class TestCsvOutputs:
@@ -808,11 +877,11 @@ class TestCsvOutputs:
                     assert text == str(value)
 
     def test_rows_csv_round_trip(self, mixed_run):
-        out, result = mixed_run
+        out, rows, _ = mixed_run
         lines = _csv_fields(out / "results.csv")
         assert lines[0] == "experiment_id,n,replica,stat,drift,cond_std,z".split(",")
-        assert len(lines) == 1 + result.rows.shape[0]
-        for fields, row in zip(lines[1:], result.rows):
+        assert len(lines) == 1 + rows.shape[0]
+        for fields, row in zip(lines[1:], rows):
             assert fields[0] == "fbm-p2-h0_5-mixed-gaussian"
             assert fields[1:3] == [str(int(row[0])), str(int(row[1]))]
             for text, value in zip(fields[3:], row[2:]):
@@ -825,7 +894,7 @@ class TestCsvOutputs:
         assert line.startswith("demo,64,3,"), f"bad row line {line!r}"
 
     def test_summary_layout(self, mixed_run):
-        out, result = mixed_run
+        out, _, result = mixed_run
         lines = _csv_fields(out / "summary.csv")
         assert lines[0] == "experiment_id,n,median_err,ks,slope,slope_se,pass".split(",")
         assert len(lines) == 3
@@ -838,7 +907,7 @@ class TestCsvOutputs:
                 assert _same_float(text, value), f"field {text} does not round trip"
 
     def test_plot_data_csv_is_log_log(self, mixed_run):
-        out, result = mixed_run
+        out, _, result = mixed_run
         lines = _csv_fields(out / "plot_data.csv")
         assert lines[0] == ["log_n", "log_err"]
         assert len(lines) == 3
@@ -918,14 +987,13 @@ def _stop(*args, **kwargs):
     raise _Stopped
 
 
-# The first computation each runner starts after writing its manifest.
+# The first computation each runner starts after writing its manifest, as
+# (module, name): pvar, limit-check and rate-fit start with harness.collect_rows.
 _COMPUTATIONS = (
-    "sample_fbm",
-    "asymptotic_variance",
-    "collect_rows",
-    "run_regime_check",
-    "rate_fit",
-    "scaling_exponent_check",
+    (cli, "sample_fbm"),
+    (cli, "asymptotic_variance"),
+    (harness, "collect_rows"),
+    (cli, "scaling_exponent_check"),
 )
 
 _FRACTION = st.floats(0.001, 1.0)
@@ -1016,8 +1084,8 @@ class TestConfigRoundTrip:
     def test_manifest_is_a_fixed_point(self, subcommand, form, data):
         drawn = data.draw(_configs(subcommand))
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            for name in _COMPUTATIONS:
-                mp.setattr(cli, name, _stop)
+            for module, name in _COMPUTATIONS:
+                mp.setattr(module, name, _stop)
             source = Path(tmp, "run.cfg")
             source.write_text(json.dumps(drawn) if form == "json" else _key_value_text(drawn))
             first, second = Path(tmp, "first"), Path(tmp, "second")
@@ -1143,8 +1211,8 @@ class TestOneSchema:
 
     @pytest.mark.parametrize("subcommand", list(_EARLIER_MANIFESTS))
     def test_earlier_manifest_replays_byte_for_byte(self, subcommand, tmp_path, monkeypatch):
-        for name in _COMPUTATIONS:
-            monkeypatch.setattr(cli, name, _stop)
+        for module, name in _COMPUTATIONS:
+            monkeypatch.setattr(module, name, _stop)
         source = tmp_path / "manifest.json"
         source.write_text(_EARLIER_MANIFESTS[subcommand])
         with pytest.raises(_Stopped):

@@ -11,13 +11,15 @@ Covers:
 4. Replica path construction: determinism, stream separation, fine wiring.
 5. Row collection: ordering, determinism, serial/parallel bit equality, a
    pool no larger than the task count, per-regime column arithmetic, replica
-   independence, and the pinned bits of one row per regime and process, and
-   of two custom-rde rows.
+   independence, a row's independence of the grid that collected it, and
+   the pinned bits of one row per regime and process, and of two custom-rde
+   rows.
 6. The summary/rate error metrics and the log-log slope fit on synthetic
    rows with hand-computed medians; the metrics' median against np.median
    bit for bit.
 7. Regime checks in the mixed and degenerate regimes with calibrated seeds,
-   plus the force bypass for unguaranteed exponents.
+   the degenerate verdict on given rows, plus the force bypass for
+   unguaranteed exponents.
 8. Rate fits: a calibrated Monte Carlo run plus exact deterministic decays
    from a drift-only differential equation.
 9. Two-way scaling fits: the config's refusals and exponent targets, exact
@@ -85,7 +87,7 @@ def _mixed_result() -> ExperimentResult:
     cfg = ExperimentConfig(
         hurst=0.5, p=2.0, n_grid=(256, 512), replicas=600, master_seed=11
     )
-    return run_regime_check(cfg)
+    return run_regime_check(cfg, collect_rows(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +436,19 @@ class TestCollectRows:
             assert np.array_equal(rows, collect_rows(cfg, workers=1))
         assert sizes == []
 
+    @pytest.mark.parametrize("hurst, process", [(0.4, "fbm"), (0.25, "sq"), (0.15, "sq")])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_row_depends_only_on_config_resolution_and_replica(self, hurst, process, workers):
+        # The checks may share one table: the rows of (n,) with R replicas
+        # are the (n, replica < R) slice of a larger grid, bit for bit.
+        small = ExperimentConfig(
+            hurst=hurst, p=2.0, process=process, n_grid=(64,), replicas=3, master_seed=7
+        )
+        large = dataclasses.replace(small, n_grid=(32, 64, 128), replicas=5)
+        rows = collect_rows(large, workers=workers)
+        keep = (rows[:, 0] == 64) & (rows[:, 1] < 3)
+        assert rows[keep].tobytes() == collect_rows(small, workers=1).tobytes()
+
     def test_invalid_worker_count_rejected(self):
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=2)
         with pytest.raises(ValueError, match="worker count"):
@@ -669,18 +684,20 @@ class TestRunRegimeCheck:
         cfg = ExperimentConfig(
             hurst=0.5, p=2.0, n_grid=(256, 512), replicas=600, master_seed=11
         )
-        assert np.array_equal(_mixed_result().rows, run_regime_check(cfg).rows)
+        # repr, so that the NaN slope_se of a two-point fit compares equal
+        assert repr(run_regime_check(cfg, collect_rows(cfg))) == repr(_mixed_result())
 
     def test_degenerate_regime_summary(self):
         cfg = ExperimentConfig(
             hurst=0.15, p=2.0, process="sq", n_grid=(128, 256), replicas=40,
             master_seed=9, fine_factor=4,
         )
-        result = run_regime_check(cfg)
+        rows = collect_rows(cfg)
+        result = run_regime_check(cfg, rows)
         meds = []
         for entry in result.summary:
-            sel = result.rows[:, 0] == entry["n"]
-            recomputed = abs(float(np.median(result.rows[sel, 5])))
+            sel = rows[:, 0] == entry["n"]
+            recomputed = abs(float(np.median(rows[sel, 5])))
             assert math.isnan(entry["ks"]), "degenerate regime reports no KS"
             assert entry["median_err"] == recomputed, (
                 "summary metric should be |median(z)|"
@@ -690,16 +707,35 @@ class TestRunRegimeCheck:
         assert result.passed, f"calibrated degenerate check should pass: {meds}"
         assert meds[1] < meds[0], "median error should shrink with resolution"
 
+    @pytest.mark.parametrize(
+        "medians, passed",
+        [
+            ([0.3, -0.1, 0.2, -0.05], True),  # one inversion, last within 0.08
+            ([0.1, 0.2, 0.05, 0.07], False),  # two inversions
+            ([0.3, 0.2, 0.1, 0.09], False),  # last past 0.08
+        ],
+    )
+    def test_degenerate_verdict_on_given_rows(self, medians, passed):
+        # The check summarizes the rows it is given: one replica per
+        # resolution makes each |median z| the row's |z|.
+        cfg = ExperimentConfig(
+            hurst=0.15, p=2.0, process="sq", n_grid=(4, 8, 16, 32), replicas=1
+        )
+        rows = _synthetic_rows([(n, 0.0, z, 0.0) for n, z in zip(cfg.n_grid, medians)])
+        result = run_regime_check(cfg, rows)
+        assert [entry["median_err"] for entry in result.summary] == np.abs(medians).tolist()
+        assert result.passed is passed
+
     def test_uncovered_exponent_rejected(self):
         # Refused when the config is built, before any replica is drawn.
         with pytest.raises(UnsupportedRangeError):
-            run_regime_check(ExperimentConfig(hurst=0.35, p=2.5, n_grid=(64,), replicas=5))
+            ExperimentConfig(hurst=0.35, p=2.5, n_grid=(64,), replicas=5)
 
     def test_force_runs_and_marks_unguaranteed(self):
         cfg = ExperimentConfig(
             hurst=0.35, p=2.5, n_grid=(64,), replicas=10, master_seed=1, force=True
         )
-        result = run_regime_check(cfg)
+        result = run_regime_check(cfg, collect_rows(cfg))
         assert cfg.resolved_id().endswith("-unguaranteed")
         assert len(result.summary) == 1
         assert isinstance(result.passed, bool)
@@ -716,7 +752,7 @@ class TestRateFit:
         cfg = ExperimentConfig(
             hurst=0.5, p=2.0, n_grid=(256, 512, 1024), replicas=200, master_seed=5
         )
-        result = rate_fit(RateFitConfig(cfg))
+        result = rate_fit(RateFitConfig(cfg), collect_rows(cfg))
         print(
             f"mixed rate: slope={result.slope:.4f} (se {result.slope_se:.4f}), "
             f"target {result.target}"
@@ -735,7 +771,7 @@ class TestRateFit:
             replicas=3, master_seed=0, fine_factor=1,
             process_params=dict(_PURE_DRIFT),
         )
-        result = rate_fit(RateFitConfig(cfg), workers=1)
+        result = rate_fit(RateFitConfig(cfg), collect_rows(cfg, workers=1))
         assert result.target == -0.5
         assert not result.passed
         expected = [1.0 / n for n in (64, 128, 256)]
@@ -755,7 +791,7 @@ class TestRateFit:
             replicas=3, master_seed=0, fine_factor=1,
             process_params=dict(_PURE_DRIFT),
         )
-        result = rate_fit(RateFitConfig(cfg))
+        result = rate_fit(RateFitConfig(cfg), collect_rows(cfg))
         expected = [n ** (2.0 * hurst - 2.0) for n in (64, 128, 256)]
         assert result.errors == pytest.approx(expected, rel=1e-10)
         assert result.slope == pytest.approx(2.0 * hurst - 2.0, abs=1e-9)

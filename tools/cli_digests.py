@@ -38,7 +38,8 @@ parser), a ``custom-rde`` solve with a drift and a quadratic field at
 ``--ell 6``, the refusal of an ``--id`` with a comma, ``simulate`` and
 ``pvar`` runs that pass ``--workers`` (refused by the argument parser),
 ``constants`` with both truncation orders set and with a lag cutoff of 0
-(refused), scaling fits with a repeated window length and with two
+(refused), a ``--config`` that is missing or a directory and an ``--out``
+that is an existing file (refused), an empty ``--delta`` list (refused), scaling fits with a repeated window length and with two
 lengths that hold the same increments at every resolution (both refused),
 ``pvar``, ``limit-check``, ``rate-fit`` and ``scaling-check`` runs given
 only their required keys (so each manifest pins every default; the scaling
@@ -169,6 +170,13 @@ RUNS = (
     ("refused-near-equal-delta", ["scaling-check", "--hurst", "0.3", "--n", "256,512",
                                   "--delta", "0.25,0.25000000000000006", "--replicas", "20"]),
     ("pvar-workers-flag", ["pvar", "--hurst", "0.3", "--p", "2", "--n", "64", "--workers", "2"]),
+    # Paths relative to the runs' working directory: a missing config file,
+    # a directory given as the config, and (by its name) an output directory
+    # that is the mixed run's manifest, an existing file.
+    ("refused-config-missing", ["limit-check", "--config", "missing.cfg"]),
+    ("refused-config-directory", ["limit-check", "--config", "."]),
+    ("mixed/manifest.json", ["pvar", "--hurst", "0.4", "--p", "2", "--n", "64"]),
+    ("refused-empty-delta", ["scaling-check", "--hurst", "0.4", "--delta", ","]),
     # Only the required keys: each manifest pins every default of its subcommand.
     ("pvar-defaults", ["pvar", "--hurst", "0.4", "--p", "2"]),
     ("limit-check-defaults", ["limit-check", "--hurst", "0.4", "--p", "2"]),
