@@ -20,8 +20,9 @@ output byte for byte; worker count never affects results.
 
 Exit codes: 0 on success/pass, 1 when a check ran but failed, 2 on usage or
 domain errors, 70 (``EX_SOFTWARE``) with a traceback on any other exception.
-A config refused while it is resolved, while its library objects are built
-(level count, custom-rde inputs, power exponent, KS threshold and median
+A config refused while it is resolved (the process, its level count and
+its custom-rde inputs, by ``processes.resolve_process_params``), while its
+library objects are built (power exponent, KS threshold and median
 tolerance, experiment id, the rate fit's grid and tolerance, the scaling
 fit's grid, windows, rank and target included) or by a library check
 (worker count, seed, variance domain) exits 2 and writes nothing, and so
@@ -59,7 +60,7 @@ from .hermite import (
     gaussian_abs_moment,
     validate_variance_domain,
 )
-from .processes import CUSTOM_RDE_DEFAULTS, DEFAULT_ELL, PROCESS_TAGS
+from .processes import CUSTOM_RDE_DEFAULTS, DEFAULT_ELL, resolve_process_params
 
 REQUIRED = dataclasses.MISSING  # the default of a field that has none: a required key
 
@@ -269,7 +270,9 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> dict:
     dict can be stored in a manifest and replayed byte-identically, except
     the fine factor and KS threshold, which stay None (their default, and
     what ``auto`` parses to) until :func:`_experiment_config` resolves them
-    and writes them back. The custom-rde keys take the process defaults.
+    and writes them back. The process keys given (a custom-rde key left
+    None is not given) hold what ``resolve_process_params`` returns for
+    them, which refuses what it does not take.
     """
     schema = SCHEMA[subcommand]
     raw: dict = {}
@@ -294,16 +297,13 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> dict:
             if default is REQUIRED:
                 raise UsageError(f"missing required key {key!r} for {subcommand}")
             cfg[key] = default
-    if "process" in cfg and cfg["process"] not in PROCESS_TAGS:
-        raise UsageError(f"unknown process {cfg['process']!r}; known: {PROCESS_TAGS}")
-    if cfg.get("process") == "custom-rde":
-        for key, default in CUSTOM_RDE_DEFAULTS.items():
-            if cfg[key] is None:
-                cfg[key] = _coerce(key, default, KEY_KINDS[key])
-    else:
-        for key in CUSTOM_RDE_DEFAULTS:
-            if cfg.pop(key, None) is not None:
-                raise UsageError(f"{key!r} only applies to the custom-rde process")
+    if "process" in cfg:
+        given = {key: cfg.pop(key) for key in ("ell", *CUSTOM_RDE_DEFAULTS)}
+        ell, params = resolve_process_params(
+            cfg["process"], {key: value for key, value in given.items() if value is not None}
+        )
+        for key, value in {"ell": ell, **params}.items():
+            cfg[key] = _coerce(key, value, KEY_KINDS[key])
     return cfg
 
 

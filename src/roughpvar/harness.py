@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -38,7 +37,6 @@ from .controlled import ControlledPath
 from .fbm import FbmSpec, sample_fbm
 from .hermite import hermite, ndtr
 from .processes import (
-    PROCESS_TAGS,
     build_controlled_process,
     default_fine_factor,
     first_zero_level,
@@ -94,13 +92,14 @@ class ExperimentConfig:
     at construction: ``fine_factor=None`` (the CLI's ``auto``) becomes the
     process's default fine factor and ``ks_threshold=None`` the regime's KS
     threshold (0.07 at the critical index, 0.05 otherwise). Refused: what
-    :func:`~roughpvar.processes.resolve_process_params` refuses (an ``ell``
-    below 2, an unknown key, a ``y0`` or coefficient that is not finite), a
-    resolution, replica count, seed or fine factor that is not an integer, a
-    p that is not finite, NaN included, and a (regime, p) outside the
-    guaranteed range unless ``force=True``, which runs it and stamps outputs
-    as unguaranteed. A p below 2 is refused at and below the critical index even then: the
-    drift there needs phi'' of ``|y|**p``. A KS threshold outside (0, 1]
+    :func:`~roughpvar.processes.resolve_process_params` refuses (an unknown
+    process, an ``ell`` below 2, an unknown key, a ``y0`` or coefficient
+    that is not finite), a resolution, replica count, seed or fine factor
+    that is not an integer (``True`` included), a p that is not finite, NaN
+    included, and a (regime, p) outside the guaranteed range unless
+    ``force=True``, which runs it and stamps outputs as unguaranteed. A p
+    below 2 is refused at and below the critical index even then: the drift
+    there needs phi'' of ``|y|**p``. A KS threshold outside (0, 1]
     and a median tolerance below 0 are refused, NaN included, and so are a
     resolution with no whole cell below ``t``, where every statistic is 0, a
     ``force`` that is not a bool, and an ``experiment_id`` that is not a
@@ -122,14 +121,12 @@ class ExperimentConfig:
     experiment_id: str = ""
 
     def __post_init__(self) -> None:
-        if self.process not in PROCESS_TAGS:
-            raise ValueError(f"unknown process {self.process!r}; known: {PROCESS_TAGS}")
         resolve_process_params(self.process, self.process_params)
         integers = [("n_grid entry", n) for n in self.n_grid]
         integers += [("replicas", self.replicas), ("master_seed", self.master_seed)]
         integers += [("fine_factor", self.fine_factor)] * (self.fine_factor is not None)
         for name, value in integers:
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.force, (bool, np.bool_)):
             raise ValueError(f"force must be a bool, got {self.force!r}")
@@ -375,7 +372,7 @@ def run_regime_check(cfg: ExperimentConfig, rows: np.ndarray) -> ExperimentResul
         finite = np.isfinite(z)
         if cfg.regime == REGIME_DEGENERATE:
             ks = math.nan
-            ok = med_errs[i] <= cfg.median_tol
+            ok = bool(med_errs[i] <= cfg.median_tol)
         else:
             ks = ks_statistic(z[finite], ndtr) if finite.any() else math.nan
             ok = bool(ks < cfg.ks_threshold)
@@ -463,10 +460,11 @@ class ScalingConfig:
     increment at some resolution (every sum there is 0), two window lengths
     that hold the same increments at every resolution (a repeated length
     among them: both give the same sums, so the fit has no window axis), a
-    Hermite rank below 1, and a degenerate fit (rank * H < 1/2) whose
-    closed-form weight has an identically zero rank-th level: ``fbm`` at
-    rank >= 2, ``sq`` at rank >= 3, ``cube`` at rank >= 4. There the limit
-    integral is 0 and neither exponent target is established.
+    Hermite rank that is not an integer (``True`` included) or is below 1,
+    and a degenerate fit (rank * H < 1/2) whose closed-form weight has an
+    identically zero rank-th level: ``fbm`` at rank >= 2, ``sq`` at
+    rank >= 3, ``cube`` at rank >= 4. There the limit integral is 0 and
+    neither exponent target is established.
     """
 
     experiment: ExperimentConfig
@@ -478,7 +476,9 @@ class ScalingConfig:
     TOL: ClassVar[float] = 0.15
 
     def __post_init__(self) -> None:
-        rank = operator.index(self.rank)
+        if not isinstance(self.rank, numbers.Integral) or isinstance(self.rank, bool):
+            raise ValueError(f"rank must be an integer, got {self.rank!r}")
+        rank = int(self.rank)
         deltas = tuple(float(d) for d in self.delta_grid)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "delta_grid", deltas)

@@ -179,7 +179,7 @@ def validate_variance_domain(
     below 1, then (p, hurst) outside the domain of the asymptotic variance
     series."""
     for name, order in (("hermite_terms", hermite_terms), ("lag_cutoff", lag_cutoff)):
-        if not isinstance(order, numbers.Integral):
+        if not isinstance(order, numbers.Integral) or isinstance(order, bool):
             raise ValueError(f"{name} must be an integer, got {order!r}")
         if order < 1:
             raise ValueError(f"{name} must be >= 1")

@@ -55,15 +55,22 @@ def first_zero_level(tag: str) -> int | None:
 
 def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
     """The level count and the options of process ``tag``, with the
-    ``custom-rde`` defaults filled in.
+    ``custom-rde`` defaults filled in: the one check of a process.
 
-    Refuses an ``ell`` that is not an integer of at least 2, a key the
-    process does not take, a ``y0`` that is not one finite number, and a
-    coefficient list that is empty, not 1-d, not all numbers or not finite.
+    Refuses, in this order, an unknown tag, a ``custom-rde`` option given to
+    another process, an ``ell`` that is not an integer of at least 2, any
+    other key the process does not take, a ``y0`` that is not one finite
+    number, and a coefficient list that is empty, not 1-d, not all numbers
+    or not finite.
     """
+    if tag not in PROCESS_TAGS:
+        raise ValueError(f"unknown process {tag!r}; known: {PROCESS_TAGS}")
     params = dict(params or {})
-    ell = validate_ell(params.pop("ell", DEFAULT_ELL))
     options = CUSTOM_RDE_DEFAULTS if tag == "custom-rde" else {}
+    foreign = [key for key in CUSTOM_RDE_DEFAULTS if key in params and key not in options]
+    if foreign:
+        raise ValueError(f"{foreign[0]!r} only applies to the custom-rde process")
+    ell = validate_ell(params.pop("ell", DEFAULT_ELL))
     unknown = sorted(set(params) - set(options))
     if unknown:
         raise ValueError(f"unknown parameters for process {tag!r}: {unknown}")
@@ -118,10 +125,8 @@ def build_controlled_process(
         fine_cp = solve_rde(x=x_fine, ell=ell, **params)
     elif tag == "exp-rde":
         fine_cp = ControlledPath(x_fine, [np.exp(x_fine.values)] * ell)
-    elif tag in _CLOSED_FORM_LEVELS:
+    else:
         # Constant levels are scalars, so no row is stored for them.
         raw = [level(x_fine.values) for level in _CLOSED_FORM_LEVELS[tag][:ell]]
         fine_cp = ControlledPath(x_fine, raw + [0.0] * (ell - len(raw)))
-    else:
-        raise ValueError(f"unknown process tag {tag!r}; known: {PROCESS_TAGS}")
     return subsample_controlled(fine_cp, fine_factor)

@@ -37,9 +37,15 @@ Covers:
 12. The one config schema: every experiment and fit default in ``SCHEMA``
     is its dataclass field's, but for the named per-subcommand overrides;
     manifests written before replay byte for byte.
+13. The one process resolver: on drawn processes and option sets the CLI
+    stores what ``processes.resolve_process_params`` returns, or exits 2
+    with its message and writes nothing; the library refuses an unknown
+    process with the same message everywhere.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import multiprocessing
@@ -77,7 +83,12 @@ from roughpvar.cli import (
     main,
     resolve_config,
 )
-from roughpvar.processes import CUSTOM_RDE_DEFAULTS, PROCESS_TAGS
+from roughpvar.processes import (
+    CUSTOM_RDE_DEFAULTS,
+    PROCESS_TAGS,
+    build_controlled_process,
+    resolve_process_params,
+)
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -225,8 +236,10 @@ class TestResolveConfig:
             resolve_config("simulate", _parse(["simulate", "--hurst", "0.3", "--n", "64,128"]))
 
     def test_equation_keys_need_the_custom_process(self):
+        # refused by processes.resolve_process_params, whose ValueError main
+        # maps to exit 2 like a UsageError
         args = _parse(["pvar", "--hurst", "0.35", "--p", "2", "--y0", "1.0"])
-        with pytest.raises(UsageError, match="custom-rde"):
+        with pytest.raises(ValueError, match="'y0' only applies to the custom-rde process"):
             resolve_config("pvar", args)
 
     def test_custom_process_defaults(self):
@@ -238,7 +251,7 @@ class TestResolveConfig:
 
     def test_unknown_process_rejected(self):
         args = _parse(["pvar", "--hurst", "0.35", "--p", "2", "--process", "ou"])
-        with pytest.raises(UsageError, match="unknown process"):
+        with pytest.raises(ValueError, match="unknown process 'ou'; known: "):
             resolve_config("pvar", args)
 
     @pytest.mark.parametrize("subcommand", list(SCHEMA))
@@ -1219,6 +1232,67 @@ class TestOneSchema:
             main([subcommand, "--config", str(source), "--out", str(tmp_path / "replay")])
         replayed = (tmp_path / "replay" / "manifest.json").read_text()
         assert replayed == _EARLIER_MANIFESTS[subcommand]
+
+
+# Process options of every kind the CLI parses them to, refused values among
+# them: an ell below 2, a y0 or coefficient that is not finite, an empty list.
+_OPTION_VALUES = {
+    "ell": st.integers(0, 8),
+    "y0": st.one_of(st.floats(-2.0, 2.0), st.sampled_from([math.nan, math.inf])),
+    "drift_coeffs": st.lists(st.floats(-2.0, 2.0), max_size=3),
+    "field_coeffs": st.lists(st.one_of(st.floats(-2.0, 2.0), st.just(math.nan)), max_size=3),
+}
+
+
+class TestOneResolver:
+    """processes.resolve_process_params checks every process and its options."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        subcommand=st.sampled_from(["pvar", "limit-check", "rate-fit", "scaling-check"]),
+        process=st.sampled_from(PROCESS_TAGS + ("ou",)),
+        options=st.fixed_dictionaries({}, optional=_OPTION_VALUES),
+    )
+    def test_cli_stores_or_refuses_what_the_resolver_returns(self, subcommand, process, options):
+        try:
+            ell, params = resolve_process_params(process, options)
+        except ValueError as exc:
+            expected, message = None, str(exc)
+        else:
+            expected = json.loads(json.dumps({"ell": ell, **params}))
+        cfg = {"hurst": 0.35, **({"p": 2} if "p" in SCHEMA[subcommand] else {})}
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            for module, name in _COMPUTATIONS:
+                mp.setattr(module, name, _stop)
+            source, out = Path(tmp, "run.json"), Path(tmp, "out")
+            source.write_text(json.dumps({**cfg, "process": process, **options}))
+            argv = [subcommand, "--config", str(source), "--out", str(out)]
+            if expected is None:
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    assert main(argv) == 2
+                assert stderr.getvalue() == f"error: {message}\n"
+                assert not out.exists()
+            else:
+                with pytest.raises(_Stopped):
+                    main(argv)
+                stored = json.loads((out / "manifest.json").read_text())["config"]
+                keys = ("ell", *CUSTOM_RDE_DEFAULTS)
+                assert {key: stored[key] for key in keys if key in stored} == expected
+
+    def test_unknown_process_has_one_message(self):
+        message = "unknown process 'ou'; known: ('fbm', 'sq', 'cube', 'exp-rde', 'custom-rde')"
+        x = sample_fbm(FbmSpec(hurst=0.35, n=8), np.random.default_rng(0))
+        for refuse in (
+            lambda: resolve_process_params("ou", None),
+            lambda: ExperimentConfig(hurst=0.35, p=2.0, process="ou"),
+            lambda: build_controlled_process("ou", x),
+        ):
+            with pytest.raises(ValueError) as refused:
+                refuse()
+            assert str(refused.value) == message
+        # neither the CLI nor the harness keeps its own list of processes
+        assert "PROCESS_TAGS" not in vars(cli) and "PROCESS_TAGS" not in vars(harness)
 
 
 # ---------------------------------------------------------------------------

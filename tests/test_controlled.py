@@ -522,7 +522,7 @@ class TestSolveRde:
         assert solve_rde(None, [0.0, 1.0], 1.0, x, ell=3.0).ell == 3
         with pytest.raises(ValueError, match="divide"):
             build_controlled_process("custom-rde", x, fine_factor=7)
-        with pytest.raises(ValueError, match="unknown process tag 'ou'"):
+        with pytest.raises(ValueError, match="unknown process 'ou'; known: "):
             build_controlled_process("ou", x)
 
     @pytest.mark.parametrize(

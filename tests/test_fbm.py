@@ -237,11 +237,13 @@ def test_cholesky_refuses_n_above_4096():
     [
         (lambda: FbmSpec(hurst=0.3, n=0), "n must be >= 1"),
         (lambda: FbmSpec(hurst=0.3, n=64.5), "n must be an integer"),
+        (lambda: FbmSpec(hurst=0.3, n=True), "n must be an integer, got True"),
         (lambda: FbmSpec(hurst=0.3, n=8, method="fft"), "method must be one of"),
         (lambda: FbmPath(FbmSpec(hurst=0.3, n=8), np.zeros(8)), r"shape \(9,\)"),
         (lambda: FbmPath(FbmSpec(hurst=0.3, n=8), np.ones(9)), "start at zero"),
     ],
-    ids=["n-below-1", "n-not-integer", "unknown-method", "wrong-shape", "nonzero-start"],
+    ids=["n-below-1", "n-not-integer", "n-bool", "unknown-method", "wrong-shape",
+         "nonzero-start"],
 )
 def test_malformed_spec_or_path_refused(build, match):
     with pytest.raises(ValueError, match=match):
@@ -269,10 +271,10 @@ def test_indefinite_embedding_raises(monkeypatch):
     # No Cholesky fallback: an indefinite embedding is an error under auto.
     # The row 1, -0.9, -0.9, ... has first eigenvalue 1 - 0.9 (2n - 1) < 0,
     # so the spectrum's own check fires.
-    def indefinite_block(k_abs, hurst, dst):
-        dst[...] = np.where(k_abs == 0.0, 1.0, -0.9)
+    def indefinite_autocovariance(k, hurst):
+        return np.where(np.asarray(k) == 0.0, 1.0, -0.9)
 
-    monkeypatch.setattr(fbm, "_autocovariance_block", indefinite_block)
+    monkeypatch.setattr(fbm, "fgn_autocovariance", indefinite_autocovariance)
     fbm._draw_scale.cache_clear()
     with pytest.raises(RuntimeError, match="not nonnegative definite"):
         sample_fbm(FbmSpec(hurst=0.3, n=32, method="auto"), philox(0))

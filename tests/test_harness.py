@@ -6,8 +6,9 @@ Covers:
    package's port of ``scipy.special.ndtr``, gives the same bits as that
    function and as ``scipy.stats.norm.cdf``.
 2. Guaranteed-range validation of the power exponent per regime.
-3. ExperimentConfig validation, resolved defaults, and identifier format;
-   a p below 2 refused where the drift enters, even when forced.
+3. ExperimentConfig validation (a bool count refused), resolved defaults,
+   and identifier format; a p below 2 refused where the drift enters, even
+   when forced.
 4. Replica path construction: determinism, stream separation, fine wiring.
 5. Row collection: ordering, determinism, serial/parallel bit equality, a
    pool no larger than the task count, per-regime column arithmetic, replica
@@ -18,8 +19,8 @@ Covers:
    rows with hand-computed medians; the metrics' median against np.median
    bit for bit.
 7. Regime checks in the mixed and degenerate regimes with calibrated seeds,
-   the degenerate verdict on given rows, plus the force bypass for
-   unguaranteed exponents.
+   the degenerate verdict on given rows, Python bool verdicts in every
+   regime, plus the force bypass for unguaranteed exponents.
 8. Rate fits: a calibrated Monte Carlo run plus exact deterministic decays
    from a drift-only differential equation.
 9. Two-way scaling fits: the config's refusals and exponent targets, exact
@@ -234,7 +235,7 @@ class TestExperimentConfig:
             ({"process": "custom-rde", "process_params": {"y0": math.nan}}, "y0 must be finite"),
             ({"process": "custom-rde", "process_params": {"field_coeffs": (0.0, math.inf)}},
              "field_coeffs must be finite"),
-            ({"process": "sq", "process_params": {"y0": 1.0}}, "unknown parameters"),
+            ({"process": "sq", "process_params": {"y0": 1.0}}, "'y0' only applies"),
             ({"process": "custom-rde", "process_params": {"field_coeffs": []}},
              "field_coeffs must be a nonempty 1-d sequence"),
             ({"process": "custom-rde", "process_params": {"drift_coeffs": ()}},
@@ -271,6 +272,13 @@ class TestExperimentConfig:
             ({"force": "no"}, "force must be a bool"),
             ({"force": 1}, "force must be a bool"),
             ({"force": None}, "force must be a bool"),
+            ({"process": "custom-rde", "process_params": {"y1": 1.0}},
+             r"unknown parameters for process 'custom-rde': \['y1'\]"),
+            # bool is a numbers.Integral, but no count
+            ({"replicas": True}, "replicas must be an integer, got True"),
+            ({"master_seed": True}, "master_seed must be an integer, got True"),
+            ({"fine_factor": True}, "fine_factor must be an integer, got True"),
+            ({"n_grid": (64, False)}, "n_grid entry must be an integer, got False"),
         ],
     )
     def test_validation_errors(self, overrides, match):
@@ -726,6 +734,16 @@ class TestRunRegimeCheck:
         assert [entry["median_err"] for entry in result.summary] == np.abs(medians).tolist()
         assert result.passed is passed
 
+    @pytest.mark.parametrize("hurst", [0.4, 0.25, 0.15])
+    def test_verdicts_are_bools(self, hurst):
+        # a caller that tests a verdict with `is True` must get the same
+        # answer in every regime, so each verdict is a Python bool
+        cfg = ExperimentConfig(hurst=hurst, p=2.0, process="sq", n_grid=(4, 8), replicas=2)
+        rows = _synthetic_rows([(n, 0.01, z, 0.0) for n in cfg.n_grid for z in (0.01, -0.02)])
+        result = run_regime_check(cfg, rows)
+        assert [type(entry["pass"]) for entry in result.summary] == [bool, bool]
+        assert type(result.passed) is bool
+
     def test_uncovered_exponent_rejected(self):
         # Refused when the config is built, before any replica is drawn.
         with pytest.raises(UnsupportedRangeError):
@@ -949,8 +967,8 @@ class TestScalingExponentCheck:
         with pytest.raises(ValueError, match=match):
             ScalingConfig(cfg, args["rank"], args["delta_grid"], args["start"])
 
-    @pytest.mark.parametrize("rank", ["He2", 2.5])
+    @pytest.mark.parametrize("rank", ["He2", 2.5, 2.0, True])
     def test_rank_must_be_an_integer(self, rank):
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64, 128), replicas=2)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=f"rank must be an integer, got {rank!r}"):
             ScalingConfig(cfg, rank, (0.125, 0.25), 0.25)

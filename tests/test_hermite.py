@@ -465,8 +465,9 @@ class TestAsymptoticVariance:
         # range(), np.empty or the pairwise lag-sum recursion; numpy
         # integers are integers
         for name, order in (("hermite_terms", 2.5), ("hermite_terms", math.nan),
-                            ("lag_cutoff", 1000.5), ("lag_cutoff", math.nan)):
-            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                            ("lag_cutoff", 1000.5), ("lag_cutoff", math.nan),
+                            ("hermite_terms", True), ("lag_cutoff", True)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {order!r}"):
                 asymptotic_variance(2.0, 0.3, **{name: order})
         validate_variance_domain(2.0, 0.3, np.int64(2), np.int64(1000))
 

@@ -39,7 +39,8 @@ parser), a ``custom-rde`` solve with a drift and a quadratic field at
 ``pvar`` runs that pass ``--workers`` (refused by the argument parser),
 ``constants`` with both truncation orders set and with a lag cutoff of 0
 (refused), a ``--config`` that is missing or a directory and an ``--out``
-that is an existing file (refused), an empty ``--delta`` list (refused), scaling fits with a repeated window length and with two
+that is an existing file (refused), an empty ``--delta`` list (refused), an unknown process and a ``y0``
+given to ``sq`` (both refused), scaling fits with a repeated window length and with two
 lengths that hold the same increments at every resolution (both refused),
 ``pvar``, ``limit-check``, ``rate-fit`` and ``scaling-check`` runs given
 only their required keys (so each manifest pins every default; the scaling
@@ -177,6 +178,10 @@ RUNS = (
     ("refused-config-directory", ["limit-check", "--config", "."]),
     ("mixed/manifest.json", ["pvar", "--hurst", "0.4", "--p", "2", "--n", "64"]),
     ("refused-empty-delta", ["scaling-check", "--hurst", "0.4", "--delta", ","]),
+    ("refused-unknown-process", ["limit-check", "--process", "ou", "--hurst", "0.3",
+                                 "--p", "2"]),
+    ("refused-y0-for-sq", ["pvar", "--process", "sq", "--y0", "1", "--hurst", "0.3",
+                           "--p", "2", "--n", "64"]),
     # Only the required keys: each manifest pins every default of its subcommand.
     ("pvar-defaults", ["pvar", "--hurst", "0.4", "--p", "2"]),
     ("limit-check-defaults", ["limit-check", "--hurst", "0.4", "--p", "2"]),
