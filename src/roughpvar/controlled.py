@@ -132,6 +132,13 @@ def validate_ell(ell: int) -> int:
     return int(ell)
 
 
+def refuse_bool(name: str, value) -> None:
+    """Refuse ``True`` or ``False`` (numpy's too) for a real-valued setting:
+    every numeric check would read it as 1 or 0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # remainders and the decomposition identity
 

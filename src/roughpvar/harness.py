@@ -33,7 +33,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .controlled import ControlledPath
+from .controlled import ControlledPath, refuse_bool
 from .fbm import FbmSpec, sample_fbm
 from .hermite import hermite, ndtr
 from .processes import (
@@ -90,20 +90,27 @@ def validate_p_range(hurst: float, p: float) -> None:
 class ExperimentConfig:
     """Full description of one Monte Carlo experiment, resolved and refused
     at construction: ``fine_factor=None`` (the CLI's ``auto``) becomes the
-    process's default fine factor and ``ks_threshold=None`` the regime's KS
-    threshold (0.07 at the critical index, 0.05 otherwise). Refused: what
-    :func:`~roughpvar.processes.resolve_process_params` refuses (an unknown
-    process, an ``ell`` below 2, an unknown key, a ``y0`` or coefficient
-    that is not finite), a resolution, replica count, seed or fine factor
-    that is not an integer (``True`` included), a p that is not finite, NaN
-    included, and a (regime, p) outside the guaranteed range unless
-    ``force=True``, which runs it and stamps outputs as unguaranteed. A p
-    below 2 is refused at and below the critical index even then: the drift
-    there needs phi'' of ``|y|**p``. A KS threshold outside (0, 1]
-    and a median tolerance below 0 are refused, NaN included, and so are a
-    resolution with no whole cell below ``t``, where every statistic is 0, a
-    ``force`` that is not a bool, and an ``experiment_id`` that is not a
-    string or would break the CSV rows it starts.
+    process's default fine factor, ``ks_threshold=None`` the regime's KS
+    threshold (0.07 at the critical index, 0.05 otherwise), and
+    ``process_params`` a dict of the config's own holding ``ell`` and the
+    options :func:`~roughpvar.processes.resolve_process_params` returns, so
+    a later change to the caller's dict does not reach it. ``replace`` keeps
+    the resolved fine factor and KS threshold: the copy of an ``fbm`` config
+    with ``process="sq"`` keeps fine factor 1, and that of a mixed config
+    with a critical ``hurst`` keeps 0.05. Refused: what the resolver
+    refuses (an unknown process, an ``ell`` below 2, an unknown key, a
+    ``y0`` or coefficient that is not finite or is a bool), a resolution,
+    replica count, seed or fine factor that is not an integer (``True``
+    included), a p, t, KS threshold or median tolerance that is a bool, a
+    p that is not finite, NaN included, and a (regime, p) outside the
+    guaranteed range unless ``force=True``, which runs it and stamps
+    outputs as unguaranteed. A p below 2 is refused at and below the
+    critical index even then: the drift there needs phi'' of ``|y|**p``. A
+    KS threshold outside (0, 1] and a median tolerance below 0 are refused,
+    NaN included, and so are a resolution with no whole cell below ``t``,
+    where every statistic is 0, a ``force`` that is not a bool, and an
+    ``experiment_id`` that is not a string or would break the CSV rows it
+    starts.
     """
 
     hurst: float
@@ -121,13 +128,16 @@ class ExperimentConfig:
     experiment_id: str = ""
 
     def __post_init__(self) -> None:
-        resolve_process_params(self.process, self.process_params)
+        ell, params = resolve_process_params(self.process, self.process_params)
+        object.__setattr__(self, "process_params", {"ell": ell, **params})
         integers = [("n_grid entry", n) for n in self.n_grid]
         integers += [("replicas", self.replicas), ("master_seed", self.master_seed)]
         integers += [("fine_factor", self.fine_factor)] * (self.fine_factor is not None)
         for name, value in integers:
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("p", "t", "ks_threshold", "median_tol"):
+            refuse_bool(name, getattr(self, name))
         if not isinstance(self.force, (bool, np.bool_)):
             raise ValueError(f"force must be a bool, got {self.force!r}")
         if not isinstance(self.experiment_id, str):
@@ -236,11 +246,16 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _parallel_starmap(fn: Callable, tasks: list[tuple], workers: int | None) -> list:
+def collect_rows(
+    cfg: ExperimentConfig, workers: int | None = None, row: Callable = _replica_row
+) -> np.ndarray:
+    """``row(cfg, n, replica)`` for every (n, replica) pair, ordered n-major
+    then replica: the one loop over replicas, serial or on a process pool."""
+    tasks = [(cfg, n, r) for n in cfg.n_grid for r in range(cfg.replicas)]
     # A pool starts all its workers at once, so never more than there are tasks.
     count = min(resolve_workers(workers), len(tasks))
     if count <= 1:
-        return [fn(*task) for task in tasks]
+        return np.array([row(*task) for task in tasks], dtype=float)
     # A serial run never loads the pool's modules (multiprocessing and the
     # socket, subprocess and logging machinery under it).
     from concurrent.futures import ProcessPoolExecutor
@@ -253,14 +268,7 @@ def _parallel_starmap(fn: Callable, tasks: list[tuple], workers: int | None) -> 
 
     chunk = max(1, len(tasks) // (count * 8))
     with ProcessPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
-
-
-def collect_rows(cfg: ExperimentConfig, workers: int | None = None) -> np.ndarray:
-    """Rows for every (n, replica) pair, ordered n-major then replica."""
-    tasks = [(cfg, n, r) for n in cfg.n_grid for r in range(cfg.replicas)]
-    rows = _parallel_starmap(_replica_row, tasks, workers)
-    return np.array(rows, dtype=float)
+        return np.array(list(pool.map(row, *zip(*tasks), chunksize=chunk)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +410,14 @@ def run_regime_check(cfg: ExperimentConfig, rows: np.ndarray) -> ExperimentResul
 class RateFitConfig:
     """A rate fit over an experiment's resolution grid, refused at
     construction when the grid has fewer than two resolutions or ``tol``
-    (the largest accepted distance of the slope from its target) is below 0
-    or NaN."""
+    (the largest accepted distance of the slope from its target) is a bool,
+    below 0 or NaN."""
 
     experiment: ExperimentConfig
     tol: float = 0.1
 
     def __post_init__(self) -> None:
+        refuse_bool("tol", self.tol)
         if len(self.experiment.n_grid) < 2:
             raise ValueError("rate fits need at least two resolutions")
         if not self.tol >= 0.0:
@@ -455,16 +464,16 @@ def rate_fit(rcfg: RateFitConfig, rows: np.ndarray) -> RateFitResult:
 class ScalingConfig:
     """A two-way scaling fit of windowed Hermite sums, refused at construction.
 
-    Refused: fewer than two resolutions or two window lengths, a window
-    [start, start + delta) outside [0, 1] (NaN included) or holding no
-    increment at some resolution (every sum there is 0), two window lengths
-    that hold the same increments at every resolution (a repeated length
-    among them: both give the same sums, so the fit has no window axis), a
-    Hermite rank that is not an integer (``True`` included) or is below 1,
-    and a degenerate fit (rank * H < 1/2) whose closed-form weight has an
-    identically zero rank-th level: ``fbm`` at rank >= 2, ``sq`` at
-    rank >= 3, ``cube`` at rank >= 4. There the limit integral is 0 and
-    neither exponent target is established.
+    Refused: fewer than two resolutions or two window lengths, a start or
+    window length that is a bool, a window [start, start + delta) outside
+    [0, 1] (NaN included) or holding no increment at some resolution (every
+    sum there is 0), two window lengths that hold the same increments at
+    every resolution (a repeated length among them: both give the same sums,
+    so the fit has no window axis), a Hermite rank that is not an integer
+    (``True`` included) or is below 1, and a degenerate fit (rank * H < 1/2)
+    whose closed-form weight has an identically zero rank-th level: ``fbm``
+    at rank >= 2, ``sq`` at rank >= 3, ``cube`` at rank >= 4. There the
+    limit integral is 0 and neither exponent target is established.
     """
 
     experiment: ExperimentConfig
@@ -478,6 +487,9 @@ class ScalingConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.rank, numbers.Integral) or isinstance(self.rank, bool):
             raise ValueError(f"rank must be an integer, got {self.rank!r}")
+        refuse_bool("start", self.start)
+        for delta in self.delta_grid:
+            refuse_bool("delta_grid entry", delta)
         rank = int(self.rank)
         deltas = tuple(float(d) for d in self.delta_grid)
         object.__setattr__(self, "rank", rank)
@@ -553,8 +565,8 @@ class ScalingFitResult:
     passed: bool
 
 
-def _scaling_row(scfg: ScalingConfig, n: int, replica: int) -> list:
-    cp = build_replica_path(scfg.experiment, n, replica)
+def _scaling_row(scfg: ScalingConfig, cfg: ExperimentConfig, n: int, replica: int) -> list:
+    cp = build_replica_path(cfg, n, replica)
     weight, f, start = cp.level(0), partial(hermite, scfg.rank), scfg.start
     return [
         abs(weighted_increment_sum(cp.x, f, weight, start, start + delta))
@@ -572,11 +584,9 @@ def scaling_exponent_check(
     over replicas; a two-way regression of its log on (log n, log delta)
     returns both exponents.
     """
+    cfg = scfg.experiment
     # The windowed sums read the coarse driver only, so no fine grid is drawn.
-    coarse = replace(scfg, experiment=replace(scfg.experiment, fine_factor=1))
-    cfg = coarse.experiment
-    tasks = [(coarse, n, r) for n in cfg.n_grid for r in range(cfg.replicas)]
-    values = np.array(_parallel_starmap(_scaling_row, tasks, workers), dtype=float)
+    values = collect_rows(replace(cfg, fine_factor=1), workers, partial(_scaling_row, scfg))
     values = values.reshape(len(cfg.n_grid), cfg.replicas, len(scfg.delta_grid))
     return _scaling_fit(scfg, values.mean(axis=1))
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .controlled import (
     ControlledPath,
+    refuse_bool,
     solve_rde,
     subsample_controlled,
     validate_ell,
@@ -61,7 +62,7 @@ def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
     another process, an ``ell`` that is not an integer of at least 2, any
     other key the process does not take, a ``y0`` that is not one finite
     number, and a coefficient list that is empty, not 1-d, not all numbers
-    or not finite.
+    or not finite; a bool is no number here.
     """
     if tag not in PROCESS_TAGS:
         raise ValueError(f"unknown process {tag!r}; known: {PROCESS_TAGS}")
@@ -76,8 +77,10 @@ def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
         raise ValueError(f"unknown parameters for process {tag!r}: {unknown}")
     params = {**options, **params}
     for key, value in params.items():
-        if key == "y0" and not isinstance(value, numbers.Real):
-            raise ValueError(f"y0 must be one number, got {value!r}")
+        if key == "y0":
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"y0 must be one number, got {value!r}")
+            refuse_bool(key, value)
         if key == "drift_coeffs" and value is None:
             continue
         if key.endswith("_coeffs"):
@@ -85,6 +88,8 @@ def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
                 raise ValueError(f"{key} must be a nonempty 1-d sequence, got {value}")
             if not all(isinstance(c, numbers.Real) for c in value):
                 raise ValueError(f"{key} must hold numbers, got {value!r}")
+            for c in value:
+                refuse_bool(f"{key} entry", c)
         if not np.isfinite(value).all():
             raise ValueError(f"{key} must be finite, got {value}")
     return ell, params

@@ -195,7 +195,9 @@ def limit_drift(cp: ControlledPath, p: float, t: float = 1.0) -> float:
     yppp = level_or_zero(3)
     dphi, d2phi = _abs_power_derivatives(p, yp)
     moment = gaussian_abs_moment(p)
-    first = integrate_grid(d2phi * ypp**2, step)
+    # ypp * ypp, not ypp**2: numpy squares a row as x * x, but a constant
+    # level is a Python float, whose ** calls C's pow, off by an ulp at times.
+    first = integrate_grid(d2phi * (ypp * ypp), step)
     second = integrate_grid(dphi * yppp, step)
     return -moment / 8.0 * first + (p - 2.0) * moment / 24.0 * second
 

@@ -388,6 +388,10 @@ def test_criterion_07_error_decay_rates():
 # ---------------------------------------------------------------------------
 
 
+def _riemann_correction_row(cfg, n, replica):
+    return [riemann_correction_sum(build_replica_path(cfg, n, replica))]
+
+
 def test_criterion_08_riemann_correction_limit():
     hurst = 0.3
     n = 16384
@@ -401,9 +405,7 @@ def test_criterion_08_riemann_correction_limit():
         master_seed=MASTER_SEED,
         process_params={"ell": 2},
     )
-    values = np.array([
-        riemann_correction_sum(build_replica_path(cfg, n, rep)) for rep in range(500)
-    ])
+    values = collect_rows(cfg, row=_riemann_correction_row)[:, 0]
     med = float(np.median(n ** (2 * hurst) * values))
     target = -1.0 / (2.0 * (2.0 * hurst + 1.0))
     rel = abs(med - target) / abs(target)

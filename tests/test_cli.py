@@ -1308,15 +1308,16 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-# Which of numpy.random and numpy.fft a pool worker holds when its task starts.
-_STARMAP_PROBE = """
+# Whether a pool worker holds numpy.fft and numpy.random when its row starts.
+_POOL_PROBE = """
 import json, sys
 from roughpvar import harness
 
-def probe(task):
-    return [name for name in ("numpy.fft", "numpy.random") if name in sys.modules]
+def probe(cfg, n, replica):
+    return [name in sys.modules for name in ("numpy.fft", "numpy.random")]
 
-print(json.dumps(harness._parallel_starmap(probe, [(0,), (1,)], 2)))
+cfg = harness.ExperimentConfig(hurst=0.4, p=2.0, n_grid=(8,), replicas=2)
+print(json.dumps(harness.collect_rows(cfg, 2, probe).tolist()))
 """
 
 
@@ -1430,11 +1431,11 @@ class TestColdStart:
         # Imported in the parent before the fork, so no worker loads its own
         # copy (numpy.random loads OpenSSL through secrets).
         proc = subprocess.run(
-            [sys.executable, "-c", _STARMAP_PROBE], capture_output=True, text=True,
+            [sys.executable, "-c", _POOL_PROBE], capture_output=True, text=True,
             env=_fresh_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [["numpy.fft", "numpy.random"]] * 2
+        assert json.loads(proc.stdout) == [[1.0, 1.0]] * 2
 
     def test_gamma_past_33_loads_special(self, tmp_path):
         # σ² at p = 40 reads E|N|^80, Gamma(40.5): scipy's Stirling branch

@@ -32,7 +32,7 @@ import warnings
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughpvar import (
@@ -631,6 +631,9 @@ class TestLevelsWithoutRows:
         constants=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
         p=st.sampled_from([2.0, 3.0, 4.0]),
     )
+    # a constant second level whose square C's pow rounds away from c * c
+    @example(seed=0, ell=3, arrays=1, n=2, factor=1,
+             constants=[0.0, 1.7398500819005398, 0.0, 0.0, 0.0, 0.0], p=2.0)
     def test_trimmed_path_matches_full_path(self, seed, ell, arrays, n, factor, constants, p):
         rng = np.random.default_rng(seed)
         cells = n * factor

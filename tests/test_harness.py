@@ -279,6 +279,18 @@ class TestExperimentConfig:
             ({"master_seed": True}, "master_seed must be an integer, got True"),
             ({"fine_factor": True}, "fine_factor must be an integer, got True"),
             ({"n_grid": (64, False)}, "n_grid entry must be an integer, got False"),
+            # and a bool passes every check of a real setting as 0 or 1
+            ({"p": True}, "p must be a number, got True"),
+            ({"t": True}, "t must be a number, got True"),
+            ({"ks_threshold": True}, "ks_threshold must be a number, got True"),
+            ({"ks_threshold": np.True_}, "ks_threshold must be a number, got np.True_"),
+            ({"median_tol": True}, "median_tol must be a number, got True"),
+            ({"process": "custom-rde", "process_params": {"y0": True}},
+             "y0 must be a number, got True"),
+            ({"process": "custom-rde", "process_params": {"field_coeffs": (False, True)}},
+             "field_coeffs entry must be a number, got False"),
+            ({"process": "custom-rde", "process_params": {"drift_coeffs": (0.5, True)}},
+             "drift_coeffs entry must be a number, got True"),
         ],
     )
     def test_validation_errors(self, overrides, match):
@@ -308,6 +320,27 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(hurst=0.35, p=2.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.p = 3.0
+
+    @pytest.mark.parametrize(
+        "process, given, resolved",
+        [
+            ("sq", {"ell": 3}, {"ell": 3}),
+            ("fbm", {}, {"ell": 6}),
+            ("custom-rde", {"ell": 3, "y0": 2.0},
+             {"ell": 3, "y0": 2.0, "drift_coeffs": None, "field_coeffs": (0.0, 1.0)}),
+        ],
+    )
+    def test_process_params_are_the_configs_own(self, process, given, resolved):
+        # The config keeps the resolver's result in a dict of its own, so a
+        # later change to the caller's dict changes neither it nor its rows.
+        cfg = ExperimentConfig(hurst=0.35, p=2.0, process=process, n_grid=(16,), replicas=2,
+                               fine_factor=2, process_params=given)
+        assert cfg.process_params == resolved
+        rows = collect_rows(cfg)
+        given["ell"] = 1
+        given["y1"] = 0.0
+        assert cfg.process_params == resolved
+        assert collect_rows(cfg).tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize(
         "hurst, regime",
@@ -442,6 +475,12 @@ class TestCollectRows:
             rows = collect_rows(cfg, workers=workers)
             assert sizes.pop() == size
             assert np.array_equal(rows, collect_rows(cfg, workers=1))
+        # the scaling check draws through the same pool: 2 resolutions x 1 replica
+        cfg = ExperimentConfig(hurst=0.4, p=2.0, n_grid=(32, 64), replicas=1)
+        scfg = ScalingConfig(cfg, 1, (0.25, 0.5), 0.25)
+        result = scaling_exponent_check(scfg, workers=64)
+        assert sizes.pop() == 2
+        assert repr(result) == repr(scaling_exponent_check(scfg, workers=1))
         assert sizes == []
 
     @pytest.mark.parametrize("hurst, process", [(0.4, "fbm"), (0.25, "sq"), (0.15, "sq")])
@@ -821,10 +860,12 @@ class TestRateFit:
         with pytest.raises(ValueError, match="two resolutions"):
             RateFitConfig(cfg)
 
-    @pytest.mark.parametrize("tol", [math.nan, -0.1])
+    @pytest.mark.parametrize("tol", [math.nan, -0.1, True])
     def test_tol_must_be_nonnegative(self, tol):
+        # True passed as 1, wider than any target distance
+        match = "tol must be a number, got True" if tol is True else "tol must be >= 0"
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64, 128), replicas=5)
-        with pytest.raises(ValueError, match="tol must be >= 0"):
+        with pytest.raises(ValueError, match=match):
             RateFitConfig(cfg, tol)
 
     def test_uncovered_exponent_rejected(self):
@@ -944,6 +985,16 @@ class TestScalingExponentCheck:
                     for j, d in enumerate(deltas)]
         assert result.table == tuple(expected)
 
+    def test_worker_count_keeps_every_bit(self):
+        # Rows are drawn per (n, replica) and averaged in collect_rows order,
+        # so a pool gives the serial exponents, standard errors and table.
+        cfg = ExperimentConfig(
+            hurst=0.4, p=2.0, process="sq", n_grid=(32, 64), replicas=6, master_seed=5
+        )
+        scfg = ScalingConfig(cfg, 3, (0.25, 0.5), 0.25)
+        serial, pooled = (scaling_exponent_check(scfg, workers=w) for w in (1, 2))
+        assert repr(pooled) == repr(serial)
+
     @pytest.mark.parametrize(
         "kwargs, match",
         [
@@ -958,6 +1009,8 @@ class TestScalingExponentCheck:
              "no scaling target"),
             ({"delta_grid": (0.25, 0.25)}, "distinct"),
             ({"delta_grid": (0.25, 0.25000000000000006)}, "distinct"),
+            ({"delta_grid": (0.125, 0.25), "start": False}, "start must be a number, got False"),
+            ({"delta_grid": (0.125, True)}, "delta_grid entry must be a number, got True"),
         ],
     )
     def test_input_validation(self, kwargs, match):

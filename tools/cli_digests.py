@@ -16,11 +16,12 @@ directory (``no-out-dir`` when it created none). Comparing two checkouts is
 
     diff <(python3 tools/cli_digests.py A) <(python3 tools/cli_digests.py B)
 
-The set covers every subcommand, every closed-form process, ``exp-rde``, a
-``--workers 2`` run, a manifest replay, the dense Cholesky oracle, a forced
-run, a forced p < 2 at the critical index (refused: its drift needs
-phi''), a blow-up, a failing rate fit, a rank-1 scaling fit (window target 1),
-refused configs (NaN or negative gates and windows among them),
+The set covers every subcommand, every closed-form process, ``exp-rde``,
+``limit-check`` and ``scaling-check`` runs at ``--workers 2``, a manifest
+replay, the dense Cholesky oracle, a forced run, a forced p < 2 at the
+critical index (refused: its drift needs phi''), a blow-up, a failing rate
+fit, a rank-1 scaling fit (window target 1), refused configs (NaN or
+negative gates and windows among them),
 ``constants`` at p = 3 and 2.5 (the Hermite terms past q = 1), at p = 40
 (Gamma past 33, computed by scipy) and with a truncation-tail warning on
 stderr, ``constants`` at lag cutoffs whose pairwise lag-sum trees have
@@ -109,6 +110,9 @@ RUNS = (
                   "--replicas", "60", "--seed", "5"]),
     ("scaling", ["scaling-check", "--hurst", "0.4", "--rank", "3", "--n", "256,512",
                  "--delta", "0.125,0.25", "--replicas", "30", "--seed", "9"]),
+    ("scaling-workers2", ["scaling-check", "--hurst", "0.4", "--rank", "3", "--n", "256,512",
+                          "--delta", "0.125,0.25", "--replicas", "30", "--seed", "9",
+                          "--workers", "2"]),
     ("blow-up", ["pvar", "--hurst", "0.3", "--p", "3", "--process", "custom-rde",
                  "--field-coeffs", "0,0,0,0,0,0,0,0,5", "--y0", "1e13", "--n", "8"]),
     ("refused-p", ["limit-check", "--hurst", "0.35", "--p", "2.5", "--n", "64"]),
