@@ -429,6 +429,7 @@ def _run_limit_check(args: argparse.Namespace) -> int:
     outputs = ["manifest.json", "results.csv", "summary.csv", "plot_data.csv"]
     out = _write_manifest(args, "limit-check", cfg, outputs)
     rows = harness.collect_rows(econfig, workers)
+    _release_freed_heap()
     result = run_regime_check(econfig, rows)
     exp_id = econfig.resolved_id()
     _write_rows(out / "results.csv", exp_id, rows)
@@ -455,7 +456,9 @@ def _run_rate_fit(args: argparse.Namespace) -> int:
     workers = resolve_workers(args.workers)
     outputs = ["manifest.json", "rate_fit.csv", "rate_summary.csv"]
     out = _write_manifest(args, "rate-fit", cfg, outputs)
-    result = rate_fit(rcfg, harness.collect_rows(econfig, workers))
+    rows = harness.collect_rows(econfig, workers)
+    _release_freed_heap()
+    result = rate_fit(rcfg, rows)
     points = zip(econfig.n_grid, result.errors)
     _write_csv(out / "rate_fit.csv", "log_n,log_err", _log_log_rows(points))
     fields = (result.slope, result.slope_se, result.target, rcfg.tol, int(result.passed))
@@ -541,7 +544,9 @@ def _pin_malloc_thresholds() -> None:
     Left dynamic, the mmap threshold follows what the process freed before,
     so a row's multi-MB arrays can be mapped and faulted in again on every
     row, and the heap trimmed between rows. Skipped where libc has no
-    mallopt; pool workers inherit the setting when they fork.
+    mallopt; pool workers inherit the setting when they fork. Its
+    counterpart, :func:`_release_freed_heap`, hands what the row loop freed
+    back to the kernel once the rows are drawn.
     """
     import ctypes  # numpy has loaded it already
 
@@ -553,6 +558,25 @@ def _pin_malloc_thresholds() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+def _release_freed_heap() -> None:
+    """Return the heap's free pages to the kernel with glibc's malloc_trim(0).
+
+    The pinned trim threshold keeps the freed row buffers resident, so a run
+    that summarizes its rows calls this once after drawing them, and the
+    summary's first LAPACK call no longer stacks on the draw's high-water
+    mark. Skipped where libc has no malloc_trim.
+    """
+    import ctypes
+
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    malloc_trim.argtypes = (ctypes.c_size_t,)
+    malloc_trim.restype = ctypes.c_int
+    malloc_trim(0)
 
 
 def main(argv=None) -> int:

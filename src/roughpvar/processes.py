@@ -62,7 +62,8 @@ def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
     another process, an ``ell`` that is not an integer of at least 2, any
     other key the process does not take, a ``y0`` that is not one finite
     number, and a coefficient list that is empty, not 1-d, not all numbers
-    or not finite; a bool is no number here.
+    or not finite; a bool is no number here. Coefficient lists are returned
+    as tuples, so a checked list cannot change after its check.
     """
     if tag not in PROCESS_TAGS:
         raise ValueError(f"unknown process {tag!r}; known: {PROCESS_TAGS}")
@@ -90,6 +91,7 @@ def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
                 raise ValueError(f"{key} must hold numbers, got {value!r}")
             for c in value:
                 refuse_bool(f"{key} entry", c)
+            params[key] = tuple(value)
         if not np.isfinite(value).all():
             raise ValueError(f"{key} must be finite, got {value}")
     return ell, params

@@ -18,7 +18,9 @@ doubles as an acceptance report. Covered:
      of criterion 7's degenerate collection, drawn once for both.
   5. Mixed-Gaussian regime: the normalized statistic is asymptotically
      standard normal with the predicted limit variance.
-  6. Critical regime: the drift-corrected statistic passes its KS gate.
+  6. Critical regime: the drift-corrected statistic passes its KS gate,
+     and the gate fails on the same rows moved just past the smallest
+     shift and scale that it catches.
   7. Fitted error-decay exponents match -1/2 in the distributional regimes
      and -2H in the degenerate one.
   8. The midpoint Riemann-correction sum rescaled by n**(2H) matches its
@@ -36,6 +38,8 @@ doubles as an acceptance report. Covered:
 
 Monte Carlo checks pin a master seed and quote the frozen statistic values
 they reproduce; tolerances are the acceptance gates, not tuned to the run.
+Their rows are drawn on every core: a row does not depend on the worker
+count.
 """
 
 import math
@@ -77,10 +81,13 @@ from roughpvar import (
     subsample_controlled,
     weighted_increment_sum,
 )
-from roughpvar.hermite import variance_weights
+from roughpvar.hermite import ndtr, variance_weights
 from streams import philox
 
 MASTER_SEED = 2024
+
+# Worker processes for every draw below.
+WORKERS = os.cpu_count() or 1
 
 # Criterion 7's degenerate experiment. Its rows at n in {1024, 4096, 16384}
 # and replicas 0-199 are criterion 4's experiment, bit for bit (a row depends
@@ -95,7 +102,21 @@ _DEGENERATE_RATE = ExperimentConfig(
 @lru_cache(maxsize=1)
 def _degenerate_rate_rows():
     """``collect_rows(_DEGENERATE_RATE)``, drawn once and read-only."""
-    rows = collect_rows(_DEGENERATE_RATE)
+    rows = collect_rows(_DEGENERATE_RATE, workers=WORKERS)
+    rows.flags.writeable = False
+    return rows
+
+
+# Criterion 6's experiment, whose rows its gate-power test reads as well.
+_CRITICAL = ExperimentConfig(
+    hurst=0.25, p=2.0, process="sq", n_grid=(8192,), replicas=1000, master_seed=MASTER_SEED,
+)
+
+
+@lru_cache(maxsize=1)
+def _critical_rows():
+    """``collect_rows(_CRITICAL)``, drawn once and read-only."""
+    rows = collect_rows(_CRITICAL, workers=WORKERS)
     rows.flags.writeable = False
     return rows
 
@@ -316,7 +337,7 @@ def test_criterion_05_mixed_gaussian_clt():
             replicas=2000,
             master_seed=MASTER_SEED,
         )
-        rows = collect_rows(cfg)
+        rows = collect_rows(cfg, workers=WORKERS)
         ks = ks_statistic(rows[:, 5], norm.cdf)
         scaled_var = np.var(np.sqrt(4096) * rows[:, 2], ddof=1)
         ratio = scaled_var / asymptotic_variance(2.0, hurst)
@@ -339,15 +360,7 @@ def test_criterion_05_mixed_gaussian_clt():
 
 
 def test_criterion_06_critical_ks_gate():
-    cfg = ExperimentConfig(
-        hurst=0.25,
-        p=2.0,
-        process="sq",
-        n_grid=(8192,),
-        replicas=1000,
-        master_seed=MASTER_SEED,
-    )
-    result = run_regime_check(cfg, collect_rows(cfg))
+    result = run_regime_check(_CRITICAL, _critical_rows())
     ks = result.summary[-1]["ks"]
     # frozen KS at seed 2024: 0.0276, against the 0.07 critical threshold
     pinned = abs(ks - 0.0276) <= 5e-3
@@ -355,6 +368,21 @@ def test_criterion_06_critical_ks_gate():
     _report(6, ok, f"KS {ks:.4f} against threshold 0.07")
     assert result.passed and ks < 0.07, f"critical regime KS gate failed: {ks:.4f}"
     assert pinned, f"critical KS drifted from frozen value 0.0276: {ks:.4f}"
+
+
+def test_criterion_06_gate_sees_shift_and_scale():
+    # At seed 2024 criterion 6's gate first fails when its z is moved by
+    # +0.18 / -0.115 or scaled by x1.28 / /1.245, so it passes a conditional
+    # std off by about 25%. Just past those points the same rows must fail it.
+    z = _critical_rows()[:, 5]
+    moved = {f"shift {delta:+}": z + delta for delta in (0.2, -0.13)}
+    moved.update({f"scale x{scale:.4g}": z * scale for scale in (1.3, 1 / 1.27)})
+    ks = {label: ks_statistic(values, ndtr) for label, values in moved.items()}
+    missed = [label for label, value in ks.items() if value < _CRITICAL.ks_threshold]
+    _report("6 (gate power)", not missed, ", ".join(
+        f"{label}: KS {value:.4f}" for label, value in ks.items()
+    ))
+    assert not missed, f"the 0.07 gate passes moved z: {missed} ({ks})"
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +397,7 @@ def test_criterion_07_error_decay_rates():
         hurst=0.4, p=2.0, process="fbm", n_grid=_RATE_GRID,
         replicas=500, master_seed=MASTER_SEED,
     )
-    mixed = rate_fit(RateFitConfig(mixed_cfg), collect_rows(mixed_cfg))
+    mixed = rate_fit(RateFitConfig(mixed_cfg), collect_rows(mixed_cfg, workers=WORKERS))
     degen = rate_fit(RateFitConfig(_DEGENERATE_RATE), _degenerate_rate_rows())
     print(f"  mixed: slope {mixed.slope:.4f} (se {mixed.slope_se:.4f}) target {mixed.target}")
     print(f"  degenerate: slope {degen.slope:.4f} (se {degen.slope_se:.4f}) target {degen.target}")
@@ -405,7 +433,7 @@ def test_criterion_08_riemann_correction_limit():
         master_seed=MASTER_SEED,
         process_params={"ell": 2},
     )
-    values = collect_rows(cfg, row=_riemann_correction_row)[:, 0]
+    values = collect_rows(cfg, workers=WORKERS, row=_riemann_correction_row)[:, 0]
     med = float(np.median(n ** (2 * hurst) * values))
     target = -1.0 / (2.0 * (2.0 * hurst + 1.0))
     rel = abs(med - target) / abs(target)
@@ -459,7 +487,7 @@ def _scaling_config(hurst, rank):
 
 def test_criterion_10_scaling_rank3():
     # rank * hurst = 1.2 saturates the prediction at the square-root value 0.5
-    result = scaling_exponent_check(_scaling_config(0.4, 3))
+    result = scaling_exponent_check(_scaling_config(0.4, 3), workers=WORKERS)
     target = 0.5
     n_ok = abs(result.n_exponent - target) <= 0.15
     d_ok = abs(result.delta_exponent - target) <= 0.15
@@ -483,7 +511,7 @@ def test_criterion_10_scaling_rank1():
     # and E dx_k**2 = n**(-2H) makes the second term -(delta / 2) n**(1 - H):
     # exponents (1 - H, 1) = (0.8, 1). Losing that Ito-type correction would
     # leave the first term alone, with exponents (H, H), and fail both axes.
-    result = scaling_exponent_check(_scaling_config(0.2, 1))
+    result = scaling_exponent_check(_scaling_config(0.2, 1), workers=WORKERS)
     target = 1.0 - 1 * 0.2
     window_target = 1.0
     n_ok = abs(result.n_exponent - target) <= 0.15

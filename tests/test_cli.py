@@ -503,8 +503,9 @@ class TestMainErrors:
         assert "Traceback" in err and "KeyError" in err
 
     def test_runs_where_libc_has_no_mallopt(self, tmp_path, monkeypatch, capsys):
-        # On a libc without mallopt the allocator pinning is skipped, and the
-        # run ends with its own exit code, not 70.
+        # On a libc without mallopt or malloc_trim the allocator pinning and
+        # the heap release are skipped, and each run ends with its own exit
+        # code, not 70.
         import ctypes
 
         class NoMallopt:
@@ -515,9 +516,38 @@ class TestMainErrors:
                 raise AttributeError(name)
 
         monkeypatch.setattr(ctypes, "CDLL", NoMallopt)
-        rc = main(["constants", "--p", "2", "--hurst", "0.3", "--out", str(tmp_path / "out")])
-        assert rc == 0
-        assert "Traceback" not in capsys.readouterr().err
+        runs = [
+            ["constants", "--p", "2", "--hurst", "0.3"],
+            ["limit-check", "--hurst", "0.5", "--p", "2", "--n", "64", "--replicas", "20",
+             "--seed", "3", "--ks-threshold", "0.9"],
+            ["rate-fit", "--hurst", "0.5", "--p", "2", "--n", "64,128", "--replicas", "5",
+             "--seed", "3", "--tol", "10"],
+        ]
+        for i, argv in enumerate(runs):
+            rc = main(argv + ["--out", str(tmp_path / f"out{i}")])
+            assert rc == 0, argv[0]
+            assert "Traceback" not in capsys.readouterr().err, argv[0]
+
+    @pytest.mark.parametrize(
+        "subcommand, summarize",
+        [("limit-check", "run_regime_check"), ("rate-fit", "rate_fit")],
+    )
+    def test_heap_is_released_between_draw_and_summary(
+        self, tmp_path, monkeypatch, subcommand, summarize
+    ):
+        # The freed row buffers go back to the kernel once the rows are
+        # drawn and before the summary's first LAPACK call, once per run.
+        calls = []
+        for module, name in ((harness, "collect_rows"), (cli, "_release_freed_heap"),
+                             (cli, summarize)):
+            def recorded(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+        main([subcommand, "--hurst", "0.5", "--p", "2", "--n", "64,128", "--replicas", "5",
+              "--seed", "3", "--out", str(tmp_path / "out")])
+        assert calls == ["collect_rows", "_release_freed_heap", summarize]
 
     def test_broken_json_config_exits_2(self, tmp_path):
         bad = tmp_path / "broken.json"

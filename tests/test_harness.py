@@ -328,15 +328,21 @@ class TestExperimentConfig:
             ("fbm", {}, {"ell": 6}),
             ("custom-rde", {"ell": 3, "y0": 2.0},
              {"ell": 3, "y0": 2.0, "drift_coeffs": None, "field_coeffs": (0.0, 1.0)}),
+            ("custom-rde", {"ell": 3, "drift_coeffs": [0.5], "field_coeffs": [0.0, 1.0]},
+             {"ell": 3, "y0": 1.0, "drift_coeffs": (0.5,), "field_coeffs": (0.0, 1.0)}),
         ],
     )
     def test_process_params_are_the_configs_own(self, process, given, resolved):
-        # The config keeps the resolver's result in a dict of its own, so a
-        # later change to the caller's dict changes neither it nor its rows.
+        # The config keeps the resolver's result in a dict of its own, with
+        # its coefficient lists as tuples, so a later change to the caller's
+        # dict or lists changes neither it nor its rows.
         cfg = ExperimentConfig(hurst=0.35, p=2.0, process=process, n_grid=(16,), replicas=2,
                                fine_factor=2, process_params=given)
         assert cfg.process_params == resolved
         rows = collect_rows(cfg)
+        for value in given.values():
+            if isinstance(value, list):
+                value[-1] = math.nan
         given["ell"] = 1
         given["y1"] = 0.0
         assert cfg.process_params == resolved
