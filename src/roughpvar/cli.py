@@ -34,6 +34,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import ctypes  # numpy has loaded it already
 import dataclasses
 import json
 import math
@@ -41,7 +42,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, harness
-from .fbm import FbmSpec, sample_fbm
+from .fbm import FbmSpec, check_integer, sample_fbm
 from .harness import (
     ExperimentConfig,
     RateFitConfig,
@@ -51,7 +52,6 @@ from .harness import (
     resolve_workers,
     run_regime_check,
     scaling_exponent_check,
-    validate_master_seed,
 )
 from .hermite import (
     HERMITE_TERMS,
@@ -381,9 +381,8 @@ def _log_log_rows(points):
 def _run_simulate(args: argparse.Namespace) -> int:
     cfg = resolve_config("simulate", args)
     spec = FbmSpec(hurst=cfg["hurst"], n=cfg["n"], method=cfg["method"])
-    if cfg["replicas"] < 1:
-        raise UsageError("replicas must be >= 1")
-    validate_master_seed(cfg["seed"])
+    check_integer("replicas", cfg["replicas"], 1)
+    check_integer("master_seed", cfg["seed"], 0)
     names = [f"path_{replica:04d}.csv" for replica in range(cfg["replicas"])]
     out = _write_manifest(args, "simulate", cfg, ["manifest.json"] + names)
     for replica, name in enumerate(names):
@@ -538,6 +537,18 @@ def _key_help(key: str, default) -> str:
     return f"default: {'auto' if default is None else json.dumps(default)}"
 
 
+def _libc_function(name: str, *argtypes):
+    """The C library's function ``name``, taking ``argtypes`` and returning
+    an int, or None where the library has no such function."""
+    try:
+        function = getattr(ctypes.CDLL(None), name)
+    except (AttributeError, OSError, TypeError):
+        return None
+    function.argtypes = argtypes
+    function.restype = ctypes.c_int
+    return function
+
+
 def _pin_malloc_thresholds() -> None:
     """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
 
@@ -548,16 +559,10 @@ def _pin_malloc_thresholds() -> None:
     counterpart, :func:`_release_freed_heap`, hands what the row loop freed
     back to the kernel once the rows are drawn.
     """
-    import ctypes  # numpy has loaded it already
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt = _libc_function("mallopt", ctypes.c_int, ctypes.c_int)
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def _release_freed_heap() -> None:
@@ -568,15 +573,9 @@ def _release_freed_heap() -> None:
     summary's first LAPACK call no longer stacks on the draw's high-water
     mark. Skipped where libc has no malloc_trim.
     """
-    import ctypes
-
-    try:
-        malloc_trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return
-    malloc_trim.argtypes = (ctypes.c_size_t,)
-    malloc_trim.restype = ctypes.c_int
-    malloc_trim(0)
+    malloc_trim = _libc_function("malloc_trim", ctypes.c_size_t)
+    if malloc_trim is not None:
+        malloc_trim(0)
 
 
 def main(argv=None) -> int:

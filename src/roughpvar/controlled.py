@@ -19,14 +19,13 @@ and iterated vector-field levels.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .fbm import FbmPath, _time_to_index
+from .fbm import FbmPath, _time_to_index, check_integer
 
 _BLOWUP_GUARD = 1e12
 
@@ -122,21 +121,15 @@ class ControlledPath:
 
 
 def validate_ell(ell: int) -> int:
-    """The level count ``ell`` as an int. Refuses one that is not an integer,
-    and fewer than two levels: every process needs its path and the field
-    level (the first derivative level)."""
-    if not (isinstance(ell, numbers.Real) and float(ell).is_integer()):
-        raise ValueError(f"ell must be an integer, got {ell!r}")
+    """The level count ``ell`` as an int; a whole float such as 3.0 reads as
+    3. Refuses one that is not an integer, and fewer than two levels: every
+    process needs its path and the field level (the first derivative level)."""
+    if isinstance(ell, (float, np.floating)) and ell.is_integer():
+        ell = int(ell)
+    ell = check_integer("ell", ell)
     if ell < 2:
         raise ValueError(f"processes need at least two levels, got ell={ell}")
-    return int(ell)
-
-
-def refuse_bool(name: str, value) -> None:
-    """Refuse ``True`` or ``False`` (numpy's too) for a real-valued setting:
-    every numeric check would read it as 1 or 0."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+    return ell
 
 
 # ---------------------------------------------------------------------------

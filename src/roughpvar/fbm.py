@@ -21,6 +21,10 @@ them into the 2n embedding row, mirrors the row in place and frees it after
 the FFT, so it peaks at 32 n bytes: the row and the complex eigenvalues,
 which are then clipped and scaled without a temporary (32.1 MiB traced at
 n = 2**20).
+
+:func:`check_integer` and :func:`check_number` check every config's
+integer and numeric settings: the one place that decides what counts as an
+integer or a number (a bool is neither).
 """
 
 from __future__ import annotations
@@ -47,6 +51,27 @@ _LAG_BLOCK = 2**15
 # Relative tolerance for clamping tiny negative embedding eigenvalues that are
 # pure roundoff; anything more negative means the embedding genuinely failed.
 _EIGEN_CLAMP_REL = 1e-12
+
+
+def check_integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as a plain int. Refuses a bool (numpy's too), which every
+    count would read as 0 or 1, any other value that is not an integer, and
+    one below ``minimum``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return int(value)
+
+
+def check_number(name: str, value, refusal: str | None = None) -> None:
+    """Refuse a bool (numpy's too), which every numeric check would read as
+    0 or 1, and any other value that is not a real number, with ``refusal``
+    as the message for the latter when it is given."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not isinstance(value, numbers.Real):
+        raise ValueError(refusal or f"{name} must be a number, got {value!r}")
 
 
 def fbm_covariance(s: float, t: float, hurst: float) -> float:
@@ -127,10 +152,7 @@ class FbmSpec:
 
     def __post_init__(self) -> None:
         _check_hurst(self.hurst)
-        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        check_integer("n", self.n, 1)
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.method == "cholesky" and self.n > _CHOLESKY_MAX_N:
@@ -291,5 +313,6 @@ def _fgn_cholesky(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def _check_hurst(hurst: float) -> None:
+    check_number("hurst", hurst)
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst index must lie in (0, 1), got {hurst}")

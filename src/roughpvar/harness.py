@@ -25,7 +25,6 @@ as numbers; the CLI formats every output file.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -33,8 +32,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .controlled import ControlledPath, refuse_bool
-from .fbm import FbmSpec, sample_fbm
+from .controlled import ControlledPath
+from .fbm import FbmSpec, check_integer, check_number, sample_fbm
 from .hermite import hermite, ndtr
 from .processes import (
     build_controlled_process,
@@ -99,10 +98,12 @@ class ExperimentConfig:
     with ``process="sq"`` keeps fine factor 1, and that of a mixed config
     with a critical ``hurst`` keeps 0.05. Refused: what the resolver
     refuses (an unknown process, an ``ell`` below 2, an unknown key, a
-    ``y0`` or coefficient that is not finite or is a bool), a resolution,
-    replica count, seed or fine factor that is not an integer (``True``
-    included), a p, t, KS threshold or median tolerance that is a bool, a
-    p that is not finite, NaN included, and a (regime, p) outside the
+    ``y0`` or coefficient that is not a finite number), a resolution,
+    replica count, seed or fine factor that is not an integer, a hurst, p,
+    t, KS threshold or median tolerance that is not a number (as
+    :func:`~roughpvar.fbm.check_integer` and
+    :func:`~roughpvar.fbm.check_number` decide: a bool is neither), a p
+    that is not finite, NaN included, and a (regime, p) outside the
     guaranteed range unless ``force=True``, which runs it and stamps
     outputs as unguaranteed. A p below 2 is refused at and below the
     critical index even then: the drift there needs phi'' of ``|y|**p``. A
@@ -130,29 +131,23 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         ell, params = resolve_process_params(self.process, self.process_params)
         object.__setattr__(self, "process_params", {"ell": ell, **params})
-        integers = [("n_grid entry", n) for n in self.n_grid]
-        integers += [("replicas", self.replicas), ("master_seed", self.master_seed)]
-        integers += [("fine_factor", self.fine_factor)] * (self.fine_factor is not None)
-        for name, value in integers:
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("p", "t", "ks_threshold", "median_tol"):
-            refuse_bool(name, getattr(self, name))
+        n_grid = tuple(check_integer("n_grid entry", n) for n in self.n_grid)
+        check_integer("replicas", self.replicas, 1)
+        check_integer("master_seed", self.master_seed, 0)
+        if self.fine_factor is not None:
+            check_integer("fine_factor", self.fine_factor, 1)
         if not isinstance(self.force, (bool, np.bool_)):
             raise ValueError(f"force must be a bool, got {self.force!r}")
         if not isinstance(self.experiment_id, str):
             raise ValueError(f"experiment_id must be a string, got {self.experiment_id!r}")
-        if len(self.n_grid) < 1 or any(n < 2 for n in self.n_grid):
+        if len(n_grid) < 1 or any(n < 2 for n in n_grid):
             raise ValueError("n_grid must list resolutions >= 2")
-        if len(set(self.n_grid)) != len(self.n_grid):
+        if len(set(n_grid)) != len(n_grid):
             raise ValueError("n_grid entries must be distinct")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        validate_master_seed(self.master_seed)
-        if self.fine_factor is not None and self.fine_factor < 1:
-            raise ValueError("fine_factor must be >= 1")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", n_grid)
+        check_number("hurst", self.hurst)
         regime = classify_regime(self.hurst)
+        # checks that p and t are numbers, p finite and >= 1, t in (0, 1]
         StatConfig(p=self.p, t=self.t)
         empty = [n for n in self.n_grid if _snap_count(self.t, n) == 0]
         if empty:
@@ -169,6 +164,8 @@ class ExperimentConfig:
         if self.ks_threshold is None:
             threshold = 0.07 if regime == REGIME_CRITICAL else 0.05
             object.__setattr__(self, "ks_threshold", threshold)
+        check_number("ks_threshold", self.ks_threshold)
+        check_number("median_tol", self.median_tol)
         if not 0.0 < self.ks_threshold <= 1.0:
             raise ValueError(f"ks_threshold must lie in (0, 1], got {self.ks_threshold}")
         if not self.median_tol >= 0.0:
@@ -191,12 +188,6 @@ class ExperimentConfig:
         except UnsupportedRangeError:
             tag += "-unguaranteed"
         return tag
-
-
-def validate_master_seed(master_seed: int) -> None:
-    """Reject a negative master seed, which no replica stream can take."""
-    if master_seed < 0:
-        raise ValueError("master_seed must be nonnegative")
 
 
 def _fmt_num(x: float) -> str:
@@ -234,16 +225,14 @@ def _replica_row(cfg: ExperimentConfig, n: int, replica: int) -> tuple:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Worker count: ``workers``, else the environment's, else 1."""
+    """Worker count, an integer >= 1: ``workers``, else the environment's, else 1."""
     if workers is None:
         text = os.environ.get(WORKERS_ENV, "1")
         try:
             workers = int(text)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
-    if workers < 1:
-        raise ValueError("worker count must be >= 1")
-    return workers
+    return check_integer("worker count", workers, 1)
 
 
 def collect_rows(
@@ -410,14 +399,14 @@ def run_regime_check(cfg: ExperimentConfig, rows: np.ndarray) -> ExperimentResul
 class RateFitConfig:
     """A rate fit over an experiment's resolution grid, refused at
     construction when the grid has fewer than two resolutions or ``tol``
-    (the largest accepted distance of the slope from its target) is a bool,
-    below 0 or NaN."""
+    (the largest accepted distance of the slope from its target) is not a
+    number, is below 0 or is NaN."""
 
     experiment: ExperimentConfig
     tol: float = 0.1
 
     def __post_init__(self) -> None:
-        refuse_bool("tol", self.tol)
+        check_number("tol", self.tol)
         if len(self.experiment.n_grid) < 2:
             raise ValueError("rate fits need at least two resolutions")
         if not self.tol >= 0.0:
@@ -464,13 +453,15 @@ def rate_fit(rcfg: RateFitConfig, rows: np.ndarray) -> RateFitResult:
 class ScalingConfig:
     """A two-way scaling fit of windowed Hermite sums, refused at construction.
 
-    Refused: fewer than two resolutions or two window lengths, a start or
-    window length that is a bool, a window [start, start + delta) outside
-    [0, 1] (NaN included) or holding no increment at some resolution (every
-    sum there is 0), two window lengths that hold the same increments at
-    every resolution (a repeated length among them: both give the same sums,
-    so the fit has no window axis), a Hermite rank that is not an integer
-    (``True`` included) or is below 1, and a degenerate fit (rank * H < 1/2)
+    Refused: a Hermite rank that is not an integer or is below 1, a start
+    or window length that is not a number (as
+    :func:`~roughpvar.fbm.check_integer` and
+    :func:`~roughpvar.fbm.check_number` decide: a bool is neither), fewer
+    than two resolutions or two window lengths, a window [start, start +
+    delta) outside [0, 1] (NaN included) or holding no increment at some
+    resolution (every sum there is 0), two window lengths that hold the same
+    increments at every resolution (a repeated length among them: both give
+    the same sums, so the fit has no window axis), and a degenerate fit (rank * H < 1/2)
     whose closed-form weight has an identically zero rank-th level: ``fbm``
     at rank >= 2, ``sq`` at rank >= 3, ``cube`` at rank >= 4. There the
     limit integral is 0 and neither exponent target is established.
@@ -485,12 +476,10 @@ class ScalingConfig:
     TOL: ClassVar[float] = 0.15
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, numbers.Integral) or isinstance(self.rank, bool):
-            raise ValueError(f"rank must be an integer, got {self.rank!r}")
-        refuse_bool("start", self.start)
+        rank = check_integer("Hermite rank", self.rank, 1)
+        check_number("start", self.start)
         for delta in self.delta_grid:
-            refuse_bool("delta_grid entry", delta)
-        rank = int(self.rank)
+            check_number("delta_grid entry", delta)
         deltas = tuple(float(d) for d in self.delta_grid)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "delta_grid", deltas)
@@ -515,8 +504,6 @@ class ScalingConfig:
             )
         if len(set(windows)) != len(windows):
             raise ValueError("delta_grid entries must be distinct")
-        if rank < 1:
-            raise ValueError("Hermite rank must be >= 1")
         process, hurst = self.experiment.process, self.experiment.hurst
         zero_from = first_zero_level(process)
         if zero_from is not None and rank >= zero_from and rank * hurst < 0.5:

@@ -18,13 +18,12 @@ scipy's bits without importing scipy. Gamma above 33 imports scipy's own.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from functools import lru_cache
 
 import numpy as np
 
-from .fbm import fgn_autocovariance
+from .fbm import check_integer, check_number, fgn_autocovariance
 
 # Default truncation orders of the asymptotic variance: Hermite terms kept,
 # and the largest lag in each lag sum.
@@ -176,13 +175,12 @@ def validate_variance_domain(
     p: float, hurst: float, hermite_terms: int, lag_cutoff: int
 ) -> None:
     """Reject truncation orders that are not integers (NaN included) or are
-    below 1, then (p, hurst) outside the domain of the asymptotic variance
-    series."""
-    for name, order in (("hermite_terms", hermite_terms), ("lag_cutoff", lag_cutoff)):
-        if not isinstance(order, numbers.Integral) or isinstance(order, bool):
-            raise ValueError(f"{name} must be an integer, got {order!r}")
-        if order < 1:
-            raise ValueError(f"{name} must be >= 1")
+    below 1, then a p or hurst that is not a number, and (p, hurst) outside
+    the domain of the asymptotic variance series."""
+    check_integer("hermite_terms", hermite_terms, 1)
+    check_integer("lag_cutoff", lag_cutoff, 1)
+    check_number("p", p)
+    check_number("hurst", hurst)
     # written so that a NaN p fails it
     if not 1.0 <= p < math.inf:
         raise ValueError(

@@ -11,18 +11,15 @@ the rough-differential-equation solver.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .controlled import (
     ControlledPath,
-    refuse_bool,
     solve_rde,
     subsample_controlled,
     validate_ell,
 )
-from .fbm import FbmPath
+from .fbm import FbmPath, check_number
 
 PROCESS_TAGS = ("fbm", "sq", "cube", "exp-rde", "custom-rde")
 
@@ -62,8 +59,10 @@ def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
     another process, an ``ell`` that is not an integer of at least 2, any
     other key the process does not take, a ``y0`` that is not one finite
     number, and a coefficient list that is empty, not 1-d, not all numbers
-    or not finite; a bool is no number here. Coefficient lists are returned
-    as tuples, so a checked list cannot change after its check.
+    or not finite; :func:`~roughpvar.fbm.check_integer` and
+    :func:`~roughpvar.fbm.check_number` decide what an integer and a number
+    are, and a bool is neither. Coefficient lists are returned as tuples, so
+    a checked list cannot change after its check.
     """
     if tag not in PROCESS_TAGS:
         raise ValueError(f"unknown process {tag!r}; known: {PROCESS_TAGS}")
@@ -79,18 +78,15 @@ def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
     params = {**options, **params}
     for key, value in params.items():
         if key == "y0":
-            if not isinstance(value, numbers.Real):
-                raise ValueError(f"y0 must be one number, got {value!r}")
-            refuse_bool(key, value)
+            check_number(key, value, f"y0 must be one number, got {value!r}")
         if key == "drift_coeffs" and value is None:
             continue
         if key.endswith("_coeffs"):
             if np.ndim(value) != 1 or len(value) == 0:
                 raise ValueError(f"{key} must be a nonempty 1-d sequence, got {value}")
-            if not all(isinstance(c, numbers.Real) for c in value):
-                raise ValueError(f"{key} must hold numbers, got {value!r}")
+            held = f"{key} must hold numbers, got {value!r}"
             for c in value:
-                refuse_bool(f"{key} entry", c)
+                check_number(f"{key} entry", c, held)
             params[key] = tuple(value)
         if not np.isfinite(value).all():
             raise ValueError(f"{key} must be finite, got {value}")

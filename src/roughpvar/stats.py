@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .controlled import ControlledPath
-from .fbm import FbmPath
+from .fbm import FbmPath, check_number
 from .hermite import asymptotic_variance, gaussian_abs_moment
 
 REGIME_MIXED = "mixed-gaussian"
@@ -60,6 +60,8 @@ class StatConfig:
     fine_factor: int = 16
 
     def __post_init__(self) -> None:
+        check_number("p", self.p)
+        check_number("t", self.t)
         # written so that a NaN p fails it
         if not 1.0 <= self.p < math.inf:
             raise ValueError(f"p must be >= 1 and finite, got {self.p}")

@@ -12,8 +12,9 @@ Covers:
   5. The per-(n, H) spectrum cache: draws bit-identical to the uncached
      formula, one entry per Hurst value, read-only entries, frozen bits
      of the draw scale, and its peak memory.
-  6. Spec and path refusals: a size that is not an integer >= 1, an unknown
-     method, a malformed value array.
+  6. Spec and path refusals: a size that is not an integer >= 1, a Hurst
+     index that is not a number, an unknown method, a malformed value
+     array; and the two checkers every config's refusals go through.
 """
 
 import hashlib
@@ -33,7 +34,7 @@ from roughpvar import (
     sample_fbm,
 )
 from roughpvar import fbm
-from roughpvar.fbm import _circulant_eigenvalues
+from roughpvar.fbm import _circulant_eigenvalues, check_integer, check_number
 from streams import philox
 
 
@@ -241,13 +242,54 @@ def test_cholesky_refuses_n_above_4096():
         (lambda: FbmSpec(hurst=0.3, n=8, method="fft"), "method must be one of"),
         (lambda: FbmPath(FbmSpec(hurst=0.3, n=8), np.zeros(8)), r"shape \(9,\)"),
         (lambda: FbmPath(FbmSpec(hurst=0.3, n=8), np.ones(9)), "start at zero"),
+        # a hurst that is not a number raised TypeError from the range check
+        (lambda: FbmSpec(hurst=None, n=8), "hurst must be a number, got None"),
+        (lambda: FbmSpec(hurst="0.3", n=8), "hurst must be a number, got '0.3'"),
     ],
     ids=["n-below-1", "n-not-integer", "n-bool", "unknown-method", "wrong-shape",
-         "nonzero-start"],
+         "nonzero-start", "hurst-none", "hurst-string"],
 )
 def test_malformed_spec_or_path_refused(build, match):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+@pytest.mark.parametrize(
+    "check, value, outcome",
+    [
+        (check_integer, 3, 3),
+        (check_integer, np.int64(3), 3),
+        (check_integer, 1, 1),
+        (check_integer, 0, "x must be >= 1"),
+        (check_integer, True, "x must be an integer, got True"),
+        (check_integer, np.True_, "x must be an integer, got np.True_"),
+        (check_integer, 2.5, "x must be an integer, got 2.5"),
+        (check_integer, "2", "x must be an integer, got '2'"),
+        (check_integer, None, "x must be an integer, got None"),
+        (check_number, 2, None),
+        (check_number, 2.5, None),
+        (check_number, np.float64(2.5), None),
+        (check_number, True, "x must be a number, got True"),
+        (check_number, np.False_, "x must be a number, got np.False_"),
+        (check_number, "2", "x must be a number, got '2'"),
+        (check_number, None, "x must be a number, got None"),
+        (check_number, [1.0], r"x must be a number, got \[1.0\]"),
+    ],
+    ids=["int-int", "int-np-int64", "int-at-minimum", "int-below-minimum", "int-bool",
+         "int-np-bool", "int-float", "int-string", "int-none", "number-int", "number-float",
+         "number-np-float64", "number-bool", "number-np-bool", "number-string",
+         "number-none", "number-list"],
+)
+def test_setting_checkers(check, value, outcome):
+    # The one decision of what an integer or a number is: no bool is either.
+    # check_integer returns a plain int; check_number returns nothing.
+    args = ("x", value, 1) if check is check_integer else ("x", value)
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=f"^{outcome}$"):
+            check(*args)
+    else:
+        result = check(*args)
+        assert result == outcome and type(result) is type(outcome)
 
 
 def test_numpy_integer_size_accepted():

@@ -291,6 +291,13 @@ class TestExperimentConfig:
              "field_coeffs entry must be a number, got False"),
             ({"process": "custom-rde", "process_params": {"drift_coeffs": (0.5, True)}},
              "drift_coeffs entry must be a number, got True"),
+            # a string or None where a number is meant raised TypeError
+            ({"p": "2"}, "p must be a number, got '2'"),
+            ({"hurst": "0.3"}, "hurst must be a number, got '0.3'"),
+            ({"t": "1"}, "t must be a number, got '1'"),
+            ({"median_tol": "0"}, "median_tol must be a number, got '0'"),
+            ({"ks_threshold": "0.1"}, "ks_threshold must be a number, got '0.1'"),
+            ({"p": None}, "p must be a number, got None"),
         ],
     )
     def test_validation_errors(self, overrides, match):
@@ -506,6 +513,13 @@ class TestCollectRows:
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=2)
         with pytest.raises(ValueError, match="worker count"):
             collect_rows(cfg, workers=0)
+
+    @pytest.mark.parametrize("workers", [2.5, 1.5, True, np.True_])
+    def test_worker_count_must_be_an_integer(self, workers):
+        # A float raised TypeError from the pool; True ran as 1 worker.
+        cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=4)
+        with pytest.raises(ValueError, match=f"worker count must be an integer, got {workers!r}"):
+            collect_rows(cfg, workers=workers)
 
     def test_mixed_regime_row_arithmetic(self):
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=4, master_seed=3)
@@ -866,10 +880,11 @@ class TestRateFit:
         with pytest.raises(ValueError, match="two resolutions"):
             RateFitConfig(cfg)
 
-    @pytest.mark.parametrize("tol", [math.nan, -0.1, True])
+    @pytest.mark.parametrize("tol", [math.nan, -0.1, True, "x", None])
     def test_tol_must_be_nonnegative(self, tol):
-        # True passed as 1, wider than any target distance
-        match = "tol must be a number, got True" if tol is True else "tol must be >= 0"
+        # True passed as 1, wider than any target distance; a string or None
+        # raised TypeError
+        match = "tol must be >= 0" if isinstance(tol, float) else f"tol must be a number, got {tol!r}"
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64, 128), replicas=5)
         with pytest.raises(ValueError, match=match):
             RateFitConfig(cfg, tol)

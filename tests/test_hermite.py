@@ -470,6 +470,15 @@ class TestAsymptoticVariance:
             with pytest.raises(ValueError, match=f"{name} must be an integer, got {order!r}"):
                 asymptotic_variance(2.0, 0.3, **{name: order})
         validate_variance_domain(2.0, 0.3, np.int64(2), np.int64(1000))
+        # a p or hurst that is not a number raised TypeError from its range
+        # check, and a bool p ran as p = 1
+        for args, match in (
+            (("2", 0.3, 10, 10), "p must be a number, got '2'"),
+            ((True, 0.3, 10, 10), "p must be a number, got True"),
+            ((2.0, None, 10, 10), "hurst must be a number, got None"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                validate_variance_domain(*args)
 
 
 # numpy's pairwise tree has a leaf below 8 items, an 8-accumulator loop up

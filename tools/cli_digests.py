@@ -45,8 +45,11 @@ given to ``sq`` (both refused), scaling fits with a repeated window length and w
 lengths that hold the same increments at every resolution (both refused),
 ``pvar``, ``limit-check``, ``rate-fit`` and ``scaling-check`` runs given
 only their required keys (so each manifest pins every default; the scaling
-fit fails there, exit 1), and every subcommand's ``--help`` page, wrapped
-at ``COLUMNS=80`` (it pins the key order).
+fit fails there, exit 1), every subcommand's ``--help`` page, wrapped
+at ``COLUMNS=80`` (it pins the key order), and the refusals of a count or
+seed below its minimum: ``simulate`` at ``--n 0`` and ``--replicas 0``,
+``limit-check`` at ``--replicas 0``, ``--seed -1``, ``--fine-factor 0`` and
+``--workers 0``, and ``constants`` at ``--hermite-terms 0``.
 It takes about 35 s on two cores and is not part of the test suite.
 """
 
@@ -193,6 +196,20 @@ RUNS = (
     ("scaling-check-defaults", ["scaling-check", "--hurst", "0.4"]),
     *((f"{sub}-help", [sub, "--help"]) for sub in
       ("simulate", "constants", "pvar", "limit-check", "rate-fit", "scaling-check")),
+    # Counts and seeds below their minimum, each refused by the one integer check.
+    ("refused-simulate-n0", ["simulate", "--hurst", "0.3", "--n", "0"]),
+    ("refused-simulate-replicas0", ["simulate", "--hurst", "0.3", "--n", "64",
+                                    "--replicas", "0"]),
+    ("refused-replicas0", ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "64",
+                           "--replicas", "0"]),
+    ("refused-seed-negative", ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "64",
+                               "--replicas", "5", "--seed", "-1"]),
+    ("refused-fine-factor0", ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "64",
+                              "--replicas", "5", "--fine-factor", "0"]),
+    ("refused-workers0", ["limit-check", "--hurst", "0.4", "--p", "2", "--n", "64",
+                          "--replicas", "5", "--workers", "0"]),
+    ("refused-hermite-terms0", ["constants", "--p", "2", "--hurst", "0.3",
+                                "--hermite-terms", "0"]),
 )
 
 _SOURCE_LINE = re.compile(rb"(<checkout>/\S+\.py):\d+:")
