@@ -555,7 +555,7 @@ def _pin_malloc_thresholds() -> None:
     Left dynamic, the mmap threshold follows what the process freed before,
     so a row's multi-MB arrays can be mapped and faulted in again on every
     row, and the heap trimmed between rows. Skipped where libc has no
-    mallopt; pool workers inherit the setting when they fork. Its
+    mallopt; replica workers inherit the setting when they are forked. Its
     counterpart, :func:`_release_freed_heap`, hands what the row loop freed
     back to the kernel once the rows are drawn.
     """

@@ -192,7 +192,6 @@ def validate_variance_domain(
         )
 
 
-@lru_cache(maxsize=128)
 def asymptotic_variance(
     p: float, hurst: float, hermite_terms: int = HERMITE_TERMS, lag_cutoff: int = LAG_CUTOFF
 ) -> float:
@@ -213,9 +212,19 @@ def asymptotic_variance(
     each), and each term's leaf sums are added up the pairwise tree that
     ``np.sum`` uses, so every lag sum has the bits of ``np.sum`` over the
     whole lag range. For even integer p the series ends after ``p / 2``
-    terms. Results are cached per process, keyed by the arguments;
-    ``asymptotic_variance.__wrapped__`` is the uncached series.
+    terms. Results are cached per process, keyed by the arguments once
+    they are checked, so an argument that cannot be a key (a list, say) is
+    refused by name; ``asymptotic_variance.__wrapped__`` is the uncached
+    series.
     """
+    validate_variance_domain(p, hurst, hermite_terms, lag_cutoff)
+    return _cached_series(p, hurst, hermite_terms, lag_cutoff)
+
+
+def _variance_series(
+    p: float, hurst: float, hermite_terms: int = HERMITE_TERMS, lag_cutoff: int = LAG_CUTOFF
+) -> float:
+    """:func:`asymptotic_variance`, uncached."""
     validate_variance_domain(p, hurst, hermite_terms, lag_cutoff)
     weights = variance_weights(p, hermite_terms)
 
@@ -256,9 +265,13 @@ def asymptotic_variance(
             f"asymptotic variance truncation tail ~{tail:.3g} exceeds 1e-6 of "
             f"the value {total:.6g}; increase the truncation orders",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of asymptotic_variance
         )
     return total
+
+
+_cached_series = lru_cache(maxsize=128)(_variance_series)
+asymptotic_variance.__wrapped__ = _variance_series
 
 
 def _pairwise_sum(leaf_sum, start: int, n: int):

@@ -29,8 +29,9 @@ Covers:
    configs of every subcommand, in key=value and JSON form.
 10. Cold start: a complete limit-check run in a fresh interpreter never
     loads scipy.stats or scipy.linalg; the dense Cholesky oracle loads
-    scipy.linalg when it runs; pool workers inherit numpy.random and
-    numpy.fft from the parent.
+    scipy.linalg when it runs; forked workers inherit numpy.random and
+    numpy.fft from the parent; neither a serial nor a 2-worker run loads
+    multiprocessing or concurrent.futures.
 11. The one CSV writer: any float, ±0, ±inf and NaN included, reads back to
     the same bits, strings and integers as written; results, summary,
     log-log, scaling and path files checked against the library's numbers.
@@ -48,7 +49,6 @@ import dataclasses
 import io
 import json
 import math
-import multiprocessing
 import os
 import struct
 import subprocess
@@ -477,6 +477,24 @@ class TestMainErrors:
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"ROUGHPVAR_WORKERS must be an integer, got {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["limit-check", "--hurst", "0.4", "--p", "2"],
+            ["rate-fit", "--hurst", "0.4", "--p", "2"],
+            ["scaling-check", "--hurst", "0.4"],
+        ],
+    )
+    def test_workers_need_fork(self, tmp_path, monkeypatch, capsys, argv):
+        # Workers are forked, so a platform without os.fork refuses two of
+        # them before anything is written.
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "out"
+        argv = argv + ["--n", "64,128", "--replicas", "4", "--workers", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert f"2 workers need os.fork, which {sys.platform} lacks" in capsys.readouterr().err
         assert not out.exists()
 
     def test_pvar_reads_no_workers_variable(self, tmp_path, monkeypatch):
@@ -1338,7 +1356,7 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-# Whether a pool worker holds numpy.fft and numpy.random when its row starts.
+# Whether a forked worker holds numpy.fft and numpy.random when its row starts.
 _POOL_PROBE = """
 import json, sys
 from roughpvar import harness
@@ -1444,7 +1462,9 @@ class TestColdStart:
         assert (out / "summary.csv").exists()
         assert loaded == [], f"a serial limit-check loaded {loaded}"
 
-    def test_two_workers_load_the_pool(self, tmp_path):
+    def test_two_workers_load_no_pool(self, tmp_path):
+        # Workers are forked directly, so a parallel run loads none of the
+        # process pool's modules either.
         out = tmp_path / "lc"
         argv = ["limit-check", "--process", "sq", "--hurst", "0.25", "--p", "2", "--n", "32,64",
                 "--replicas", "10", "--seed", "3", "--ks-threshold", "0.9", "--median-tol", "0.9",
@@ -1452,11 +1472,9 @@ class TestColdStart:
         code, loaded = _fresh_main(argv, _pool)
         assert code == 0
         assert (out / "summary.csv").exists()
-        assert {"concurrent.futures.process", "multiprocessing"} <= set(loaded), loaded
+        assert loaded == [], f"a 2-worker limit-check loaded {loaded}"
 
-    # the first start method listed is the platform's default
-    @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
-                        reason="only forked workers inherit the parent's modules")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
     def test_pool_workers_inherit_numpy_random_and_fft(self):
         # Imported in the parent before the fork, so no worker loads its own
         # copy (numpy.random loads OpenSSL through secrets).

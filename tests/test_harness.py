@@ -10,8 +10,10 @@ Covers:
    and identifier format; a p below 2 refused where the drift enters, even
    when forced.
 4. Replica path construction: determinism, stream separation, fine wiring.
-5. Row collection: ordering, determinism, serial/parallel bit equality, a
-   pool no larger than the task count, per-regime column arithmetic, replica
+5. Row collection: ordering, determinism, serial/parallel bit equality with
+   uneven worker shares, no more forked workers than tasks, round-robin
+   shares, a worker's exception or death raised in the parent with no child
+   left, the fork requirement, per-regime column arithmetic, replica
    independence, a row's independence of the grid that collected it, and
    the pinned bits of one row per regime and process, and of two custom-rde
    rows.
@@ -28,9 +30,12 @@ Covers:
     the coarse driver the windowed sums read.
 """
 
-import concurrent.futures
 import dataclasses
 import math
+import os
+import signal
+import sys
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -80,6 +85,15 @@ from streams import philox
 # deterministic, so every replica statistic is an exact power of the
 # resolution and rate fits recover their slopes to machine precision.
 _PURE_DRIFT = {"ell": 4, "y0": 0.0, "drift_coeffs": (1.0,), "field_coeffs": (0.0,)}
+
+
+def _pid_row(cfg, n, replica):
+    return os.getpid()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @lru_cache(maxsize=1)
@@ -464,37 +478,94 @@ class TestCollectRows:
         assert np.array_equal(serial, collect_rows(cfg))
 
     def test_pool_size_is_capped_at_the_task_count(self, monkeypatch):
-        # A pool forks all its workers up front, so it must ask for no more
-        # than there are tasks. The stand-in records the size it was asked
-        # for and maps serially, so no process starts.
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        for n_grid, replicas, workers, size in (((64,), 3, 64, 3), ((64, 128), 80, 2, 2)):
+        # Every worker is forked up front with a share of the tasks, so no
+        # more start than there are tasks, and none of them is this process.
+        for n_grid, replicas, workers in (((64,), 3, 64), ((64, 128), 80, 2)):
             cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=n_grid, replicas=replicas)
-            rows = collect_rows(cfg, workers=workers)
-            assert sizes.pop() == size
-            assert np.array_equal(rows, collect_rows(cfg, workers=1))
-        # the scaling check draws through the same pool: 2 resolutions x 1 replica
+            pids = collect_rows(cfg, workers=workers, row=_pid_row).tolist()
+            count = min(workers, len(pids))
+            assert len(set(pids)) == count and os.getpid() not in pids
+            # round-robin: worker w computes every count-th task from the w-th
+            assert all(len(set(pids[w::count])) == 1 for w in range(count))
+        # the scaling check draws through the same dispatcher: 2 resolutions
+        # x 1 replica, so 2 workers
         cfg = ExperimentConfig(hurst=0.4, p=2.0, n_grid=(32, 64), replicas=1)
         scfg = ScalingConfig(cfg, 1, (0.25, 0.5), 0.25)
+        real_fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
         result = scaling_exponent_check(scfg, workers=64)
-        assert sizes.pop() == 2
+        assert len(forks) == 2
         assert repr(result) == repr(scaling_exponent_check(scfg, workers=1))
-        assert sizes == []
+
+    def test_uneven_shares_keep_every_bit(self):
+        # 2 x 7 = 14 tasks over 3 workers: shares of 5, 5 and 4 rows
+        cfg = ExperimentConfig(
+            hurst=0.25, p=2.0, process="sq", n_grid=(32, 64), replicas=7, master_seed=4
+        )
+        assert collect_rows(cfg, workers=3).tobytes() == collect_rows(cfg, workers=1).tobytes()
+
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    def test_worker_exception_keeps_its_class(self, error):
+        cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=5)
+
+        def row(cfg, n, replica):
+            if replica == 3:
+                raise error(f"replica {replica} refused")
+            return 0.0
+
+        with pytest.raises(error, match="replica 3 refused") as info:
+            collect_rows(cfg, workers=2, row=row)
+        # the worker's traceback rides along as the cause
+        assert 'raise error(f"replica {replica} refused")' in str(info.value.__cause__)
+        _assert_no_child_left()
+
+    def test_worker_killed_without_a_result(self):
+        cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=4)
+
+        def row(cfg, n, replica):
+            if replica == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return 0.0
+
+        with pytest.raises(RuntimeError, match="worker 1 ended without a result, exit status -9"):
+            collect_rows(cfg, workers=2, row=row)
+        _assert_no_child_left()
+
+    def test_failed_fork_stops_the_workers_already_forked(self, monkeypatch):
+        # The second fork fails while the first worker sleeps through its
+        # share: that worker is killed and reaped, not waited for.
+        cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=4)
+        real_fork, forks = os.fork, []
+
+        def failing_fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError("fork refused")
+            return real_fork()
+
+        def row(cfg, n, replica):
+            time.sleep(60)
+            return 0.0
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        started = time.monotonic()
+        with pytest.raises(OSError, match="fork refused"):
+            collect_rows(cfg, workers=3, row=row)
+        assert time.monotonic() - started < 30
+        _assert_no_child_left()
+
+    def test_fork_is_required_for_more_than_one_worker(self, monkeypatch):
+        cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=4)
+        serial = collect_rows(cfg, workers=1)
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ValueError, match=f"2 workers need os.fork, which {sys.platform} lacks"):
+            collect_rows(cfg, workers=2)
+        assert np.array_equal(collect_rows(cfg, workers=1), serial)
 
     @pytest.mark.parametrize("hurst, process", [(0.4, "fbm"), (0.25, "sq"), (0.15, "sq")])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -1008,7 +1079,7 @@ class TestScalingExponentCheck:
 
     def test_worker_count_keeps_every_bit(self):
         # Rows are drawn per (n, replica) and averaged in collect_rows order,
-        # so a pool gives the serial exponents, standard errors and table.
+        # so forked workers give the serial exponents, standard errors and table.
         cfg = ExperimentConfig(
             hurst=0.4, p=2.0, process="sq", n_grid=(32, 64), replicas=6, master_seed=5
         )

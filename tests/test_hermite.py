@@ -430,6 +430,15 @@ class TestAsymptoticVariance:
         with pytest.raises(ValueError):
             asymptotic_variance(2.0, 0.9)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(([2.0], 0.3), "p must be a number"), ((2.0, {0.3}), "hurst must be a number")],
+    )
+    def test_unhashable_argument_is_refused_by_name(self, args, message):
+        # checked before the cache lookup, which would raise TypeError
+        with pytest.raises(ValueError, match=message):
+            asymptotic_variance(*args)
+
     def test_truncation_tail_warning(self):
         # near hurst = 3/4 the lag sums decay like k^{-0.4}; a cutoff of 17
         # lags leaves visible mass behind and must be reported
