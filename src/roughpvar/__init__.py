@@ -4,8 +4,10 @@ Monte Carlo verification of three-regime power-variation limit theorems."""
 __version__ = "0.1.0"
 
 from .fbm import (
+    DomainError,
     FbmPath,
     FbmSpec,
+    RunError,
     fbm_covariance,
     fgn_autocovariance,
     sample_fbm,
@@ -28,7 +30,6 @@ from .stats import (
     REGIME_CRITICAL,
     REGIME_DEGENERATE,
     REGIME_MIXED,
-    RegimeError,
     StatConfig,
     classify_regime,
     integrate_grid,
@@ -45,7 +46,6 @@ from .harness import (
     ExperimentResult,
     RateFitConfig,
     ScalingConfig,
-    UnsupportedRangeError,
     build_replica_path,
     collect_rows,
     ks_statistic,

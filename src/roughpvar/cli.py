@@ -18,8 +18,10 @@ construction to the process's fine factor and the regime's KS threshold,
 and the manifest stores the resolved value. Re-running a subcommand from its manifest reproduces every
 output byte for byte; worker count never affects results.
 
-Exit codes: 0 on success/pass, 1 when a check ran but failed, 2 on usage or
-domain errors, 70 (``EX_SOFTWARE``) with a traceback on any other exception.
+Exit codes: 0 on success/pass, 1 when a check ran but failed, 2 on a
+refused setting or input (``fbm.DomainError``), 3 on a run that could not
+finish (``fbm.RunError``), 70 (``EX_SOFTWARE``) with a traceback on any
+other exception, whatever its builtin type.
 A config refused while it is resolved (the process, its level count and
 its custom-rde inputs, by ``processes.resolve_process_params``), while its
 library objects are built (power exponent, KS threshold and median
@@ -42,7 +44,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, harness
-from .fbm import FbmSpec, check_integer, sample_fbm
+from .fbm import DomainError, FbmSpec, RunError, check_integer, sample_fbm
 from .harness import (
     ExperimentConfig,
     RateFitConfig,
@@ -53,13 +55,7 @@ from .harness import (
     run_regime_check,
     scaling_exponent_check,
 )
-from .hermite import (
-    HERMITE_TERMS,
-    LAG_CUTOFF,
-    asymptotic_variance,
-    gaussian_abs_moment,
-    validate_variance_domain,
-)
+from .hermite import HERMITE_TERMS, LAG_CUTOFF, asymptotic_variance, gaussian_abs_moment
 from .processes import CUSTOM_RDE_DEFAULTS, DEFAULT_ELL, resolve_process_params
 
 REQUIRED = dataclasses.MISSING  # the default of a field that has none: a required key
@@ -149,21 +145,17 @@ KEY_KINDS = {
 }
 
 
-class UsageError(ValueError):
-    """Config or domain problem that maps to exit code 2."""
-
-
 def _coerce(key: str, value, kind: str):
     try:
         return _coerce_inner(value, kind)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad value for {key!r}: {value!r} ({exc})") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"bad value for {key!r}: {value!r} ({exc})") from None
 
 
 def _coerce_inner(value, kind: str):
     if kind == "str":
         if not isinstance(value, str):
-            raise ValueError("expected a string")
+            raise DomainError("expected a string")
         return value
     if kind == "bool":
         if isinstance(value, bool):
@@ -173,20 +165,20 @@ def _coerce_inner(value, kind: str):
             return True
         if text in ("false", "0", "no"):
             return False
-        raise ValueError("expected true/false")
+        raise DomainError("expected true/false")
     if kind == "int":
         if isinstance(value, bool):
-            raise ValueError("expected an integer")
+            raise DomainError("expected an integer")
         if isinstance(value, int):
             return value
         if isinstance(value, float):
             if value != int(value):
-                raise ValueError("expected an integer")
+                raise DomainError("expected an integer")
             return int(value)
         return int(str(value).strip())
     if kind == "float":
         if isinstance(value, bool):
-            raise ValueError("expected a number")
+            raise DomainError("expected a number")
         if isinstance(value, (int, float)):
             return float(value)
         return float(str(value).strip())
@@ -207,7 +199,7 @@ def _coerce_list(value, item_kind: str) -> list:
     if isinstance(value, str):
         value = [part for part in value.split(",") if part.strip()]
         if not value:
-            raise ValueError("empty list")
+            raise DomainError("empty list")
     elif not isinstance(value, (list, tuple)):
         value = [value]
     return [_coerce_inner(item, item_kind) for item in value]
@@ -223,7 +215,7 @@ def _unique_keys(pairs) -> dict:
     mapping = {}
     for key, value in pairs:
         if key in mapping:
-            raise UsageError(f"repeated config key {key!r}")
+            raise DomainError(f"repeated config key {key!r}")
         mapping[key] = value
     return mapping
 
@@ -233,32 +225,38 @@ def _load_config_file(path: str) -> tuple[dict, str | None]:
 
     Returns the raw mapping plus the manifest's subcommand when present. A
     key given twice, at any depth, is refused, and so is a key beside a
-    manifest's ``config`` object that a manifest does not hold.
+    manifest's ``config`` object that a manifest does not hold, and text
+    that cannot be decoded or parsed, with the decoder's message.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from None
+        raise DomainError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(str(exc)) from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         # text that starts with "{" loads as an object or not at all
-        data = json.loads(text, object_pairs_hook=_unique_keys)
+        try:
+            data = json.loads(text, object_pairs_hook=_unique_keys)
+        except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep
+            raise DomainError(str(exc)) from None
         stored_sub = None
         if "config" in data and isinstance(data["config"], dict):
             extra = sorted(set(data) - _MANIFEST_KEYS)
             if extra:
                 names = ", ".join(map(repr, extra))
-                raise UsageError(f"a manifest holds its keys in 'config', not at the top: {names}")
+                raise DomainError(f"a manifest holds its keys in 'config', not at the top: {names}")
             stored_sub = data.get("subcommand")
             data = data["config"]
         return dict(data), stored_sub
     pairs = []
     for token in text.split():
         if "=" not in token:
-            raise UsageError(f"malformed config entry {token!r} (expected key=value)")
+            raise DomainError(f"malformed config entry {token!r} (expected key=value)")
         key, _, raw = token.partition("=")
         if not key:
-            raise UsageError(f"malformed config entry {token!r}")
+            raise DomainError(f"malformed config entry {token!r}")
         pairs.append((key, raw))
     return _unique_keys(pairs), None
 
@@ -279,12 +277,12 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         raw, stored_sub = _load_config_file(args.config)
         if stored_sub is not None and stored_sub != subcommand:
-            raise UsageError(
+            raise DomainError(
                 f"manifest was written by {stored_sub!r}, not {subcommand!r}"
             )
         for key in raw:
             if key not in schema:
-                raise UsageError(f"unknown config key {key!r} for {subcommand}")
+                raise DomainError(f"unknown config key {key!r} for {subcommand}")
     for key in schema:
         if getattr(args, key, None) is not None:
             raw[key] = getattr(args, key)
@@ -295,7 +293,7 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> dict:
     for key, default in schema.items():
         if key not in cfg:
             if default is REQUIRED:
-                raise UsageError(f"missing required key {key!r} for {subcommand}")
+                raise DomainError(f"missing required key {key!r} for {subcommand}")
             cfg[key] = default
     if "process" in cfg:
         given = {key: cfg.pop(key) for key in ("ell", *CUSTOM_RDE_DEFAULTS)}
@@ -350,7 +348,7 @@ def _write_manifest(
         out.mkdir(parents=True, exist_ok=True)
         (out / "manifest.json").write_text(text)
     except OSError as exc:
-        raise UsageError(f"cannot write output directory {str(out)!r}: {exc.strerror}") from None
+        raise DomainError(f"cannot write output directory {str(out)!r}: {exc.strerror}") from None
     return out
 
 
@@ -395,10 +393,9 @@ def _run_simulate(args: argparse.Namespace) -> int:
 def _run_constants(args: argparse.Namespace) -> int:
     cfg = resolve_config("constants", args)
     series = (cfg["p"], cfg["hurst"], cfg["hermite_terms"], cfg["lag_cutoff"])
-    validate_variance_domain(*series)
+    variance = asymptotic_variance(*series)
     out = _write_manifest(args, "constants", cfg, ["manifest.json", "constants.csv"])
     moment = gaussian_abs_moment(cfg["p"])
-    variance = asymptotic_variance(*series)
     header = "p,hurst,abs_moment,asymptotic_variance"
     _write_csv(out / "constants.csv", header, [(cfg["p"], cfg["hurst"], moment, variance)])
     print(
@@ -584,15 +581,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _RUNNERS[args.subcommand](args)
-    except ValueError as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except RunError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+        return 3
     except Exception:
-        # A bug, not a failed check. Only this path needs traceback, so a
-        # normal run's start-up never imports it on the CLI's account.
+        # A bug, whatever its builtin type. Only this path needs traceback, so
+        # a normal run's start-up never imports it on the CLI's account.
         import traceback
 
         traceback.print_exc()

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fbm import FbmPath, _time_to_index, check_integer
+from .fbm import DomainError, FbmPath, RunError, _time_to_index, check_integer
 
 _BLOWUP_GUARD = 1e12
 
@@ -70,17 +70,17 @@ class ControlledPath:
     def __post_init__(self) -> None:
         nodes = self.x.n + 1
         if isinstance(self.levels, np.ndarray) and self.levels.ndim != 2:
-            raise ValueError(f"a levels array must be 2-d, got shape {self.levels.shape}")
+            raise DomainError(f"a levels array must be 2-d, got shape {self.levels.shape}")
         given = [np.asarray(level, dtype=float) for level in [*self.levels, *self.constants]]
         if not given or any(level.shape not in ((), (nodes,)) for level in given):
             shapes = [level.shape for level in given]
-            raise ValueError(
+            raise DomainError(
                 f"levels must be ell >= 1 rows of {nodes} nodes or scalars, got {shapes}"
             )
         arrays = [i for i, level in enumerate(given) if level.ndim == 1]
         stored = arrays[-1] + 1 if arrays else 1
         if self.fine is not None and self.fine.n % self.x.n != 0:
-            raise ValueError("fine companion resolution must be a multiple of n")
+            raise DomainError("fine companion resolution must be a multiple of n")
         levels = np.empty((stored, nodes))
         for row, level in zip(levels, given):
             row[...] = level
@@ -128,7 +128,7 @@ def validate_ell(ell: int) -> int:
         ell = int(ell)
     ell = check_integer("ell", ell)
     if ell < 2:
-        raise ValueError(f"processes need at least two levels, got ell={ell}")
+        raise DomainError(f"processes need at least two levels, got ell={ell}")
     return ell
 
 
@@ -148,7 +148,7 @@ def remainder(cp: ControlledPath, k: int, s, t):
     plain increment. Times must lie on the coarse grid; scalar or array.
     """
     if not 0 <= k < cp.ell:
-        raise ValueError(f"level index must lie in [0, {cp.ell - 1}], got {k}")
+        raise DomainError(f"level index must lie in [0, {cp.ell - 1}], got {k}")
     i = _time_to_index(s, cp.n)
     j = _time_to_index(t, cp.n)
     out = _remainder_by_index(cp, k, np.asarray(i), np.asarray(j))
@@ -223,7 +223,7 @@ def _poly_callable(coeffs: Sequence[float]) -> Callable:
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or len(coeffs) == 0:
-        raise ValueError("coeffs must be a nonempty 1-d sequence")
+        raise DomainError("coeffs must be a nonempty 1-d sequence")
     top, *rest = [float(c) for c in reversed(coeffs)]
 
     def _eval(y):
@@ -267,7 +267,7 @@ def rough_integral(z: ControlledPath, x: FbmPath) -> ControlledPath:
     :func:`subsample_controlled` for a coarse view with this one attached.
     """
     if z.x.n != x.n or not np.array_equal(z.x.values, x.values):
-        raise ValueError("integrand and driver must share the same sampled path")
+        raise DomainError("integrand and driver must share the same sampled path")
     if (z.ell + 1) * x.hurst <= 1.0:
         warnings.warn(
             f"integrand order {z.ell} is marginal for hurst={x.hurst}: "
@@ -299,7 +299,7 @@ def subsample_controlled(fine_cp: ControlledPath, factor: int) -> ControlledPath
     of 1 returns ``fine_cp``.
     """
     if factor < 1 or fine_cp.n % factor != 0:
-        raise ValueError(f"factor must divide the resolution {fine_cp.n}")
+        raise DomainError(f"factor must divide the resolution {fine_cp.n}")
     if factor == 1:
         return fine_cp
     n_coarse = fine_cp.n // factor
@@ -333,8 +333,8 @@ def solve_rde(
     scheme runs on the grid of ``x`` and returns the solution there; pass it
     to :func:`subsample_controlled` for a coarse view with it attached.
 
-    Raises RuntimeError if the state exceeds 1e12 in absolute value or is
-    not finite.
+    Raises :class:`~roughpvar.fbm.RunError` if the state exceeds 1e12 in
+    absolute value or is not finite.
     """
     ell = validate_ell(ell)
     iterates = _field_iterates(field_coeffs, ell - 1)
@@ -363,7 +363,7 @@ def solve_rde(
             step += drift(state) * h
         state += step
         if not abs(state) <= _BLOWUP_GUARD:
-            raise RuntimeError(
+            raise RunError(
                 f"solution exceeded the blow-up guard {_BLOWUP_GUARD:g} at step "
                 f"{k + 1} of {n}"
             )

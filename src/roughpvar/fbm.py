@@ -24,7 +24,9 @@ n = 2**20).
 
 :func:`check_integer` and :func:`check_number` check every config's
 integer and numeric settings: the one place that decides what counts as an
-integer or a number (a bool is neither).
+integer or a number (a bool is neither). Every refusal in the package
+raises :class:`DomainError`, and every run that cannot finish
+:class:`RunError`.
 """
 
 from __future__ import annotations
@@ -53,14 +55,22 @@ _LAG_BLOCK = 2**15
 _EIGEN_CLAMP_REL = 1e-12
 
 
+class DomainError(ValueError):
+    """A refused setting or input: the CLI exits 2."""
+
+
+class RunError(RuntimeError):
+    """A run that could not finish: the CLI exits 3."""
+
+
 def check_integer(name: str, value, minimum: int | None = None) -> int:
     """``value`` as a plain int. Refuses a bool (numpy's too), which every
     count would read as 0 or 1, any other value that is not an integer, and
     one below ``minimum``."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise DomainError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
+        raise DomainError(f"{name} must be >= {minimum}")
     return int(value)
 
 
@@ -69,9 +79,9 @@ def check_number(name: str, value, refusal: str | None = None) -> None:
     0 or 1, and any other value that is not a real number, with ``refusal``
     as the message for the latter when it is given."""
     if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise DomainError(f"{name} must be a number, got {value!r}")
     if not isinstance(value, numbers.Real):
-        raise ValueError(refusal or f"{name} must be a number, got {value!r}")
+        raise DomainError(refusal or f"{name} must be a number, got {value!r}")
 
 
 def fbm_covariance(s: float, t: float, hurst: float) -> float:
@@ -93,7 +103,7 @@ def fbm_covariance(s: float, t: float, hurst: float) -> float:
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
     if np.any(s_arr < 0) or np.any(t_arr < 0):
-        raise ValueError("time points must be nonnegative")
+        raise DomainError("time points must be nonnegative")
     h2 = 2.0 * hurst
     out = 0.5 * (s_arr**h2 + t_arr**h2 - np.abs(t_arr - s_arr) ** h2)
     return float(out) if out.ndim == 0 else out
@@ -154,9 +164,9 @@ class FbmSpec:
         _check_hurst(self.hurst)
         check_integer("n", self.n, 1)
         if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+            raise DomainError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.method == "cholesky" and self.n > _CHOLESKY_MAX_N:
-            raise ValueError(
+            raise DomainError(
                 f"method='cholesky' needs n <= {_CHOLESKY_MAX_N}, got {self.n}: "
                 "its dense covariance takes 8 n**2 bytes"
             )
@@ -172,11 +182,11 @@ class FbmPath:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.spec.n + 1,):
-            raise ValueError(
+            raise DomainError(
                 f"values must have shape ({self.spec.n + 1},), got {values.shape}"
             )
         if values[0] != 0.0:
-            raise ValueError("paths start at zero: values[0] must be 0.0")
+            raise DomainError("paths start at zero: values[0] must be 0.0")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -209,7 +219,7 @@ def sample_fbm(spec: FbmSpec, rng: np.random.Generator) -> FbmPath:
 
     The increments are unit-variance fractional Gaussian noise scaled by
     ``n**-hurst`` (self-similarity on the unit interval). ``method='auto'``
-    uses the circulant embedding and raises :class:`RuntimeError` if it is
+    uses the circulant embedding and raises :class:`RunError` if it is
     not nonnegative definite; ``cholesky`` factors the dense covariance.
     """
     n = spec.n
@@ -231,15 +241,15 @@ def _time_to_index(t, n: int):
     idx = np.asarray(t, dtype=float) * n
     rounded = np.rint(idx)
     if np.any(np.abs(idx - rounded) > 1e-9 * max(n, 1)):
-        raise ValueError(f"time {t!r} does not lie on the grid with n={n}")
+        raise DomainError(f"time {t!r} does not lie on the grid with n={n}")
     if np.any(rounded < 0) or np.any(rounded > n):
-        raise ValueError(f"time {t!r} outside [0, 1]")
+        raise DomainError(f"time {t!r} outside [0, 1]")
     out = rounded.astype(int)
     return int(out) if out.ndim == 0 else out
 
 
 def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
-    """Eigenvalues of the 2n circulant embedding; :class:`RuntimeError` if
+    """Eigenvalues of the 2n circulant embedding; :class:`RunError` if
     it is not nonnegative definite.
 
     The result is the real part of the ``rfft`` output, a strided view.
@@ -254,7 +264,7 @@ def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
     del row
     floor = -_EIGEN_CLAMP_REL * lam.max()
     if lam.min() < floor:
-        raise RuntimeError(
+        raise RunError(
             "circulant embedding is not nonnegative definite for "
             f"(hurst={hurst}, n={n}); use method='cholesky'"
         )
@@ -315,4 +325,4 @@ def _fgn_cholesky(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
 def _check_hurst(hurst: float) -> None:
     check_number("hurst", hurst)
     if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst index must lie in (0, 1), got {hurst}")
+        raise DomainError(f"hurst index must lie in (0, 1), got {hurst}")

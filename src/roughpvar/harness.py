@@ -38,7 +38,7 @@ from typing import Callable, ClassVar, NoReturn
 import numpy as np
 
 from .controlled import ControlledPath
-from .fbm import FbmSpec, check_integer, check_number, sample_fbm
+from .fbm import DomainError, FbmSpec, RunError, check_integer, check_number, sample_fbm
 from .hermite import hermite, ndtr
 from .processes import (
     build_controlled_process,
@@ -72,10 +72,6 @@ _P_RANGES = {
 }
 
 
-class UnsupportedRangeError(ValueError):
-    """Raised when (regime, p) falls outside the theorem's coverage."""
-
-
 def validate_p_range(hurst: float, p: float) -> None:
     """Reject exponents outside the regime's guaranteed range."""
     regime = classify_regime(hurst)
@@ -84,7 +80,7 @@ def validate_p_range(hurst: float, p: float) -> None:
         return
     if any(abs(p - v) <= 1e-12 for v in isolated):
         return
-    raise UnsupportedRangeError(
+    raise DomainError(
         f"p={p} is not covered in the {regime} regime (needs p >= {threshold} "
         f"or p in {set(isolated)}); pass force=True to run unguaranteed"
     )
@@ -142,13 +138,13 @@ class ExperimentConfig:
         if self.fine_factor is not None:
             check_integer("fine_factor", self.fine_factor, 1)
         if not isinstance(self.force, (bool, np.bool_)):
-            raise ValueError(f"force must be a bool, got {self.force!r}")
+            raise DomainError(f"force must be a bool, got {self.force!r}")
         if not isinstance(self.experiment_id, str):
-            raise ValueError(f"experiment_id must be a string, got {self.experiment_id!r}")
+            raise DomainError(f"experiment_id must be a string, got {self.experiment_id!r}")
         if len(n_grid) < 1 or any(n < 2 for n in n_grid):
-            raise ValueError("n_grid must list resolutions >= 2")
+            raise DomainError("n_grid must list resolutions >= 2")
         if len(set(n_grid)) != len(n_grid):
-            raise ValueError("n_grid entries must be distinct")
+            raise DomainError("n_grid entries must be distinct")
         object.__setattr__(self, "n_grid", n_grid)
         check_number("hurst", self.hurst)
         regime = classify_regime(self.hurst)
@@ -156,9 +152,9 @@ class ExperimentConfig:
         StatConfig(p=self.p, t=self.t)
         empty = [n for n in self.n_grid if _snap_count(self.t, n) == 0]
         if empty:
-            raise ValueError(f"t={self.t} holds no whole grid cell at n={empty}")
+            raise DomainError(f"t={self.t} holds no whole grid cell at n={empty}")
         if regime != REGIME_MIXED and self.p < 2.0:
-            raise ValueError(
+            raise DomainError(
                 f"p={self.p} is refused in the {regime} regime, even with force: "
                 "its drift needs phi'' of |y|**p, which is unbounded at 0 for p < 2"
             )
@@ -172,11 +168,11 @@ class ExperimentConfig:
         check_number("ks_threshold", self.ks_threshold)
         check_number("median_tol", self.median_tol)
         if not 0.0 < self.ks_threshold <= 1.0:
-            raise ValueError(f"ks_threshold must lie in (0, 1], got {self.ks_threshold}")
+            raise DomainError(f"ks_threshold must lie in (0, 1], got {self.ks_threshold}")
         if not self.median_tol >= 0.0:
-            raise ValueError(f"median_tol must be >= 0, got {self.median_tol}")
+            raise DomainError(f"median_tol must be >= 0, got {self.median_tol}")
         if any(c in self.experiment_id for c in ',"\r\n'):
-            raise ValueError(
+            raise DomainError(
                 f"experiment_id must hold no comma, quote or line break: {self.experiment_id!r}"
             )
 
@@ -190,7 +186,7 @@ class ExperimentConfig:
         tag = f"{self.process}-p{_fmt_num(self.p)}-h{_fmt_num(self.hurst)}-{self.regime}"
         try:
             validate_p_range(self.hurst, self.p)
-        except UnsupportedRangeError:
+        except DomainError:
             tag += "-unguaranteed"
         return tag
 
@@ -240,10 +236,10 @@ def resolve_workers(workers: int | None) -> int:
         try:
             workers = int(text)
         except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+            raise DomainError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
     count = check_integer("worker count", workers, 1)
     if count > 1 and not hasattr(os, "fork"):
-        raise ValueError(
+        raise DomainError(
             f"{count} workers need os.fork, which {sys.platform} lacks; use 1 worker"
         )
     return count
@@ -260,7 +256,7 @@ def collect_rows(
     one). A worker's rows, or the exception it raised, come back pickled
     through a pipe; the first exception in worker order is raised here with
     its class, and a worker that ended without a result raises
-    RuntimeError. Every worker is reaped before this returns or raises.
+    :class:`RunError`. Every worker is reaped before this returns or raises.
     """
     tasks = [(cfg, n, r) for n in cfg.n_grid for r in range(cfg.replicas)]
     # Every worker gets a share, so never more workers than there are tasks.
@@ -303,7 +299,7 @@ def collect_rows(
     rows = [None] * len(tasks)
     for w, (payload, status) in enumerate(zip(payloads, statuses)):
         if status != 0:
-            raise RuntimeError(
+            raise RunError(
                 f"replica worker {w} ended without a result, "
                 f"exit status {os.waitstatus_to_exitcode(status)}"
             )
@@ -344,7 +340,7 @@ def ks_statistic(sample: np.ndarray, cdf: Callable) -> float:
     """Kolmogorov-Smirnov sup distance of a sample against a reference CDF."""
     sample = np.asarray(sample, dtype=float)
     if sample.size == 0:
-        raise ValueError("need a nonempty sample")
+        raise DomainError("need a nonempty sample")
     ordered = np.sort(sample)
     ref = np.asarray(cdf(ordered), dtype=float)
     grid = np.arange(1, sample.size + 1) / sample.size
@@ -484,9 +480,9 @@ class RateFitConfig:
     def __post_init__(self) -> None:
         check_number("tol", self.tol)
         if len(self.experiment.n_grid) < 2:
-            raise ValueError("rate fits need at least two resolutions")
+            raise DomainError("rate fits need at least two resolutions")
         if not self.tol >= 0.0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+            raise DomainError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -560,11 +556,11 @@ class ScalingConfig:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "delta_grid", deltas)
         if len(deltas) < 2 or len(self.experiment.n_grid) < 2:
-            raise ValueError("need at least two resolutions and two window lengths")
+            raise DomainError("need at least two resolutions and two window lengths")
         # written so that a NaN window fails it
         if not (all(d > 0.0 for d in deltas) and 0.0 <= self.start
                 and self.start + max(deltas) <= 1.0):
-            raise ValueError("windows must lie inside [0, 1]")
+            raise DomainError("windows must lie inside [0, 1]")
         n_grid = self.experiment.n_grid
         windows = [
             tuple(_window_cells(self.start, self.start + delta, n) for n in n_grid)
@@ -575,15 +571,15 @@ class ScalingConfig:
             for delta, cells in zip(deltas, windows) if not cells[i]
         ]
         if empty:
-            raise ValueError(
+            raise DomainError(
                 f"windows from start={self.start} hold no increment at (n, delta) = {empty}"
             )
         if len(set(windows)) != len(windows):
-            raise ValueError("delta_grid entries must be distinct")
+            raise DomainError("delta_grid entries must be distinct")
         process, hurst = self.experiment.process, self.experiment.hurst
         zero_from = first_zero_level(process)
         if zero_from is not None and rank >= zero_from and rank * hurst < 0.5:
-            raise ValueError(
+            raise DomainError(
                 f"no scaling target is established for process {process!r} at rank "
                 f"{rank} and hurst {hurst}: its level {rank} is identically zero "
                 "and rank * hurst < 1/2"

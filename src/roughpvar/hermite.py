@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fbm import check_integer, check_number, fgn_autocovariance
+from .fbm import DomainError, check_integer, check_number, fgn_autocovariance
 
 # Default truncation orders of the asymptotic variance: Hermite terms kept,
 # and the largest lag in each lag sum.
@@ -132,7 +132,7 @@ def hermite(q: int, x):
     scalars or arrays.
     """
     if q < 0:
-        raise ValueError("polynomial degree must be nonnegative")
+        raise DomainError("polynomial degree must be nonnegative")
     x_arr = np.asarray(x, dtype=float)
     prev = np.ones_like(x_arr)
     if q == 0:
@@ -146,7 +146,7 @@ def hermite(q: int, x):
 def gaussian_abs_moment(p: float) -> float:
     """Absolute moment E|N(0,1)|**p = 2**(p/2) Gamma((p+1)/2) / sqrt(pi)."""
     if p <= -1.0:
-        raise ValueError(f"absolute moment requires p > -1, got {p}")
+        raise DomainError(f"absolute moment requires p > -1, got {p}")
     return 2.0 ** (p / 2.0) * gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
@@ -183,11 +183,11 @@ def validate_variance_domain(
     check_number("hurst", hurst)
     # written so that a NaN p fails it
     if not 1.0 <= p < math.inf:
-        raise ValueError(
+        raise DomainError(
             f"power variation exponent must satisfy p >= 1 and be finite, got {p}"
         )
     if not 0.0 < hurst < 0.75:
-        raise ValueError(
+        raise DomainError(
             f"variance series converges only for hurst in (0, 3/4), got {hurst}"
         )
 
@@ -215,7 +215,7 @@ def asymptotic_variance(
     terms. Results are cached per process, keyed by the arguments once
     they are checked, so an argument that cannot be a key (a list, say) is
     refused by name; ``asymptotic_variance.__wrapped__`` is the uncached
-    series.
+    series, which checks nothing.
     """
     validate_variance_domain(p, hurst, hermite_terms, lag_cutoff)
     return _cached_series(p, hurst, hermite_terms, lag_cutoff)
@@ -224,8 +224,7 @@ def asymptotic_variance(
 def _variance_series(
     p: float, hurst: float, hermite_terms: int = HERMITE_TERMS, lag_cutoff: int = LAG_CUTOFF
 ) -> float:
-    """:func:`asymptotic_variance`, uncached."""
-    validate_variance_domain(p, hurst, hermite_terms, lag_cutoff)
+    """:func:`asymptotic_variance`, uncached and unchecked."""
     weights = variance_weights(p, hermite_terms)
 
     def leaf_sums(start: int, n: int) -> np.ndarray:
@@ -316,7 +315,7 @@ def hermite_coeffs_numeric(f, order: int) -> np.ndarray:
     parity or smoothness of ``f`` beyond integrability.
     """
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise DomainError("order must be nonnegative")
     nodes = max(160, 4 * order)
     # Imported here, its only user, so a run that never asks for the
     # quadrature does not load numpy.polynomial.

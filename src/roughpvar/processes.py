@@ -19,7 +19,7 @@ from .controlled import (
     subsample_controlled,
     validate_ell,
 )
-from .fbm import FbmPath, check_number
+from .fbm import DomainError, FbmPath, check_number
 
 PROCESS_TAGS = ("fbm", "sq", "cube", "exp-rde", "custom-rde")
 
@@ -65,16 +65,16 @@ def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
     a checked list cannot change after its check.
     """
     if tag not in PROCESS_TAGS:
-        raise ValueError(f"unknown process {tag!r}; known: {PROCESS_TAGS}")
+        raise DomainError(f"unknown process {tag!r}; known: {PROCESS_TAGS}")
     params = dict(params or {})
     options = CUSTOM_RDE_DEFAULTS if tag == "custom-rde" else {}
     foreign = [key for key in CUSTOM_RDE_DEFAULTS if key in params and key not in options]
     if foreign:
-        raise ValueError(f"{foreign[0]!r} only applies to the custom-rde process")
+        raise DomainError(f"{foreign[0]!r} only applies to the custom-rde process")
     ell = validate_ell(params.pop("ell", DEFAULT_ELL))
     unknown = sorted(set(params) - set(options))
     if unknown:
-        raise ValueError(f"unknown parameters for process {tag!r}: {unknown}")
+        raise DomainError(f"unknown parameters for process {tag!r}: {unknown}")
     params = {**options, **params}
     for key, value in params.items():
         if key == "y0":
@@ -83,13 +83,13 @@ def resolve_process_params(tag: str, params: dict | None) -> tuple[int, dict]:
             continue
         if key.endswith("_coeffs"):
             if np.ndim(value) != 1 or len(value) == 0:
-                raise ValueError(f"{key} must be a nonempty 1-d sequence, got {value}")
+                raise DomainError(f"{key} must be a nonempty 1-d sequence, got {value}")
             held = f"{key} must hold numbers, got {value!r}"
             for c in value:
                 check_number(f"{key} entry", c, held)
             params[key] = tuple(value)
         if not np.isfinite(value).all():
-            raise ValueError(f"{key} must be finite, got {value}")
+            raise DomainError(f"{key} must be finite, got {value}")
     return ell, params
 
 
@@ -121,7 +121,7 @@ def build_controlled_process(
     # Checked here as well as in subsample_controlled, so that a bad factor
     # is refused before a custom-rde solve.
     if fine_factor < 1 or x_fine.n % fine_factor != 0:
-        raise ValueError(
+        raise DomainError(
             f"fine_factor must divide the fine resolution {x_fine.n}, got {fine_factor}"
         )
     if tag == "custom-rde":

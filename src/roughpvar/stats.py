@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .controlled import ControlledPath
-from .fbm import FbmPath, check_number
+from .fbm import DomainError, FbmPath, check_number
 from .hermite import asymptotic_variance, gaussian_abs_moment
 
 REGIME_MIXED = "mixed-gaussian"
@@ -35,10 +35,6 @@ REGIME_CRITICAL = "critical"
 REGIME_DEGENERATE = "degenerate"
 
 _CRITICAL_TOL = 1e-12
-
-
-class RegimeError(ValueError):
-    """Raised when a limit functional is requested outside its regime."""
 
 
 @dataclass(frozen=True)
@@ -64,17 +60,17 @@ class StatConfig:
         check_number("t", self.t)
         # written so that a NaN p fails it
         if not 1.0 <= self.p < math.inf:
-            raise ValueError(f"p must be >= 1 and finite, got {self.p}")
+            raise DomainError(f"p must be >= 1 and finite, got {self.p}")
         if not 0.0 < self.t <= 1.0:
-            raise ValueError(f"t must lie in (0, 1], got {self.t}")
+            raise DomainError(f"t must lie in (0, 1], got {self.t}")
         if self.fine_factor < 1:
-            raise ValueError("fine_factor must be >= 1")
+            raise DomainError("fine_factor must be >= 1")
 
 
 def classify_regime(hurst: float) -> str:
     """Regime of the limit theorem as a function of the Hurst index."""
     if not 0.0 < hurst <= 0.5:
-        raise ValueError(f"the limit theorem covers hurst in (0, 1/2], got {hurst}")
+        raise DomainError(f"the limit theorem covers hurst in (0, 1/2], got {hurst}")
     if abs(hurst - 0.25) <= _CRITICAL_TOL:
         return REGIME_CRITICAL
     return REGIME_MIXED if hurst > 0.25 else REGIME_DEGENERATE
@@ -91,7 +87,7 @@ def rate_exponent(hurst: float) -> float:
 def _snap_count(t: float, n: int) -> int:
     """Number of whole grid cells below t (t snapped down to the grid)."""
     if not 0.0 <= t <= 1.0 + 1e-12:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
+        raise DomainError(f"t must lie in [0, 1], got {t}")
     return min(int(math.floor(t * n + 1e-9)), n)
 
 
@@ -105,7 +101,7 @@ def integrate_grid(values: np.ndarray, step: float) -> float:
     values = np.asarray(values, dtype=float)
     cells = len(values) - 1
     if cells < 0:
-        raise ValueError("need at least one node")
+        raise DomainError("need at least one node")
     if cells == 0:
         return 0.0
     return float(step * (values.sum() - 0.5 * (values[0] + values[-1])))
@@ -121,7 +117,7 @@ def _fine_grid(cp: ControlledPath, t: float) -> tuple[ControlledPath, int, float
 def _compensator(cp: ControlledPath, p: float, t: float) -> float:
     """Integral of |y'|**p over [0, t_snapped] on the finest available grid."""
     if cp.ell < 2:
-        raise ValueError("the compensator needs the first derivative level")
+        raise DomainError("the compensator needs the first derivative level")
     quad_cp, mf, step = _fine_grid(cp, t)
     yprime = quad_cp.level(1)[: mf + 1]
     return integrate_grid(np.abs(yprime) ** p, step)
@@ -153,7 +149,7 @@ def _abs_power_derivatives(p: float, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     # written so that a NaN p fails it
     if not 2.0 <= p < math.inf:
-        raise ValueError(f"the drift needs phi'' of |y|**p: p must be >= 2 and finite, got {p}")
+        raise DomainError(f"the drift needs phi'' of |y|**p: p must be >= 2 and finite, got {p}")
     if p % 2.0 == 0.0:
         p_int = int(p)
         return p * y ** (p_int - 1), p * (p - 1.0) * y ** (p_int - 2)
@@ -211,13 +207,13 @@ def limit_cond_std(
 
     ``sigma(p, H) * sqrt(int_0^t |y'_u|**(2p) du)`` with sigma the square
     root of the asymptotic variance series and H the driver's Hurst index
-    unless ``hurst`` is given. Raises :class:`RegimeError` below the
+    unless ``hurst`` is given. Raises :class:`DomainError` below the
     critical index, where the limit is not distributional.
     """
     if hurst is None:
         hurst = cp.x.hurst
     if classify_regime(hurst) == REGIME_DEGENERATE:
-        raise RegimeError(
+        raise DomainError(
             f"no conditional std below the critical index (hurst={hurst})"
         )
     scale = _compensator(cp, 2.0 * p, t)
@@ -235,7 +231,7 @@ def weighted_increment_sum(
     """
     weight_values = np.asarray(weight_values, dtype=float)
     if weight_values.shape != (x.n + 1,):
-        raise ValueError(
+        raise DomainError(
             f"weight must be sampled on the driver grid, expected {x.n + 1} "
             f"nodes, got {weight_values.shape}"
         )
@@ -261,7 +257,7 @@ def riemann_correction_sum(cp: ControlledPath, t: float = 1.0) -> float:
     if m == 0:
         return 0.0
     if cp.fine_factor % 2:
-        raise ValueError(
+        raise DomainError(
             f"the midpoint rule needs an even fine factor, got {cp.fine_factor}"
         )
     quad_cp, mf, hf = _fine_grid(cp, t)

@@ -39,6 +39,7 @@ from roughpvar import (
     ControlledPath,
     FbmPath,
     FbmSpec,
+    RunError,
     StatConfig,
     build_controlled_process,
     limit_cond_std,
@@ -487,7 +488,7 @@ class TestSolveRde:
         def solve():
             try:
                 cp = solve_rde(drift, field, y0, x, ell)
-            except RuntimeError as err:
+            except RunError as err:
                 return str(err)
             return [np.asarray(cp.level(j)).tobytes() for j in range(cp.ell)]
 
@@ -498,7 +499,7 @@ class TestSolveRde:
 
     def test_blow_up_guard(self):
         x = sample_fbm(FbmSpec(hurst=0.5, n=256), philox(29))
-        with pytest.raises(RuntimeError, match="blow-up"):
+        with pytest.raises(RunError, match="blow-up"):
             solve_rde([0.0, 0.0, 1.0], [0.0], 1e9, x, ell=2)
 
     def test_blow_up_guard_catches_non_finite_state(self):
@@ -506,11 +507,11 @@ class TestSolveRde:
         # the third on. On a falling driver their terms alternate in sign, so
         # the first step is inf - inf = NaN, which exceeds no guard. Under
         # numpy's default error handling, with every warning turned into an
-        # error, the guard's RuntimeError must be the only report.
+        # error, the guard's RunError must be the only report.
         x = FbmPath(FbmSpec(hurst=0.5, n=8), np.linspace(0.0, -1.0, 9))
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error")
-            with pytest.raises(RuntimeError, match="blow-up guard"):
+            with pytest.raises(RunError, match="blow-up guard"):
                 solve_rde(None, [0.0] * 8 + [5.0], 1e13, x, ell=6)
 
     def test_validation(self):

@@ -34,7 +34,7 @@ from roughpvar import (
     sample_fbm,
 )
 from roughpvar import fbm
-from roughpvar.fbm import _circulant_eigenvalues, check_integer, check_number
+from roughpvar.fbm import RunError, _circulant_eigenvalues, check_integer, check_number
 from streams import philox
 
 
@@ -318,7 +318,7 @@ def test_indefinite_embedding_raises(monkeypatch):
 
     monkeypatch.setattr(fbm, "fgn_autocovariance", indefinite_autocovariance)
     fbm._draw_scale.cache_clear()
-    with pytest.raises(RuntimeError, match="not nonnegative definite"):
+    with pytest.raises(RunError, match="not nonnegative definite"):
         sample_fbm(FbmSpec(hurst=0.3, n=32, method="auto"), philox(0))
 
 
@@ -331,11 +331,11 @@ def test_indefinite_embedding_raises_after_a_cached_draw(monkeypatch):
 
     def indefinite(n, hurst):
         calls.append((n, hurst))
-        raise RuntimeError("circulant embedding is not nonnegative definite")
+        raise RunError("circulant embedding is not nonnegative definite")
 
     monkeypatch.setattr(fbm, "_circulant_eigenvalues", indefinite)
     for _ in range(2):
-        with pytest.raises(RuntimeError, match="not nonnegative definite"):
+        with pytest.raises(RunError, match="not nonnegative definite"):
             sample_fbm(spec, philox(0))
     assert calls == [(32, 0.3), (32, 0.3)]
 

@@ -46,12 +46,13 @@ from scipy.special import ndtr
 from scipy.stats import kstest, norm, uniform
 
 from roughpvar import (
+    DomainError,
     ExperimentConfig,
     ExperimentResult,
     FbmSpec,
     RateFitConfig,
+    RunError,
     ScalingConfig,
-    UnsupportedRangeError,
     build_controlled_process,
     build_replica_path,
     collect_rows,
@@ -205,15 +206,15 @@ class TestValidatePRange:
         ],
     )
     def test_rejects_uncovered_pairs(self, hurst, p):
-        with pytest.raises(UnsupportedRangeError):
+        with pytest.raises(DomainError):
             validate_p_range(hurst, p)
 
     def test_rejection_message_mentions_force(self):
-        with pytest.raises(UnsupportedRangeError, match="force=True"):
+        with pytest.raises(DomainError, match="force=True"):
             validate_p_range(0.35, 2.5)
 
     def test_error_is_a_value_error(self):
-        assert issubclass(UnsupportedRangeError, ValueError)
+        assert issubclass(DomainError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +510,7 @@ class TestCollectRows:
         )
         assert collect_rows(cfg, workers=3).tobytes() == collect_rows(cfg, workers=1).tobytes()
 
-    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError, DomainError, RunError])
     def test_worker_exception_keeps_its_class(self, error):
         cfg = ExperimentConfig(hurst=0.5, p=2.0, n_grid=(64,), replicas=5)
 
@@ -532,7 +533,7 @@ class TestCollectRows:
                 os.kill(os.getpid(), signal.SIGKILL)
             return 0.0
 
-        with pytest.raises(RuntimeError, match="worker 1 ended without a result, exit status -9"):
+        with pytest.raises(RunError, match="worker 1 ended without a result, exit status -9"):
             collect_rows(cfg, workers=2, row=row)
         _assert_no_child_left()
 
@@ -876,7 +877,7 @@ class TestRunRegimeCheck:
 
     def test_uncovered_exponent_rejected(self):
         # Refused when the config is built, before any replica is drawn.
-        with pytest.raises(UnsupportedRangeError):
+        with pytest.raises(DomainError):
             ExperimentConfig(hurst=0.35, p=2.5, n_grid=(64,), replicas=5)
 
     def test_force_runs_and_marks_unguaranteed(self):
@@ -962,7 +963,7 @@ class TestRateFit:
 
     def test_uncovered_exponent_rejected(self):
         # Refused when the config is built, before any replica is drawn.
-        with pytest.raises(UnsupportedRangeError):
+        with pytest.raises(DomainError):
             RateFitConfig(ExperimentConfig(hurst=0.35, p=2.5, n_grid=(64, 128), replicas=5))
 
 

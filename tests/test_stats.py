@@ -25,9 +25,9 @@ from roughpvar import (
     REGIME_DEGENERATE,
     REGIME_MIXED,
     ControlledPath,
+    DomainError,
     FbmPath,
     FbmSpec,
-    RegimeError,
     StatConfig,
     build_controlled_process,
     classify_regime,
@@ -255,7 +255,7 @@ class TestLimitCondStd:
     def test_degenerate_regime_rejected(self):
         x = sample_fbm(FbmSpec(hurst=0.2, n=64), philox(49))
         cp = build_controlled_process("fbm", x)
-        with pytest.raises(RegimeError):
+        with pytest.raises(DomainError):
             limit_cond_std(cp, 2.0)
         # explicit override beats the path's own index
         assert limit_cond_std(cp, 2.0, hurst=0.3) > 0.0
